@@ -8,16 +8,14 @@ days with three funded spam campaigns, two zombie outbreaks and daily
 reconciliation — and records the results in ``BENCH_scale.json`` at the
 repo root, where CI (``tools/ci.sh``) guards against regressions.
 
-Four drive modes run the *same* workload from the same seed:
+Three drive modes run the *same* workload from the same seed:
 
 * ``columnar``      — the struct-of-arrays batch executor
   (``repro.columnar``): vectorized masked numpy ops, the fastest path;
 * ``direct``        — synchronous sends, no engine (the scalar
   reference path the columnar executor is verified against);
-* ``engine_stream`` — engine mode with the streaming fast path (workload
-  pulled lazily between heap events; heap stays O(timers));
-* ``engine_events`` — engine mode with one heap event + closure per
-  message (the legacy path, kept for comparison).
+* ``engine_stream`` — engine mode (workload pulled lazily between heap
+  events; heap stays O(timers)).
 
 Each mode runs in its own subprocess so peak-RSS figures are honest
 per-mode numbers. After the runs, the harness *asserts determinism*: all
@@ -32,13 +30,8 @@ Usage::
 
     python benchmarks/bench_macro_scale.py                  # full 1M run
     python benchmarks/bench_macro_scale.py --messages 50000 # smoke scale
-    python benchmarks/bench_macro_scale.py --verify-messages 100000
 
-``engine_events`` materializes one event per message (at 1M: hundreds of
-MB and minutes of heap churn — the regression this harness exists to
-document), so it runs at ``--verify-messages`` scale (default 100k) while
-``direct`` and ``engine_stream`` run at full ``--messages`` scale. The
-determinism cross-check compares modes pairwise at equal scales.
+The determinism cross-check compares modes pairwise at equal scales.
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-MODES = ("columnar", "direct", "engine_stream", "engine_events")
+MODES = ("columnar", "direct", "engine_stream")
 
 
 def canonical_scenario(messages: int, seed: int):
@@ -135,9 +128,6 @@ def run_single(mode: str, messages: int, seed: int) -> dict:
     scenario = canonical_scenario(messages, seed)
     if mode == "engine_stream":
         scenario.engine_mode = True
-    elif mode == "engine_events":
-        scenario.engine_mode = True
-        scenario.engine_streaming = False
     elif mode == "columnar":
         scenario.columnar = True
     elif mode != "direct":
@@ -254,13 +244,6 @@ def main() -> None:
         default=1_000_000,
         help="target send count for direct/engine_stream (default 1M)",
     )
-    parser.add_argument(
-        "--verify-messages",
-        type=int,
-        default=100_000,
-        help="scale for the engine_events old-path cross-check "
-        "(default 100k; engine_events is O(messages) memory)",
-    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--output",
@@ -285,18 +268,11 @@ def main() -> None:
         print(json.dumps(run_single(args.single, args.messages, args.seed)))
         return
 
-    verify_messages = min(args.verify_messages, args.messages)
     plan = [
         ("columnar", args.messages),
         ("direct", args.messages),
         ("engine_stream", args.messages),
-        ("engine_events", verify_messages),
     ]
-    # The old-path/new-path determinism check needs equal scales; when the
-    # main scale differs from the verify scale, rerun the streaming path
-    # small so engine_events has a same-scale twin.
-    if verify_messages != args.messages:
-        plan.append(("engine_stream_verify", verify_messages))
 
     # Throughput is scale-dependent (interpreter and deployment setup
     # amortize over more messages at full scale), so CI's smoke runs are
@@ -312,7 +288,7 @@ def main() -> None:
 
     runs: dict[str, dict] = {}
     for name, messages in plan:
-        mode = name.replace("_verify", "").replace("_smoke", "")
+        mode = name.removesuffix("_smoke")
         print(f"[bench_macro_scale] {name}: {messages} messages ...", flush=True)
         run = run_subprocess(mode, messages, args.seed)
         print(

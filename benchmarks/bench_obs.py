@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Observability overhead benchmark: what does tracing cost?
 
-Runs the canonical 3-ISP scenario (the one behind ``repro trace``) in
-three configurations and records the results in ``BENCH_obs.json``:
+Runs the canonical 3-ISP world (``examples/scenarios/canonical-3isp.yaml``,
+the document behind ``repro run --trace``) in three configurations and records the results in ``BENCH_obs.json``:
 
 * ``off``   — no recorder at all (every emit site is one attribute load
   plus one false branch; this is what production-scale runs pay);
@@ -44,11 +44,21 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 
 MODES = ("off", "ring", "jsonl")
+CANONICAL = ROOT / "examples" / "scenarios" / "canonical-3isp.yaml"
 
 
-def run_once(mode: str, seed: int) -> dict:
+def canonical_plan(seed: int | None):
+    """The canonical document, compiled; ``seed`` overrides its own."""
+    from repro.scenario import compile_scenario, load
+
+    doc = load(str(CANONICAL))
+    if seed is not None:
+        doc["seed"] = seed
+    return compile_scenario(doc)
+
+
+def run_once(mode: str, plan) -> dict:
     """One canonical run under ``mode``; returns timing and outcome."""
-    from repro.obs.canonical import canonical_scenario
     from repro.obs.trace import JsonlSink, RingSink, TraceRecorder
 
     sink = None
@@ -65,7 +75,8 @@ def run_once(mode: str, seed: int) -> dict:
     else:
         raise SystemExit(f"unknown mode {mode!r}")
 
-    scenario = canonical_scenario(seed=seed, tracer=recorder)
+    scenario = plan.scenario()
+    scenario.tracer = recorder
     start = time.perf_counter()
     result = scenario.run()
     elapsed = time.perf_counter() - start
@@ -80,12 +91,12 @@ def run_once(mode: str, seed: int) -> dict:
     }
 
 
-def bench_mode(mode: str, seed: int, repeats: int) -> dict:
+def bench_mode(mode: str, plan, repeats: int) -> dict:
     """Repeat one mode and summarize its timings."""
     from repro.sim.metrics import summary_stats
 
-    run_once(mode, seed)  # warm-up: import and allocator effects
-    runs = [run_once(mode, seed) for _ in range(repeats)]
+    run_once(mode, plan)  # warm-up: import and allocator effects
+    runs = [run_once(mode, plan) for _ in range(repeats)]
     seconds = [run["seconds"] for run in runs]
     stats = summary_stats(seconds)
     best = stats["min"]
@@ -126,14 +137,13 @@ def main() -> None:
 
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
-    from repro.obs.canonical import CANONICAL_SEED
-
-    seed = CANONICAL_SEED if args.seed is None else args.seed
+    plan = canonical_plan(args.seed)
+    seed = plan.seed
 
     results: dict[str, dict] = {}
     for mode in MODES:
         print(f"[bench_obs] {mode}: {args.repeats} repeats ...", flush=True)
-        measured = bench_mode(mode, seed, args.repeats)
+        measured = bench_mode(mode, plan, args.repeats)
         print(
             f"    best {measured['best_seconds']}s, "
             f"mean {measured['mean_seconds']}s "

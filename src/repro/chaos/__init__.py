@@ -20,18 +20,13 @@ Layers:
 * :mod:`.crash` — :class:`CrashController`, journal-based crash/restart
   on :mod:`repro.core.persistence`;
 * :mod:`.deployment` — :class:`ChaosDeployment`, the wired system;
-* :mod:`.campaign` — campaign specs, the runner and report formatting.
+* :mod:`.campaign` — :func:`run_cell`, the chaos drive behind
+  ``repro run doc.yaml --mode chaos``: one scenario document's world
+  under faults, with a pass/fail report row.
 """
 
-from .campaign import (
-    DEFAULT_OVERLOAD_SPEC,
-    DEFAULT_SPEC,
-    OVERLOAD_COLUMNS,
-    format_report,
-    load_spec,
-    run_campaign,
-    run_cell,
-)
+from ..obs.manifest import accounting_digest
+from .campaign import run_cell
 from .crash import CrashController, CrashEvent
 from .deployment import ChaosDeployment
 from .faults import (
@@ -41,21 +36,10 @@ from .faults import (
     FloodSpec,
     flood_requests,
 )
-from .monitors import (
-    InvariantMonitor,
-    OverloadMonitor,
-    Violation,
-    accounting_digest,
-)
+from .monitors import InvariantMonitor, OverloadMonitor, Violation
 from .snapshot import RetryingSnapshotCoordinator
 
 __all__ = [
-    "DEFAULT_SPEC",
-    "DEFAULT_OVERLOAD_SPEC",
-    "OVERLOAD_COLUMNS",
-    "format_report",
-    "load_spec",
-    "run_campaign",
     "run_cell",
     "CrashController",
     "CrashEvent",

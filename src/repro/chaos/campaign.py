@@ -1,30 +1,21 @@
-"""Chaos campaigns: a matrix of fault mixes × scenarios with a verdict.
+"""Chaos cells: one scenario document's world under faults, with a verdict.
 
-A campaign spec is a plain dict (loadable from JSON, or YAML when
-available) describing a deployment, a workload, and a list of *cells* —
-each cell a named fault mix plus an optional crash schedule. Running the
-campaign executes every cell in its own deployment, drains it to
-quiescence, and emits a pass/fail row per cell:
-
-* **pass** requires the cell to converge (quiescence reached), keep every
-  invariant monitor green, conserve total value, and commit every
-  reconciliation round it started.
-
-Determinism: each cell's seed derives from the campaign seed and the
-cell's name (SHA-256), every random decision inside a cell flows from
-that seed, and reports contain no wall-clock timestamps — so the same
-spec and seed produce byte-identical reports, and a failing cell can be
-replayed from the seed printed in its row.
+:func:`run_cell` runs a chaos document (``repro run doc.yaml --mode
+chaos``; the built-in cells are ``examples/scenarios/chaos-*.yaml`` and
+``overload-*.yaml``) in a fresh :class:`~repro.chaos.deployment
+.ChaosDeployment`, drains it to quiescence and returns its report row.
+The row **passes** when the cell converged, kept every invariant monitor
+green, conserved total value, and committed every reconciliation round
+it started. The cell's seed derives from the document's seed and cell
+name (SHA-256) and rows carry no wall-clock time, so the same document
+gives byte-identical rows and a failing row names the seed replaying it.
 """
 
 from __future__ import annotations
 
-import copy
-import json
 from typing import Any
 
 from ..core.overload import OverloadConfig
-from ..errors import SimulationError
 from ..obs.metrics_export import export_deployment
 from ..sim.rng import SeededStreams, derive_seed
 from ..sim.workload import NormalUserWorkload, merge_workloads
@@ -32,224 +23,62 @@ from .crash import CrashEvent
 from .deployment import ChaosDeployment
 from .faults import FaultSpec, FloodSpec, flood_requests
 
-__all__ = [
-    "DEFAULT_SPEC",
-    "DEFAULT_OVERLOAD_SPEC",
-    "OVERLOAD_COLUMNS",
-    "load_spec",
-    "run_cell",
-    "run_campaign",
-    "format_report",
-]
+__all__ = ["run_cell"]
 
 
-#: The built-in campaign: a clean baseline, a heavily faulty wire, and a
-#: crashy cell combining link faults with ISP and bank crash/restart plus
-#: periodic reconciliation. Sized to finish in well under a minute (the
-#: CI smoke budget) while still exercising every chaos subsystem.
-DEFAULT_SPEC: dict[str, Any] = {
-    "name": "builtin",
-    "seed": 7,
-    "deployment": {
-        "n_isps": 3,
-        "users_per_isp": 6,
-        "monitor_interval": 5.0,
-        "reconcile_every": 150.0,
-    },
-    "workload": {
-        "rate_per_day": 4000.0,
-        "duration": 600.0,
-    },
-    "drain_window": 900.0,
-    "cells": [
-        {
-            "name": "clean",
-            "faults": {},
-            "crashes": [],
-        },
-        {
-            "name": "lossy-dup-reorder",
-            "faults": {
-                "drop_rate": 0.2,
-                "duplicate_rate": 0.15,
-                "reorder_rate": 0.2,
-                "reorder_delay": 2.0,
-            },
-            "crashes": [],
-        },
-        {
-            "name": "crashy",
-            "faults": {
-                "drop_rate": 0.1,
-                "duplicate_rate": 0.1,
-                "reorder_rate": 0.1,
-            },
-            "crashes": [
-                {"node": "isp1", "at": 120.0, "down_for": 60.0},
-                {"node": "bank", "at": 300.0, "down_for": 45.0},
-            ],
-        },
-    ],
-}
+def run_cell(plan) -> dict[str, Any]:
+    """Run a compiled chaos document in a fresh deployment; returns its row.
 
-
-#: The built-in overload campaign: the same small deployment with the
-#: overload-protection layer on, swept from a clean baseline through a
-#: 2× burst to a sustained 10× flood against one ISP's admission rate.
-#: Every cell must keep the overload monitor green — bounded queues, no
-#: lost accounting — and conserve value, demonstrating that saturation
-#: degrades service (shed/bounce) instead of correctness.
-DEFAULT_OVERLOAD_SPEC: dict[str, Any] = {
-    "name": "builtin-overload",
-    "seed": 11,
-    "deployment": {
-        "n_isps": 3,
-        "users_per_isp": 6,
-        "monitor_interval": 5.0,
-        "reconcile_every": 150.0,
-        "overload": {
-            "admit_rate": 8.0,
-            "admit_burst": 16,
-            "queue_capacity": 64,
-            "retry_base": 2.0,
-            "retry_backoff": 2.0,
-            "retry_max_interval": 30.0,
-            "max_retries": 3,
-        },
-    },
-    "workload": {
-        "rate_per_day": 2000.0,
-        "duration": 300.0,
-    },
-    "drain_window": 600.0,
-    "cells": [
-        {
-            "name": "baseline",
-            "faults": {},
-            "floods": [],
-        },
-        {
-            "name": "burst-2x",
-            "faults": {},
-            "floods": [
-                {
-                    "attacker_isp": 0,
-                    "target_isp": 1,
-                    "rate_per_sec": 16.0,
-                    "start": 60.0,
-                    "duration": 60.0,
-                },
-            ],
-        },
-        {
-            "name": "flood-10x",
-            "faults": {"drop_rate": 0.05},
-            "floods": [
-                {
-                    "attacker_isp": 0,
-                    "target_isp": 1,
-                    "rate_per_sec": 80.0,
-                    "start": 60.0,
-                    "duration": 120.0,
-                },
-            ],
-        },
-    ],
-}
-
-
-def load_spec(path: str) -> dict[str, Any]:
-    """Load a campaign spec from a JSON (preferred) or YAML file.
-
-    Raises:
-        SimulationError: if the file parses as neither.
+    Args:
+        plan: A :class:`~repro.scenario.compiler.ScenarioPlan`. Its
+            ``chaos.cell`` names the cell (default: the document name).
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as json_err:
-        try:
-            import yaml
-        except ImportError:  # pragma: no cover - yaml is normally present
-            raise SimulationError(
-                f"{path}: not valid JSON ({json_err}) and PyYAML is unavailable"
-            ) from json_err
-        try:
-            spec = yaml.safe_load(text)
-        except yaml.YAMLError as yaml_err:
-            raise SimulationError(
-                f"{path}: parses as neither JSON ({json_err}) "
-                f"nor YAML ({yaml_err})"
-            ) from yaml_err
-    if not isinstance(spec, dict):
-        raise SimulationError(f"{path}: campaign spec must be a mapping")
-    _validate(spec)
-    return spec
-
-
-def _validate(spec: dict[str, Any]) -> None:
-    cells = spec.get("cells")
-    if not cells:
-        raise SimulationError("campaign spec has no cells")
-    names = [cell.get("name") for cell in cells]
-    if any(not name for name in names):
-        raise SimulationError("every campaign cell needs a name")
-    if len(set(names)) != len(names):
-        raise SimulationError(f"duplicate cell names: {sorted(names)}")
-
-
-def run_cell(
-    spec: dict[str, Any], cell: dict[str, Any], *, seed: int
-) -> dict[str, Any]:
-    """Run one campaign cell in a fresh deployment; returns its report row."""
-    cell_seed = derive_seed(seed, f"cell:{cell['name']}")
-    deployment_kwargs = {
-        **spec.get("deployment", {}),
-        **cell.get("deployment", {}),
-    }
-    overload_kwargs = deployment_kwargs.pop("overload", None)
-    if overload_kwargs is not None:
-        deployment_kwargs["overload"] = OverloadConfig(**overload_kwargs)
-    workload_kwargs = {**spec.get("workload", {}), **cell.get("workload", {})}
-    duration = float(workload_kwargs.pop("duration", 600.0))
-    faults = FaultSpec(**cell.get("faults", {}))
-
+    doc = plan.doc
+    topology, traffic = doc["topology"], doc["traffic"]
+    name = doc["chaos"]["cell"] or doc["name"]
+    cell_seed = derive_seed(plan.seed, f"cell:{name}")
+    overload = dict(doc["overload"])
     deployment = ChaosDeployment(
-        seed=cell_seed, faults=faults, **deployment_kwargs
+        n_isps=topology["n_isps"],
+        users_per_isp=topology["users_per_isp"],
+        seed=cell_seed,
+        compliant=plan.compliant_flags(),
+        config=plan.config(),
+        faults=FaultSpec(**doc["faults"]),
+        monitor_interval=doc["chaos"]["monitor_interval"],
+        reconcile_every=doc["reconcile"]["every"],
+        overload=OverloadConfig(**overload) if overload.pop("enabled") else None,
     )
-    for crash in cell.get("crashes", []):
+    for crash in doc["crashes"]:
         deployment.schedule_crash(CrashEvent(**crash))
+    duration = traffic["duration"]
     workload = NormalUserWorkload(
-        n_isps=deployment.network.n_isps,
-        users_per_isp=deployment.network.users_per_isp,
+        n_isps=topology["n_isps"],
+        users_per_isp=topology["users_per_isp"],
         streams=SeededStreams(derive_seed(cell_seed, "chaos-workload")),
-        **workload_kwargs,
+        rate_per_day=traffic["normal_rate_per_day"],
     )
     requests = workload.generate(duration)
-    floods = [FloodSpec(**flood) for flood in cell.get("floods", [])]
+    floods = [
+        flood_requests(
+            FloodSpec(**flood),
+            n_isps=topology["n_isps"],
+            users_per_isp=topology["users_per_isp"],
+            streams=SeededStreams(derive_seed(cell_seed, f"flood:{index}")),
+            name=f"flood{index}",
+        )
+        for index, flood in enumerate(traffic["floods"])
+    ]
     if floods:
-        flood_streams = [
-            flood_requests(
-                flood,
-                n_isps=deployment.network.n_isps,
-                users_per_isp=deployment.network.users_per_isp,
-                streams=SeededStreams(derive_seed(cell_seed, f"flood:{index}")),
-                name=f"flood{index}",
-            )
-            for index, flood in enumerate(floods)
-        ]
-        requests = merge_workloads(requests, *flood_streams)
+        requests = merge_workloads(requests, *floods)
     converged = deployment.run(
-        requests,
-        until=duration,
-        drain_window=float(spec.get("drain_window", 900.0)),
+        requests, until=duration, drain_window=doc["chaos"]["drain_window"]
     )
 
     network = deployment.network
     stats = deployment.stats()
-    # All counter reads go through the unified exporter so the campaign
-    # harness exercises the same metrics surface the CLI dumps.
+    # All counter reads go through the unified exporter so the chaos
+    # drive exercises the same metrics surface `repro run --metrics` dumps.
     metrics = export_deployment(deployment).collect()
     conserved = network.total_value() == network.expected_total_value()
     first = deployment.monitor.first_violation
@@ -262,7 +91,7 @@ def run_cell(
         and stats["snapshot_failed"] == 0
     )
     return {
-        "cell": cell["name"],
+        "cell": name,
         "seed": cell_seed,
         "passed": passed,
         "converged": converged,
@@ -275,107 +104,3 @@ def run_cell(
         "digest": deployment.digest(),
         **stats,
     }
-
-
-def run_campaign(spec: dict[str, Any], *, seed: int | None = None) -> dict[str, Any]:
-    """Run every cell of ``spec``; returns the campaign report dict.
-
-    Args:
-        seed: Override the spec's seed (the CLI's ``--seed``).
-    """
-    _validate(spec)
-    spec = copy.deepcopy(spec)
-    campaign_seed = int(spec.get("seed", 0) if seed is None else seed)
-    rows = [
-        run_cell(spec, cell, seed=campaign_seed) for cell in spec["cells"]
-    ]
-    return {
-        "campaign": spec.get("name", "unnamed"),
-        "seed": campaign_seed,
-        "cells": rows,
-        "passed": all(row["passed"] for row in rows),
-    }
-
-
-_COLUMNS = [
-    ("cell", "cell"),
-    ("pass", "passed"),
-    ("conv", "converged"),
-    ("cons", "conserved"),
-    ("viol", "violations"),
-    ("submits", "submits"),
-    ("delivered", "delivered"),
-    ("rexmit", "retransmissions"),
-    ("crashes", "crashes"),
-    ("rounds", "snapshot_rounds"),
-    ("committed", "snapshot_committed"),
-]
-
-#: Column set for overload campaigns: the admission-control disposition
-#: of every attempt (accepted/shed/bounced), the queue high-water mark
-#: against its bound, and the breaker activity.
-OVERLOAD_COLUMNS = [
-    ("cell", "cell"),
-    ("pass", "passed"),
-    ("conv", "converged"),
-    ("cons", "conserved"),
-    ("viol", "violations"),
-    ("oviol", "overload_violations"),
-    ("submits", "submits"),
-    ("delivered", "delivered"),
-    ("accepted", "overload_accepted"),
-    ("shed", "overload_shed"),
-    ("bounced", "overload_bounced"),
-    ("peakq", "overload_peak_pending"),
-    ("parked", "letters_parked"),
-    ("bropen", "transfer_breaker_opens"),
-]
-
-
-def format_report(
-    report: dict[str, Any],
-    columns: list[tuple[str, str]] | None = None,
-) -> str:
-    """Render a campaign report as a deterministic fixed-width table.
-
-    Args:
-        columns: ``(header, row_key)`` pairs; defaults to the chaos
-            column set (:data:`OVERLOAD_COLUMNS` fits overload
-            campaigns).
-    """
-    if columns is None:
-        columns = _COLUMNS
-    lines = [
-        f"campaign {report['campaign']!r}  seed={report['seed']}  "
-        f"verdict={'PASS' if report['passed'] else 'FAIL'}"
-    ]
-    rows = []
-    for row in report["cells"]:
-        rows.append([
-            str(row[key]) if not isinstance(row[key], bool)
-            else ("yes" if row[key] else "NO")
-            for _, key in columns
-        ])
-    headers = [title for title, _ in columns]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    for row in report["cells"]:
-        lines.append(f"{row['cell']}: digest {row['digest']}")
-        if row["first_violation"]:
-            lines.append(
-                f"{row['cell']}: FIRST VIOLATION {row['first_violation']} "
-                f"(replay with seed {row['seed']})"
-            )
-        if row.get("first_overload_violation"):
-            lines.append(
-                f"{row['cell']}: FIRST OVERLOAD VIOLATION "
-                f"{row['first_overload_violation']} "
-                f"(replay with seed {row['seed']})"
-            )
-    return "\n".join(lines)

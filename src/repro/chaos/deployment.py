@@ -45,6 +45,7 @@ from ..core.overload import CircuitBreaker, OverloadConfig
 from ..core.protocol import ZmailNetwork
 from ..core.transfer import Letter, SendReceipt
 from ..errors import SimulationError
+from ..obs.manifest import accounting_digest
 from ..obs.trace import NULL_TRACER, TraceRecorder
 from ..sim.clock import DAY
 from ..sim.engine import Engine
@@ -54,7 +55,7 @@ from ..sim.rng import SeededStreams, derive_seed
 from ..sim.workload import SendRequest
 from .crash import CrashController, CrashEvent
 from .faults import FaultSpec, FaultyNetwork
-from .monitors import InvariantMonitor, OverloadMonitor, accounting_digest
+from .monitors import InvariantMonitor, OverloadMonitor
 from .snapshot import (
     ChaosSnapshotReply,
     ChaosSnapshotRequest,
@@ -487,7 +488,7 @@ class ChaosDeployment:
         return self._inflight_pair.get(key, 0)
 
     def digest(self) -> str:
-        """The deployment's accounting digest (see :mod:`.monitors`)."""
+        """The deployment's accounting digest (see :mod:`repro.obs.manifest`)."""
         return accounting_digest(self.network)
 
     def stats(self) -> dict:

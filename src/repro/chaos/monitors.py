@@ -23,8 +23,6 @@ it, and reports the first-violation time together with the campaign seed
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,7 +35,6 @@ __all__ = [
     "Violation",
     "InvariantMonitor",
     "OverloadMonitor",
-    "accounting_digest",
 ]
 
 #: Cap on recorded violations per run; a broken invariant usually fails
@@ -55,35 +52,6 @@ class Violation:
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"t={self.time:.3f} {self.invariant}: {self.detail}"
-
-
-def accounting_digest(network) -> str:
-    """SHA-256 over every balance in the system.
-
-    Field-compatible with the macro benchmark's digest
-    (``benchmarks/bench_macro_scale.accounting_digest``): two runs agree
-    on this hash iff they agree on all money movement. Campaign reports
-    embed it so bit-reproducibility is checkable from the report alone.
-    """
-    state: dict[str, object] = {
-        "in_flight": network.paid_letters_in_flight,
-        "total_value": network.total_value(),
-        "expected_total_value": network.expected_total_value(),
-        "bank_deposits": network.bank.total_deposits(),
-        "isps": {},
-    }
-    for isp_id, isp in sorted(network.compliant_isps().items()):
-        ledger = isp.ledger
-        state["isps"][str(isp_id)] = {
-            "users": [
-                (u.user_id, u.account, u.balance) for u in ledger.users()
-            ],
-            "pool": ledger.pool,
-            "cash": ledger.cash,
-            "bank_account": network.bank.account_balance(isp_id),
-        }
-    blob = json.dumps(state, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class InvariantMonitor:

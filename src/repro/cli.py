@@ -1,41 +1,18 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Commands map onto the library's headline capabilities so a user can see
-the system work without writing code:
+the system work without writing code (``python -m repro --help`` lists
+them): the paper's tables and demos (``quickstart``, ``breakeven``,
+``compare``, ``adoption``, ``spec-check``, ``zombie``, ``audit``), the
+durable SMTP service (``serve``, ``selftest``, ``soak``), and the world
+runners. ``run`` executes one scenario document — every built-in world
+is a document under ``examples/scenarios/`` — on any drive (direct
+loop, columnar batch, event engine, sharded cluster or fault-injecting
+chaos) and writes its invariant manifest, JSONL trace and metrics
+export; ``fuzz`` and ``arena`` run seeded campaigns of generated worlds.
 
-* ``quickstart``  — tiny two-ISP deployment, zero-sum accounting.
-* ``breakeven``   — the §1.2 spammer break-even table.
-* ``compare``     — the §2 baseline comparison table.
-* ``adoption``    — the §5 incremental-deployment S-curve.
-* ``spec-check``  — model-check the §4 formal spec (optionally cheating).
-* ``zombie``      — the §5 zombie-containment scenario.
-* ``scenario``    — kitchen-sink mixed simulation via the Scenario API.
-* ``audit``       — the solvency audit catching an e-penny-minting ISP.
-* ``cluster``     — sharded multi-process run in deterministic epoch
-  lockstep or bounded-lag asynchrony; the merged manifest is
-  bit-identical across shard counts and drive modes.
-* ``chaos``       — fault-injection campaign with invariant monitors.
-* ``overload``    — burst/flood campaign against the overload-protection
-  layer (admission control, bounded queues, circuit breakers).
-* ``trace``       — canonical traced run: schema-valid JSONL event trace
-  plus the run manifest (byte-identical across same-seed runs).
-* ``metrics``     — canonical run's unified metrics export (one
-  namespaced registry over protocol, overload and gateway counters).
-* ``serve``       — long-running SMTP service over the durable SQLite
-  store: one listener per compliant ISP, periodic barrier commits,
-  restart-safe pending queues.
-* ``selftest``    — operator health check of a durable store: checksum
-  sweep, anti-symmetry/conservation invariants, one live SMTP round
-  trip.
-* ``soak``        — the recovery-equivalence soak: a crash/restart-laden
-  scenario over the durable store whose manifest must be byte-identical
-  to the in-memory oracle run (``--oracle``).
-* ``run``         — compile a declarative scenario document (JSON/YAML)
-  and execute it unchanged on any drive: direct loop, columnar batch,
-  event engine, sharded cluster or fault-injecting chaos.
-* ``fuzz``        — seeded differential fuzzing campaign: N generated
-  worlds through every executor, byte-comparing invariant manifests;
-  failures shrink to minimal worlds replayable with ``--replay``.
+Usage errors (bad options, unreadable or invalid documents) print one
+``repro: error: …`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -57,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="run the command under cProfile and print the hottest "
-        "functions afterwards (e.g. `repro --profile scenario`)",
+        "functions afterwards (e.g. `repro --profile run doc.yaml`)",
     )
     parser.add_argument(
         "--profile-top",
@@ -99,163 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     zombie.add_argument("--limit", type=int, default=40)
     zombie.add_argument("--seed", type=int, default=2)
 
-    scenario = sub.add_parser(
-        "scenario", help="kitchen-sink mixed simulation (Scenario API)"
-    )
-    scenario.add_argument("--days", type=int, default=3)
-    scenario.add_argument("--seed", type=int, default=42)
-
     audit = sub.add_parser(
         "audit", help="solvency audit demo: catch an e-penny-minting ISP"
     )
     audit.add_argument("--mint", type=int, default=5000)
     audit.add_argument("--seed", type=int, default=18)
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="sharded multi-process run: ISPs partitioned across worker "
-        "processes in deterministic epoch lockstep or bounded-lag "
-        "asynchrony (--lag K); results are bit-identical across shard "
-        "counts and drive modes",
-    )
-    cluster.add_argument(
-        "--shards", type=int, default=4,
-        help="worker count (default 4); results do not depend on it",
-    )
-    cluster.add_argument(
-        "--seed", type=int, default=0,
-        help="scenario seed; the merged manifest is bit-reproducible "
-        "from it (default 0)",
-    )
-    cluster.add_argument("--isps", type=int, default=8)
-    cluster.add_argument("--users", type=int, default=32)
-    cluster.add_argument("--days", type=int, default=2)
-    cluster.add_argument(
-        "--epoch-hours", type=float, default=1.0,
-        help="barrier spacing in virtual hours; must divide the day "
-        "(default 1.0)",
-    )
-    cluster.add_argument(
-        "--mode", choices=("spawn", "inline"), default="spawn",
-        help="spawn real worker processes (default) or drive the same "
-        "workers in-process",
-    )
-    cluster.add_argument(
-        "--lag", type=int, default=0, metavar="K",
-        help="bounded-lag asynchronous drive: shards may run up to K "
-        "epochs apart, with streaming reconciliation (default 0 = "
-        "epoch-barriered lockstep); results do not depend on it",
-    )
-    cluster.add_argument(
-        "--journal-dir", metavar="PATH", default=None,
-        help="journal worker barrier state here (enables crash recovery)",
-    )
-    cluster.add_argument(
-        "--manifest", metavar="PATH", default=None,
-        help="write the merged run manifest here (byte-identical across "
-        "same-seed runs and shard counts)",
-    )
-    cluster.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the per-run cluster report (assignment, restarts, "
-        "per-shard digests) here",
-    )
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a fault-injection campaign (drop/dup/reorder/crash) "
-        "with always-on invariant monitors",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=None,
-        help="campaign seed (default: the spec's seed); the whole run is "
-        "bit-reproducible from it",
-    )
-    chaos.add_argument(
-        "--spec", metavar="PATH", default=None,
-        help="campaign spec file (JSON, or YAML if available); "
-        "default: the built-in campaign",
-    )
-    chaos.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full report as JSON instead of the table",
-    )
-    chaos.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="also write the JSON report to this file",
-    )
-
-    overload = sub.add_parser(
-        "overload",
-        help="run a burst/flood overload campaign against the "
-        "admission-control layer (bounded queues, shed/bounce, breakers)",
-    )
-    overload.add_argument(
-        "--seed", type=int, default=None,
-        help="campaign seed (default: the spec's seed); the whole run is "
-        "bit-reproducible from it",
-    )
-    overload.add_argument(
-        "--spec", metavar="PATH", default=None,
-        help="campaign spec file (JSON, or YAML if available); "
-        "default: the built-in overload campaign",
-    )
-    overload.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full report as JSON instead of the table",
-    )
-    overload.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="also write the JSON report to this file",
-    )
-
-    trace = sub.add_parser(
-        "trace",
-        help="run the canonical 3-ISP traced scenario and dump the JSONL "
-        "event trace plus the run manifest",
-    )
-    trace.add_argument(
-        "--seed", type=int, default=7,
-        help="scenario seed; the trace and manifest are bit-reproducible "
-        "from it (default 7)",
-    )
-    trace.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSONL trace to this file",
-    )
-    trace.add_argument(
-        "--manifest", metavar="PATH", default=None,
-        help="write the run manifest here "
-        "(default: <out>.manifest.json when --out is given)",
-    )
-    trace.add_argument(
-        "--tail", type=int, default=0, metavar="N",
-        help="print the last N trace lines to stdout",
-    )
-    trace.add_argument(
-        "--mode", choices=("direct", "columnar", "engine_stream"),
-        default="direct",
-        help="executor driving the canonical scenario (default direct)",
-    )
-    trace.add_argument(
-        "--invariant-manifest", metavar="PATH", default=None,
-        help="also write the executor-invariant manifest here; the file "
-        "is byte-identical across --mode values for the same seed",
-    )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run the canonical scenario and dump the unified metrics "
-        "export (sorted, namespaced, digestable)",
-    )
-    metrics.add_argument(
-        "--seed", type=int, default=7,
-        help="scenario seed (default 7)",
-    )
-    metrics.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="also write the metrics JSON to this file",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -347,6 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive to execute the compiled plan on (default direct)",
     )
     run.add_argument(
+        "--seed", type=int, default=None,
+        help="override the document's seed",
+    )
+    run.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="cluster mode: worker count (default: the document's "
         "cluster.shards); the manifest does not depend on it",
@@ -357,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "apart (default: the document's cluster.lag)",
     )
     run.add_argument(
-        "--cluster-mode", choices=("inline", "spawn"), default="inline",
+        "--cluster-mode", choices=("inline", "spawn"), default=None,
         help="cluster mode: drive workers in-process (default) or as "
         "spawned processes",
     )
@@ -369,6 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--report", metavar="PATH", default=None,
         help="write the drive's native report JSON here",
+    )
+    run.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="direct/columnar/engine: write the schema-valid JSONL event "
+        "trace here (byte-identical across same-seed runs)",
+    )
+    run.add_argument(
+        "--metrics", metavar="PATH", default=None,
+        help="direct/columnar/engine: write the unified metrics export "
+        "(sorted, namespaced JSON) here",
     )
 
     fuzz = sub.add_parser(
@@ -569,37 +408,6 @@ def cmd_zombie(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    from .core import NonCompliantMailPolicy, ZmailConfig
-    from .core.scenario import Scenario, SpammerSpec, ZombieSpec
-    from .sim import DAY, HOUR, Address
-
-    result = Scenario(
-        n_isps=4,
-        users_per_isp=10,
-        compliant=[True, True, True, False],
-        config=ZmailConfig(
-            default_daily_limit=80,
-            noncompliant_policy=NonCompliantMailPolicy.SEGREGATE,
-            auto_topup_amount=0,
-        ),
-        seed=args.seed,
-        duration=args.days * DAY,
-        spammers=[
-            SpammerSpec(Address(0, 0), volume=500, war_chest=100),
-            SpammerSpec(Address(3, 0), volume=500),
-        ],
-        zombies=[
-            ZombieSpec(Address(1, 9), rate_per_hour=100.0,
-                       start=DAY, end=DAY + 6 * HOUR)
-        ],
-        reconcile_every=DAY,
-    ).run()
-    for key, value in result.summary().items():
-        print(f"{key:<24} {value}")
-    return 0 if (result.conserved and result.all_reconciliations_consistent) else 1
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     import random
 
@@ -650,141 +458,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print("all clear")
     caught = any(a.isp_id == 1 for a in alerts) if args.mint else not alerts
     return 0 if caught else 1
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from .cluster import ClusterConfig, cluster_scenario, run_cluster
-    from .sim import HOUR
-
-    scenario = cluster_scenario(
-        args.seed,
-        n_isps=args.isps,
-        users_per_isp=args.users,
-        days=args.days,
-    )
-    result = run_cluster(
-        ClusterConfig(
-            scenario=scenario,
-            n_shards=args.shards,
-            epoch_len=args.epoch_hours * HOUR,
-            mode=args.mode,
-            journal_dir=args.journal_dir,
-            lag=args.lag,
-        )
-    )
-    if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            handle.write(result.manifest.to_json())
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(result.report, sort_keys=True, indent=2) + "\n"
-            )
-    extra = result.manifest.extra
-    drive = "lockstep" if args.lag == 0 else f"bounded-lag K={args.lag}"
-    print(f"shards:          {args.shards} ({args.mode}, {drive})")
-    print(f"cycles:          {result.report['cycles']} "
-          f"x {args.epoch_hours}h epochs")
-    print(f"sends attempted: {extra['sends_attempted']}")
-    print(f"events:          {result.manifest.event_count}")
-    print(f"rounds:          {extra['rounds']} "
-          f"(consistent: {result.all_consistent})")
-    print(f"zombies caught:  {extra['zombies_detected']}")
-    print(f"conserved:       {result.conserved}")
-    print(f"manifest digest: {result.manifest.digest()}")
-    return 0 if (result.conserved and result.all_consistent) else 1
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from .chaos import DEFAULT_SPEC, format_report, load_spec, run_campaign
-
-    spec = load_spec(args.spec) if args.spec else DEFAULT_SPEC
-    report = run_campaign(spec, seed=args.seed)
-    payload = json.dumps(report, sort_keys=True, indent=2)
-    if args.as_json:
-        print(payload)
-    else:
-        print(format_report(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    return 0 if report["passed"] else 1
-
-
-def cmd_overload(args: argparse.Namespace) -> int:
-    import json
-
-    from .chaos import (
-        DEFAULT_OVERLOAD_SPEC,
-        OVERLOAD_COLUMNS,
-        format_report,
-        load_spec,
-        run_campaign,
-    )
-
-    spec = load_spec(args.spec) if args.spec else DEFAULT_OVERLOAD_SPEC
-    report = run_campaign(spec, seed=args.seed)
-    payload = json.dumps(report, sort_keys=True, indent=2)
-    if args.as_json:
-        print(payload)
-    else:
-        print(format_report(report, columns=OVERLOAD_COLUMNS))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    return 0 if report["passed"] else 1
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    from .obs.canonical import invariant_manifest, run_canonical
-    from .obs.schema import validate_trace_lines
-    from .obs.trace import ListSink
-
-    sink = ListSink()
-    result, recorder, exporter, manifest = run_canonical(
-        seed=args.seed, sink=sink, mode=args.mode
-    )
-    lines = sink.lines()
-    validate_trace_lines(lines)
-    manifest_path = args.manifest
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        if manifest_path is None:
-            manifest_path = f"{args.out}.manifest.json"
-    if manifest_path:
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            handle.write(manifest.to_json())
-    if args.invariant_manifest:
-        invariant = invariant_manifest(seed=args.seed, mode=args.mode)
-        with open(args.invariant_manifest, "w", encoding="utf-8") as handle:
-            handle.write(invariant.to_json())
-    if args.tail > 0:
-        for line in lines[-args.tail:]:
-            print(line)
-    print(f"events:          {recorder.events_emitted}")
-    print(f"event digest:    {recorder.digest()}")
-    print(f"metrics digest:  {exporter.digest()}")
-    print(f"manifest digest: {manifest.digest()}")
-    print(f"conserved:       {result.conserved}")
-    return 0 if result.conserved else 1
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs.canonical import run_canonical
-
-    result, _recorder, exporter, _manifest = run_canonical(seed=args.seed)
-    payload = exporter.to_json()
-    print(payload)
-    print(f"metrics digest:  {exporter.digest()}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    return 0 if result.conserved else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -896,18 +569,57 @@ def cmd_soak(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
+def _usage_error(message: str) -> int:
+    """Report bad input as one ``repro: error:`` line; exit status 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _run_usage_error(args: argparse.Namespace, plan) -> str | None:
+    """Why ``args`` cannot drive ``plan``, or None when they can."""
+    cluster_only = [
+        flag
+        for flag, value in (("--shards", args.shards), ("--lag", args.lag),
+                            ("--cluster-mode", args.cluster_mode))
+        if value is not None
+    ]
+    n_isps = plan.doc["topology"]["n_isps"]
+    if args.mode != "cluster" and cluster_only:
+        return f"{', '.join(cluster_only)}: only valid with --mode cluster"
+    if args.shards is not None and not 1 <= args.shards <= n_isps:
+        return f"--shards must be in 1..{n_isps} (the ISP count), got {args.shards}"
+    if args.lag is not None and args.lag < 0:
+        return f"--lag must be >= 0, got {args.lag}"
+    if args.mode in ("cluster", "chaos") and (args.trace or args.metrics):
+        return f"--trace and --metrics are unavailable with --mode {args.mode}"
+    if args.mode == "columnar" and not plan.all_compliant:
+        return "--mode columnar needs a document with no non-compliant ISPs"
+    return None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from .scenario import compile_scenario, run_plan
+    from .errors import SimulationError
+    from .obs import JsonlSink, TraceRecorder, export_network
+    from .scenario import compile_scenario, load, run_plan
 
-    plan = compile_scenario(args.scenario)
+    try:
+        doc = load(args.scenario)
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        plan = compile_scenario(doc)
+    except (OSError, SimulationError) as exc:
+        return _usage_error(str(exc))
+    problem = _run_usage_error(args, plan)
+    if problem is not None:
+        return _usage_error(problem)
     result = run_plan(
         plan,
         args.mode,
         shards=args.shards,
         lag=args.lag,
-        cluster_mode=args.cluster_mode,
+        cluster_mode=args.cluster_mode or "inline",
     )
     manifest = result["manifest"]
     if args.report:
@@ -923,6 +635,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"chaos cell:      {row['cell']} (seed {row['seed']})")
         print(f"converged:       {row['converged']}")
         print(f"conserved:       {row['conserved']}")
+        print(f"digest:          {row['digest']}")
         print(f"passed:          {row['passed']}")
         if args.manifest:
             print("note: chaos mode reports a campaign row; no invariant "
@@ -931,13 +644,38 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as handle:
             handle.write(manifest.to_json())
-    extra = manifest.extra
+    extra, report = manifest.extra, result["report"]
+    # The cluster reports its §4.4 rounds; the other drives summarize.
+    consistent = (
+        all(round_["consistent"] for round_ in report["rounds"])
+        if result["mode"] == "cluster" else report["all_consistent"]
+    )
     print(f"sends attempted: {extra['sends_attempted']}")
     print(f"events:          {manifest.event_count}")
     print(f"zombies caught:  {extra['zombies_detected']}")
     print(f"conserved:       {extra['conserved']}")
+    print(f"consistent:      {consistent}")
     print(f"manifest digest: {manifest.digest()}")
-    return 0 if extra["conserved"] else 1
+    if args.trace or args.metrics:
+        # A second, traced run; tracing has no observer effect, so it is
+        # the same run the manifest describes.
+        scenario = plan.scenario(args.mode)
+        sink = JsonlSink(args.trace) if args.trace else None
+        scenario.tracer = recorder = TraceRecorder(sink=sink)
+        try:
+            network = scenario.run().network
+        finally:
+            if sink is not None:
+                sink.close()
+        if args.trace:
+            print(f"trace events:    {recorder.events_emitted}")
+            print(f"trace digest:    {recorder.digest()}")
+        if args.metrics:
+            exporter = export_network(network)
+            with open(args.metrics, "w", encoding="utf-8") as handle:
+                handle.write(exporter.to_json() + "\n")
+            print(f"metrics digest:  {exporter.digest()}")
+    return 0 if extra["conserved"] and consistent else 1
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -1016,13 +754,7 @@ _COMMANDS = {
     "adoption": cmd_adoption,
     "spec-check": cmd_spec_check,
     "zombie": cmd_zombie,
-    "scenario": cmd_scenario,
     "audit": cmd_audit,
-    "cluster": cmd_cluster,
-    "chaos": cmd_chaos,
-    "overload": cmd_overload,
-    "trace": cmd_trace,
-    "metrics": cmd_metrics,
     "serve": cmd_serve,
     "selftest": cmd_selftest,
     "soak": cmd_soak,

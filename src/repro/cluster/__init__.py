@@ -11,8 +11,8 @@ bank/snapshot coordinator — batch at barriers, or streaming through a
 :class:`~repro.core.reconcile.StreamingReconciler` — and the digest
 merge in the parent (:mod:`~repro.cluster.runtime`). Results are
 bit-identical across shard counts, drive modes and schedulers —
-``repro cluster`` at N=1 lockstep and N=4 ``--lag 2`` writes the same
-manifest bytes — which is what makes multi-core speedup safe to take:
+``repro run doc.yaml --mode cluster`` at ``--shards 1`` lockstep and
+``--shards 4 --lag 2`` writes the same manifest bytes — which is what makes multi-core speedup safe to take:
 the parallel run *is* the sequential run.
 """
 
@@ -25,7 +25,6 @@ from .links import (
     encode_letter,
 )
 from .planner import ShardPlan, plan_shards, shard_of
-from .presets import cluster_scenario, smoke_scenario
 from .runtime import ClusterConfig, ClusterError, ClusterResult, run_cluster
 from .worker import ShardSpec, ShardWorker, worker_entry
 
@@ -46,6 +45,4 @@ __all__ = [
     "ClusterError",
     "ClusterResult",
     "run_cluster",
-    "cluster_scenario",
-    "smoke_scenario",
 ]

@@ -868,23 +868,17 @@ class ZmailNetwork:
 
     # -- workload driving --------------------------------------------------------------------
 
-    def run_workload(
-        self, requests: Iterable[SendRequest], *, streaming: bool = True
-    ) -> None:
+    def run_workload(self, requests: Iterable[SendRequest]) -> None:
         """Drive a time-ordered request stream through the deployment.
 
         Direct mode: requests execute immediately, with midnight work
         applied at day boundaries.
 
-        Engine mode with ``streaming=True`` (the default): the request
-        iterator is attached as an engine stream, pulled lazily between
-        heap events — the heap then only carries periodic/control timers
-        (midnights, reconciliations, deliveries), so a million-message
-        workload costs O(1) scheduling memory. With ``streaming=False``
-        every request is materialized as its own heap event + closure
-        (the legacy path, kept for comparison; the determinism tests
-        assert both paths produce identical results). Callers then
-        ``engine.run()`` either way.
+        Engine mode: the request iterator is attached as an engine
+        stream, pulled lazily between heap events — the heap then only
+        carries periodic/control timers (midnights, reconciliations,
+        deliveries), so a million-message workload costs O(1)
+        scheduling memory. Callers then ``engine.run()``.
         """
         if self.engine is None:
             note_time = self.note_time
@@ -896,18 +890,9 @@ class ZmailNetwork:
                 count += 1
             self.workload_attempted += count
             return
-        if streaming:
-            self.engine.add_stream(
-                requests, self._dispatch_request, label="workload"
-            )
-        else:
-            dispatch = self._dispatch_request
-            for request in requests:
-                self.engine.schedule_at(
-                    request.time,
-                    lambda r=request: dispatch(r),
-                    label="send",
-                )
+        self.engine.add_stream(
+            requests, self._dispatch_request, label="workload"
+        )
         # The perpetual midnight chain; exposed so bounded runs can cancel
         # it once the workload is done (otherwise the drain window would
         # apply midnight work — notably pool rebalancing — for days the

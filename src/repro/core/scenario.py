@@ -143,10 +143,6 @@ class Scenario:
     # Engine mode: letters travel a FIFO latency network and
     # reconciliation uses the marker snapshot on virtual time.
     engine_mode: bool = False
-    # Engine mode only: pull sends lazily from the workload stream (the
-    # fast path) instead of materializing one heap event per message.
-    # Both settings produce identical results for the same seed.
-    engine_streaming: bool = True
     # Columnar mode: direct-mode semantics executed by the vectorized
     # struct-of-arrays batch executor (repro.columnar). Requires numpy
     # and an all-compliant deployment; produces accounting bit-identical
@@ -371,7 +367,7 @@ class Scenario:
         # The network tallies attempts itself (workload_attempted), so the
         # streaming fast path needs no counting wrapper around the (hot)
         # request iterator and never holds the workload in memory.
-        network.run_workload(requests, streaming=self.engine_streaming)
+        network.run_workload(requests)
         if self.reconcile_every > 0:
             t = self.reconcile_every
             while t < self.duration:

@@ -7,13 +7,14 @@ Four pieces, one discipline (virtual time in digests, wall clock never):
 * :mod:`~repro.obs.spans` — wall-clock span timing for profiling, kept
   strictly out of every digest.
 * :mod:`~repro.obs.metrics_export` — one namespaced registry over all
-  ad-hoc metrics, dumpable as JSON (``repro metrics``).
+  ad-hoc metrics, dumpable as JSON (``repro run doc.yaml --metrics``).
 * :mod:`~repro.obs.manifest` — the run identity card: seed, config
   digest, format versions, event/metric digests.
 
-``repro trace`` runs the canonical scenario in :mod:`~repro.obs.canonical`
-and writes the JSONL trace plus its manifest; two same-seed runs produce
-byte-identical files (CI compares them with ``cmp``).
+``repro run examples/scenarios/canonical-3isp.yaml --trace out.jsonl``
+writes the canonical world's JSONL trace; two same-seed runs produce
+byte-identical files, and the trace is byte-identical across the
+direct and columnar executors.
 """
 
 from .manifest import (

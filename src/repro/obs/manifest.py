@@ -120,7 +120,7 @@ class RunManifest:
 
     def to_json(self) -> str:
         """Pretty, sorted serialization (ends with a newline) — the byte
-        form ``repro trace`` writes and CI compares with ``cmp``."""
+        form ``repro run --manifest`` writes and CI compares with ``cmp``."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def digest(self) -> str:

@@ -5,8 +5,9 @@
 demand, each executor's native spec: a :class:`~repro.core.scenario
 .Scenario` for the direct loop, the columnar batch executor and the
 event engine; a :class:`~repro.cluster.runtime.ClusterConfig` for the
-sharded runtime; and a one-cell chaos campaign for the fault-injecting
-drive. One document, five drives, zero hand-rolled spec objects.
+sharded runtime; and, through :func:`repro.chaos.campaign.run_cell`, a
+fault-injecting chaos cell. One document, five drives, zero hand-rolled
+spec objects.
 
 :func:`run_plan` executes a plan on a chosen drive and distils the run
 into the **cross-executor invariant manifest**: the additive multiset of
@@ -204,49 +205,6 @@ class ScenarioPlan:
             lag=cluster["lag"] if lag is None else lag,
         )
 
-    def campaign(self) -> tuple[dict[str, Any], dict[str, Any]]:
-        """The document as a one-cell chaos campaign ``(spec, cell)``.
-
-        The cell's name defaults to the document name (override with
-        ``chaos.cell``) and its seed derives exactly as
-        :func:`repro.chaos.campaign.run_cell` derives it, so a document
-        migrated from a hand-rolled campaign cell — same campaign seed,
-        same cell name — reproduces that cell's report row byte for
-        byte.
-        """
-        doc = self.doc
-        deployment: dict[str, Any] = {
-            "n_isps": doc["topology"]["n_isps"],
-            "users_per_isp": doc["topology"]["users_per_isp"],
-            "monitor_interval": doc["chaos"]["monitor_interval"],
-            "reconcile_every": doc["reconcile"]["every"],
-        }
-        flags = self.compliant_flags()
-        if flags is not None:
-            deployment["compliant"] = flags
-        deployment["config"] = self.config()
-        overload = dict(doc["overload"])
-        if overload.pop("enabled"):
-            deployment["overload"] = overload
-        spec = {
-            "name": doc["name"],
-            "seed": doc["seed"],
-            "deployment": deployment,
-            "workload": {
-                "rate_per_day": doc["traffic"]["normal_rate_per_day"],
-                "duration": doc["traffic"]["duration"],
-            },
-            "drain_window": doc["chaos"]["drain_window"],
-        }
-        cell = {
-            "name": doc["chaos"]["cell"] or doc["name"],
-            "faults": dict(doc["faults"]),
-            "crashes": [dict(c) for c in doc["crashes"]],
-            "floods": [dict(f) for f in doc["traffic"]["floods"]],
-        }
-        spec["cells"] = [cell]
-        return spec, cell
-
 
 def compile_scenario(source: dict[str, Any] | str) -> ScenarioPlan:
     """Compile a document (or a path to one) into a :class:`ScenarioPlan`."""
@@ -388,9 +346,7 @@ def _run_cluster(
 def _run_chaos(plan: ScenarioPlan) -> dict[str, Any]:
     from ..chaos.campaign import run_cell
 
-    spec, cell = plan.campaign()
-    row = run_cell(spec, cell, seed=plan.seed)
-    return {"mode": "chaos", "manifest": None, "report": row}
+    return {"mode": "chaos", "manifest": None, "report": run_cell(plan)}
 
 
 def run_plan(

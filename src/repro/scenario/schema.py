@@ -123,8 +123,9 @@ def _int_list(value):
 
 
 #: section -> key -> (default, validator). Defaults mirror the library's
-#: own (core Scenario / ZmailConfig / OverloadConfig / campaign) defaults
-#: so an empty section means "what the code would have done anyway".
+#: own (core Scenario / ZmailConfig / OverloadConfig / ChaosDeployment)
+#: defaults so an empty section means "what the code would have done
+#: anyway".
 _SECTIONS: dict[str, dict[str, tuple[Any, Any]]] = {
     "topology": {
         "n_isps": (3, _int(1)),

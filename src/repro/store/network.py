@@ -242,7 +242,7 @@ def durable_digest(network: ZmailNetwork) -> str:
     The recovery-equivalence oracle: after a crash mid-run,
     ``durable_digest(restore_network(store))`` must equal the live
     network's digest at the same barrier. Unlike
-    ``chaos.monitors.accounting_digest`` this excludes volatile
+    ``obs.manifest.accounting_digest`` this excludes volatile
     quantities (paid letters in flight) that a restart legitimately
     zeroes.
     """

@@ -8,40 +8,25 @@ credit counter, and pool). Recovery is not merely "no invariant broke" —
 it converges to the exact state the failure-free execution reaches.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
+from conftest import example, load_plan
 from repro.chaos import (
-    DEFAULT_SPEC,
     ChaosDeployment,
     CrashEvent,
     FaultSpec,
     FaultyNetwork,
     NO_FAULTS,
-    format_report,
-    load_spec,
-    run_campaign,
+    run_cell,
 )
 from repro.core import ZmailConfig
 from repro.errors import SimulationError
+from repro.obs.manifest import accounting_digest as digest
 from repro.sim import Engine, LinkSpec, SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
-
-
-def load_bench_digest():
-    """Import accounting_digest from the macro benchmark (satellite 2
-    requires reusing the benchmark's digest, not a reimplementation)."""
-    path = pathlib.Path(__file__).resolve().parent.parent / (
-        "benchmarks/bench_macro_scale.py"
-    )
-    spec = importlib.util.spec_from_file_location("bench_macro_scale", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.accounting_digest
 
 
 class TestFaultyNetwork:
@@ -189,7 +174,6 @@ class TestDifferentialRecovery:
         return deployment
 
     def test_faults_and_crash_recovery_reach_fault_free_state(self):
-        digest = load_bench_digest()
         clean = self.run_workload(faults=NO_FAULTS)
         chaotic = self.run_workload(
             faults=FaultSpec(drop_rate=0.25, duplicate_rate=0.2,
@@ -207,68 +191,66 @@ class TestDifferentialRecovery:
     def test_digest_actually_discriminates(self):
         """Guard against a vacuous differential: different workload seeds
         must produce different digests."""
-        digest = load_bench_digest()
         one = self.run_workload(faults=NO_FAULTS, seed=21, duration=100.0)
         other = self.run_workload(faults=NO_FAULTS, seed=22, duration=100.0)
         assert digest(one.network) != digest(other.network)
 
 
+CHAOS_DOCUMENTS = ("chaos-clean.yaml", "chaos-lossy-dup-reorder.yaml",
+                   "chaos-crashy.yaml")
+
+
+def run_campaign(seed=None):
+    """The three built-in chaos documents' rows, keyed by cell name."""
+    rows = (run_cell(load_plan(doc, seed=seed)) for doc in CHAOS_DOCUMENTS)
+    return {row["cell"]: row for row in rows}
+
+
 class TestCampaign:
     def test_default_campaign_passes_and_is_bit_reproducible(self):
-        first = run_campaign(DEFAULT_SPEC, seed=7)
-        second = run_campaign(DEFAULT_SPEC, seed=7)
-        assert first["passed"]
+        first = run_campaign()
+        second = run_campaign()
+        assert all(row["passed"] for row in first.values())
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
-        assert format_report(first) == format_report(second)
 
     def test_different_seed_different_report(self):
-        base = run_campaign(DEFAULT_SPEC, seed=7)
-        other = run_campaign(DEFAULT_SPEC, seed=99)
-        assert other["passed"]
-        digests = {row["cell"]: row["digest"] for row in base["cells"]}
-        other_digests = {row["cell"]: row["digest"] for row in other["cells"]}
-        assert digests != other_digests
+        base = run_campaign()
+        other = run_campaign(seed=99)
+        assert all(row["passed"] for row in other.values())
+        assert {cell: row["digest"] for cell, row in base.items()} != {
+            cell: row["digest"] for cell, row in other.items()
+        }
 
     def test_crashy_cell_recovers_with_monitors_green(self):
         """Acceptance criterion: ISP crash + restart + dup/reorder over
         reliable links ends with all monitors green."""
-        report = run_campaign(DEFAULT_SPEC, seed=7)
-        crashy = next(r for r in report["cells"] if r["cell"] == "crashy")
+        crashy = run_cell(load_plan("chaos-crashy.yaml"))
         assert crashy["passed"]
         assert crashy["crashes"] == 2
         assert crashy["restarts"] == 2
         assert crashy["violations"] == 0
         assert crashy["first_violation"] is None
 
-    def test_report_table_mentions_every_cell(self):
-        report = run_campaign(DEFAULT_SPEC, seed=7)
-        table = format_report(report)
-        for cell in DEFAULT_SPEC["cells"]:
-            assert cell["name"] in table
-        assert "PASS" in table
+    def test_campaign_document_loads_from_json_and_yaml(self, tmp_path):
+        # A chaos world is an ordinary scenario document: its canonical
+        # JSON form is the same world as the committed YAML.
+        from repro.scenario import canonical_dump
 
-    def test_load_spec_json_and_yaml(self, tmp_path):
-        spec = dict(DEFAULT_SPEC)
-        json_path = tmp_path / "spec.json"
-        json_path.write_text(json.dumps(spec))
-        assert load_spec(json_path)["cells"] == DEFAULT_SPEC["cells"]
+        yaml_plan = load_plan("chaos-crashy.yaml")
+        json_path = tmp_path / "crashy.json"
+        json_path.write_text(canonical_dump(yaml_plan.doc))
+        assert load_plan(str(json_path)) == yaml_plan
 
-        yaml = pytest.importorskip("yaml")
-        yaml_path = tmp_path / "spec.yaml"
-        yaml_path.write_text(yaml.safe_dump(spec))
-        assert load_spec(yaml_path)["cells"] == DEFAULT_SPEC["cells"]
-
-    def test_load_spec_rejects_garbage(self, tmp_path):
+    def test_campaign_document_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json: [nor yaml")
         with pytest.raises(SimulationError):
-            load_spec(bad)
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"name": "x", "seed": 1}))
-        with pytest.raises(SimulationError, match="cell"):
-            load_spec(empty)
+            load_plan(str(bad))
+        typo = {"schema_version": 1, "name": "x", "chaos": {"drain": 9.0}}
+        with pytest.raises(SimulationError, match="chaos"):
+            load_plan(typo)
 
 
 class TestCli:
@@ -279,19 +261,21 @@ class TestCli:
         return code, capsys.readouterr().out
 
     def test_chaos_cli_stdout_is_byte_identical_across_runs(self, capsys):
-        code1, out1 = self.run_cli(["chaos", "--seed", "7"], capsys)
-        code2, out2 = self.run_cli(["chaos", "--seed", "7"], capsys)
+        argv = ["run", example("chaos-crashy.yaml"), "--mode", "chaos"]
+        code1, out1 = self.run_cli(argv, capsys)
+        code2, out2 = self.run_cli(argv, capsys)
         assert code1 == 0 and code2 == 0
         assert out1 == out2
-        assert "PASS" in out1
+        assert "passed:          True" in out1
 
     def test_chaos_cli_json_output(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out = self.run_cli(
-            ["chaos", "--seed", "7", "--json", "--out", str(out_path)],
+            ["run", example("chaos-clean.yaml"), "--mode", "chaos",
+             "--seed", "7", "--report", str(out_path)],
             capsys,
         )
         assert code == 0
-        parsed = json.loads(out)
-        assert parsed["passed"]
-        assert json.loads(out_path.read_text()) == parsed
+        row = json.loads(out_path.read_text())
+        assert row["passed"]
+        assert f"digest:          {row['digest']}" in out

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import json
+
 import pytest
 
+from conftest import example
 from repro.cli import build_parser, main
+
+CANONICAL = example("canonical-3isp.yaml")
 
 
 class TestParser:
@@ -19,8 +25,8 @@ class TestParser:
             ["adoption", "--isps", "50"],
             ["spec-check", "--steps", "100", "--cheat"],
             ["zombie", "--limit", "10"],
-            ["cluster", "--shards", "4"],
-            ["cluster", "--mode", "inline", "--epoch-hours", "2"],
+            ["run", "doc.yaml", "--mode", "cluster", "--shards", "4"],
+            ["run", "doc.yaml", "--trace", "t.jsonl", "--metrics", "m.json"],
         ):
             args = parser.parse_args(command)
             assert args.command == command[0]
@@ -35,15 +41,12 @@ class TestParser:
             "adoption",
             "spec-check",
             "zombie",
-            "scenario",
             "audit",
-            "cluster",
-            "chaos",
-            "overload",
-            "trace",
-            "metrics",
+            "run doc.yaml",
+            "fuzz",
+            "arena",
         ):
-            args = parser.parse_args([command, "--seed", "123"])
+            args = parser.parse_args(command.split() + ["--seed", "123"])
             assert args.seed == 123, f"{command} ignored --seed"
 
     def test_unknown_command_rejected(self):
@@ -92,10 +95,14 @@ class TestCommands:
 
 
 class TestExtendedCommands:
-    def test_scenario(self, capsys):
-        assert main(["scenario", "--days", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "all_consistent" in out and "True" in out
+    def test_scenario(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["run", example("mixed-4isp.yaml"),
+                     "--report", str(report)]) == 0
+        assert "conserved:       True" in capsys.readouterr().out
+        summary = json.loads(report.read_text())
+        assert summary["all_consistent"] is True
+        assert summary["zombies_detected"] >= 1
 
     def test_audit_catches_minting(self, capsys):
         assert main(["audit", "--mint", "5000"]) == 0
@@ -108,11 +115,22 @@ class TestExtendedCommands:
         assert "all clear" in out
 
 
+#: sha256 of the canonical document's ``--trace`` file per executor: the
+#: regression pins of the trace format. Direct and columnar emit the same
+#: ordered stream; the engine's reconcile trigger and timestamps differ.
+TRACE_SHA256 = {
+    "direct": "febd3980f405720894514efdf28807e0bdd7bc993aeb3884274c35818226d8b1",
+    "columnar": "febd3980f405720894514efdf28807e0bdd7bc993aeb3884274c35818226d8b1",
+    "engine": "ef22b4a01a335ef639e0e8a659719226b09aa63b06b295a1cac045e9ec4cc772",
+}
+
+
 class TestTraceCommand:
-    def test_trace_prints_digests(self, capsys):
-        assert main(["trace"]) == 0
+    def test_trace_prints_digests(self, tmp_path, capsys):
+        assert main(["run", CANONICAL, "--trace",
+                     str(tmp_path / "t.jsonl")]) == 0
         out = capsys.readouterr().out
-        assert "event digest:" in out
+        assert "trace digest:" in out
         assert "manifest digest:" in out
         assert "conserved:       True" in out
 
@@ -121,37 +139,42 @@ class TestTraceCommand:
         from repro.obs.schema import validate_trace_lines
 
         out_path = tmp_path / "trace.jsonl"
-        assert main(["trace", "--out", str(out_path)]) == 0
-        capsys.readouterr()
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["run", CANONICAL, "--trace", str(out_path),
+                     "--manifest", str(manifest_path)]) == 0
+        out = capsys.readouterr().out
         lines = out_path.read_text().splitlines()
         assert validate_trace_lines(lines) == len(lines) > 0
-        manifest = RunManifest.from_json(
-            (tmp_path / "trace.jsonl.manifest.json").read_text()
-        )
-        assert manifest.event_count == len(lines)
+        assert f"trace events:    {len(lines)}" in out
+        manifest = RunManifest.from_json(manifest_path.read_text())
+        assert 0 < manifest.event_count < len(lines)
 
     def test_trace_same_seed_byte_identical_files(self, tmp_path, capsys):
-        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
-        for path in paths:
-            assert main(["trace", "--seed", "5", "--out", str(path)]) == 0
+        runs = [(tmp_path / f"{n}.jsonl", tmp_path / f"{n}.json")
+                for n in "ab"]
+        for trace, manifest in runs:
+            assert main(["run", CANONICAL, "--seed", "5", "--trace",
+                         str(trace), "--manifest", str(manifest)]) == 0
         capsys.readouterr()
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        manifests = [
-            (tmp_path / f"{p.name}.manifest.json").read_bytes() for p in paths
-        ]
-        assert manifests[0] == manifests[1]
+        assert runs[0][0].read_bytes() == runs[1][0].read_bytes()
+        assert runs[0][1].read_bytes() == runs[1][1].read_bytes()
+        assert hashlib.sha256(runs[0][0].read_bytes()).hexdigest() != (
+            TRACE_SHA256["direct"]
+        ), "--seed must change the world"
 
-    def test_trace_tail_prints_lines(self, capsys):
-        assert main(["trace", "--tail", "3"]) == 0
-        out = capsys.readouterr().out
-        json_lines = [l for l in out.splitlines() if l.startswith("{")]
-        assert len(json_lines) == 3
+    @pytest.mark.parametrize("mode", sorted(TRACE_SHA256))
+    def test_trace_bytes_pinned_per_mode(self, mode, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        assert main(["run", CANONICAL, "--mode", mode,
+                     "--trace", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            TRACE_SHA256[mode]
+        )
 
     def test_metrics_dumps_sorted_export(self, tmp_path, capsys):
-        import json
-
         out_path = tmp_path / "metrics.json"
-        assert main(["metrics", "--out", str(out_path)]) == 0
+        assert main(["run", CANONICAL, "--metrics", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "metrics digest:" in out
         doc = json.loads(out_path.read_text())
@@ -162,30 +185,25 @@ class TestTraceCommand:
 
 
 class TestCluster:
-    _ARGS = [
-        "cluster", "--mode", "inline", "--shards", "2",
-        "--isps", "4", "--users", "6", "--days", "1",
-    ]
+    def args(self, shards="2"):
+        return ["run", example("mixed-4isp.yaml"), "--mode", "cluster",
+                "--shards", shards]
 
     def test_cluster_same_seed_reruns_cmp_identical(self, tmp_path, capsys):
-        """Satellite oracle: same-seed `repro cluster` reruns write
-        byte-identical manifests (and shard count doesn't matter)."""
+        """Same-seed cluster reruns write byte-identical manifests, and
+        the shard count doesn't matter."""
         paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
         for path, shards in zip(paths, ("2", "2", "1")):
-            code = main(
-                self._ARGS[:4] + [shards] + self._ARGS[5:]
-                + ["--seed", "9", "--manifest", str(path)]
-            )
+            code = main(self.args(shards)
+                        + ["--seed", "9", "--manifest", str(path)])
             assert code == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].read_bytes() == paths[2].read_bytes()
 
     def test_cluster_prints_summary_and_writes_report(self, tmp_path, capsys):
-        import json
-
         report_path = tmp_path / "report.json"
-        assert main(self._ARGS + ["--report", str(report_path)]) == 0
+        assert main(self.args() + ["--report", str(report_path)]) == 0
         out = capsys.readouterr().out
         assert "conserved:       True" in out
         assert "manifest digest:" in out
@@ -198,11 +216,44 @@ class TestCluster:
         for seed in ("1", "2"):
             path = tmp_path / f"seed{seed}.json"
             assert main(
-                self._ARGS + ["--seed", seed, "--manifest", str(path)]
+                self.args() + ["--seed", seed, "--manifest", str(path)]
             ) == 0
             digests.append(path.read_bytes())
         capsys.readouterr()
         assert digests[0] != digests[1]
+
+
+class TestRunRejectsBadInput:
+    """Bad input is one ``repro: error:`` line and exit status 2."""
+
+    CASES = {
+        "shards-outside-cluster": [CANONICAL, "--shards", "2"],
+        "lag-outside-cluster": [CANONICAL, "--lag", "1"],
+        "cluster-mode-outside-cluster": [CANONICAL, "--cluster-mode", "spawn"],
+        "zero-shards": [CANONICAL, "--mode", "cluster", "--shards", "0"],
+        "too-many-shards": [CANONICAL, "--mode", "cluster", "--shards", "100"],
+        "negative-lag": [CANONICAL, "--mode", "cluster", "--lag", "-1"],
+        "trace-in-chaos-mode": [
+            example("chaos-clean.yaml"), "--mode", "chaos", "--trace", "t"],
+        "columnar-non-compliant": [
+            example("mixed-4isp.yaml"), "--mode", "columnar"],
+        "missing-file": [example("no-such-world.yaml")],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_option_is_a_usage_error(self, case, capsys):
+        assert main(["run"] + self.CASES[case]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_unknown_document_key_is_a_usage_error(self, tmp_path, capsys):
+        doc = tmp_path / "typo.yaml"
+        doc.write_text("schema_version: 1\nname: typo\ntopolgy: {}\n")
+        assert main(["run", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "topolgy" in err
 
 
 class TestArenaCommand:

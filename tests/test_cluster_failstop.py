@@ -11,13 +11,14 @@ SIGKILLs a real process to prove detection works across a real pipe.
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterError, run_cluster, smoke_scenario
+from conftest import smoke_world
+from repro.cluster import ClusterConfig, ClusterError, run_cluster
 
 
 @pytest.fixture(scope="module")
 def fault_free():
     return run_cluster(
-        ClusterConfig(scenario=smoke_scenario(13), n_shards=3, mode="inline")
+        ClusterConfig(scenario=smoke_world(13), n_shards=3, mode="inline")
     )
 
 
@@ -28,7 +29,7 @@ class TestInlineFailStop:
     ):
         result = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(13),
+                scenario=smoke_world(13),
                 n_shards=3,
                 mode="inline",
                 journal_dir=str(tmp_path),
@@ -48,7 +49,7 @@ class TestInlineFailStop:
         with pytest.raises(ValueError, match="journal_dir"):
             run_cluster(
                 ClusterConfig(
-                    scenario=smoke_scenario(13),
+                    scenario=smoke_world(13),
                     n_shards=2,
                     mode="inline",
                     kill_shard=0,
@@ -59,7 +60,7 @@ class TestInlineFailStop:
     def test_journaling_alone_does_not_perturb(self, fault_free, tmp_path):
         result = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(13),
+                scenario=smoke_world(13),
                 n_shards=3,
                 mode="inline",
                 journal_dir=str(tmp_path),
@@ -73,7 +74,7 @@ class TestSpawnFailStop:
     def test_sigkill_detected_and_recovered(self, fault_free, tmp_path):
         result = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(13),
+                scenario=smoke_world(13),
                 n_shards=3,
                 mode="spawn",
                 journal_dir=str(tmp_path),
@@ -87,7 +88,7 @@ class TestSpawnFailStop:
     def test_spawn_matches_inline(self, fault_free):
         result = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(13), n_shards=2, mode="spawn"
+                scenario=smoke_world(13), n_shards=2, mode="spawn"
             )
         )
         assert result.manifest.to_json() == fault_free.manifest.to_json()

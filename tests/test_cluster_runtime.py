@@ -15,14 +15,13 @@ import threading
 
 import pytest
 
+from conftest import load_plan, mixed_world, smoke_world
 from repro.cluster import (
     ClusterConfig,
     ShardSpec,
     ShardWorker,
-    cluster_scenario,
     plan_shards,
     run_cluster,
-    smoke_scenario,
     worker_entry,
 )
 from repro.errors import SimulationError
@@ -35,7 +34,7 @@ def invariance_runs():
     return {
         n: run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(11), n_shards=n, mode="inline"
+                scenario=smoke_world(11), n_shards=n, mode="inline"
             )
         )
         for n in (1, 2, 4)
@@ -86,7 +85,7 @@ class TestShardInvariance:
         assert report["n_shards"] == 2
         assert report["mode"] == "inline"
         assert report["restarts"] == [0, 0]
-        assert len(report["assignment"]) == smoke_scenario(11).n_isps
+        assert len(report["assignment"]) == smoke_world(11).n_isps
         assert set(report["shards"]) == {"0", "1"}
         attempted = sum(
             shard["attempted"] for shard in report["shards"].values()
@@ -108,9 +107,9 @@ class TestWorkerEntry:
     """The spawn-mode message loop, driven from a thread over a pipe."""
 
     def _spec(self, tmp_path=None):
-        scenario = cluster_scenario(
+        scenario = load_plan(mixed_world(
             3, n_isps=4, users_per_isp=6, days=1, adversarial=False
-        )
+        )).scenario()
         plan = plan_shards(scenario.n_isps, 1, seed=scenario.seed)
         return ShardSpec(
             shard_id=0,
@@ -219,7 +218,7 @@ class TestWorkerEntry:
 
 class TestValidation:
     def test_cadence_constraints_enforced(self):
-        scenario = smoke_scenario(0)
+        scenario = smoke_world(0)
         with pytest.raises(ValueError, match="duration"):
             run_cluster(
                 ClusterConfig(
@@ -234,7 +233,7 @@ class TestValidation:
                     epoch_len=16 * HOUR,  # divides duration, not the day
                 )
             )
-        bad_reconcile = smoke_scenario(0)
+        bad_reconcile = smoke_world(0)
         bad_reconcile.reconcile_every = 90 * 60.0  # 1.5h
         with pytest.raises(ValueError, match="reconcile_every"):
             run_cluster(
@@ -251,7 +250,7 @@ class TestValidation:
             )
 
     def test_mode_and_kill_config_validated(self, tmp_path):
-        scenario = smoke_scenario(0)
+        scenario = smoke_world(0)
         with pytest.raises(ValueError, match="mode"):
             run_cluster(
                 ClusterConfig(scenario=scenario, n_shards=1, mode="threads")
@@ -291,7 +290,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_shards"):
             run_cluster(
                 ClusterConfig(
-                    scenario=smoke_scenario(0), n_shards=100, mode="inline"
+                    scenario=smoke_world(0), n_shards=100, mode="inline"
                 )
             )
 
@@ -300,12 +299,12 @@ class TestUntraced:
     def test_untraced_run_keeps_accounting_oracles(self):
         traced = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(11), n_shards=2, mode="inline"
+                scenario=smoke_world(11), n_shards=2, mode="inline"
             )
         )
         untraced = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(11), n_shards=2, mode="inline",
+                scenario=smoke_world(11), n_shards=2, mode="inline",
                 traced=False,
             )
         )

@@ -14,19 +14,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import load_plan
 from repro.core.config import ZmailConfig
 from repro.core.scenario import Scenario, SpammerSpec, ZombieSpec
 from repro.errors import SimulationError
-from repro.obs.canonical import (
-    CANONICAL_MODES,
-    canonical_scenario,
-    invariant_manifest,
-    run_canonical,
-)
 from repro.obs.manifest import accounting_digest
+from repro.obs.trace import TraceRecorder
+from repro.scenario import run_plan
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import SeededStreams
 from repro.sim.workload import Address, merge_workloads
+
+
+CANONICAL = load_plan("canonical-3isp.yaml")
+
+
+def traced(mode):
+    """The canonical world run with a tracer; returns the recorder."""
+    scenario = CANONICAL.scenario(mode)
+    scenario.tracer = TraceRecorder()
+    scenario.run()
+    return scenario.tracer
 
 
 def run_both(scenario: Scenario):
@@ -40,14 +48,14 @@ def run_both(scenario: Scenario):
 
 class TestCanonicalEquivalence:
     def test_summary_and_accounting_match_direct(self):
-        direct, columnar = run_both(canonical_scenario())
+        direct, columnar = run_both(CANONICAL.scenario())
         assert columnar.summary() == direct.summary()
         assert accounting_digest(columnar.network) == accounting_digest(
             direct.network
         )
 
     def test_every_reconcile_cut_digest_matches(self):
-        direct, columnar = run_both(canonical_scenario())
+        direct, columnar = run_both(CANONICAL.scenario())
         assert direct.cut_digests  # daily cuts + the final one
         assert columnar.cut_digests == direct.cut_digests
 
@@ -55,14 +63,14 @@ class TestCanonicalEquivalence:
         # The strongest claim: with tracing on, the columnar executor
         # reproduces the direct loop's ordered event stream exactly —
         # same events, same virtual timestamps, same sequence numbers.
-        _, direct_rec, _, _ = run_canonical(mode="direct")
-        _, columnar_rec, _, _ = run_canonical(mode="columnar")
+        direct_rec = traced("direct")
+        columnar_rec = traced("columnar")
         assert direct_rec.events_emitted == columnar_rec.events_emitted
         assert direct_rec.digest() == columnar_rec.digest()
 
     def test_columnar_runs_are_deterministic(self):
-        first = canonical_scenario(mode="columnar").run()
-        second = canonical_scenario(mode="columnar").run()
+        first = CANONICAL.scenario("columnar").run()
+        second = CANONICAL.scenario("columnar").run()
         assert first.summary() == second.summary()
         assert first.cut_digests == second.cut_digests
         assert accounting_digest(first.network) == accounting_digest(
@@ -71,8 +79,8 @@ class TestCanonicalEquivalence:
 
     def test_invariant_manifest_identical_across_all_executors(self):
         documents = {
-            mode: invariant_manifest(mode=mode).to_json()
-            for mode in CANONICAL_MODES
+            mode: run_plan(CANONICAL, mode)["manifest"].to_json()
+            for mode in ("direct", "columnar", "engine", "cluster")
         }
         assert len(set(documents.values())) == 1, documents.keys()
 
@@ -81,7 +89,7 @@ class TestColumnStreams:
     def test_column_streams_match_request_streams(self):
         # The chunk plan must replay exactly the request sequence the
         # direct loop consumes: same order, same senders/recipients/kinds.
-        scenario = canonical_scenario()
+        scenario = CANONICAL.scenario()
         requests = list(
             merge_workloads(
                 *scenario.workload_streams(SeededStreams(scenario.seed))
@@ -112,13 +120,13 @@ class TestColumnStreams:
 
 class TestGuards:
     def test_engine_mode_is_rejected(self):
-        scenario = canonical_scenario(mode="engine_stream")
+        scenario = CANONICAL.scenario("engine")
         scenario.columnar = True
         with pytest.raises(SimulationError):
             scenario.run()
 
     def test_non_compliant_deployment_is_rejected(self):
-        scenario = canonical_scenario(mode="columnar")
+        scenario = CANONICAL.scenario("columnar")
         scenario.compliant = [True, True, False]
         with pytest.raises(SimulationError):
             scenario.run()
@@ -128,11 +136,11 @@ class TestGuards:
 
         monkeypatch.setattr(executor, "HAVE_NUMPY", False)
         with pytest.raises(SimulationError):
-            canonical_scenario(mode="columnar").run()
+            CANONICAL.scenario("columnar").run()
 
     def test_unknown_canonical_mode_is_rejected(self):
         with pytest.raises(SimulationError):
-            canonical_scenario(mode="parallel")
+            CANONICAL.scenario("parallel")
 
 
 # -- randomized equivalence ------------------------------------------------

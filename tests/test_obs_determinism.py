@@ -11,13 +11,11 @@ Two properties make the trace usable as a regression oracle:
 
 import pytest
 
+from conftest import load_plan
 from repro.chaos import ChaosDeployment, FaultSpec
 from repro.core import ZmailConfig
-from repro.obs.canonical import (
-    CANONICAL_SEED,
-    canonical_scenario,
-    run_canonical,
-)
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics_export import export_network
 from repro.obs.schema import EVENT_TYPES, validate_trace_lines
 from repro.obs.spans import SpanRegistry
 from repro.obs.trace import ListSink, TraceRecorder
@@ -25,11 +23,28 @@ from repro.sim import SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
 
+def canonical_world(*, seed=None, tracer=None):
+    """The canonical document's world, optionally re-seeded and traced."""
+    scenario = load_plan("canonical-3isp.yaml", seed=seed).scenario()
+    scenario.tracer = tracer
+    return scenario
+
+
+def run_canonical(*, seed=None, sink=None):
+    """A traced canonical run: ``(result, recorder, exporter, manifest)``."""
+    recorder = TraceRecorder(sink=sink)
+    scenario = canonical_world(seed=seed, tracer=recorder)
+    result = scenario.run()
+    exporter = export_network(result.network)
+    manifest = build_manifest(seed=scenario.seed, config=scenario.config,
+                              recorder=recorder, exporter=exporter)
+    return result, recorder, exporter, manifest
+
 
 class TestCanonicalDeterminism:
     def test_same_seed_same_digests_and_manifest_bytes(self):
-        _, rec1, exp1, man1 = run_canonical(seed=CANONICAL_SEED)
-        _, rec2, exp2, man2 = run_canonical(seed=CANONICAL_SEED)
+        _, rec1, exp1, man1 = run_canonical()
+        _, rec2, exp2, man2 = run_canonical()
         assert rec1.events_emitted == rec2.events_emitted > 0
         assert rec1.digest() == rec2.digest()
         assert exp1.digest() == exp2.digest()
@@ -38,25 +53,25 @@ class TestCanonicalDeterminism:
 
     def test_same_seed_same_trace_bytes(self):
         sink1, sink2 = ListSink(), ListSink()
-        run_canonical(seed=CANONICAL_SEED, sink=sink1)
-        run_canonical(seed=CANONICAL_SEED, sink=sink2)
+        run_canonical(sink=sink1)
+        run_canonical(sink=sink2)
         assert sink1.lines() == sink2.lines()
 
     def test_different_seed_different_event_digest(self):
-        _, rec1, _, man1 = run_canonical(seed=CANONICAL_SEED)
-        _, rec2, _, man2 = run_canonical(seed=CANONICAL_SEED + 1)
+        _, rec1, _, man1 = run_canonical()
+        _, rec2, _, man2 = run_canonical(seed=8)
         assert rec1.digest() != rec2.digest()
         assert man1.to_json() != man2.to_json()
 
     def test_canonical_trace_is_schema_valid(self):
         sink = ListSink()
-        _, recorder, _, _ = run_canonical(seed=CANONICAL_SEED, sink=sink)
+        _, recorder, _, _ = run_canonical(sink=sink)
         checked = validate_trace_lines(sink.lines())
         assert checked == recorder.events_emitted > 1000
 
     def test_canonical_trace_covers_the_ledger_path(self):
         sink = ListSink()
-        run_canonical(seed=CANONICAL_SEED, sink=sink)
+        run_canonical(sink=sink)
         seen = {event["type"] for event in sink.events()}
         assert seen <= set(EVENT_TYPES)
         for expected in ("send", "deliver", "midnight", "reconcile"):
@@ -68,8 +83,8 @@ class TestCanonicalDeterminism:
 
 class TestObserverEffect:
     def test_tracing_on_and_off_produce_identical_outcomes(self):
-        traced = canonical_scenario(tracer=TraceRecorder()).run()
-        untraced = canonical_scenario().run()
+        traced = canonical_world(tracer=TraceRecorder()).run()
+        untraced = canonical_world().run()
         assert traced.summary() == untraced.summary()
 
     def test_manifest_identical_with_and_without_sink(self):
@@ -81,8 +96,8 @@ class TestObserverEffect:
         assert man_sinkless.to_json() == man_sink.to_json()
 
     def test_spans_do_not_perturb_the_trace(self):
-        plain = canonical_scenario(tracer=TraceRecorder())
-        spanned = canonical_scenario(tracer=TraceRecorder())
+        plain = canonical_world(tracer=TraceRecorder())
+        spanned = canonical_world(tracer=TraceRecorder())
         spanned.spans = SpanRegistry()
         r1 = plain.run()
         r2 = spanned.run()

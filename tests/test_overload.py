@@ -4,12 +4,13 @@ Covers the building blocks in :mod:`repro.core.overload`, their wiring
 into :class:`ZmailNetwork` (direct and engine drive modes), the priority
 shedding policy (paid compliant mail sheds last), the SMTP gateway's
 backpressure face, and byte-level determinism of the built-in overload
-campaign.
+documents.
 """
 
 import pytest
 
-from repro.chaos import DEFAULT_OVERLOAD_SPEC, run_campaign
+from conftest import load_plan
+from repro.chaos import run_cell
 from repro.chaos.deployment import ChaosDeployment
 from repro.chaos.faults import FaultSpec, FloodSpec, flood_requests
 from repro.core.overload import (
@@ -378,18 +379,20 @@ class TestFloodSpec:
         assert all(r.sender.isp == 0 and r.recipient.isp == 1 for r in first)
 
 
+OVERLOAD_DOCUMENTS = ("overload-baseline.yaml", "overload-burst-2x.yaml",
+                      "overload-flood-10x.yaml")
+
+
 class TestOverloadCampaign:
     def test_builtin_campaign_passes_and_is_deterministic(self):
-        first = run_campaign(DEFAULT_OVERLOAD_SPEC)
-        second = run_campaign(DEFAULT_OVERLOAD_SPEC)
+        first = [run_cell(load_plan(doc)) for doc in OVERLOAD_DOCUMENTS]
+        second = [run_cell(load_plan(doc)) for doc in OVERLOAD_DOCUMENTS]
         assert first == second
-        assert first["passed"], [
+        assert all(row["passed"] for row in first), [
             (row["cell"], row["first_violation"],
              row["first_overload_violation"])
-            for row in first["cells"]
+            for row in first
         ]
-        flood_row = next(
-            row for row in first["cells"] if row["cell"] == "flood-10x"
-        )
+        flood_row = next(row for row in first if row["cell"] == "flood-10x")
         assert flood_row["overload_shed"] > 0
         assert flood_row["overload_peak_pending"] <= 64

@@ -13,7 +13,8 @@ and traced; one spawn test SIGKILLs a real process under lag.
 
 import pytest
 
-from repro.cluster import ClusterConfig, run_cluster, smoke_scenario
+from conftest import smoke_world
+from repro.cluster import ClusterConfig, run_cluster
 
 SEED = 13
 
@@ -21,7 +22,7 @@ SEED = 13
 @pytest.fixture(scope="module")
 def fault_free_lockstep():
     return run_cluster(
-        ClusterConfig(scenario=smoke_scenario(SEED), n_shards=3,
+        ClusterConfig(scenario=smoke_world(SEED), n_shards=3,
                       mode="inline")
     )
 
@@ -50,7 +51,7 @@ class TestInlineChaos:
     ):
         result = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(SEED),
+                scenario=smoke_world(SEED),
                 n_shards=3,
                 mode="inline",
                 journal_dir=str(tmp_path),
@@ -71,7 +72,7 @@ class TestInlineChaos:
     ):
         result = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(SEED), n_shards=3, mode="inline",
+                scenario=smoke_world(SEED), n_shards=3, mode="inline",
                 journal_dir=str(tmp_path), lag=2,
             )
         )
@@ -84,7 +85,7 @@ class TestInlineChaos:
         with pytest.raises(ValueError, match="journal_dir"):
             run_cluster(
                 ClusterConfig(
-                    scenario=smoke_scenario(SEED), n_shards=2,
+                    scenario=smoke_world(SEED), n_shards=2,
                     mode="inline", kill_shard=0, kill_cycle=5, lag=2,
                 )
             )
@@ -96,7 +97,7 @@ class TestSpawnChaos:
     ):
         result = run_cluster(
             ClusterConfig(
-                scenario=smoke_scenario(SEED),
+                scenario=smoke_world(SEED),
                 n_shards=3,
                 mode="spawn",
                 journal_dir=str(tmp_path),

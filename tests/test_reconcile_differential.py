@@ -11,12 +11,19 @@ K ∈ {1, 2, 4} × shards ∈ {1..4} and a CLI-level byte comparison pin the
 same contract deterministically.
 """
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import example, load_plan, mixed_world
 from repro import cli
-from repro.cluster import ClusterConfig, cluster_scenario, run_cluster
+from repro.cluster import ClusterConfig, run_cluster
+
+
+def world(seed, **size):
+    return load_plan(mixed_world(seed, **size)).scenario()
 
 
 def run_inline(scenario, n_shards, lag=0):
@@ -56,7 +63,7 @@ def test_bounded_lag_converges_to_lockstep_manifest(
     seed, n_isps, users, rate, adversarial, lag, n_shards
 ):
     n_shards = min(n_shards, n_isps)  # the planner caps shards at ISPs
-    scenario = cluster_scenario(
+    scenario = world(
         seed, n_isps=n_isps, users_per_isp=users, days=1,
         normal_rate_per_day=rate, adversarial=adversarial,
     )
@@ -70,14 +77,13 @@ class TestFixedMatrix:
 
     @pytest.fixture(scope="class")
     def lockstep(self):
-        return run_inline(cluster_scenario(5, n_isps=6, users_per_isp=8,
-                                           days=1), 1)
+        return run_inline(world(5, n_isps=6, users_per_isp=8, days=1), 1)
 
     @pytest.mark.parametrize("lag", [1, 2, 4])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_lag_and_shard_invariance(self, lockstep, lag, n_shards):
         async_result = run_inline(
-            cluster_scenario(5, n_isps=6, users_per_isp=8, days=1),
+            world(5, n_isps=6, users_per_isp=8, days=1),
             n_shards, lag=lag,
         )
         assert_equivalent(lockstep, async_result, lag)
@@ -94,8 +100,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="lag"):
             run_cluster(
                 ClusterConfig(
-                    scenario=cluster_scenario(1, n_isps=2, users_per_isp=2,
-                                              days=1),
+                    scenario=world(1, n_isps=2, users_per_isp=2, days=1),
                     n_shards=1, mode="inline", lag=-1,
                 )
             )
@@ -104,23 +109,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="lag"):
             run_cluster(
                 ClusterConfig(
-                    scenario=cluster_scenario(1, n_isps=2, users_per_isp=2,
-                                              days=1),
+                    scenario=world(1, n_isps=2, users_per_isp=2, days=1),
                     n_shards=1, mode="inline", lag=1.5,
                 )
             )
 
 
 def test_cli_lag_writes_identical_manifest_bytes(tmp_path, capsys):
-    """`repro cluster --lag K` is the CI cmp smoke, in-process."""
+    """`repro run --mode cluster --lag K` is the CI cmp smoke, in-process."""
     base_path = tmp_path / "lockstep.json"
     lag_path = tmp_path / "lag2.json"
-    common = ["cluster", "--seed", "9", "--shards", "2", "--mode", "inline",
-              "--isps", "4", "--users", "8", "--days", "1"]
+    report_path = tmp_path / "report.json"
+    common = ["run", example("mixed-4isp.yaml"), "--mode", "cluster",
+              "--shards", "2"]
     assert cli.main(common + ["--manifest", str(base_path)]) == 0
     assert cli.main(
-        common + ["--lag", "2", "--manifest", str(lag_path)]
+        common + ["--lag", "2", "--manifest", str(lag_path),
+                  "--report", str(report_path)]
     ) == 0
     assert base_path.read_bytes() == lag_path.read_bytes()
-    out = capsys.readouterr().out
-    assert "lockstep" in out and "bounded-lag K=2" in out
+    assert json.loads(report_path.read_text())["lag"] == 2
+    assert "conserved:       True" in capsys.readouterr().out

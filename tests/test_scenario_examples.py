@@ -1,49 +1,84 @@
-"""The committed example scenarios reproduce their hand-built originals.
+"""Every committed example document runs, and runs the same everywhere.
 
-``examples/scenarios/`` migrates every built-in world to the declarative
-schema: the canonical 3-ISP scenario and all six cells of the built-in
-chaos and overload campaigns. These tests pin the migration — the
-canonical document compiles to a ``Scenario`` *equal* to the hand-built
-one, and each campaign document's chaos run reproduces the original
-cell's report row byte for byte — so the documents and the code they
-migrated from can never drift apart silently.
+``examples/scenarios/`` is the only definition of every built-in world:
+the canonical 3-ISP world, the mixed deployment, the cluster
+shard-invariance world, the strategy-arena world and the six cells of
+the chaos and overload campaigns. These tests hold every document to
+its contract — a plain world's invariant manifest is byte-identical on
+every executor that accepts it, and a chaos cell passes with
+byte-reproducible rows whose bytes are pinned — plus the ``repro run``
+surface that executes them.
 """
 
+import glob
+import hashlib
 import json
 import os
 
 import pytest
 
-from repro.chaos.campaign import DEFAULT_OVERLOAD_SPEC, DEFAULT_SPEC, run_cell
+from conftest import EXAMPLES, example, load_plan
 from repro.cli import main
-from repro.obs.canonical import canonical_scenario
-from repro.scenario import compile_scenario, run_plan
+from repro.scenario import run_plan
 
-EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "scenarios")
-
-
-def example(name):
-    return os.path.join(EXAMPLES, name)
+DOCUMENTS = sorted(
+    os.path.basename(path) for path in glob.glob(os.path.join(EXAMPLES, "*.yaml"))
+)
 
 
-def test_canonical_document_compiles_to_the_canonical_scenario():
-    plan = compile_scenario(example("canonical-3isp.yaml"))
-    assert plan.scenario("direct") == canonical_scenario()
+def is_chaos(plan):
+    """Chaos documents name the campaign cell they reproduce."""
+    return plan.doc["chaos"]["cell"] is not None
 
 
-def campaign_cases():
-    for spec, stem in ((DEFAULT_SPEC, "chaos"), (DEFAULT_OVERLOAD_SPEC,
-                                                 "overload")):
-        for cell in spec["cells"]:
-            yield pytest.param(spec, cell, f"{stem}-{cell['name']}.yaml",
-                               id=f"{stem}-{cell['name']}")
+@pytest.mark.parametrize(
+    "name", DOCUMENTS, ids=lambda name: name.removesuffix(".yaml")
+)
+def test_document_runs_agree(name):
+    plan = load_plan(name)
+    if is_chaos(plan):
+        first = run_plan(plan, "chaos")["report"]
+        second = run_plan(plan, "chaos")["report"]
+        assert first["passed"], first
+        assert json.dumps(first, sort_keys=True) == json.dumps(
+            second, sort_keys=True
+        )
+        return
+    # The columnar executor refuses non-compliant deployments by design.
+    modes = ["direct", "engine", "cluster"]
+    if plan.all_compliant:
+        modes.append("columnar")
+    shards = min(4, plan.doc["topology"]["n_isps"])
+    manifests = {
+        mode: run_plan(plan, mode, shards=shards)["manifest"] for mode in modes
+    }
+    texts = {mode: manifest.to_json() for mode, manifest in manifests.items()}
+    assert len(set(texts.values())) == 1, sorted(texts)
+    assert manifests["direct"].extra["conserved"] is True
 
 
-@pytest.mark.parametrize("spec, cell, filename", campaign_cases())
-def test_campaign_documents_reproduce_cell_rows(spec, cell, filename):
-    plan = compile_scenario(example(filename))
-    row = run_plan(plan, "chaos")["report"]
-    assert row == run_cell(spec, cell, seed=spec["seed"])
+#: sha256 of each campaign document's chaos row (sorted-key JSON).
+ROW_SHA256 = {
+    "chaos-clean":
+        "1db6547dc6f2c222e01c4d1c9aab8def4a42e614235c3a89f25fee66e70ad079",
+    "chaos-lossy-dup-reorder":
+        "914647d5a12ec09fcc87ee134a7d0455437da2ae9ca3cebabad6a6665d22f99d",
+    "chaos-crashy":
+        "65e6a9f0d9dbf2fa4d30bdfd0dd2ed7cdb591934cb0c35399e6939f131a79fd6",
+    "overload-baseline":
+        "88844b5c183d898b80de63f946273440d539a6612a9835ad0e53b38d7da984a8",
+    "overload-burst-2x":
+        "8b687dfb7dba86f18b92280b8c629c1fde24886a1c843190693b6554368c6389",
+    "overload-flood-10x":
+        "e21578c2ac8d22f83314031c564e55a57a30ebae01ab8ef1576d0648082ca92f",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(ROW_SHA256))
+def test_campaign_documents_reproduce_cell_rows(stem):
+    row = run_plan(load_plan(f"{stem}.yaml"), "chaos")["report"]
+    blob = json.dumps(row, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == ROW_SHA256[stem], row
     assert row["passed"]
 
 
@@ -83,18 +118,3 @@ def test_cli_fuzz_smoke(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report == {"seed": 5, "count": 1, "shards": 2,
                       "failures": [], "passed": True}
-
-
-def test_arena_document_byte_agrees_across_executors():
-    # The committed strategy-world example: the v2 `strategies` term
-    # lowers through a pilot match onto every executor, and the
-    # invariant manifests must not disagree by a byte (the same oracle
-    # the plain worlds above answer to).
-    plan = compile_scenario(example("arena-wash-vs-tuner.yaml"))
-    manifests = {
-        mode: run_plan(plan, mode)["manifest"].to_json()
-        for mode in ("direct", "columnar", "cluster")
-    }
-    assert manifests["direct"] == manifests["columnar"]
-    assert manifests["direct"] == manifests["cluster"]
-    assert run_plan(plan, "direct")["manifest"].extra["conserved"] is True

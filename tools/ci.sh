@@ -17,29 +17,29 @@
 #    *ratio* gates — smoke columnar must hold >=2x engine_stream within
 #    the same run, and the committed full-scale columnar lead must stay
 #    >=3x.
-# 4. Runs the built-in seeded chaos smoke campaign twice (well under 60s
-#    total) and fails if any cell breaks an invariant or the two reports
+# 4. Runs every chaos and overload document under examples/scenarios/
+#    twice in chaos mode (well under 60s total) and fails if any cell
+#    breaks an invariant (the overload cells also keep their monitors
+#    green: bounded queues, no lost accounting) or the two report rows
 #    are not byte-identical (determinism gate).
-# 5. Runs the built-in seeded overload campaign twice the same way:
-#    every cell must keep the overload monitors green (bounded queues,
-#    no lost accounting) and the two reports must be byte-identical.
-# 6. Runs the cluster determinism smoke: the same seeded scenario at 1
-#    and 4 shards (real spawn workers) must produce byte-identical
-#    merged run manifests (cmp), the sharding-invariance contract —
-#    then again at 4 shards under the bounded-lag asynchronous drive
-#    (--lag 2, streaming reconciliation): its manifest must byte-match
-#    the lockstep one, the lockstep-as-oracle contract.
-# 7. Runs the columnar determinism smoke: the canonical scenario driven
+# 5. Runs the cluster determinism smoke on examples/scenarios/
+#    cluster-8isp.yaml: the same seeded world at 1 and 4 shards (real
+#    spawn workers) must produce byte-identical invariant manifests
+#    (cmp), the sharding-invariance contract — then again at 4 shards
+#    under the bounded-lag asynchronous drive (--lag 2, streaming
+#    reconciliation): its manifest must byte-match the lockstep one,
+#    the lockstep-as-oracle contract.
+# 6. Runs the columnar determinism smoke: the canonical document driven
 #    by the columnar batch executor and by the engine must produce
-#    byte-identical executor-invariant manifests (cmp) — ledger event
-#    multiset, protocol metrics and accounting digest all agree. The
-#    throughput gate additionally requires the committed columnar run
-#    to hold a >=3x lead over engine_stream at full scale.
-# 8. Runs the store soak smoke: a short seeded soak with two injected
+#    byte-identical invariant manifests (cmp) — ledger event multiset,
+#    protocol metrics and accounting digest all agree. The throughput
+#    gate additionally requires the committed columnar run to hold a
+#    >=3x lead over engine_stream at full scale.
+# 7. Runs the store soak smoke: a short seeded soak with two injected
 #    crash/restart cycles against the durable SQLite store must produce
 #    a run manifest byte-identical to the uninterrupted in-memory
 #    oracle (cmp) — the recovery-equivalence contract of repro.store.
-# 9. Runs the arena determinism smoke: the same seeded mini-tournament
+# 8. Runs the arena determinism smoke: the same seeded mini-tournament
 #    (three attacker strategies vs the static Zmail defender) twice,
 #    byte-comparing the two canonical reports (cmp) and requiring every
 #    cell to pass conservation/consistency. The full 100-world phase
@@ -99,7 +99,6 @@ fi
 echo "== macro smoke benchmark (${MESSAGES} messages) =="
 python benchmarks/bench_macro_scale.py \
     --messages "${MESSAGES}" \
-    --verify-messages "${MESSAGES}" \
     --output /tmp/BENCH_smoke.json
 
 echo "== throughput regression check (tolerance ${TOLERANCE}) =="
@@ -163,25 +162,16 @@ if lead < 3.0:
     raise SystemExit(f"columnar lead {lead:.2f}x below the 3x floor")
 EOF
 
-CHAOS_SEED="${CI_CHAOS_SEED:-7}"
-echo "== chaos smoke campaign (seed ${CHAOS_SEED}) =="
-PYTHONPATH=src python -m repro chaos --seed "${CHAOS_SEED}" \
-    --out /tmp/chaos_report_1.json
-PYTHONPATH=src python -m repro chaos --seed "${CHAOS_SEED}" \
-    --out /tmp/chaos_report_2.json >/dev/null
-cmp /tmp/chaos_report_1.json /tmp/chaos_report_2.json \
-    || { echo "chaos campaign is not reproducible"; exit 1; }
-echo "chaos campaign reproducible"
-
-OVERLOAD_SEED="${CI_OVERLOAD_SEED:-11}"
-echo "== overload smoke campaign (seed ${OVERLOAD_SEED}) =="
-PYTHONPATH=src python -m repro overload --seed "${OVERLOAD_SEED}" \
-    --out /tmp/overload_report_1.json
-PYTHONPATH=src python -m repro overload --seed "${OVERLOAD_SEED}" \
-    --out /tmp/overload_report_2.json >/dev/null
-cmp /tmp/overload_report_1.json /tmp/overload_report_2.json \
-    || { echo "overload campaign is not reproducible"; exit 1; }
-echo "overload campaign reproducible"
+echo "== chaos and overload smoke (every chaos document, run twice) =="
+for doc in examples/scenarios/chaos-*.yaml examples/scenarios/overload-*.yaml; do
+    PYTHONPATH=src python -m repro run "${doc}" --mode chaos \
+        --report /tmp/chaos_row_1.json
+    PYTHONPATH=src python -m repro run "${doc}" --mode chaos \
+        --report /tmp/chaos_row_2.json >/dev/null
+    cmp /tmp/chaos_row_1.json /tmp/chaos_row_2.json \
+        || { echo "${doc}: chaos row is not reproducible"; exit 1; }
+done
+echo "chaos and overload rows reproducible"
 
 FUZZ_SMOKE_SEED="${CI_FUZZ_SMOKE_SEED:-7}"
 echo "== scenario fuzz smoke (5 worlds, seed ${FUZZ_SMOKE_SEED}) =="
@@ -191,34 +181,36 @@ echo "== scenario fuzz smoke (5 worlds, seed ${FUZZ_SMOKE_SEED}) =="
 # `tools/ci.sh fuzz`.
 PYTHONPATH=src python -m repro fuzz --count 5 --seed "${FUZZ_SMOKE_SEED}"
 
+CLUSTER_DOC=examples/scenarios/cluster-8isp.yaml
 CLUSTER_SEED="${CI_CLUSTER_SEED:-9}"
 echo "== cluster determinism smoke (seed ${CLUSTER_SEED}, 1 vs 4 shards) =="
-PYTHONPATH=src python -m repro cluster --seed "${CLUSTER_SEED}" \
-    --shards 1 --isps 8 --users 16 --days 1 \
+PYTHONPATH=src python -m repro run "${CLUSTER_DOC}" --mode cluster \
+    --cluster-mode spawn --seed "${CLUSTER_SEED}" --shards 1 \
     --manifest /tmp/cluster_manifest_1.json
-PYTHONPATH=src python -m repro cluster --seed "${CLUSTER_SEED}" \
-    --shards 4 --isps 8 --users 16 --days 1 \
+PYTHONPATH=src python -m repro run "${CLUSTER_DOC}" --mode cluster \
+    --cluster-mode spawn --seed "${CLUSTER_SEED}" --shards 4 \
     --manifest /tmp/cluster_manifest_4.json >/dev/null
 cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_4.json \
     || { echo "cluster runtime is not shard-invariant"; exit 1; }
 echo "cluster manifests byte-identical across shard counts"
 
 echo "== bounded-lag determinism smoke (seed ${CLUSTER_SEED}, lockstep vs --lag 2) =="
-PYTHONPATH=src python -m repro cluster --seed "${CLUSTER_SEED}" \
-    --shards 4 --lag 2 --isps 8 --users 16 --days 1 \
+PYTHONPATH=src python -m repro run "${CLUSTER_DOC}" --mode cluster \
+    --cluster-mode spawn --seed "${CLUSTER_SEED}" --shards 4 --lag 2 \
     --manifest /tmp/cluster_manifest_lag.json >/dev/null
 cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_lag.json \
     || { echo "bounded-lag drive diverges from lockstep"; exit 1; }
 echo "bounded-lag manifest byte-identical to lockstep"
 
+CANONICAL_DOC=examples/scenarios/canonical-3isp.yaml
 COLUMNAR_SEED="${CI_COLUMNAR_SEED:-7}"
-echo "== columnar determinism smoke (seed ${COLUMNAR_SEED}, columnar vs engine_stream) =="
-PYTHONPATH=src python -m repro trace --seed "${COLUMNAR_SEED}" \
-    --mode columnar \
-    --invariant-manifest /tmp/invariant_columnar.json >/dev/null
-PYTHONPATH=src python -m repro trace --seed "${COLUMNAR_SEED}" \
-    --mode engine_stream \
-    --invariant-manifest /tmp/invariant_engine.json >/dev/null
+echo "== columnar determinism smoke (seed ${COLUMNAR_SEED}, columnar vs engine) =="
+PYTHONPATH=src python -m repro run "${CANONICAL_DOC}" \
+    --seed "${COLUMNAR_SEED}" --mode columnar \
+    --manifest /tmp/invariant_columnar.json >/dev/null
+PYTHONPATH=src python -m repro run "${CANONICAL_DOC}" \
+    --seed "${COLUMNAR_SEED}" --mode engine \
+    --manifest /tmp/invariant_engine.json >/dev/null
 cmp /tmp/invariant_columnar.json /tmp/invariant_engine.json \
     || { echo "columnar executor diverges from the engine"; exit 1; }
 echo "invariant manifests byte-identical across executors"

@@ -65,9 +65,6 @@ def main() -> None:
     scenario = canonical_scenario(args.messages, args.seed)
     if args.mode == "engine_stream":
         scenario.engine_mode = True
-    elif args.mode == "engine_events":
-        scenario.engine_mode = True
-        scenario.engine_streaming = False
     elif args.mode == "columnar":
         scenario.columnar = True
 
