@@ -9,8 +9,9 @@ a WAL-mode SQLite store, then measures two restart strategies:
 
 * ``dirty_restore``  — :func:`repro.store.restore_network`: genesis
   metadata + per-ISP aggregates + only the ever-dirty user records;
-* ``full_reload``    — :func:`repro.core.persistence.loads` of a full
-  JSON checkpoint of the same network (every user serialised).
+* ``full_reload``    — the same :func:`repro.store.restore_network` over
+  a second store of the same network in which every user was committed:
+  the O(users) restart in the one recovery format.
 
 Methodology mirrors ``bench_cluster.py``: ``--warmups`` discarded runs
 then ``--repeats`` measured runs per strategy, headline is best (min)
@@ -42,6 +43,7 @@ import json
 import os
 import pathlib
 import platform
+import shutil
 import sys
 import tempfile
 import time
@@ -60,13 +62,16 @@ SPEEDUP_TARGET = 10.0
 RESULTS_PATH = HERE / "results.jsonl"
 
 
+FULL_COMMIT_CHUNK = 100_000  # users per commit when writing every user
+
+
 def build_committed_store(total_users: int, seed: int, store_path: str):
     """Genesis network + 1% dirty traffic committed at barrier 1.
 
-    Returns ``(network, dirty_count, checkpoint_blob)`` with the store
-    written and closed on disk.
+    Returns ``(network, dirty_count)`` with the store written and closed
+    on disk.
     """
-    from repro.core import ZmailNetwork, persistence
+    from repro.core import ZmailNetwork
     from repro.sim import Address
     from repro.store import (
         DurableStore,
@@ -89,8 +94,28 @@ def build_committed_store(total_users: int, seed: int, store_path: str):
         )
     commit_network(store, network, tracker, barrier=1)
     store.close()
-    blob = persistence.dumps(network)
-    return network, dirty, blob
+    return network, dirty
+
+
+def build_full_store(network, store_path: str) -> None:
+    """The same network with every user committed, in bounded chunks."""
+    from repro.store import (
+        DirtyTracker,
+        DurableStore,
+        commit_network,
+        init_store,
+    )
+
+    with DurableStore.create(store_path) as store:
+        init_store(store, network)
+        tracker = DirtyTracker()
+        for isp_id in range(network.n_isps):
+            for start in range(0, network.users_per_isp, FULL_COMMIT_CHUNK):
+                stop = min(start + FULL_COMMIT_CHUNK, network.users_per_isp)
+                tracker.dirty.update(
+                    (isp_id, user_id) for user_id in range(start, stop)
+                )
+                commit_network(store, network, tracker, barrier=1)
 
 
 def measure(name: str, once, warmups: int, repeats: int) -> dict:
@@ -124,8 +149,8 @@ def append_results_record(document: dict) -> None:
     record = {
         "experiment": "store-restart-cost",
         "claim": (
-            "a durable-store restart replays O(dirty) state and beats a "
-            "full-checkpoint reload by >=10x at 1M users with 1% dirty"
+            "a durable-store restart replays O(dirty) state and beats "
+            "restoring every user by >=10x at 1M users with 1% dirty"
         ),
         "rows": [
             {
@@ -164,19 +189,20 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    from repro.core import persistence
     from repro.store import DurableStore, durable_digest, restore_network
 
     workdir = tempfile.mkdtemp(prefix="bench_store_")
     store_path = os.path.join(workdir, "bench.db")
+    full_path = os.path.join(workdir, "full.db")
     print(f"[bench_store] building {args.users} users, "
           f"{DIRTY_FRACTION:.0%} dirty ...", flush=True)
-    network, dirty, blob = build_committed_store(
-        args.users, args.seed, store_path
-    )
+    network, dirty = build_committed_store(args.users, args.seed, store_path)
+    build_full_store(network, full_path)
     live_digest = durable_digest(network)
-    print(f"[bench_store] checkpoint blob: {len(blob) / 1e6:.1f} MB, "
-          f"store: {os.path.getsize(store_path) / 1e6:.1f} MB", flush=True)
+    print(f"[bench_store] full store: "
+          f"{os.path.getsize(full_path) / 1e6:.1f} MB, "
+          f"dirty store: {os.path.getsize(store_path) / 1e6:.1f} MB",
+          flush=True)
 
     failures = []
     hot_set = {}
@@ -191,7 +217,8 @@ def main() -> None:
         return restored
 
     def full_reload():
-        return persistence.loads(blob, seed=args.seed)
+        with DurableStore.open(full_path) as store:
+            return restore_network(store)
 
     # Correctness gates before any timing: both strategies must land on
     # the live network's durable digest.
@@ -213,6 +240,11 @@ def main() -> None:
             "full_reload", full_reload, args.warmups, args.repeats
         ),
     }
+    store_mb = {
+        "full_store_mb": round(os.path.getsize(full_path) / 1e6, 1),
+        "store_mb": round(os.path.getsize(store_path) / 1e6, 1),
+    }
+    shutil.rmtree(workdir, ignore_errors=True)
     achieved = round(
         runs["full_reload"]["best_seconds"]
         / runs["dirty_restore"]["best_seconds"],
@@ -233,8 +265,7 @@ def main() -> None:
             "dirty_fraction": DIRTY_FRACTION,
             "dirty_users": dirty,
             "seed": args.seed,
-            "checkpoint_mb": round(len(blob) / 1e6, 1),
-            "store_mb": round(os.path.getsize(store_path) / 1e6, 1),
+            **store_mb,
         },
         "methodology": {
             "warmups": args.warmups,
@@ -242,7 +273,7 @@ def main() -> None:
             "headline": "best (min) wall-clock over repeats",
             "spread": "mean/stdev via repro.sim.metrics.summary_stats",
             "dirty_restore": "restore_network over WAL SQLite store",
-            "full_reload": "persistence.loads of a full JSON checkpoint",
+            "full_reload": "restore_network over a store holding every user",
         },
         "host": {
             "python": platform.python_version(),

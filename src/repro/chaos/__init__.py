@@ -17,8 +17,8 @@ Layers:
   for bounded-memory / no-lost-accounting checks;
 * :mod:`.snapshot` — :class:`RetryingSnapshotCoordinator`, §4.4
   reconciliation that converges under faults and crashes;
-* :mod:`.crash` — :class:`CrashController`, journal-based crash/restart
-  on :mod:`repro.core.persistence`;
+* :mod:`.crash` — :class:`CrashController`, fail-stop crash/restart
+  through the durable store (:mod:`repro.store`);
 * :mod:`.deployment` — :class:`ChaosDeployment`, the wired system;
 * :mod:`.campaign` — :func:`run_cell`, the chaos drive behind
   ``repro run doc.yaml --mode chaos``: one scenario document's world

@@ -13,7 +13,7 @@ deployment actually runs it:
   mode but hands every outbound letter to this deployment's transport,
   so all economics flow through the faulty wire;
 * a :class:`~repro.chaos.crash.CrashController` fail-stops nodes mid-run
-  and restarts them from :mod:`repro.core.persistence` journals;
+  and restarts them from the records it committed to a durable store;
 * a :class:`~repro.chaos.snapshot.RetryingSnapshotCoordinator` keeps
   §4.4 reconciliation converging despite all of the above;
 * an :class:`~repro.chaos.monitors.InvariantMonitor` checks
@@ -387,7 +387,7 @@ class ChaosDeployment:
             if not self.net.is_down(f"isp{isp_id}")
         ]
         for isp_id in up:
-            self.network.isps[isp_id].midnight()
+            self.network.isp_midnight(self.network.isps[isp_id])
         if not self.net.is_down("bank"):
             self.network.rebalance_pools(up)
 

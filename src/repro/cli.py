@@ -547,6 +547,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
     if args.oracle:
         report = run_soak(spec, manifest_path=args.manifest)
     elif args.store is not None:
+        if os.path.exists(args.store):
+            return _usage_error(f"store {args.store!r} already exists")
         report = run_soak(
             spec, store_path=args.store, manifest_path=args.manifest
         )

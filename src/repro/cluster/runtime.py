@@ -33,7 +33,7 @@ lockstep is the differential oracle (DESIGN.md §11). The parent owns:
   (:meth:`StreamingReconciler.finalize`) requires every window closed;
 * **fail-stop recovery** — a worker that dies mid-run (crash or
   injected SIGKILL) is detected at the barrier, respawned from its
-  journal, and fed the last inputs again; duplicate messages on either
+  shard store, and fed the last inputs again; duplicate messages on either
   side are dropped by cycle number, so the run converges to the
   fault-free digests;
 * the **merge** — per-shard digest accumulators, counters, balances and
@@ -50,6 +50,7 @@ used by the benchmark), ``inline`` drives the same workers in-process
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import multiprocessing
@@ -92,8 +93,10 @@ class ClusterConfig:
             in-process workers (tests, coverage, deterministic faults).
         traced: Per-worker event tracing into the mergeable digest
             accumulators. Off for benchmarks.
-        journal_dir: Where workers journal their barrier state. Required
-            for crash recovery; without it a lost worker is fatal.
+        journal_dir: Where workers commit their barrier state, one
+            :class:`~repro.store.backend.DurableStore` per shard
+            (``shard{N}.db``). Required for crash recovery; without it a
+            lost worker is fatal. Must not already hold shard stores.
         kill_shard / kill_cycle: Fault injection — the parent kills that
             shard's worker right after broadcasting that cycle's inputs,
             exercising the fail-stop path deterministically.
@@ -297,6 +300,15 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         if config.journal_dir is None:
             raise ValueError("fault injection needs a journal_dir to recover")
     if config.journal_dir is not None:
+        # Only a respawned worker may open an existing shard store; a
+        # fresh run over an earlier run's stores would resume from them.
+        stale = glob.glob(os.path.join(config.journal_dir, "shard*.db"))
+        if stale:
+            raise ValueError(
+                f"journal_dir {config.journal_dir!r} already holds shard "
+                f"stores ({', '.join(sorted(map(os.path.basename, stale)))}); "
+                "a fresh run needs an empty journal_dir"
+            )
         os.makedirs(config.journal_dir, exist_ok=True)
 
     plan = plan_shards(scenario.n_isps, config.n_shards, seed=scenario.seed)

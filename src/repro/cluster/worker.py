@@ -18,7 +18,8 @@ The lockstep cycle ``k`` (virtual barrier time ``B_k = k * epoch_len``):
    ``(src_isp, seq)`` — a shard-invariant order; if a reconcile cut is
    due, assert zero letters in flight and take the §4.4 snapshot of
    every local ISP;
-3. journal the post-barrier durable state (atomic write-then-rename);
+3. with a ``journal_dir``, commit the post-barrier state to the shard's
+   durable store: the ledger deltas plus one ``shard`` record;
 4. run epoch ``k``: consume workload requests with ``time <
    B_{k+1}`` strictly — boundary requests belong to the next epoch, on
    the far side of the cut;
@@ -28,10 +29,12 @@ The lockstep cycle ``k`` (virtual barrier time ``B_k = k * epoch_len``):
 Determinism: every input to steps 2 and 4 is a pure function of
 ``(scenario, plan, epoch_len)`` — never of shard count, wall clock or
 scheduling — which is why N=1, 2 and 4 shard runs merge to identical
-digests. Crash recovery replays from the journal: barrier ``k`` applied,
-epoch ``k`` re-run from the workload position, duplicate outputs
-dropped by the parent and duplicate inputs dropped here (``cycle <=
-last barrier``), so every letter and ledger event lands exactly once.
+digests. Crash recovery verifies the store and loads it into a fresh
+slice with :func:`~repro.store.network.load_network`: barrier ``k``
+applied, epoch ``k`` re-run from the workload position, duplicate
+outputs dropped by the parent and duplicate inputs dropped here
+(``cycle <= last barrier``), so every letter and ledger event lands
+exactly once.
 
 The worker contract is *sequential cycles*, not lockstep: it requires
 inputs in cycle order but never that the parent wait for its peers.
@@ -46,23 +49,15 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import os
 import pickle
 from dataclasses import dataclass
 
-from ..core.isp import CompliantISP
-from ..core.persistence import (
-    bank_state,
-    isp_state,
-    load_bank_state,
-    load_isp_state,
-)
 from ..core.protocol import ZmailNetwork
 from ..core.scenario import Scenario
 from ..core.zombie import ZombieMonitor
 from ..errors import SimulationError
-from ..obs.schema import LEDGER_EVENT_TYPES
+from ..obs.schema import LEDGER_EVENT_TYPES, STORE_EVENT_TYPES
 from ..obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
 from ..sim.rng import SeededStreams, derive_seed
 from ..sim.workload import merge_workloads
@@ -74,9 +69,9 @@ from .links import (
     encode_letter,
 )
 
-__all__ = ["JOURNAL_FORMAT", "ShardSpec", "ShardWorker", "worker_entry"]
+__all__ = ["ShardSpec", "ShardWorker", "worker_entry"]
 
-JOURNAL_FORMAT = 1
+_SHARD_KIND = "shard"
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ class ShardSpec:
     def journal_path(self) -> str | None:
         if self.journal_dir is None:
             return None
-        return os.path.join(self.journal_dir, f"shard{self.shard_id}.json")
+        return os.path.join(self.journal_dir, f"shard{self.shard_id}.db")
 
 
 class ShardWorker:
@@ -123,8 +118,10 @@ class ShardWorker:
         # "midnight" is per-*network* control chatter — every shard emits
         # an identical copy at each day boundary, so it is the one event
         # type whose multiset would scale with shard count.
+        # The store's bookkeeping events exist only when journaling.
         self.events_acc = AdditiveMultisetDigest(
-            exclude_types=("midnight",), exclude_fields=("seq",)
+            exclude_types=("midnight", *STORE_EVENT_TYPES),
+            exclude_fields=("seq",),
         )
         self.ledger_acc = AdditiveMultisetDigest(
             include_types=LEDGER_EVENT_TYPES
@@ -169,9 +166,20 @@ class ShardWorker:
         )
         self._next_request = next(self._requests, None)
 
+        self._store = self._tracker = None
         path = spec.journal_path
-        if path is not None and os.path.exists(path):
-            self._restore(path)
+        if path is not None:
+            # Imported here: a worker that does not journal loads no store.
+            from ..store.backend import DurableStore
+            from ..store.network import attach_tracker, init_store
+
+            self._tracker = attach_tracker(self.network)
+            if os.path.exists(path):  # a respawn: resume from the store
+                self._store = DurableStore.open(path)
+                self._restore()
+            else:
+                self._store = DurableStore.create(path)
+                init_store(self._store, self.network)
 
     # -- transport hook (called by the network for every cross-ISP letter) --
 
@@ -193,7 +201,7 @@ class ShardWorker:
     # -- the lockstep cycle ------------------------------------------------
 
     def take_pending_outputs(self) -> dict | None:
-        """Outputs regenerated during journal restore (send-first)."""
+        """Outputs regenerated during a store restore (send-first)."""
         outputs, self._pending_outputs = self._pending_outputs, None
         return outputs
 
@@ -215,7 +223,7 @@ class ShardWorker:
         self._last_barrier = cycle
         if msg["final"]:
             return self._final_outputs()
-        self._write_journal()
+        self._commit_barrier()
         return self._run_epoch()
 
     def _apply_barrier(
@@ -299,6 +307,10 @@ class ShardWorker:
         monitor = ZombieMonitor(network)
         monitor.poll()
         cut, self._pending_cut = self._pending_cut, None
+        counters = network.metrics.snapshot()["counters"]
+        if self._store is not None:
+            self._store.close()
+            self._store = None
         accounting: dict[str, object] = {
             "isps": {},
             "bank_deposits": network.bank.total_deposits(),
@@ -322,7 +334,12 @@ class ShardWorker:
             "cycle": self._last_barrier,
             "cut": cut,
             "accounting": accounting,
-            "counters": dict(network.metrics.snapshot()["counters"]),
+            # Store bookkeeping counters exist only when journaling.
+            "counters": {
+                name: value
+                for name, value in counters.items()
+                if not name.startswith("store.")
+            },
             "digests": {
                 "events": self.events_acc.state_dict(),
                 "ledger": self.ledger_acc.state_dict(),
@@ -338,47 +355,20 @@ class ShardWorker:
             "restored": self.restored,
         }
 
-    # -- journal / restore -------------------------------------------------
+    # -- shard store: barrier commit / restore -----------------------------
 
-    def _write_journal(self) -> None:
-        path = self.spec.journal_path
-        if path is None:
+    def _commit_barrier(self) -> None:
+        if self._store is None:
             return
-        network = self.network
-        pending_cut = None
-        if self._pending_cut is not None:
-            pending_cut = {
-                "round_seq": self._pending_cut["round_seq"],
-                "replies": {
-                    str(isp): {str(peer): v for peer, v in reply.items()}
-                    for isp, reply in self._pending_cut["replies"].items()
-                },
-                "total_value": self._pending_cut["total_value"],
-                "expected_total_value": self._pending_cut[
-                    "expected_total_value"
-                ],
-            }
-        state = {
-            "format": JOURNAL_FORMAT,
+        from ..store.network import commit_network
+
+        record = {
             "cycle": self._last_barrier,
             "round_seq": self.round_seq,
-            "last_day_seen": network._last_day_seen,
             "attempted": self.attempted,
             "exported": self.exported,
             "imported": self.imported,
-            "external_deposit": network._external_deposit,
-            "isps": {
-                str(isp_id): isp_state(isp)
-                for isp_id, isp in sorted(network.compliant_isps().items())
-            },
-            "bank": bank_state(network.bank),
-            "nonces": {
-                str(isp_id): source._counter
-                for isp_id, source in sorted(
-                    network._nonce_sources.items()
-                )
-            },
-            "counters": dict(network.metrics.snapshot()["counters"]),
+            "counters": dict(self.network.metrics.snapshot()["counters"]),
             "letter_seq": self._sequencer.state_dict(),
             "links": {
                 str(src): link.expected_epoch
@@ -388,34 +378,28 @@ class ShardWorker:
                 "events": self.events_acc.state_dict(),
                 "ledger": self.ledger_acc.state_dict(),
             },
-            "pending_cut": pending_cut,
+            "pending_cut": self._pending_cut,
         }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, sort_keys=True)
-        os.replace(tmp, path)  # atomic: a crash mid-write keeps the old one
+        commit_network(
+            self._store, self.network, self._tracker,
+            barrier=self._last_barrier,
+            extra=[(_SHARD_KIND, str(self.spec.shard_id), record)],
+        )
 
-    def _restore(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            state = json.load(handle)
-        if state.get("format") != JOURNAL_FORMAT:
-            raise SimulationError(
-                f"unsupported shard journal format {state.get('format')!r}"
-            )
+    def _restore(self) -> None:
+        from ..store.network import load_network
+
+        store = self._store
+        # The full sweep also catches a row whose kind or key was
+        # corrupted, which the loader would otherwise never read.
+        store.verify()
         network = self.network
-        for isp_key, blob in state["isps"].items():
-            isp = network.isps[int(isp_key)]
-            assert isinstance(isp, CompliantISP)
-            load_isp_state(isp, blob)
-        load_bank_state(network.bank, state["bank"])
-        for isp_key, counter in state["nonces"].items():
-            # Restoring the counter alone replays the same hash-chain
-            # nonce sequence the pre-crash worker would have issued.
-            network._nonce_sources[int(isp_key)]._counter = int(counter)
+        load_network(store, network)
+        state = store.get(_SHARD_KIND, str(self.spec.shard_id))
+        if state is None:
+            return  # died before its first barrier commit: start afresh
         for name, value in state["counters"].items():
             network.metrics.counter(name).value = value
-        network._last_day_seen = int(state["last_day_seen"])
-        network._external_deposit = int(state["external_deposit"])
         self.attempted = int(state["attempted"])
         self.exported = int(state["exported"])
         self.imported = int(state["imported"])
@@ -425,26 +409,22 @@ class ShardWorker:
             self._links[int(src_key)].expected_epoch = int(expected)
         self.events_acc.load_state(state["digests"]["events"])
         self.ledger_acc.load_state(state["digests"]["ledger"])
-        if state["pending_cut"] is not None:
-            blob = state["pending_cut"]
-            self._pending_cut = {
-                "round_seq": int(blob["round_seq"]),
-                "replies": {
-                    int(isp): {int(peer): v for peer, v in reply.items()}
-                    for isp, reply in blob["replies"].items()
-                },
-                "total_value": blob["total_value"],
-                "expected_total_value": blob["expected_total_value"],
+        cut = state["pending_cut"]
+        if cut is not None:  # JSON turned the reply maps' int keys to str
+            cut["replies"] = {
+                int(isp): {int(peer): v for peer, v in reply.items()}
+                for isp, reply in cut["replies"].items()
             }
+            self._pending_cut = cut
         cycle = int(state["cycle"])
         self._last_barrier = cycle
         network._direct_now = cycle * self.spec.epoch_len
         # Replay the workload position. ``attempted`` requests were
-        # dispatched before the journal was written and one more sat in
-        # the lookahead buffer; the constructor already pulled request
-        # #0 into that buffer, so skip ``attempted - 1`` further and
-        # re-buffer — when nothing was dispatched yet the constructor's
-        # pull is already the right buffer.
+        # dispatched before the commit and one more sat in the lookahead
+        # buffer; the constructor already pulled request #0 into that
+        # buffer, so skip ``attempted - 1`` further and re-buffer — when
+        # nothing was dispatched yet the constructor's pull is already
+        # the right buffer.
         if self.attempted:
             collections.deque(
                 itertools.islice(self._requests, self.attempted - 1),
@@ -452,7 +432,7 @@ class ShardWorker:
             )
             self._next_request = next(self._requests, None)
         self.restored = True
-        # Re-run the journaled epoch; the parent drops the duplicate
+        # Re-run the committed epoch; the parent drops the duplicate
         # outputs if the crash happened after they were first sent.
         self._pending_outputs = self._run_epoch()
 

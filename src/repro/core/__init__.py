@@ -38,7 +38,6 @@ from .misbehavior import (
     infer_suspects,
     verify_credit_matrix,
 )
-from .persistence import checkpoint, dumps, loads, restore
 from .reconcile import (
     PairDeltaStream,
     ReconcileError,
@@ -107,10 +106,6 @@ __all__ = [
     "ScenarioResult",
     "SpammerSpec",
     "ZombieSpec",
-    "checkpoint",
-    "restore",
-    "dumps",
-    "loads",
     "DirectSnapshotCoordinator",
     "TimeoutSnapshotCoordinator",
     "MarkerSnapshotCoordinator",

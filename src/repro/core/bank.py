@@ -106,7 +106,7 @@ class Bank:
         """Sum of all ISP accounts (for conservation audits)."""
         return sum(self._accounts.values())
 
-    # -- durable state (checkpoint / crash recovery) ----------------------------------
+    # -- durable state (crash recovery) ------------------------------------------------
 
     def state_dict(self) -> dict:
         """The bank's durable state as a JSON-compatible dict.

@@ -341,9 +341,12 @@ class CompliantISP:
 
     # -- daily cycle ---------------------------------------------------------------------
 
-    def midnight(self) -> None:
-        """Reset all users' daily send counters (§4.1 reset action)."""
-        self.ledger.reset_daily_counters()
+    def midnight(self) -> list[int]:
+        """Reset all users' daily send counters (§4.1 reset action).
+
+        Returns the ids of the users it reset.
+        """
+        return self.ledger.reset_daily_counters()
 
     def zombie_suspects(self) -> list[int]:
         """Users who hit their daily limit — §5's zombie detection signal."""

@@ -212,7 +212,14 @@ class Ledger:
             cash=self.cash,
         )
 
-    def reset_daily_counters(self) -> None:
-        """Midnight reset of every user's §4.1 ``sent`` counter."""
+    def reset_daily_counters(self) -> list[int]:
+        """Midnight reset of every user's §4.1 ``sent`` counter.
+
+        Returns the ids of the users whose counter it changed.
+        """
+        reset = []
         for user in self._users.values():
-            user.reset_daily()
+            if user.sent_today:
+                user.reset_daily()
+                reset.append(user.user_id)
+        return reset

@@ -1,50 +1,40 @@
-"""Checkpoint and restore for Zmail deployments.
+"""Per-record state codecs for Zmail deployments.
 
-Long-running simulations (and any real deployment) need durable state:
-an ISP's ledger and credit arrays, the bank's accounts, and the users'
-purses *are* the money. This module serialises a
-:class:`~repro.core.protocol.ZmailNetwork` to a plain JSON-compatible
-dict and restores an equivalent deployment from it, preserving every
-balance, counter and compliance flag — verified by the test suite's
-conservation audits across a save/load cycle.
+An ISP's ledger and credit arrays, the bank's accounts and the users'
+purses *are* the money. This module maps each piece of durable state to
+a plain JSON-compatible dict and back, preserving every balance,
+counter and compliance flag:
 
-In-flight engine-mode letters are not checkpointed (a real system drains
-or journals its queues before snapshotting state); ``checkpoint`` refuses
-to run while paid letters are in flight so no money can be lost.
+* :func:`user_state` / :func:`load_user_state` — one user's purse;
+* :func:`isp_aggregate_state` / :func:`load_isp_aggregate_state` — an
+  ISP's per-user-independent state, and :func:`isp_state` /
+  :func:`load_isp_state` — the aggregate plus every user;
+* :func:`bank_state` / :func:`load_bank_state` — the bank ledger;
+* :func:`config_state` / :func:`config_from_state` — the config.
 
-Two granularities:
+The durable store (:mod:`repro.store`) is the only writer and reader of
+these fragments: its service barriers, a crashed chaos node's state and
+a cluster shard's barrier record are all store rows. A crash loses
+everything volatile (open snapshot pauses, buffered outboxes, in-flight
+wire frames) and a restart rebuilds the node from exactly this state.
 
-* :func:`checkpoint` / :func:`restore` — the whole deployment, for cold
-  save/load.
-* :func:`isp_state` / :func:`load_isp_state` and :func:`bank_state` /
-  :func:`load_bank_state` — one node's *durable* state, the write-ahead
-  journal the chaos harness's crash/restart model is built on: a crash
-  loses everything volatile (open snapshot pauses, buffered outboxes,
-  in-flight wire frames) and a restart rebuilds the node from exactly
-  this state.
-
-All restore paths reject malformed input with
-:class:`~repro.errors.SimulationError` — a truncated or corrupted blob
-must fail loudly and descriptively, never with a raw ``KeyError``.
+All loaders reject malformed input with
+:class:`~repro.errors.SimulationError` — a truncated or corrupted
+fragment must fail loudly and descriptively, never with a raw
+``KeyError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any
 
 from ..errors import SimulationError
 from .bank import Bank
 from .config import NonCompliantMailPolicy, ZmailConfig
 from .isp import CompliantISP, DeliveryStats
-from .protocol import ZmailNetwork
 
 __all__ = [
-    "checkpoint",
-    "restore",
-    "dumps",
-    "loads",
     "config_state",
     "config_from_state",
     "user_state",
@@ -59,14 +49,17 @@ __all__ = [
 ]
 
 # v2: limit_warning_log event list -> limit_hits counters
-# v3: checkpoints carry per-ISP delivery stats and limit-hit counters (a
-#     cold restore no longer silently zeroes them), and the journal is
-#     factored into aggregate + per-user fragments so the durable store
+# v3: per-ISP delivery stats and limit-hit counters are persisted (a
+#     restore no longer silently zeroes them), and ISP state is factored
+#     into aggregate + per-user fragments so the durable store
 #     (:mod:`repro.store`) can persist exactly the dirty subset.
-FORMAT_VERSION = 3
+# v4: the store's network record carries the last midnight applied and
+#     each ISP's bank-trade nonce counter.
+FORMAT_VERSION = 4
 
 
-def _user_state(user) -> dict[str, Any]:
+def user_state(user) -> dict[str, Any]:
+    """One user's durable state (purse, limits, counters, mailboxes)."""
     return {
         "account": user.account,
         "balance": user.balance,
@@ -81,24 +74,6 @@ def _user_state(user) -> dict[str, Any]:
     }
 
 
-def _load_user_state(user, state: dict[str, Any]) -> None:
-    user.account = state["account"]
-    user.balance = state["balance"]
-    user.daily_limit = state["daily_limit"]
-    user.sent_today = state["sent_today"]
-    user.lifetime_sent = state["lifetime_sent"]
-    user.lifetime_received = state["lifetime_received"]
-    user.lifetime_received_paid = state["lifetime_received_paid"]
-    user.limit_warnings = state["limit_warnings"]
-    user.inbox = state["inbox"]
-    user.junk_folder = state["junk_folder"]
-
-
-def user_state(user) -> dict[str, Any]:
-    """One user's durable state (purse, limits, counters, mailboxes)."""
-    return _user_state(user)
-
-
 def load_user_state(user, state: dict[str, Any]) -> None:
     """Restore a :func:`user_state` fragment onto ``user`` in place.
 
@@ -106,7 +81,16 @@ def load_user_state(user, state: dict[str, Any]) -> None:
         SimulationError: if the fragment is malformed.
     """
     try:
-        _load_user_state(user, state)
+        user.account = state["account"]
+        user.balance = state["balance"]
+        user.daily_limit = state["daily_limit"]
+        user.sent_today = state["sent_today"]
+        user.lifetime_sent = state["lifetime_sent"]
+        user.lifetime_received = state["lifetime_received"]
+        user.lifetime_received_paid = state["lifetime_received_paid"]
+        user.limit_warnings = state["limit_warnings"]
+        user.inbox = state["inbox"]
+        user.junk_folder = state["junk_folder"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SimulationError(
             f"malformed user state: {type(exc).__name__}: {exc}"
@@ -156,121 +140,8 @@ def config_from_state(state: dict[str, Any]) -> ZmailConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(
-            f"malformed checkpoint config: {type(exc).__name__}: {exc}"
+            f"malformed config state: {type(exc).__name__}: {exc}"
         ) from exc
-
-
-def checkpoint(network: ZmailNetwork) -> dict[str, Any]:
-    """Serialise a deployment to a JSON-compatible dict.
-
-    Raises:
-        SimulationError: if paid letters are still in flight (engine
-            mode) — drain the engine first.
-    """
-    if network.paid_letters_in_flight:
-        raise SimulationError(
-            f"{network.paid_letters_in_flight} paid letters in flight; "
-            "run the engine to quiescence before checkpointing"
-        )
-    state: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "n_isps": network.n_isps,
-        "users_per_isp": network.users_per_isp,
-        "external_deposit": network._external_deposit,
-        "config": config_state(network.config),
-        "bank": {
-            "accounts": {
-                str(isp_id): network.bank.account_balance(isp_id)
-                for isp_id in network.compliant_isps()
-            },
-            "seq": network.bank.next_seq,
-        },
-        "isps": {},
-    }
-    for isp_id, isp in sorted(network.compliant_isps().items()):
-        users = {}
-        for user in isp.ledger.users():
-            users[str(user.user_id)] = _user_state(user)
-        state["isps"][str(isp_id)] = {
-            "pool": isp.ledger.pool,
-            "cash": isp.ledger.cash,
-            "credit": {str(k): v for k, v in isp.credit.items()},
-            "stats": dataclasses.asdict(isp.stats),
-            "limit_hits": {
-                str(user_id): count
-                for user_id, count in sorted(isp.limit_hits.items())
-            },
-            "users": users,
-        }
-    return state
-
-
-def restore(state: dict[str, Any], *, seed: int = 0) -> ZmailNetwork:
-    """Rebuild a direct-mode deployment from a checkpoint dict.
-
-    Raises:
-        SimulationError: on version mismatch or malformed state.
-    """
-    if not isinstance(state, dict):
-        raise SimulationError(
-            f"checkpoint must be a dict, got {type(state).__name__}"
-        )
-    if state.get("format_version") != FORMAT_VERSION:
-        raise SimulationError(
-            f"unsupported checkpoint version {state.get('format_version')!r}"
-        )
-    try:
-        return _restore_checked(state, seed=seed)
-    except SimulationError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SimulationError(
-            f"malformed checkpoint: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
-def _restore_checked(state: dict[str, Any], *, seed: int) -> ZmailNetwork:
-    config = config_from_state(state["config"])
-    compliant_ids = {int(k) for k in state["isps"]}
-    flags = [i in compliant_ids for i in range(state["n_isps"])]
-    network = ZmailNetwork(
-        n_isps=state["n_isps"],
-        users_per_isp=state["users_per_isp"],
-        compliant=flags,
-        config=config,
-        seed=seed,
-    )
-    network._external_deposit = state["external_deposit"]
-
-    for isp_key, isp_state_blob in state["isps"].items():
-        isp = network.isps[int(isp_key)]
-        assert isinstance(isp, CompliantISP)
-        isp.ledger.pool = isp_state_blob["pool"]
-        isp.ledger.cash = isp_state_blob["cash"]
-        isp.credit = {int(k): v for k, v in isp_state_blob["credit"].items()}
-        isp.stats = DeliveryStats(**isp_state_blob["stats"])
-        isp.limit_hits = {
-            int(user_id): int(count)
-            for user_id, count in isp_state_blob["limit_hits"].items()
-        }
-        for user_key, user_state in isp_state_blob["users"].items():
-            _load_user_state(isp.ledger.user(int(user_key)), user_state)
-
-    for isp_key, balance in state["bank"]["accounts"].items():
-        isp_id = int(isp_key)
-        current = network.bank.account_balance(isp_id)
-        delta = balance - current
-        if delta > 0:
-            network.bank.sell_epennies(isp_id, value=delta, nonce=-(isp_id + 1))
-        elif delta < 0:
-            network.bank.buy_epennies(isp_id, value=-delta, nonce=-(isp_id + 1))
-    # Fast-forward the reconciliation sequence number.
-    while network.bank.next_seq < state["bank"]["seq"]:
-        network.bank.reconcile(
-            {isp_id: {} for isp_id in network.compliant_isps()}
-        )
-    network.bank.reports.clear()
-    return network
 
 
 # -- per-node journals (crash/restart) -----------------------------------------------
@@ -335,7 +206,7 @@ def isp_state(isp: CompliantISP) -> dict[str, Any]:
     """
     state = isp_aggregate_state(isp)
     state["users"] = {
-        str(user.user_id): _user_state(user) for user in isp.ledger.users()
+        str(user.user_id): user_state(user) for user in isp.ledger.users()
     }
     return state
 
@@ -352,8 +223,8 @@ def load_isp_state(isp: CompliantISP, state: dict[str, Any]) -> None:
     """
     load_isp_aggregate_state(isp, state)
     try:
-        for user_key, user_state in state["users"].items():
-            _load_user_state(isp.ledger.user(int(user_key)), user_state)
+        for user_key, fragment in state["users"].items():
+            load_user_state(isp.ledger.user(int(user_key)), fragment)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SimulationError(
             f"malformed ISP journal: {type(exc).__name__}: {exc}"
@@ -377,24 +248,3 @@ def load_bank_state(bank: Bank, state: dict[str, Any]) -> None:
         raise SimulationError(
             f"malformed bank journal: {type(exc).__name__}: {exc}"
         ) from exc
-
-
-def dumps(network: ZmailNetwork, *, indent: int | None = None) -> str:
-    """Checkpoint straight to a JSON string."""
-    return json.dumps(checkpoint(network), indent=indent, sort_keys=True)
-
-
-def loads(payload: str, *, seed: int = 0) -> ZmailNetwork:
-    """Restore straight from a JSON string.
-
-    Raises:
-        SimulationError: if the payload is not valid JSON (truncated or
-            corrupted blob) or the decoded state is malformed.
-    """
-    try:
-        state = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise SimulationError(
-            f"corrupted checkpoint JSON: {exc}"
-        ) from exc
-    return restore(state, seed=seed)

@@ -233,7 +233,8 @@ class ZmailNetwork:
         self._external_deposit = 0
         # Durable-store dirty hook: called as touch(isp_id, user_id) at
         # every funnel that can mutate per-user state (send, deliver,
-        # fund). None (the default) keeps the hot path branch-predictable.
+        # fund, midnight reset). None (the default) keeps the hot path
+        # branch-predictable.
         self._touch: Callable[[int, int], None] | None = None
         self._bank_reply_handler = None
         self.midnight_handle = None  # set by run_workload in engine mode
@@ -336,9 +337,10 @@ class ZmailNetwork:
         ``touch(isp_id, user_id)`` is invoked for every user whose state
         may have changed; the set it accumulates is a superset of the
         actually-mutated users (blocked sends still touch the sender),
-        which is safe — re-persisting a clean record is a no-op. Midnight
-        resets and auto-topups need no extra hook calls: both only change
-        users already touched by a send on the same path.
+        which is safe — re-persisting a clean record is a no-op.
+        Auto-topups need no extra hook call (they happen inside a send
+        that already touches the sender); midnight touches every user
+        whose daily counter it resets (:meth:`isp_midnight`).
         """
         self._touch = touch
 
@@ -797,8 +799,15 @@ class ZmailNetwork:
             if tracer.enabled:
                 tracer.emit("midnight", day=self._last_day_seen)
             for isp in self.compliant_isps().values():
-                isp.midnight()
+                self.isp_midnight(isp)
             self.rebalance_pools()
+
+    def isp_midnight(self, isp: CompliantISP) -> None:
+        """One ISP's midnight reset; every user it resets is touched."""
+        reset = isp.midnight()
+        if self._touch is not None:
+            for user_id in reset:
+                self._touch(isp.isp_id, user_id)
 
     def note_time(self, t: float) -> None:
         """Direct-mode driver: midnight work at day boundaries, plus the
@@ -912,7 +921,7 @@ class ZmailNetwork:
         if tracer.enabled:
             tracer.emit("midnight", day=int(self.engine.now // DAY))
         for isp in self.compliant_isps().values():
-            isp.midnight()
+            self.isp_midnight(isp)
         self.rebalance_pools()
 
     # -- audits ---------------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from ..errors import SimulationError
 __all__ = [
     "EVENT_TYPES",
     "LEDGER_EVENT_TYPES",
+    "STORE_EVENT_TYPES",
     "TraceSchemaError",
     "validate_event",
     "validate_trace_lines",
@@ -65,12 +66,9 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "gateway.inbound": frozenset({"outcome"}),
     "gateway.bounce": frozenset({"recipient"}),
     "smtp.session": frozenset({"outcome"}),
-    # durable store — bookkeeping only, excluded from the soak's event
-    # digest so durable and in-memory oracle runs stay comparable.
+    # durable store — bookkeeping only (see STORE_EVENT_TYPES)
     "store.commit": frozenset({"barrier", "records"}),
     "store.restore": frozenset({"barrier", "records"}),
-    "store.crash": frozenset({"node"}),
-    "store.restart": frozenset({"node"}),
 }
 
 #: The subset of types that describe ledger-visible outcomes — what the
@@ -78,6 +76,10 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
 LEDGER_EVENT_TYPES: frozenset[str] = frozenset(
     {"send", "deliver", "topup", "bank.trade", "reconcile"}
 )
+
+#: The durable store's bookkeeping types; runs that must compare equal to
+#: runs without a store exclude them from event digests.
+STORE_EVENT_TYPES = ("store.commit", "store.restore")
 
 _ENVELOPE = ("t", "seq", "type")
 

@@ -1,11 +1,13 @@
-"""Durable service-mode storage for Zmail deployments.
+"""Durable storage for Zmail deployments — the one crash-recovery format.
 
 ``repro.store`` keeps a deployment's money durable across process
 lifetimes: a checksummed SQLite (WAL) key-value journal
-(:mod:`backend`), a genesis+deltas persistence scheme with dirty-user
-tracking so restarts cost O(dirty), not O(users) (:mod:`network`), and
-a sealed-record codec shared with the chaos harness's crash journals
-(:mod:`codec`).
+(:mod:`backend`, row codec in :mod:`codec`) and a genesis+deltas
+persistence scheme with dirty-user tracking so restarts cost O(dirty),
+not O(users) (:mod:`network`). Every restart path reads a
+:class:`DurableStore`: the SMTP service and ``repro selftest``, the
+soak's commit cuts, a crashed chaos node (:mod:`repro.chaos.crash`)
+and a respawned cluster shard (:mod:`repro.cluster.worker`).
 
 Higher layers are imported by full path to keep this package root
 dependency-light: :mod:`repro.store.wire` (payload codecs for retry
@@ -15,13 +17,14 @@ long-running SMTP service and the ``repro selftest`` ops check).
 """
 
 from .backend import DurableStore
-from .codec import STORE_FORMAT_VERSION, record_checksum, seal, unseal
+from .codec import STORE_FORMAT_VERSION, record_checksum
 from .network import (
     DirtyTracker,
     attach_tracker,
     commit_network,
     durable_digest,
     init_store,
+    load_network,
     restore_network,
 )
 
@@ -29,12 +32,11 @@ __all__ = [
     "DurableStore",
     "STORE_FORMAT_VERSION",
     "record_checksum",
-    "seal",
-    "unseal",
     "DirtyTracker",
     "attach_tracker",
     "commit_network",
     "durable_digest",
     "init_store",
+    "load_network",
     "restore_network",
 ]

@@ -5,10 +5,11 @@ The store is a key-value journal with per-record checksums:
 * ``meta(key, value)`` — format versions, genesis topology (ISP count,
   users per ISP, compliant flags, config, seed) and the last committed
   barrier. Small, rewritten in full on every commit.
-* ``records(kind, key, payload, checksum, barrier)`` — sealed state
-  fragments keyed by ``(kind, key)``: per-ISP aggregates, dirty user
-  purses, the bank ledger, gateway/endpoint retry queues, chaos crash
-  journals. ``payload`` is canonical JSON; ``checksum`` binds the
+* ``records(kind, key, payload, checksum, barrier)`` — checksummed
+  state fragments keyed by ``(kind, key)``: per-ISP aggregates, dirty
+  user purses, the bank ledger, gateway/endpoint retry queues, a
+  crashed chaos node's state, a cluster shard's barrier record.
+  ``payload`` is canonical JSON; ``checksum`` binds the
   payload to its (kind, key) identity so any on-disk corruption —
   including a flipped digit that would still parse — raises
   :class:`~repro.errors.SimulationError` on read.
@@ -73,21 +74,30 @@ class DurableStore:
             self._conn.executescript(_SCHEMA)
         except sqlite3.Error as exc:
             raise SimulationError(f"cannot open store {path!r}: {exc}") from exc
+        found = self.meta_get("store_format_version")
         if _create:
-            self._meta_put_now("store_format_version", str(STORE_FORMAT_VERSION))
-        else:
-            found = self.meta_get("store_format_version")
-            if found != str(STORE_FORMAT_VERSION):
+            if found is not None:
+                self._conn.close()
                 raise SimulationError(
-                    f"store {path!r} has format version {found!r}, "
-                    f"expected {STORE_FORMAT_VERSION!r}"
+                    f"store {path!r} already exists; a fresh run must not "
+                    "load an earlier run's state"
                 )
+            self._meta_put_now("store_format_version", str(STORE_FORMAT_VERSION))
+        elif found != str(STORE_FORMAT_VERSION):
+            raise SimulationError(
+                f"store {path!r} has format version {found!r}, "
+                f"expected {STORE_FORMAT_VERSION!r}"
+            )
 
     # -- lifecycle ---------------------------------------------------------------
 
     @classmethod
     def create(cls, path: str) -> "DurableStore":
-        """Create a fresh store (the file must not already hold one)."""
+        """Create a fresh store.
+
+        Raises:
+            SimulationError: if ``path`` already holds a store.
+        """
         return cls(path, _create=True)
 
     @classmethod
@@ -144,8 +154,8 @@ class DurableStore:
         """Atomically apply a batch of writes at one barrier point.
 
         ``puts`` yields ``(kind, key, value)`` triples; values are
-        sealed (canonical JSON + checksum) and upserted. The whole batch
-        plus the ``barrier`` meta bump lands in a single WAL
+        stored as canonical JSON with their checksum and upserted. The
+        whole batch plus the ``barrier`` meta bump lands in a single WAL
         transaction. Returns the number of records written.
         """
         written = 0

@@ -1,17 +1,14 @@
 """Checksummed record codec for the durable store.
 
-Every value that crosses a process-lifetime boundary — a row in the
-SQLite store, a crash journal held by the chaos harness — travels as a
-*sealed* record: canonical compact JSON plus a SHA-256 checksum bound to
-the record's kind and key. Corruption of any byte (truncation, bit
-flips, appended garbage, even a flipped digit that would still parse as
-valid JSON) fails the checksum and raises
+Every value that crosses a process-lifetime boundary is a row in a
+:class:`~repro.store.backend.DurableStore` — service barriers, a
+crashed chaos node's state, a cluster shard's barrier record — and
+travels as canonical compact JSON plus a SHA-256 checksum bound to the
+row's kind and key. Corruption of any byte (truncation, bit flips,
+appended garbage, even a flipped digit that would still parse as valid
+JSON) fails the checksum and raises
 :class:`~repro.errors.SimulationError` — the ledger is money, so a wrong
 value is strictly worse than a loud crash.
-
-This module deliberately imports nothing beyond the stdlib and
-``repro.errors`` so that low-level consumers (``chaos.crash``) can use
-it without dragging in the store backend.
 """
 
 from __future__ import annotations
@@ -27,11 +24,9 @@ __all__ = [
     "encode_payload",
     "decode_payload",
     "record_checksum",
-    "seal",
-    "unseal",
 ]
 
-# Version of the sealed-record / store schema itself; the journal
+# Version of the record / store schema itself; the journal
 # *content* is additionally versioned by core.persistence.FORMAT_VERSION
 # (kept in the store's meta table and checked on open).
 STORE_FORMAT_VERSION = 1
@@ -69,55 +64,3 @@ def record_checksum(kind: str, key: str, payload: str) -> str:
     digest.update(_SEP)
     digest.update(payload.encode("utf-8"))
     return digest.hexdigest()
-
-
-def seal(value: Any, *, kind: str = "journal", key: str = "") -> str:
-    """Wrap ``value`` in a self-verifying envelope (JSON text).
-
-    The chaos harness seals its crash journals with this so a restart
-    from a corrupted journal can never silently rebuild a wrong ledger.
-    """
-    payload = encode_payload(value)
-    return json.dumps(
-        {
-            "kind": kind,
-            "key": key,
-            "payload": payload,
-            "checksum": record_checksum(kind, key, payload),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def unseal(text: str, *, kind: str = "journal", key: str = "") -> Any:
-    """Verify and unwrap a :func:`seal` envelope.
-
-    Raises:
-        SimulationError: on any corruption — unparseable envelope,
-            wrong kind/key binding, or checksum mismatch.
-    """
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"corrupted sealed record: {exc}") from exc
-    if not isinstance(envelope, dict) or not {
-        "kind",
-        "key",
-        "payload",
-        "checksum",
-    } <= set(envelope):
-        raise SimulationError("corrupted sealed record: envelope malformed")
-    if envelope["kind"] != kind or envelope["key"] != key:
-        raise SimulationError(
-            f"sealed record identity mismatch: expected ({kind!r}, {key!r}), "
-            f"got ({envelope['kind']!r}, {envelope['key']!r})"
-        )
-    payload = envelope["payload"]
-    if not isinstance(payload, str) or record_checksum(
-        kind, key, payload
-    ) != envelope["checksum"]:
-        raise SimulationError(
-            f"sealed record checksum mismatch for ({kind!r}, {key!r})"
-        )
-    return decode_payload(payload)

@@ -5,20 +5,26 @@ table pins the deterministic genesis parameters (topology, config,
 seed), and the records table holds only state that has ever diverged
 from genesis — per-ISP aggregates (pool, cash, credit, compliance view,
 stats; O(n_isps), rewritten every barrier), the bank ledger, the
-external-deposit conservation counter, and exactly the user purses the
-dirty tracker saw mutate. Restore therefore costs
-O(n_isps + ever-dirty-users), not O(users): an ISP with a million
-accounts whose hot set is 1% restarts ~100× less state.
+network counters (external deposits, last midnight, bank-trade nonce
+counters), and exactly the user purses the dirty tracker saw mutate.
+Restore therefore costs O(n_isps + ever-dirty-users), not O(users): an
+ISP with a million accounts whose hot set is 1% restarts ~100× less
+state.
 
 Why the dirty superset is sound: every path that mutates a user runs
-through one of the three hooked funnels (``_send_admitted`` touches
+through one of the four hooked funnels (``_send_admitted`` touches
 sender *and* recipient, ``_deliver_letter`` the recipient,
-``fund_user`` the funded user). Midnight's ``reset_daily`` only changes
-users with ``sent_today > 0`` — necessarily touched by a send since the
-last commit that persisted them — and auto-topup happens inside the
-send path. Barrier commits flush the accumulated set atomically, so
-after any crash the store holds a consistent prefix: genesis plus every
-delta up to the last committed barrier.
+``fund_user`` the funded user, ``isp_midnight`` every user whose daily
+counter it resets), and auto-topup happens inside the send path.
+Barrier commits flush the accumulated set atomically, so after any
+crash the store holds a consistent prefix: genesis plus every delta up
+to the last committed barrier.
+
+Every restart in the repository reads this format:
+:func:`restore_network` (the service and ``repro selftest``, the soak's
+commit cuts) builds the genesis network and :func:`load_network`
+applies the deltas; a respawned cluster shard rebuilds its own slice and
+calls :func:`load_network` on it directly.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from typing import Any
 
 from ..core import persistence
 from ..core.protocol import ZmailNetwork
+from ..errors import SimulationError
 from .backend import DurableStore
 
 __all__ = [
@@ -37,6 +44,7 @@ __all__ = [
     "attach_tracker",
     "commit_network",
     "restore_network",
+    "load_network",
     "durable_digest",
 ]
 
@@ -108,10 +116,21 @@ def _aggregate_puts(network: ZmailNetwork) -> list[tuple[str, str, Any]]:
         for isp_id, isp in sorted(network.compliant_isps().items())
     ]
     puts.append((_BANK_KIND, "bank", persistence.bank_state(network.bank)))
-    puts.append(
-        (_NET_KIND, "net", {"external_deposit": network._external_deposit})
-    )
+    puts.append((_NET_KIND, "net", _net_state(network)))
     return puts
+
+
+def _net_state(network: ZmailNetwork) -> dict[str, Any]:
+    # A restart that rewound a nonce counter would replay a nonce the
+    # bank has already seen.
+    return {
+        "external_deposit": network._external_deposit,
+        "last_day_seen": network._last_day_seen,
+        "nonces": {
+            str(isp_id): source._counter
+            for isp_id, source in sorted(network._nonce_sources.items())
+        },
+    }
 
 
 def commit_network(
@@ -159,20 +178,9 @@ def commit_network(
 def restore_network(
     store: DurableStore, *, tracer=None, spans=None
 ) -> ZmailNetwork:
-    """Rebuild a direct-mode network from the store: genesis + deltas.
-
-    Cost is O(n_isps + ever-dirty-users). Every record read is
-    checksum-verified; any corruption raises ``SimulationError`` before
-    a single balance is applied.
-    """
-    from ..errors import SimulationError
-
-    journal_version = store.meta_require("journal_format_version")
-    if journal_version != str(persistence.FORMAT_VERSION):
-        raise SimulationError(
-            f"store journal format {journal_version!r} does not match "
-            f"persistence.FORMAT_VERSION {persistence.FORMAT_VERSION}"
-        )
+    """Rebuild a direct-mode network from the store: the genesis its
+    meta pins, then :func:`load_network`. Cost is
+    O(n_isps + ever-dirty-users)."""
     try:
         n_isps = int(store.meta_require("n_isps"))
         users_per_isp = int(store.meta_require("users_per_isp"))
@@ -191,9 +199,24 @@ def restore_network(
         tracer=tracer,
         spans=spans,
     )
+    load_network(store, network)
+    return network
+
+
+def load_network(store: DurableStore, network: ZmailNetwork) -> None:
+    """Apply the store's deltas onto ``network``, the genesis the store
+    was initialised from, in place. Every record read is
+    checksum-verified; any corruption raises ``SimulationError``."""
+    journal_version = store.meta_require("journal_format_version")
+    if journal_version != str(persistence.FORMAT_VERSION):
+        raise SimulationError(
+            f"store journal format {journal_version!r} does not match "
+            f"persistence.FORMAT_VERSION {persistence.FORMAT_VERSION}"
+        )
     applied = 0
+    compliant_map = network.compliant_isps()
     for key, state in store.iter_kind(_ISP_KIND):
-        isp = network.compliant_isps().get(int(key))
+        isp = compliant_map.get(int(key))
         if isp is None:
             raise SimulationError(
                 f"store holds an aggregate for non-compliant isp{key}"
@@ -209,11 +232,13 @@ def restore_network(
         raise SimulationError("store holds no network counters")
     try:
         network._external_deposit = int(net_blob["external_deposit"])
-    except (KeyError, TypeError, ValueError) as exc:
+        network._last_day_seen = int(net_blob["last_day_seen"])
+        for isp_key, counter in net_blob["nonces"].items():
+            network._nonce_sources[int(isp_key)]._counter = int(counter)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SimulationError(
             f"malformed network counters in store: {exc}"
         ) from exc
-    compliant_map = network.compliant_isps()
     for key, state in store.iter_kind(_USER_KIND):
         try:
             isp_part, user_part = key.split(":")
@@ -233,7 +258,6 @@ def restore_network(
         )
     network.metrics.counter("store.restores").increment()
     network.metrics.counter("store.records_read").increment(applied)
-    return network
 
 
 def durable_digest(network: ZmailNetwork) -> str:
@@ -247,7 +271,7 @@ def durable_digest(network: ZmailNetwork) -> str:
     zeroes.
     """
     state = {
-        "external_deposit": network._external_deposit,
+        **_net_state(network),
         "bank": persistence.bank_state(network.bank),
         "isps": {
             str(isp_id): persistence.isp_state(isp)

@@ -5,16 +5,16 @@ store's correctness argument. One seeded scenario — days of virtual
 traffic, an overload flood, periodic reconciliation, scheduled
 crash/restart cycles — runs twice:
 
-* **durable** — crash journals, reliable-endpoint queues and admission
-  queues are persisted through the SQLite store; every restart rebuilds
-  the node from *disk only* (the in-memory copy is dropped at the crash
-  instant). Barrier commits run on a timer, and at every commit cut the
-  run restores a complete second network from the store and asserts its
-  durable digest equals the live one.
-* **oracle** — the identical scenario with the historical in-memory
-  crash model (journals held as sealed text in the controller). Same
-  commit-cut timer cadence (digest-only, no disk), so the two engines
-  process the same event schedule.
+* **durable** — the crash controller commits crashed nodes' state,
+  reliable-endpoint queues and admission queues to the SQLite file
+  store, so every restart rebuilds the node from *disk only*. Barrier
+  commits run on a timer, and at every commit cut the run restores a
+  complete second network from the store and asserts its durable
+  digest equals the live one.
+* **oracle** — the identical scenario with the crash controller's
+  default in-memory store and no network commits. Same commit-cut timer
+  cadence (digest-only, no disk), so the two engines process the same
+  event schedule.
 
 If the store round-trips state exactly, the two runs are
 *byte-identical*: their :class:`~repro.obs.manifest.RunManifest`
@@ -37,6 +37,7 @@ from ..core.overload import OverloadConfig
 from ..errors import SimulationError
 from ..obs.manifest import RunManifest, config_digest
 from ..obs.metrics_export import METRICS_FORMAT_VERSION, export_deployment
+from ..obs.schema import STORE_EVENT_TYPES
 from ..obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
 from ..sim.clock import DAY
 from ..sim.rng import SeededStreams, derive_seed
@@ -49,22 +50,9 @@ from .network import (
     init_store,
     restore_network,
 )
-from .wire import decode_send, decode_wire, encode_send, encode_wire
 
-__all__ = ["SoakSpec", "StoreCrashController", "run_soak", "STORE_EVENT_TYPES"]
+__all__ = ["SoakSpec", "run_soak", "STORE_EVENT_TYPES"]
 
-#: Trace event types that exist only in durable mode; the soak manifest's
-#: event digest excludes them so durable and oracle runs stay comparable.
-STORE_EVENT_TYPES = (
-    "store.commit",
-    "store.restore",
-    "store.crash",
-    "store.restart",
-)
-
-_JOURNAL_KIND = "journal"
-_ENDPOINT_KIND = "endpoint"
-_ADMISSION_KIND = "admission"
 
 
 @dataclass(frozen=True)
@@ -118,81 +106,6 @@ class SoakSpec:
                 )
             )
         return events
-
-
-class StoreCrashController(CrashController):
-    """Crash/restart backed by the durable store instead of memory.
-
-    At the crash instant the sealed node journal, the reliable
-    endpoint's queue state and (for ISPs) the admission controller's
-    deferred queue are committed to the store, and the in-memory copies
-    are dropped. Restart reads *only* the store — the same information a
-    freshly exec'd process would find on disk — making every injected
-    crash a true process-death rehearsal.
-    """
-
-    def __init__(self, deployment: ChaosDeployment, store: DurableStore) -> None:
-        super().__init__(deployment)
-        self.store = store
-
-    def crash(self, node: str) -> None:
-        super().crash(node)
-        deployment = self.deployment
-        puts: list[tuple[str, str, Any]] = [
-            (_JOURNAL_KIND, node, self._journals.pop(node)),
-            (
-                _ENDPOINT_KIND,
-                node,
-                deployment.endpoints[node].state_dict(encode_wire),
-            ),
-        ]
-        admission = deployment.network.overload_controllers()
-        if node != "bank":
-            isp_id = self._isp_id(node)
-            if isp_id in admission:
-                puts.append(
-                    (
-                        _ADMISSION_KIND,
-                        node,
-                        admission[isp_id].state_dict(encode_send),
-                    )
-                )
-        self.store.commit(puts, barrier=self.store.barrier)
-        tracer = deployment.tracer
-        if tracer.enabled:
-            tracer.emit("store.crash", node=node)
-
-    def restart(self, node: str) -> None:
-        deployment = self.deployment
-        journal_text = self.store.get(_JOURNAL_KIND, node)
-        if journal_text is None:
-            raise SimulationError(f"store holds no crash journal for {node!r}")
-        # Hand the base restart the on-disk journal; it unseals (checksum
-        # verification) and rebuilds the node from it.
-        self._journals[node] = journal_text
-        endpoint_state = self.store.get(_ENDPOINT_KIND, node)
-        if endpoint_state is None:
-            raise SimulationError(f"store holds no endpoint state for {node!r}")
-        deployment.endpoints[node].load_state(endpoint_state, decode_wire)
-        admission_state = self.store.get(_ADMISSION_KIND, node)
-        if admission_state is not None:
-            isp_id = self._isp_id(node)
-            deployment.network.overload_controllers()[isp_id].load_state(
-                admission_state, decode_send
-            )
-        super().restart(node)
-        self.store.commit(
-            [],
-            barrier=self.store.barrier,
-            deletes=[
-                (_JOURNAL_KIND, node),
-                (_ENDPOINT_KIND, node),
-                (_ADMISSION_KIND, node),
-            ],
-        )
-        tracer = deployment.tracer
-        if tracer.enabled:
-            tracer.emit("store.restart", node=node)
 
 
 def _build_deployment(spec: SoakSpec, tracer: TraceRecorder) -> ChaosDeployment:
@@ -287,7 +200,7 @@ def run_soak(
         store = DurableStore.create(store_path)
         init_store(store, network)
         tracker = attach_tracker(network)
-        deployment.crash_controller = StoreCrashController(deployment, store)
+        deployment.crash_controller = CrashController(deployment, store)
 
         def commit_cut() -> None:
             barriers[0] += 1

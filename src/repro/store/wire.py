@@ -9,8 +9,9 @@ bit-identical to an uninterrupted one, so lossy encoding would show up
 immediately).
 
 Kept out of ``repro.store``'s package root: it imports the chaos
-snapshot types, and :mod:`repro.chaos.crash` imports
-:mod:`repro.store.codec` — the split keeps the dependency graph acyclic.
+snapshot types, and :mod:`repro.chaos.crash` imports the store backend
+at module level — the split keeps the dependency graph acyclic (the
+crash controller imports this module only inside its methods).
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ when they need to vary a world's size.
 
 import os
 
+from repro.cluster import ShardSpec, plan_shards
 from repro.scenario import compile_scenario, load
-from repro.sim.clock import DAY
+from repro.sim.clock import DAY, HOUR
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "scenarios")
 
@@ -57,3 +58,24 @@ def smoke_world(seed):
         n_isps=6, users_per_isp=12, days=2, normal_rate_per_day=16.0
     )
     return load_plan(doc, seed=seed).scenario()
+
+
+def journaling_shard(journal_dir):
+    """A one-shard cluster slice journaling into ``journal_dir`` (made
+    here; ``None`` journals nothing): a small two-day world in 6 h
+    epochs, midnight at cycle 4."""
+    if journal_dir is not None:
+        os.makedirs(journal_dir)
+    scenario = load_plan(mixed_world(
+        5, n_isps=3, users_per_isp=8, days=2, normal_rate_per_day=4.0
+    )).scenario()
+    plan = plan_shards(scenario.n_isps, 1, seed=scenario.seed)
+    return ShardSpec(
+        shard_id=0,
+        n_shards=1,
+        scenario=scenario,
+        assignment=plan.assignment,
+        epoch_len=6 * HOUR,
+        total_cycles=8,
+        journal_dir=journal_dir and str(journal_dir),
+    )

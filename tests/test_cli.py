@@ -255,6 +255,12 @@ class TestRunRejectsBadInput:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and "topolgy" in err
 
+    def test_soak_refuses_an_existing_store(self, tmp_path, capsys):
+        store = tmp_path / "soak.db"
+        store.write_bytes(b"")
+        assert main(["soak", "--store", str(store)]) == 2
+        assert "already exists" in capsys.readouterr().err
+
 
 class TestArenaCommand:
     ARGS = [

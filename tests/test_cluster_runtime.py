@@ -9,7 +9,6 @@ that keep misconfigured runs from silently diverging.
 """
 
 import dataclasses
-import json
 import multiprocessing
 import threading
 
@@ -26,6 +25,7 @@ from repro.cluster import (
 )
 from repro.errors import SimulationError
 from repro.sim.clock import HOUR
+from repro.store import DurableStore
 
 
 @pytest.fixture(scope="module")
@@ -210,8 +210,9 @@ class TestWorkerEntry:
 
     def test_unreadable_journal_rejected(self, tmp_path):
         spec = self._spec(tmp_path)
-        with open(spec.journal_path, "w", encoding="utf-8") as handle:
-            json.dump({"format": 999}, handle)
+        ShardWorker(spec)._store.close()
+        with DurableStore.open(spec.journal_path) as store:
+            store.commit([], barrier=0, meta={"journal_format_version": "999"})
         with pytest.raises(SimulationError, match="journal format"):
             ShardWorker(spec)
 

@@ -1,13 +1,12 @@
-"""Unit tests for the durable store backend and the sealed-record codec."""
+"""Unit tests for the durable store backend and its record codec."""
 
-import json
 import os
 import sqlite3
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.store import DurableStore, record_checksum, seal, unseal
+from repro.store import DurableStore, record_checksum
 from repro.store.codec import STORE_FORMAT_VERSION, decode_payload, encode_payload
 
 
@@ -37,48 +36,21 @@ class TestCodec:
         assert record_checksum("isp", "0:1", payload) != base
         assert record_checksum("user", "0:1", payload + " ") != base
 
-    def test_seal_unseal_roundtrip(self):
-        value = {"pool": 500, "users": [1, 2, 3]}
-        assert unseal(seal(value)) == value
-
-    def test_seal_with_identity(self):
-        text = seal({"x": 1}, kind="crash-journal", key="isp0")
-        assert unseal(text, kind="crash-journal", key="isp0") == {"x": 1}
-
-    def test_unseal_wrong_identity_raises(self):
-        text = seal({"x": 1}, kind="crash-journal", key="isp0")
-        with pytest.raises(SimulationError, match="identity mismatch"):
-            unseal(text, kind="crash-journal", key="isp1")
-
-    def test_unseal_tampered_payload_raises(self):
-        text = seal({"balance": 100}, kind="j", key="n")
-        tampered = text.replace("100", "900")
-        with pytest.raises(SimulationError, match="checksum mismatch"):
-            unseal(tampered, kind="j", key="n")
-
-    def test_unseal_garbage_raises(self):
-        with pytest.raises(SimulationError, match="corrupted sealed record"):
-            unseal("not json at all")
-
-    def test_unseal_missing_fields_raises(self):
-        with pytest.raises(SimulationError, match="envelope malformed"):
-            unseal(json.dumps({"kind": "j", "key": ""}))
-
-    def test_unseal_non_dict_envelope_raises(self):
-        with pytest.raises(SimulationError, match="envelope malformed"):
-            unseal(json.dumps([1, 2, 3]))
-
-    def test_unseal_non_string_payload_raises(self):
-        text = seal({"x": 1}, kind="j", key="n")
-        envelope = json.loads(text)
-        envelope["payload"] = {"x": 1}
-        with pytest.raises(SimulationError, match="checksum mismatch"):
-            unseal(json.dumps(envelope), kind="j", key="n")
-
 
 class TestLifecycle:
     def test_create_pins_format_version(self, store):
         assert store.meta_get("store_format_version") == str(STORE_FORMAT_VERSION)
+
+    def test_create_refuses_an_existing_store(self, tmp_path):
+        # A fresh run must never load an earlier run's state.
+        path = str(tmp_path / "s.db")
+        with DurableStore.create(path) as s:
+            s.commit([("user", "0:1", {"balance": 7})], barrier=3)
+        with pytest.raises(SimulationError, match="already exists"):
+            DurableStore.create(path)
+        with DurableStore.open(path) as s:
+            assert s.barrier == 3
+            assert s.get("user", "0:1") == {"balance": 7}
 
     def test_open_existing(self, tmp_path):
         path = str(tmp_path / "s.db")

@@ -6,21 +6,15 @@ from the SQLite store) and as an in-memory oracle must produce
 byte-identical run manifests.
 """
 
-import json
-
 import pytest
 
+from repro.chaos.crash import CrashController
 from repro.chaos.deployment import ChaosDeployment
 from repro.errors import SimulationError
 from repro.obs.manifest import RunManifest
 from repro.obs.schema import EVENT_TYPES
 from repro.store import DurableStore
-from repro.store.soak import (
-    STORE_EVENT_TYPES,
-    SoakSpec,
-    StoreCrashController,
-    run_soak,
-)
+from repro.store.soak import STORE_EVENT_TYPES, SoakSpec, run_soak
 
 FAST = SoakSpec(
     seed=7,
@@ -99,14 +93,16 @@ class TestRecoveryEquivalence:
         assert durable["store_barrier"] == durable["cuts"]
 
 
-class TestStoreCrashController:
+class TestCrashControllerStore:
+    """The chaos crash controller writes every crash through a store."""
+
     @pytest.fixture
     def rig(self, tmp_path):
         deployment = ChaosDeployment(
             n_isps=2, users_per_isp=3, seed=3, faults=None
         )
         store = DurableStore.create(str(tmp_path / "rig.db"))
-        controller = StoreCrashController(deployment, store)
+        controller = CrashController(deployment, store)
         deployment.crash_controller = controller
         yield deployment, store, controller
         store.close()
@@ -125,7 +121,9 @@ class TestStoreCrashController:
         assert store.get("endpoint", "isp0") is None
 
     def test_restart_without_journal_raises(self, rig):
-        _, _, controller = rig
+        _, store, controller = rig
+        controller.crash("isp0")
+        store.commit([], barrier=store.barrier, deletes=[("journal", "isp0")])
         with pytest.raises(SimulationError, match="no crash journal"):
             controller.restart("isp0")
 
@@ -139,10 +137,11 @@ class TestStoreCrashController:
     def test_tampered_journal_refuses_restart(self, rig):
         _, store, controller = rig
         controller.crash("bank")
-        sealed = store.get("journal", "bank")
-        envelope = json.loads(sealed)
-        envelope["payload"] = envelope["payload"].replace("0", "9", 1)
-        store.commit([("journal", "bank", json.dumps(envelope))],
-                     barrier=store.barrier)
-        with pytest.raises(SimulationError):
+        # Edit the committed row behind the store's back: the checksum
+        # no longer matches the payload.
+        store._conn.execute(
+            "UPDATE records SET payload = replace(payload, '0', '9') "
+            "WHERE kind = 'journal' AND key = 'bank'"
+        )
+        with pytest.raises(SimulationError, match="checksum"):
             controller.restart("bank")

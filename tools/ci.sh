@@ -220,7 +220,9 @@ echo "== store soak smoke (seed ${SOAK_SEED}, durable vs in-memory oracle) =="
 # Recovery-equivalence gate: the same seeded crash/restart/flood soak
 # run against the durable store (every restart rebuilt from disk) and
 # as an uninterrupted in-memory oracle must produce byte-identical run
-# manifests. Two crash/restart cycles are injected by default.
+# manifests. Two crash/restart cycles are injected by default. The store
+# file is removed first: a store left by an aborted run is refused.
+rm -f /tmp/soak_store.db /tmp/soak_store.db-wal /tmp/soak_store.db-shm
 PYTHONPATH=src python -m repro soak --seed "${SOAK_SEED}" \
     --days 0.25 --crashes 2 \
     --store /tmp/soak_store.db \
