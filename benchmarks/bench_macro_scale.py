@@ -126,12 +126,9 @@ def run_single(mode: str, messages: int, seed: int) -> dict:
     import time
 
     scenario = canonical_scenario(messages, seed)
-    if mode == "engine_stream":
-        scenario.engine_mode = True
-    elif mode == "columnar":
-        scenario.columnar = True
-    elif mode != "direct":
+    if mode not in ("direct", "columnar", "engine_stream"):
         raise SystemExit(f"unknown mode {mode!r}")
+    scenario.mode = "engine" if mode == "engine_stream" else mode
 
     start = time.perf_counter()
     result = scenario.run()

@@ -42,11 +42,10 @@ mode byte for byte (asserted in tests); tracing changes no outcome.
 from __future__ import annotations
 
 from ..core.isp import CompliantISP
-from ..core.zombie import ZombieMonitor
 from ..errors import SimulationError
 from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
-from ..sim.rng import HAVE_NUMPY, SeededStreams
+from ..sim.rng import SeededStreams
 from .plan import KIND_ORDER, merge_column_streams
 from .state import ColumnarState
 
@@ -68,24 +67,15 @@ _KIND_VALUES = tuple(kind.value for kind in KIND_ORDER)
 
 def run_columnar(scenario):
     """Execute ``scenario`` with the columnar batch executor."""
-    if not HAVE_NUMPY:
-        raise SimulationError("columnar mode requires numpy")
-    if scenario.engine_mode:
-        raise SimulationError("columnar mode is a direct-mode executor")
     import numpy as np
 
-    network = scenario.build_network()
+    network, monitor = scenario._deploy()
     if any(
         not isinstance(isp, CompliantISP) for isp in network.isps.values()
     ):
         raise SimulationError(
             "columnar mode requires an all-compliant deployment"
         )
-    monitor = ZombieMonitor(network)
-    for spec in scenario.spammers:
-        if spec.war_chest:
-            network.fund_user(spec.address, epennies=spec.war_chest)
-
     streams = SeededStreams(scenario.seed)
     chunks = merge_column_streams(scenario.workload_column_streams(streams))
 

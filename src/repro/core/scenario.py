@@ -19,11 +19,20 @@ downstream user writes::
 and gets a :class:`ScenarioResult` with message accounting, per-class
 delivery, detection outcomes, reconciliation reports and the conservation
 audit — everything EXPERIMENTS.md tables are made of.
+
+Each traffic term (normal mail, spam campaigns, zombie bursts, floods)
+becomes its workload in one place, :meth:`Scenario._workloads`; the
+object view (:meth:`Scenario.workload_streams`) and the column view
+(:meth:`Scenario.workload_column_streams`) both derive from it.
+:attr:`Scenario.mode` names the executor that replays the traffic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
+
+import numpy as np
 
 from ..errors import SimulationError
 from ..obs.manifest import accounting_digest
@@ -45,6 +54,16 @@ from .protocol import ZmailNetwork
 from .zombie import ZombieDetection, ZombieMonitor
 
 __all__ = ["SpammerSpec", "ZombieSpec", "Scenario", "ScenarioResult"]
+
+
+def _columns_until(chunks, horizon: float):
+    """Column chunks cut before the first arrival at or past ``horizon``."""
+    for times, senders, recipients in chunks:
+        cut = int(np.searchsorted(times, horizon, side="left"))
+        if cut:
+            yield times[:cut], senders[:cut], recipients[:cut]
+        if cut < len(times):
+            return
 
 
 @dataclass(frozen=True)
@@ -113,7 +132,7 @@ class ScenarioResult:
 
 @dataclass
 class Scenario:
-    """A complete simulation specification (direct mode).
+    """A complete simulation specification.
 
     Attributes:
         n_isps / users_per_isp / compliant / config / seed: Deployment
@@ -123,6 +142,7 @@ class Scenario:
         spammers / zombies: Adversarial actors to inject.
         reconcile_every: Period between §4.4 rounds (0 disables; a final
             round always runs at the end).
+        mode: The executor, ``"direct"``, ``"columnar"`` or ``"engine"``.
     """
 
     n_isps: int = 3
@@ -140,15 +160,10 @@ class Scenario:
     # which injects floods only into ChaosDeployment campaigns.
     floods: list[FloodSpec] = field(default_factory=list)
     reconcile_every: float = 0.0
-    # Engine mode: letters travel a FIFO latency network and
-    # reconciliation uses the marker snapshot on virtual time.
-    engine_mode: bool = False
-    # Columnar mode: direct-mode semantics executed by the vectorized
-    # struct-of-arrays batch executor (repro.columnar). Requires numpy
-    # and an all-compliant deployment; produces accounting bit-identical
-    # to direct mode (tested and benchmarked). Mutually exclusive with
-    # engine_mode.
-    columnar: bool = False
+    # "direct" is the reference semantics; "columnar" runs them as
+    # vectorized batches (repro.columnar, all-compliant deployments
+    # only); "engine" sends letters over a FIFO latency network.
+    mode: str = "direct"
     link: object | None = None  # sim.LinkSpec; object to avoid hard import
     # Observability (repro.obs): an optional TraceRecorder threaded into
     # the deployment (every ledger event is emitted through it) and an
@@ -156,6 +171,13 @@ class Scenario:
     # off; tracing must not change any protocol outcome (tested).
     tracer: object | None = None
     spans: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("direct", "columnar", "engine"):
+            raise SimulationError(
+                f"unknown scenario executor mode {self.mode!r}; expected "
+                "'direct', 'columnar' or 'engine'"
+            )
 
     def build_network(self, engine=None) -> ZmailNetwork:
         """The deployment this scenario runs on (exposed for customisation)."""
@@ -171,6 +193,70 @@ class Scenario:
             spans=self.spans,  # type: ignore[arg-type]
         )
 
+    def _deploy(self, engine=None):
+        """The deployment, spammers funded, and a zombie monitor on it."""
+        network = self.build_network(engine=engine)
+        for spec in self.spammers:
+            if spec.war_chest:
+                network.fund_user(spec.address, epennies=spec.war_chest)
+        return network, ZombieMonitor(network)
+
+    def _workloads(self, streams: SeededStreams):
+        """Build every traffic term's workload once, in stream order.
+
+        Yields ``(kind, sender_isp, workload, args, end)``:
+        ``sender_isp`` is the ISP all of the term's mail is sent from
+        (``None`` for normal traffic, whose senders span the
+        population), ``args`` what the workload's ``generate`` and
+        ``generate_columns`` take, and ``end`` where its window closes.
+        Terms whose window opens at or past the ``duration`` horizon are
+        left out. Every spec draws from its own spawned stream family, so
+        building a term draws nothing and no term perturbs another.
+        """
+        size = {"n_isps": self.n_isps, "users_per_isp": self.users_per_isp}
+        if self.normal_rate_per_day > 0:
+            normal = NormalUserWorkload(
+                rate_per_day=self.normal_rate_per_day, streams=streams, **size
+            )
+            horizon = self.duration
+            yield TrafficKind.NORMAL, None, normal, (horizon,), horizon
+        for index, spec in enumerate(self.spammers):
+            if spec.start >= self.duration:
+                continue
+            spam = SpamCampaignWorkload(
+                spammer=spec.address,
+                volume=spec.volume,
+                start=spec.start,
+                duration=spec.duration,
+                streams=streams.spawn(f"spam{index}"),
+                **size,
+            )
+            end = spec.start + spec.duration
+            yield TrafficKind.SPAM, spec.address.isp, spam, (), end
+        for index, spec in enumerate(self.zombies):
+            if spec.start >= self.duration:
+                continue
+            zombie = ZombieBurstWorkload(
+                zombie=spec.address,
+                rate_per_hour=spec.rate_per_hour,
+                start=spec.start,
+                end=spec.end,
+                streams=streams.spawn(f"zombie{index}"),
+                **size,
+            )
+            yield TrafficKind.ZOMBIE, spec.address.isp, zombie, (), spec.end
+        for index, spec in enumerate(self.floods):
+            if spec.start >= self.duration:
+                continue
+            flood = FloodWorkload(
+                spec=spec,
+                streams=streams.spawn(f"flood{index}"),
+                name=f"flood{index}",
+                **size,
+            )
+            end = spec.start + spec.duration
+            yield TrafficKind(spec.kind), spec.attacker_isp, flood, (), end
+
     def workload_streams(
         self,
         streams: SeededStreams,
@@ -179,155 +265,55 @@ class Scenario:
     ):
         """The scenario's request iterators, optionally filtered by sender.
 
-        ``sender_isps`` restricts the output to requests whose *sender*
-        is homed at one of the given ISPs — the cluster runtime's shard
-        filter. Filtering is replication-safe: every shard builds the
-        same streams from the same seed, so per-name RNG consumption is
-        identical everywhere; the normal workload is filtered
-        per-request (its per-sender contact streams are independent),
-        while spam/zombie streams for foreign actors are skipped
-        entirely (each spec has its own spawned stream).
+        Traffic stops at the ``duration`` horizon: a term whose window
+        runs past it is cut there, so every executor sees the same
+        requests. ``sender_isps`` restricts the output to requests whose
+        *sender* is homed at one of the given ISPs — the cluster
+        runtime's shard filter. Filtering is replication-safe: every
+        shard builds the same workloads from the same seed, so per-name
+        RNG consumption is identical everywhere; the normal workload is
+        filtered per-request, while the other terms of foreign actors are
+        skipped entirely.
         """
         keep = sender_isps
+        horizon = self.duration
         iterators = []
-        if self.normal_rate_per_day > 0:
-            normal = NormalUserWorkload(
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                rate_per_day=self.normal_rate_per_day,
-                streams=streams,
-            ).generate(self.duration)
-            if keep is not None:
-                normal = (r for r in normal if r.sender.isp in keep)
-            iterators.append(normal)
-        for index, spec in enumerate(self.spammers):
-            spawned = streams.spawn(f"spam{index}")
-            if keep is not None and spec.address.isp not in keep:
+        for _kind, home, workload, args, end in self._workloads(streams):
+            if keep is not None and home is not None and home not in keep:
                 continue
-            iterators.append(
-                SpamCampaignWorkload(
-                    spammer=spec.address,
-                    n_isps=self.n_isps,
-                    users_per_isp=self.users_per_isp,
-                    volume=spec.volume,
-                    start=spec.start,
-                    duration=spec.duration,
-                    streams=spawned,
-                ).generate()
-            )
-        for index, spec in enumerate(self.zombies):
-            spawned = streams.spawn(f"zombie{index}")
-            if keep is not None and spec.address.isp not in keep:
-                continue
-            iterators.append(
-                ZombieBurstWorkload(
-                    zombie=spec.address,
-                    n_isps=self.n_isps,
-                    users_per_isp=self.users_per_isp,
-                    rate_per_hour=spec.rate_per_hour,
-                    start=spec.start,
-                    end=spec.end,
-                    streams=spawned,
-                ).generate()
-            )
-        for index, spec in enumerate(self.floods):
-            spawned = streams.spawn(f"flood{index}")
-            if keep is not None and spec.attacker_isp not in keep:
-                continue
-            iterators.append(
-                FloodWorkload(
-                    spec=spec,
-                    n_isps=self.n_isps,
-                    users_per_isp=self.users_per_isp,
-                    streams=spawned,
-                    name=f"flood{index}",
-                ).generate()
-            )
+            requests = workload.generate(*args)
+            if end > horizon:
+                requests = takewhile(lambda r: r.time < horizon, requests)
+            if keep is not None and home is None:
+                requests = (r for r in requests if r.sender.isp in keep)
+            iterators.append(requests)
         return iterators
-
-    # Backwards-compatible private alias (pre-cluster callers).
-    def _workload_streams(self, streams: SeededStreams):
-        return self.workload_streams(streams)
 
     def workload_column_streams(self, streams: SeededStreams):
         """The scenario's traffic as ``(kind, column-chunk iterator)`` pairs.
 
-        The mirror of :meth:`workload_streams` for the columnar executor:
-        same workload constructors, same stream names and spawns, so the
-        RNG draws — and therefore the traffic — are identical to the
-        object path by construction.
+        The columnar executor's view of the same workloads, cut at the
+        same horizon, that :meth:`workload_streams` expands into requests.
         """
         column_streams = []
-        if self.normal_rate_per_day > 0:
-            normal = NormalUserWorkload(
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                rate_per_day=self.normal_rate_per_day,
-                streams=streams,
-            )
-            column_streams.append(
-                (TrafficKind.NORMAL, normal.generate_columns(self.duration))
-            )
-        for index, spec in enumerate(self.spammers):
-            spawned = streams.spawn(f"spam{index}")
-            workload = SpamCampaignWorkload(
-                spammer=spec.address,
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                volume=spec.volume,
-                start=spec.start,
-                duration=spec.duration,
-                streams=spawned,
-            )
-            column_streams.append((TrafficKind.SPAM, workload.generate_columns()))
-        for index, spec in enumerate(self.zombies):
-            spawned = streams.spawn(f"zombie{index}")
-            workload = ZombieBurstWorkload(
-                zombie=spec.address,
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                rate_per_hour=spec.rate_per_hour,
-                start=spec.start,
-                end=spec.end,
-                streams=spawned,
-            )
-            column_streams.append(
-                (TrafficKind.ZOMBIE, workload.generate_columns())
-            )
-        for index, spec in enumerate(self.floods):
-            spawned = streams.spawn(f"flood{index}")
-            workload = FloodWorkload(
-                spec=spec,
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                streams=spawned,
-                name=f"flood{index}",
-            )
-            column_streams.append(
-                (TrafficKind(spec.kind), workload.generate_columns())
-            )
+        for kind, _home, workload, args, end in self._workloads(streams):
+            chunks = workload.generate_columns(*args)
+            if end > self.duration:
+                chunks = _columns_until(chunks, self.duration)
+            column_streams.append((kind, chunks))
         return column_streams
 
     def run(self) -> ScenarioResult:
         """Execute the scenario and collect the result."""
-        if self.columnar:
-            if self.engine_mode:
-                raise SimulationError(
-                    "columnar and engine modes are mutually exclusive"
-                )
+        if self.mode == "columnar":
             from ..columnar.executor import run_columnar
 
             return run_columnar(self)
-        if self.engine_mode:
+        if self.mode == "engine":
             return self._run_engine()
-        network = self.build_network()
-        monitor = ZombieMonitor(network)
-        for spec in self.spammers:
-            if spec.war_chest:
-                network.fund_user(spec.address, epennies=spec.war_chest)
-
+        network, monitor = self._deploy()
         streams = SeededStreams(self.seed)
-        requests = merge_workloads(*self._workload_streams(streams))
+        requests = merge_workloads(*self.workload_streams(streams))
 
         reconciliations: list[ReconciliationReport] = []
         cut_digests: list[str] = []
@@ -356,14 +342,9 @@ class Scenario:
         from ..sim.engine import Engine
 
         engine = Engine(spans=self.spans)  # type: ignore[arg-type]
-        network = self.build_network(engine=engine)
-        monitor = ZombieMonitor(network)
-        for spec in self.spammers:
-            if spec.war_chest:
-                network.fund_user(spec.address, epennies=spec.war_chest)
-
+        network, monitor = self._deploy(engine)
         streams = SeededStreams(self.seed)
-        requests = merge_workloads(*self._workload_streams(streams))
+        requests = merge_workloads(*self.workload_streams(streams))
         # The network tallies attempts itself (workload_attempted), so the
         # streaming fast path needs no counting wrapper around the (hot)
         # request iterator and never holds the workload in memory.

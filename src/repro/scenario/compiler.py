@@ -133,7 +133,7 @@ class ScenarioPlan:
             return self.lowered().scenario(mode)
         doc = self.doc
         topo, traffic = doc["topology"], doc["traffic"]
-        scenario = Scenario(
+        return Scenario(
             n_isps=topo["n_isps"],
             users_per_isp=topo["users_per_isp"],
             compliant=self.compliant_flags(),
@@ -173,18 +173,9 @@ class ScenarioPlan:
                 for f in traffic["floods"]
             ],
             reconcile_every=doc["reconcile"]["every"],
+            mode=mode,
+            link=LinkSpec(base_latency=0.0) if mode == "engine" else None,
         )
-        if mode == "columnar":
-            scenario.columnar = True
-        elif mode == "engine":
-            scenario.engine_mode = True
-            scenario.link = LinkSpec(base_latency=0.0)
-        elif mode != "direct":
-            raise SimulationError(
-                f"unknown scenario executor mode {mode!r}; expected "
-                "'direct', 'columnar' or 'engine'"
-            )
-        return scenario
 
     def cluster_config(
         self,

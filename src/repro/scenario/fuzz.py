@@ -3,14 +3,13 @@
 :func:`run_fuzz` drives a seeded campaign: world ``i`` is generated from
 ``derive_seed(campaign_seed, "world:i")``, compiled once, and executed
 on the full executor matrix — direct, columnar (when the world is
-all-compliant and numpy is present) and the inline cluster at a fixed
-shard count. The worlds' invariant manifests must be byte-identical
-across executors and must report conservation; any violation is a
-failure. A failing world is immediately shrunk
-(:mod:`repro.scenario.shrink`) to a minimal still-failing document, and
-both the original and the minimal world are written out as artifacts, so
-a nightly red run hands the next engineer a two-line reproduction:
-``repro fuzz --replay SEED:INDEX``.
+all-compliant) and the inline cluster at a fixed shard count. The
+worlds' invariant manifests must be byte-identical across executors and
+must report conservation; any violation is a failure. A failing world
+is immediately shrunk (:mod:`repro.scenario.shrink`) to a minimal
+still-failing document, and both the original and the minimal world are
+written out as artifacts, so a nightly red run hands the next engineer a
+two-line reproduction: ``repro fuzz --replay SEED:INDEX``.
 
 Reports contain no wall-clock timestamps: the same campaign seed yields
 byte-identical report text on every machine, red or green.
@@ -24,7 +23,6 @@ from typing import Any, Callable
 from ..errors import SimulationError
 from ..sim.clock import DAY
 from ..sim.rng import derive_seed
-from ..sim.workload import HAVE_NUMPY
 from .compiler import compile_scenario, run_plan
 from .generate import generate_doc
 from .schema import canonical_dump
@@ -79,10 +77,10 @@ def check_world(doc: dict[str, Any], *, shards: int = 2) -> str | None:
     """
     plan = compile_scenario(doc)
     modes = ["direct"]
-    if plan.all_compliant and HAVE_NUMPY:
+    if plan.all_compliant:
         modes.append("columnar")
     runs = {mode: run_plan(plan, mode) for mode in modes}
-    if cluster_comparable(doc):
+    if cluster_comparable(plan.doc):
         runs["cluster"] = run_plan(
             plan, "cluster", shards=min(shards, plan.doc["topology"]["n_isps"])
         )

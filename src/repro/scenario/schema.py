@@ -599,13 +599,8 @@ def parse(text: str, *, source: str = "<string>") -> dict[str, Any]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as json_err:
-        try:
-            import yaml
-        except ImportError:  # pragma: no cover - yaml is normally present
-            raise SimulationError(
-                f"{source}: not valid JSON ({json_err}) and PyYAML is "
-                "unavailable"
-            ) from json_err
+        import yaml
+
         try:
             doc = yaml.safe_load(text)
         except yaml.YAMLError as yaml_err:

@@ -4,24 +4,21 @@ Every stochastic component in the library draws from a named stream derived
 from a single root seed. Streams are independent: adding draws to one stream
 does not perturb another, so experiments stay comparable when a workload
 gains a new source of randomness.
+
+Workload traffic is drawn in bulk from the numpy generators
+(:meth:`SeededStreams.get_numpy`); the :class:`random.Random` streams
+(:meth:`SeededStreams.get`) serve the one-at-a-time draws — contact
+lists, link latency and loss, fault injection.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Sequence, TypeVar
 
-try:  # numpy accelerates bulk draws; everything degrades gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+import numpy as np
 
-__all__ = ["SeededStreams", "derive_seed", "HAVE_NUMPY"]
-
-HAVE_NUMPY = _np is not None
-
-T = TypeVar("T")
+__all__ = ["SeededStreams", "derive_seed"]
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -63,20 +60,14 @@ class SeededStreams:
 
         Numpy generators live in their own namespace (the seed is derived
         from ``"numpy:" + name``), so a python stream and a numpy stream
-        with the same name stay independent. Used by the workload fast
-        paths to draw whole arrays of inter-arrival times and targets in
-        one call while keeping per-seed determinism.
-
-        Raises:
-            RuntimeError: if numpy is not installed (check
-                :data:`HAVE_NUMPY` first on optional paths).
+        with the same name stay independent. The workloads draw whole
+        arrays of inter-arrival times and targets from these in one call
+        while keeping per-seed determinism.
         """
-        if _np is None:  # pragma: no cover - exercised only on numpy-less hosts
-            raise RuntimeError("numpy is not available; check rng.HAVE_NUMPY")
         generator = self._np_streams.get(name)
         if generator is None:
             seed = derive_seed(self.root_seed, f"numpy:{name}")
-            generator = _np.random.Generator(_np.random.PCG64(seed))
+            generator = np.random.Generator(np.random.PCG64(seed))
             self._np_streams[name] = generator
         return generator
 
@@ -87,27 +78,3 @@ class SeededStreams:
         of streams without global coordination.
         """
         return SeededStreams(derive_seed(self.root_seed, name))
-
-    # -- convenience draws ----------------------------------------------------
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """One uniform draw from the named stream."""
-        return self.get(name).uniform(low, high)
-
-    def expovariate(self, name: str, rate: float) -> float:
-        """One exponential inter-arrival draw with the given rate."""
-        return self.get(name).expovariate(rate)
-
-    def choice(self, name: str, items: Sequence[T]) -> T:
-        """One uniform choice from ``items`` on the named stream."""
-        return self.get(name).choice(items)
-
-    def bernoulli(self, name: str, p: float) -> bool:
-        """One biased-coin flip with success probability ``p``."""
-        return self.get(name).random() < p
-
-    def poisson_process(self, name: str, rate: float) -> Iterator[float]:
-        """Yield an endless sequence of exponential inter-arrival gaps."""
-        stream = self.get(name)
-        while True:
-            yield stream.expovariate(rate)

@@ -10,21 +10,15 @@ benchmark harness apples-to-apples.
 Addresses are ``(isp_id, user_id)`` pairs matching the paper's model of
 ``n`` ISPs with ``m`` users each.
 
-Performance: when numpy is available (see :data:`repro.sim.rng.HAVE_NUMPY`)
-the generators draw inter-arrival times and targets in vectorized chunks —
-one RNG call per few thousand messages instead of two per message — while
-staying lazy (constant memory per stream) and deterministic per seed. The
-numpy and pure-python paths are *both* deterministic, but they draw from
-differently named streams and therefore produce different (equally valid)
-traffic for the same seed; a given host always takes the same path.
-
-Each generator also exposes ``generate_columns()`` — the same traffic as
+Every workload draws its traffic one way: ``generate_columns()`` yields
 column chunks ``(times, sender_gids, recipient_gids)`` of parallel numpy
-arrays, where a *gid* is the flat user index ``isp * users_per_isp +
-user``. The object path (``_generate_numpy``) is a thin wrapper that
-expands those columns into :class:`SendRequest` records, so the columnar
-batch executor (:mod:`repro.columnar`) and the object executors consume
-byte-identical traffic from identical RNG draws by construction.
+arrays, a few thousand arrivals per RNG call, where a *gid* is the flat
+user index ``isp * users_per_isp + user``. The chunks stay lazy
+(constant memory per stream) and are deterministic per seed. The
+columnar batch executor (:mod:`repro.columnar`) consumes them directly;
+``generate()`` expands the same chunks into :class:`SendRequest` records
+for the object executors, so every executor replays byte-identical
+traffic by construction.
 """
 
 from __future__ import annotations
@@ -33,9 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+import numpy as np
+
 from ..errors import SimulationError
 from .clock import DAY
-from .rng import HAVE_NUMPY, SeededStreams
+from .rng import SeededStreams
 
 __all__ = [
     "TrafficKind",
@@ -88,6 +84,26 @@ class SendRequest:
         return self.time < other.time
 
 
+def _address_table(n_isps: int, users_per_isp: int) -> list[Address]:
+    """Every user's :class:`Address`, indexed by gid."""
+    return [Address(i, u) for i in range(n_isps) for u in range(users_per_isp)]
+
+
+def _expand(chunks, addresses: list[Address], kind: TrafficKind):
+    """Expand ``(times, senders, recipients)`` column chunks into requests.
+
+    ``addresses`` maps each gid to its :class:`Address`; the per-message
+    work left in python is two list lookups and the allocation.
+    """
+    for times, senders, recipients in chunks:
+        for when, sender, recipient in zip(
+            times.tolist(), senders.tolist(), recipients.tolist()
+        ):
+            yield SendRequest(
+                when, addresses[sender], addresses[recipient], kind
+            )
+
+
 class NormalUserWorkload:
     """Poisson correspondence among normal users.
 
@@ -117,77 +133,37 @@ class NormalUserWorkload:
         self.contacts_per_user = contacts_per_user
         self._streams = streams
         self.name = name
-        self._population = [
-            Address(i, u) for i in range(n_isps) for u in range(users_per_isp)
-        ]
-        self._contacts: dict[Address, list[Address]] = {}
-
-    def _contacts_of(self, sender: Address) -> list[Address]:
-        contacts = self._contacts.get(sender)
-        if contacts is None:
-            stream = self._streams.get(f"{self.name}:contacts:{sender}")
-            others = [a for a in self._population if a != sender]
-            k = min(self.contacts_per_user, len(others))
-            contacts = stream.sample(others, k) if k else []
-            self._contacts[sender] = contacts
-        return contacts
+        self._addresses = _address_table(n_isps, users_per_isp)
 
     def generate(self, duration: float) -> Iterator[SendRequest]:
         """Yield requests over ``[0, duration)`` in time order."""
-        if self.rate_per_day == 0:
-            return iter(())
-        if HAVE_NUMPY:
-            return self._generate_numpy(duration)
-        return self._generate_python(duration)
-
-    def _generate_python(self, duration: float) -> Iterator[SendRequest]:
-        arrival_stream = self._streams.get(f"{self.name}:arrivals")
-        pick_stream = self._streams.get(f"{self.name}:pick")
-        total_rate = self.rate_per_day * len(self._population) / DAY
-        t = 0.0
-        while True:
-            t += arrival_stream.expovariate(total_rate)
-            if t >= duration:
-                return
-            sender = pick_stream.choice(self._population)
-            contacts = self._contacts_of(sender)
-            if not contacts:
-                continue
-            recipient = pick_stream.choice(contacts)
-            yield SendRequest(t, sender, recipient, TrafficKind.NORMAL)
+        return _expand(
+            self.generate_columns(duration), self._addresses, TrafficKind.NORMAL
+        )
 
     def _contact_table(self):
-        """Contact lists as a gid matrix + per-sender counts (column path).
+        """Contact lists as a gid matrix + per-sender counts.
 
-        The per-sender contact streams are independently named, so
-        materializing them eagerly here draws exactly the same values as
-        the lazy per-sender lookups on the object path.
+        Each sender's contacts come from its own named stream, so the
+        table does not depend on the order it is built in.
         """
-        import numpy as np
-
-        n = len(self._population)
+        n = len(self._addresses)
         counts = np.zeros(n, dtype=np.int64)
         table = np.zeros((n, max(1, self.contacts_per_user)), dtype=np.int64)
-        users_per_isp = self.users_per_isp
-        for index, sender in enumerate(self._population):
-            contacts = self._contacts_of(sender)
-            counts[index] = len(contacts)
-            for slot, contact in enumerate(contacts):
-                table[index, slot] = contact.isp * users_per_isp + contact.user
+        for gid, sender in enumerate(self._addresses):
+            stream = self._streams.get(f"{self.name}:contacts:{sender}")
+            others = [other for other in range(n) if other != gid]
+            k = min(self.contacts_per_user, len(others))
+            counts[gid] = k
+            table[gid, :k] = stream.sample(others, k)
         return table, counts
 
     def generate_columns(self, duration: float):
-        """Yield ``(times, sender_gids, recipient_gids)`` column chunks.
-
-        Same RNG streams, same draw order and same cutoff semantics as
-        :meth:`_generate_numpy`; requires numpy.
-        """
-        import numpy as np
-
+        """Yield ``(times, sender_gids, recipient_gids)`` column chunks."""
         if self.rate_per_day == 0:
             return
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
-        n_population = len(self._population)
+        n_population = len(self._addresses)
         total_rate = self.rate_per_day * n_population / DAY
         table, counts = self._contact_table()
         t = 0.0
@@ -198,8 +174,8 @@ class NormalUserWorkload:
             t = float(times[-1])
             senders = rng.integers(0, n_population, size=_CHUNK)
             picks = rng.random(size=_CHUNK)
-            # Stop at the first arrival past the horizon, like the object
-            # path's early return (times are monotone within a chunk).
+            # Stop at the first arrival past the horizon (times are
+            # monotone within a chunk).
             limit = int(np.searchsorted(times, duration, side="left"))
             times = times[:limit]
             senders = senders[:limit]
@@ -208,7 +184,7 @@ class NormalUserWorkload:
             keep = n_contacts > 0
             if not keep.all():
                 # Senders without contacts consume their draws but emit
-                # nothing — identical to the object path's ``continue``.
+                # nothing.
                 times = times[keep]
                 senders = senders[keep]
                 picks = picks[keep]
@@ -218,19 +194,6 @@ class NormalUserWorkload:
                 yield times, senders.astype(np.int64), recipients
             if limit < _CHUNK:
                 return
-
-    def _generate_numpy(self, duration: float) -> Iterator[SendRequest]:
-        # The columns carry the RNG logic; the per-message work left in
-        # python is the list lookups and the SendRequest allocation.
-        population = self._population
-        normal = TrafficKind.NORMAL
-        for times, senders, recipients in self.generate_columns(duration):
-            for when, sender, recipient in zip(
-                times.tolist(), senders.tolist(), recipients.tolist()
-            ):
-                yield SendRequest(
-                    when, population[sender], population[recipient], normal
-                )
 
 
 class SpamCampaignWorkload:
@@ -265,63 +228,33 @@ class SpamCampaignWorkload:
         self.users_per_isp = users_per_isp
         self._streams = streams
         self.name = name
-        self._population = [
-            Address(i, u)
-            for i in range(n_isps)
-            for u in range(users_per_isp)
-            if Address(i, u) != spammer
-        ]
+        self._addresses = _address_table(n_isps, users_per_isp)
+        if spammer not in self._addresses:
+            raise ValueError(f"spammer {spammer} is not a user")
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the campaign's requests in time order."""
-        if not self._population:
-            return iter(())
-        if HAVE_NUMPY:
-            return self._generate_numpy()
-        return self._generate_python()
-
-    def _generate_python(self) -> Iterator[SendRequest]:
-        stream = self._streams.get(f"{self.name}:times")
-        pick = self._streams.get(f"{self.name}:targets")
-        times = sorted(
-            stream.uniform(self.start, self.start + self.duration)
-            for _ in range(self.volume)
+        return _expand(
+            self.generate_columns(), self._addresses, TrafficKind.SPAM
         )
-        for t in times:
-            recipient = pick.choice(self._population)
-            yield SendRequest(t, self.spammer, recipient, TrafficKind.SPAM)
 
     def generate_columns(self):
         """Yield the campaign as one ``(times, senders, recipients)`` chunk."""
-        import numpy as np
-
-        if not self._population or self.volume == 0:
+        n_targets = len(self._addresses) - 1
+        if not n_targets or self.volume == 0:
             return
         rng = self._streams.get_numpy(f"{self.name}:times")
         times = rng.uniform(
             self.start, self.start + self.duration, size=self.volume
         )
         times.sort()
-        targets = rng.integers(0, len(self._population), size=self.volume)
-        # The population excludes the spammer, so gids at or past the
-        # spammer's slot shift up by one.
+        targets = rng.integers(0, n_targets, size=self.volume)
+        # Targets exclude the spammer, so gids at or past the spammer's
+        # slot shift up by one.
         spammer_gid = self.spammer.isp * self.users_per_isp + self.spammer.user
         recipients = targets + (targets >= spammer_gid)
         senders = np.full(self.volume, spammer_gid, dtype=np.int64)
         yield times, senders, recipients
-
-    def _generate_numpy(self) -> Iterator[SendRequest]:
-        users_per_isp = self.users_per_isp
-        spammer = self.spammer
-        spam = TrafficKind.SPAM
-        for times, _senders, recipients in self.generate_columns():
-            for when, recipient in zip(times.tolist(), recipients.tolist()):
-                yield SendRequest(
-                    when,
-                    spammer,
-                    Address(recipient // users_per_isp, recipient % users_per_isp),
-                    spam,
-                )
 
 
 class ZombieBurstWorkload:
@@ -355,41 +288,22 @@ class ZombieBurstWorkload:
         self.users_per_isp = users_per_isp
         self._streams = streams
         self.name = name
-        self._population = [
-            Address(i, u)
-            for i in range(n_isps)
-            for u in range(users_per_isp)
-            if Address(i, u) != zombie
-        ]
+        self._addresses = _address_table(n_isps, users_per_isp)
+        if zombie not in self._addresses:
+            raise ValueError(f"zombie {zombie} is not a user")
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the burst's requests in time order."""
-        if not self._population:
-            return iter(())
-        if HAVE_NUMPY:
-            return self._generate_numpy()
-        return self._generate_python()
-
-    def _generate_python(self) -> Iterator[SendRequest]:
-        arrivals = self._streams.get(f"{self.name}:arrivals")
-        pick = self._streams.get(f"{self.name}:targets")
-        rate_per_second = self.rate_per_hour / 3600.0
-        t = self.start
-        while True:
-            t += arrivals.expovariate(rate_per_second)
-            if t >= self.end:
-                return
-            recipient = pick.choice(self._population)
-            yield SendRequest(t, self.zombie, recipient, TrafficKind.ZOMBIE)
+        return _expand(
+            self.generate_columns(), self._addresses, TrafficKind.ZOMBIE
+        )
 
     def generate_columns(self):
         """Yield ``(times, senders, recipients)`` chunks for the burst."""
-        import numpy as np
-
-        if not self._population:
+        n_targets = len(self._addresses) - 1
+        if not n_targets:
             return
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
-        n_population = len(self._population)
         scale = 3600.0 / self.rate_per_hour
         zombie_gid = self.zombie.isp * self.users_per_isp + self.zombie.user
         end = self.end
@@ -399,7 +313,7 @@ class ZombieBurstWorkload:
             times = gaps.cumsum()
             times += t
             t = float(times[-1])
-            targets = rng.integers(0, n_population, size=_CHUNK)
+            targets = rng.integers(0, n_targets, size=_CHUNK)
             limit = int(np.searchsorted(times, end, side="left"))
             times = times[:limit]
             targets = targets[:limit]
@@ -409,19 +323,6 @@ class ZombieBurstWorkload:
                 yield times, senders, recipients
             if limit < _CHUNK:
                 return
-
-    def _generate_numpy(self) -> Iterator[SendRequest]:
-        users_per_isp = self.users_per_isp
-        zombie = self.zombie
-        kind = TrafficKind.ZOMBIE
-        for times, _senders, recipients in self.generate_columns():
-            for when, recipient in zip(times.tolist(), recipients.tolist()):
-                yield SendRequest(
-                    when,
-                    zombie,
-                    Address(recipient // users_per_isp, recipient % users_per_isp),
-                    kind,
-                )
 
 
 @dataclass(frozen=True)
@@ -475,13 +376,11 @@ class FloodWorkload:
     """A :class:`FloodSpec` as executor-neutral traffic.
 
     The scenario compiler's lowering of a flood: the same burst the chaos
-    harness injects with :func:`repro.chaos.faults.flood_requests`, but
-    following the workload-class contract above — ``generate()`` for the
-    object executors and ``generate_columns()`` for the columnar batch
-    executor, drawing from identical RNG streams so every executor sees
-    identical traffic. (The chaos path keeps its own pure-python draw
-    discipline for backward-compatible campaign reports; the two paths
-    are deterministic per seed but not draw-compatible with each other.)
+    harness injects with :func:`repro.chaos.faults.flood_requests`, drawn
+    as column chunks like every workload here. (The chaos path keeps its
+    own pure-python draw discipline for backward-compatible campaign
+    reports; the two paths are deterministic per seed but not
+    draw-compatible with each other.)
     """
 
     def __init__(
@@ -502,45 +401,21 @@ class FloodWorkload:
         self.users_per_isp = users_per_isp
         self._streams = streams
         self.name = name
-        self._attackers = [
-            Address(spec.attacker_isp, user % users_per_isp)
-            for user in range(spec.attackers)
-        ]
+        self._addresses = _address_table(n_isps, users_per_isp)
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the flood's requests in time order."""
-        if HAVE_NUMPY:
-            return self._generate_numpy()
-        return self._generate_python()
-
-    def _generate_python(self) -> Iterator[SendRequest]:
-        spec = self.spec
-        arrivals = self._streams.get(f"{self.name}:arrivals")
-        pick = self._streams.get(f"{self.name}:targets")
-        kind = TrafficKind(spec.kind)
-        attackers = self._attackers
-        end = spec.start + spec.duration
-        t = spec.start
-        while True:
-            t += arrivals.expovariate(spec.rate_per_sec)
-            if t >= end:
-                return
-            sender = attackers[pick.randrange(len(attackers))]
-            recipient = Address(
-                spec.target_isp, pick.randrange(self.users_per_isp)
-            )
-            yield SendRequest(t, sender, recipient, kind)
+        return _expand(
+            self.generate_columns(), self._addresses, TrafficKind(self.spec.kind)
+        )
 
     def generate_columns(self):
         """Yield ``(times, senders, recipients)`` chunks for the flood."""
-        import numpy as np
-
         spec = self.spec
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
         users_per_isp = self.users_per_isp
-        attacker_gids = np.array(
-            [a.isp * users_per_isp + a.user for a in self._attackers],
-            dtype=np.int64,
+        attacker_gids = spec.attacker_isp * users_per_isp + (
+            np.arange(spec.attackers, dtype=np.int64) % users_per_isp
         )
         target_base = spec.target_isp * users_per_isp
         end = spec.start + spec.duration
@@ -561,22 +436,6 @@ class FloodWorkload:
                 )
             if limit < _CHUNK:
                 return
-
-    def _generate_numpy(self) -> Iterator[SendRequest]:
-        users_per_isp = self.users_per_isp
-        kind = TrafficKind(self.spec.kind)
-        for times, senders, recipients in self.generate_columns():
-            for when, sender, recipient in zip(
-                times.tolist(), senders.tolist(), recipients.tolist()
-            ):
-                yield SendRequest(
-                    when,
-                    Address(sender // users_per_isp, sender % users_per_isp),
-                    Address(
-                        recipient // users_per_isp, recipient % users_per_isp
-                    ),
-                    kind,
-                )
 
 
 def merge_workloads(*iterators: Iterator[SendRequest]) -> Iterator[SendRequest]:

@@ -39,9 +39,9 @@ def traced(mode):
 
 def run_both(scenario: Scenario):
     """Run one scenario spec through the direct and columnar executors."""
-    scenario.columnar = False
+    scenario.mode = "direct"
     direct = scenario.run()
-    scenario.columnar = True
+    scenario.mode = "columnar"
     columnar = scenario.run()
     return direct, columnar
 
@@ -119,24 +119,11 @@ class TestColumnStreams:
 
 
 class TestGuards:
-    def test_engine_mode_is_rejected(self):
-        scenario = CANONICAL.scenario("engine")
-        scenario.columnar = True
-        with pytest.raises(SimulationError):
-            scenario.run()
-
     def test_non_compliant_deployment_is_rejected(self):
         scenario = CANONICAL.scenario("columnar")
         scenario.compliant = [True, True, False]
         with pytest.raises(SimulationError):
             scenario.run()
-
-    def test_missing_numpy_is_rejected(self, monkeypatch):
-        import repro.columnar.executor as executor
-
-        monkeypatch.setattr(executor, "HAVE_NUMPY", False)
-        with pytest.raises(SimulationError):
-            CANONICAL.scenario("columnar").run()
 
     def test_unknown_canonical_mode_is_rejected(self):
         with pytest.raises(SimulationError):

@@ -113,7 +113,7 @@ class TestEngineModeScenario:
             duration=2 * DAY,
             seed=5,
             reconcile_every=DAY,
-            engine_mode=True,
+            mode="engine",
             link=LinkSpec(base_latency=0.5, jitter=0.3),
         ).run()
         assert result.conserved
@@ -126,7 +126,7 @@ class TestEngineModeScenario:
         conserved (delivery timing differs, totals must not)."""
         spec = dict(duration=DAY, seed=6, normal_rate_per_day=10.0)
         direct = Scenario(**spec).run()
-        engine = Scenario(**spec, engine_mode=True).run()
+        engine = Scenario(**spec, mode="engine").run()
         assert direct.sends_attempted == engine.sends_attempted
         assert direct.conserved and engine.conserved
 
@@ -139,7 +139,7 @@ class TestEngineModeScenario:
             duration=2 * DAY,
             seed=7,
             spammers=[SpammerSpec(Address(2, 0), volume=300)],
-            engine_mode=True,
+            mode="engine",
             link=LinkSpec(base_latency=0.2),
         ).run()
         assert result.conserved

@@ -104,7 +104,7 @@ class TestExportNetwork:
             seed=9,
             duration=DAY / 4,
             normal_rate_per_day=60.0,
-            engine_mode=True,
+            mode="engine",
         ).run()
         exporter = export_network(result.network)
         flat = exporter.collect()

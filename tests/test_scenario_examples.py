@@ -19,7 +19,7 @@ import pytest
 
 from conftest import EXAMPLES, example, load_plan
 from repro.cli import main
-from repro.scenario import run_plan
+from repro.scenario import load, run_plan
 
 DOCUMENTS = sorted(
     os.path.basename(path) for path in glob.glob(os.path.join(EXAMPLES, "*.yaml"))
@@ -80,6 +80,30 @@ def test_campaign_documents_reproduce_cell_rows(stem):
     blob = json.dumps(row, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == ROW_SHA256[stem], row
     assert row["passed"]
+
+
+#: One spam, zombie and flood window each that runs past
+#: canonical-3isp's two-day horizon (172800 s).
+PAST_HORIZON = {
+    "spam": ("spammers", {"start": 150000.0, "duration": 86400.0}),
+    "zombie": ("zombies", {"start": 160000.0, "end": 300000.0}),
+    "flood": ("floods", {"attacker_isp": 0, "target_isp": 1,
+                         "rate_per_sec": 0.5, "start": 170000.0,
+                         "duration": 7200.0}),
+}
+
+
+@pytest.mark.parametrize("term", sorted(PAST_HORIZON))
+def test_traffic_past_the_horizon_is_cut_on_every_executor(term):
+    key, window = PAST_HORIZON[term]
+    doc = load(example("canonical-3isp.yaml"))
+    doc["traffic"][key] = [{**(doc["traffic"][key] or [{}])[0], **window}]
+    plan = load_plan(doc)
+    texts = {
+        mode: run_plan(plan, mode, shards=3)["manifest"].to_json()
+        for mode in ("direct", "columnar", "engine", "cluster")
+    }
+    assert len(set(texts.values())) == 1, sorted(texts)
 
 
 def test_cli_run_writes_manifest_and_report(tmp_path, capsys):

@@ -13,7 +13,10 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
+import yaml
 from hypothesis import given, settings, strategies as st
+
+from conftest import example
 
 from repro.errors import SimulationError
 from repro.scenario import (
@@ -113,6 +116,14 @@ def test_cluster_comparable_predicate():
         economics={"default_daily_limit": 50, "default_user_balance": 40}
     )
     assert not cluster_comparable(tight)
+
+
+def test_check_world_accepts_a_raw_document():
+    """The oracle reads the validated document, so omitted keys default."""
+    with open(example("canonical-3isp.yaml"), encoding="utf-8") as handle:
+        doc = yaml.safe_load(handle)
+    assert "default_user_balance" not in doc["economics"]
+    assert check_world(doc) is None
 
 
 def test_pinned_tight_balance_world_documents_the_cluster_boundary():

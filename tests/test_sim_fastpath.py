@@ -40,7 +40,7 @@ def _scenario(**overrides) -> Scenario:
             )
         ],
         reconcile_every=DAY,
-        engine_mode=True,
+        mode="engine",
     )
     params.update(overrides)
     return Scenario(**params)
@@ -65,7 +65,7 @@ class TestStreamingEquivalence:
         """With zero-latency links even the synchronous path agrees."""
         link = LinkSpec(base_latency=0.0, jitter=0.0, loss_rate=0.0)
         streamed = _scenario(link=link).run()
-        direct = _scenario(engine_mode=False).run()
+        direct = _scenario(mode="direct").run()
 
         assert streamed.summary() == direct.summary()
         assert _balances(streamed.network) == _balances(direct.network)

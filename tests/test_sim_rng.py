@@ -48,32 +48,3 @@ class TestSeededStreams:
         b = SeededStreams(7).spawn("isp0").get("x").random()
         assert a == b
 
-
-class TestConvenienceDraws:
-    def test_uniform_in_range(self):
-        streams = SeededStreams(1)
-        for _ in range(100):
-            value = streams.uniform("u", 2.0, 5.0)
-            assert 2.0 <= value <= 5.0
-
-    def test_bernoulli_extremes(self):
-        streams = SeededStreams(1)
-        assert not any(streams.bernoulli("p0", 0.0) for _ in range(50))
-        assert all(streams.bernoulli("p1", 1.0) for _ in range(50))
-
-    def test_choice_covers_items(self):
-        streams = SeededStreams(1)
-        seen = {streams.choice("c", ["a", "b", "c"]) for _ in range(200)}
-        assert seen == {"a", "b", "c"}
-
-    def test_expovariate_positive(self):
-        streams = SeededStreams(1)
-        assert all(streams.expovariate("e", 2.0) > 0 for _ in range(100))
-
-    def test_poisson_process_gaps_positive(self):
-        streams = SeededStreams(1)
-        gen = streams.poisson_process("pp", rate=10.0)
-        gaps = [next(gen) for _ in range(100)]
-        assert all(g > 0 for g in gaps)
-        mean_gap = sum(gaps) / len(gaps)
-        assert 0.03 < mean_gap < 0.3  # rough sanity around 1/rate

@@ -63,10 +63,7 @@ def main() -> None:
     args = parser.parse_args()
 
     scenario = canonical_scenario(args.messages, args.seed)
-    if args.mode == "engine_stream":
-        scenario.engine_mode = True
-    elif args.mode == "columnar":
-        scenario.columnar = True
+    scenario.mode = "engine" if args.mode == "engine_stream" else args.mode
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
