@@ -24,7 +24,8 @@ sub-batch is partitioned into three exact-equivalence classes:
   shared pool, and outcomes depend on interleaving), plus safe-sender
   messages whose *recipient* is contended (its incoming credits must
   land between its own sends in true order). Replayed one message at a
-  time, in original arrival order, directly against the arrays.
+  time, in original arrival order, on plain Python lists gathered from
+  the arrays for only the residual's users and scattered back once.
 
 Correctness rests on the classes being exact, not heuristic: the safe
 class provably cannot interact with the residual's outcomes, so
@@ -47,7 +48,7 @@ from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
 from ..sim.rng import SeededStreams
 from .plan import KIND_ORDER, merge_column_streams
-from .state import ColumnarState
+from .state import USER_COLUMNS, ColumnarState
 
 __all__ = ["run_columnar"]
 
@@ -63,6 +64,7 @@ _STATUS_VALUES = (
     "blocked_limit",
 )
 _KIND_VALUES = tuple(kind.value for kind in KIND_ORDER)
+_N_KINDS = len(_KIND_VALUES)
 
 
 def run_columnar(scenario):
@@ -151,9 +153,10 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
     msg_scalar = ~msg_at_limit & (contended[senders] | contended[recipients])
     msg_safe = ~msg_at_limit & ~msg_scalar
 
+    # Traced runs only: each message's outcome and top-up, for emission.
     traced = tracer.enabled
     status = np.empty(end - pos, dtype=np.uint8) if traced else None
-    topups = None
+    topups = np.zeros(end - pos, dtype=np.int64) if traced else None
 
     # -- blocked-limit class: counters only ---------------------------------
     if msg_at_limit.any():
@@ -173,6 +176,7 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
     if msg_safe.any():
         safe_s = senders[msg_safe]
         safe_r = recipients[msg_safe]
+        safe_k = kinds[msg_safe]
         sent = np.bincount(safe_s, minlength=n_users)
         received = np.bincount(safe_r, minlength=n_users)
         state.balance += received
@@ -184,175 +188,177 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
         state.inbox += received
         src_isp = safe_s // upi
         dst_isp = safe_r // upi
-        local = src_isp == dst_isp
-        n_local = int(local.sum())
-        n_remote = len(safe_s) - n_local
-        state.stats_delivered_local += np.bincount(
-            src_isp[local], minlength=state.n_isps
+        _book_deliveries(
+            np,
+            state,
+            np.bincount(
+                (src_isp * state.n_isps + dst_isp) * _N_KINDS + safe_k,
+                minlength=state.n_isps * state.n_isps * _N_KINDS,
+            ),
         )
-        if n_remote:
-            remote_src = src_isp[~local]
-            remote_dst = dst_isp[~local]
-            state.stats_sent_paid += np.bincount(
-                remote_src, minlength=state.n_isps
-            )
-            state.stats_received_paid += np.bincount(
-                remote_dst, minlength=state.n_isps
-            )
-            pair_counts = np.bincount(
-                remote_src * state.n_isps + remote_dst,
-                minlength=state.n_isps * state.n_isps,
-            ).reshape(state.n_isps, state.n_isps)
-            state.credit += pair_counts
-            state.credit -= pair_counts.T
-            traded = pair_counts > 0
-            state.touched |= traded
-            state.touched |= traded.T
-            state.bump_metric("deliver.delivered", n_remote)
-            _bump_kind_metrics(
-                np, state, "deliver.kind.", kinds[msg_safe][~local]
-            )
-        state.bump_metric("send.delivered_local", n_local)
-        state.bump_metric("send.sent_paid", n_remote)
-        _bump_kind_metrics(np, state, "send.kind.", kinds[msg_safe])
+        _bump_kind_metrics(np, state, "send.kind.", safe_k)
         if traced:
-            status[msg_safe] = np.where(local, _DELIVERED_LOCAL, _SENT_PAID)
+            status[msg_safe] = np.where(
+                src_isp == dst_isp, _DELIVERED_LOCAL, _SENT_PAID
+            )
 
     # -- contended residual: exact per-message replay in arrival order ------
     if msg_scalar.any():
-        topups = _run_scalar(
+        _run_scalar(
             np, network, state, senders, recipients, kinds, msg_scalar,
-            status,
+            status, topups,
         )
 
     if traced:
-        _emit_batch(
-            network, tracer, chunk, pos, end, status, topups, msg_scalar, upi
-        )
+        _emit_batch(network, tracer, chunk, pos, end, status, topups, upi)
 
 
-def _run_scalar(np, network, state, senders, recipients, kinds, mask, status):
-    """Replay contended messages one at a time against the arrays.
+def _run_scalar(
+    np, network, state, senders, recipients, kinds, mask, status, topups
+):
+    """Replay contended messages one at a time, in arrival order.
 
     Mirrors ``CompliantISP._submit_now`` + ``ZmailNetwork``'s auto top-up
     retry exactly, including the ISP-stats double count: a transient
     balance block books ``stats.blocked_balance`` *and* the retried
     outcome, while network metrics only see the final status.
-    """
-    upi = state.users_per_isp
-    auto_topup = network.config.auto_topup_amount
-    balance = state.balance
-    account = state.account
-    sent_today = state.sent_today
-    daily_limit = state.daily_limit
-    indices = mask.nonzero()[0]
-    topup_amounts = [0] * len(indices) if status is not None else None
-    status_counts = [0, 0, 0, 0]
-    kind_counts = [0] * len(_KIND_VALUES)
-    deliver_kind_counts = [0] * len(_KIND_VALUES)
-    delivered_remote = 0
-    topup_count = 0
-    topup_epennies = 0
 
-    for slot, (s, r, k) in enumerate(
-        zip(
-            senders[mask].tolist(),
-            recipients[mask].tolist(),
-            kinds[mask].tolist(),
-        )
-    ):
-        isp_s = s // upi
+    The loop touches only plain Python lists and ints. The columns of the
+    residual's own users are gathered into lists indexed by local id
+    (the user's rank among them) and scattered back once, so the cost is
+    O(residual), not O(population).
+    """
+    _bump_kind_metrics(np, state, "send.kind.", kinds[mask])
+    kind_list = kinds[mask].tolist()
+    # The residual's users, sorted and deduplicated in place (np.unique
+    # would hold several residual-sized index arrays at once).
+    users = np.concatenate((senders[mask], recipients[mask]))
+    users.sort()
+    users = users[np.append(True, users[1:] != users[:-1])]
+    local_s = np.searchsorted(users, senders[mask]).tolist()
+    local_r = np.searchsorted(users, recipients[mask]).tolist()
+    isp_of = (users // state.users_per_isp).tolist()
+    # Unpacked in USER_COLUMNS order; scattered back by the same table.
+    columns = [getattr(state, name)[users].tolist() for name in USER_COLUMNS]
+    (account, balance, daily_limit, sent_today, lifetime_sent,
+     lifetime_received, lifetime_received_paid, limit_warnings, inbox,
+     limit_hits) = columns
+    n_isps = state.n_isps
+    pool = state.pool.tolist()
+    cash = state.cash.tolist()
+    blocked_balance = [0] * n_isps
+    blocked_limit = [0] * n_isps
+    delivered = [0] * (n_isps * n_isps * _N_KINDS)
+    auto_topup = network.config.auto_topup_amount
+    refused = topup_count = topup_epennies = 0
+    # Traced runs only: per-message outcomes and top-up amounts, in order.
+    outcomes = [] if status is not None else None
+    amounts = [0] * len(kind_list) if status is not None else None
+
+    for s, r, k in zip(local_s, local_r, kind_list):
+        isp_s = isp_of[s]
         if sent_today[s] >= daily_limit[s]:
-            state.limit_warnings[s] += 1
-            state.stats_blocked_limit[isp_s] += 1
-            state.limit_hits[s] += 1
+            limit_warnings[s] += 1
+            limit_hits[s] += 1
+            blocked_limit[isp_s] += 1
             outcome = _BLOCKED_LIMIT
         else:
-            blocked = False
             if balance[s] < 1:
-                state.stats_blocked_balance[isp_s] += 1
-                amount = 0
-                if auto_topup > 0:
-                    amount = min(auto_topup, account[s], state.pool[isp_s])
+                blocked_balance[isp_s] += 1
+                amount = min(auto_topup, account[s], pool[isp_s])
                 if amount > 0:
                     account[s] -= amount
-                    state.cash[isp_s] += amount
+                    cash[isp_s] += amount
                     balance[s] += amount
-                    state.pool[isp_s] -= amount
+                    pool[isp_s] -= amount
                     topup_count += 1
-                    topup_epennies += int(amount)
-                    if topup_amounts is not None:
-                        topup_amounts[slot] = int(amount)
-                else:
-                    blocked = True
-                    outcome = _BLOCKED_BALANCE
-            if not blocked:
+                    topup_epennies += amount
+                    if outcomes is not None:
+                        # len(outcomes) is this message's residual slot.
+                        amounts[len(outcomes)] = amount
+            if balance[s] < 1:
+                refused += 1
+                outcome = _BLOCKED_BALANCE
+            else:
                 balance[s] -= 1
                 sent_today[s] += 1
-                state.lifetime_sent[s] += 1
+                lifetime_sent[s] += 1
                 balance[r] += 1
-                state.lifetime_received[r] += 1
-                state.lifetime_received_paid[r] += 1
-                state.inbox[r] += 1
-                isp_r = r // upi
-                if isp_s == isp_r:
-                    state.stats_delivered_local[isp_s] += 1
-                    outcome = _DELIVERED_LOCAL
-                else:
-                    state.stats_sent_paid[isp_s] += 1
-                    state.stats_received_paid[isp_r] += 1
-                    state.credit[isp_s, isp_r] += 1
-                    state.credit[isp_r, isp_s] -= 1
-                    state.touched[isp_s, isp_r] = True
-                    state.touched[isp_r, isp_s] = True
-                    delivered_remote += 1
-                    deliver_kind_counts[k] += 1
-                    outcome = _SENT_PAID
-        status_counts[outcome] += 1
-        kind_counts[k] += 1
-        if status is not None:
-            status[indices[slot]] = outcome
+                lifetime_received[r] += 1
+                lifetime_received_paid[r] += 1
+                inbox[r] += 1
+                isp_r = isp_of[r]
+                delivered[(isp_s * n_isps + isp_r) * _N_KINDS + k] += 1
+                outcome = _DELIVERED_LOCAL if isp_s == isp_r else _SENT_PAID
+        if outcomes is not None:
+            outcomes.append(outcome)
 
-    for code, count in enumerate(status_counts):
-        state.bump_metric(f"send.{_STATUS_VALUES[code]}", count)
-    for code, count in enumerate(kind_counts):
-        state.bump_metric(f"send.kind.{_KIND_VALUES[code]}", count)
-    state.bump_metric("deliver.delivered", delivered_remote)
-    for code, count in enumerate(deliver_kind_counts):
-        state.bump_metric(f"deliver.kind.{_KIND_VALUES[code]}", count)
+    for name, values in zip(USER_COLUMNS, columns):
+        getattr(state, name)[users] = values
+    state.pool[:] = pool
+    state.cash[:] = cash
+    state.stats_blocked_balance += blocked_balance
+    state.stats_blocked_limit += blocked_limit
+    _book_deliveries(np, state, np.array(delivered, dtype=np.int64))
+    if outcomes is not None:
+        status[mask] = outcomes
+        topups[mask] = amounts
+    state.bump_metric("send.blocked_limit", sum(blocked_limit))
+    state.bump_metric("send.blocked_balance", refused)
     state.bump_metric("topup.count", topup_count)
     state.bump_metric("topup.epennies", topup_epennies)
-    return topup_amounts
+
+
+def _book_deliveries(np, state, counts):
+    """Book delivered sends counted per (sender ISP, recipient ISP, kind).
+
+    ``counts`` is flat over ``(src * n_isps + dst) * n_kinds + kind``. The
+    ``src == dst`` diagonal holds local deliveries; every other cell is a
+    paid remote send, which moves inter-ISP credit and marks the pair's
+    credit keys as existing even when they net to zero.
+    """
+    by_kind = counts.reshape(state.n_isps, state.n_isps, _N_KINDS)
+    local = by_kind.diagonal()  # (kind, isp)
+    pairs = by_kind.sum(axis=2)
+    np.fill_diagonal(pairs, 0)
+    state.stats_delivered_local += local.sum(axis=0)
+    state.stats_sent_paid += pairs.sum(axis=1)
+    state.stats_received_paid += pairs.sum(axis=0)
+    state.credit += pairs
+    state.credit -= pairs.T
+    traded = pairs > 0
+    state.touched |= traded
+    state.touched |= traded.T
+    n_remote = int(pairs.sum())
+    state.bump_metric("send.delivered_local", int(local.sum()))
+    state.bump_metric("send.sent_paid", n_remote)
+    state.bump_metric("deliver.delivered", n_remote)
+    remote = by_kind.sum(axis=(0, 1)) - local.sum(axis=1)
+    for code, count in enumerate(remote.tolist()):
+        state.bump_metric(f"deliver.kind.{_KIND_VALUES[code]}", count)
 
 
 def _bump_kind_metrics(np, state, prefix, kind_codes):
-    counts = np.bincount(kind_codes, minlength=len(_KIND_VALUES))
+    counts = np.bincount(kind_codes, minlength=_N_KINDS)
     for code, count in enumerate(counts.tolist()):
-        if count:
-            state.bump_metric(f"{prefix}{_KIND_VALUES[code]}", count)
+        state.bump_metric(f"{prefix}{_KIND_VALUES[code]}", count)
 
 
-def _emit_batch(
-    network, tracer, chunk, pos, end, status, topups, msg_scalar, upi
-):
+def _emit_batch(network, tracer, chunk, pos, end, status, topups, upi):
     """Traced runs: replay the sub-batch's events in original order."""
     emit = tracer.emit
     addresses = _address_strings(network)
-    scalar_slot = {
-        int(index): slot for slot, index in enumerate(msg_scalar.nonzero()[0])
-    } if topups is not None else {}
-    times = chunk.times[pos:end].tolist()
-    senders = chunk.senders[pos:end].tolist()
-    recipients = chunk.recipients[pos:end].tolist()
-    kinds = chunk.kinds[pos:end].tolist()
-    for index, (t, s, r, k) in enumerate(
-        zip(times, senders, recipients, kinds)
+    for t, s, r, k, outcome, amount in zip(
+        chunk.times[pos:end].tolist(),
+        chunk.senders[pos:end].tolist(),
+        chunk.recipients[pos:end].tolist(),
+        chunk.kinds[pos:end].tolist(),
+        status.tolist(),
+        topups.tolist(),
     ):
         network._direct_now = t
-        slot = scalar_slot.get(index)
-        if slot is not None and topups[slot] > 0:
-            emit("topup", isp=s // upi, user=s % upi, amount=topups[slot])
-        outcome = int(status[index])
+        if amount > 0:
+            emit("topup", isp=s // upi, user=s % upi, amount=amount)
         kind_value = _KIND_VALUES[k]
         emit(
             "send",

@@ -21,11 +21,33 @@ remembering which pairs traded at all, not just the net credit.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 __all__ = ["ColumnarState"]
+
+#: ``UserAccount`` attributes mirrored as gid-indexed int64 columns of the
+#: same name.
+USER_FIELDS = (
+    "account", "balance", "daily_limit", "sent_today", "lifetime_sent",
+    "lifetime_received", "lifetime_received_paid", "limit_warnings", "inbox",
+)
+#: Every per-user column: the ledger fields plus ``CompliantISP.limit_hits``.
+USER_COLUMNS = USER_FIELDS + ("limit_hits",)
+#: ``DeliveryStats`` counters the executor moves, mirrored per ISP as
+#: ``stats_<name>`` columns.
+STATS_FIELDS = (
+    "sent_paid", "delivered_local", "received_paid", "blocked_balance",
+    "blocked_limit",
+)
 
 
 class ColumnarState:
-    """Numpy mirror of users, ledgers, stats and credit for one network."""
+    """Numpy mirror of users, ledgers, stats and credit for one network.
+
+    Per-user columns are the attributes named in :data:`USER_COLUMNS`;
+    per-ISP columns are ``pool``, ``cash`` and ``stats_<name>`` for each
+    name in :data:`STATS_FIELDS`.
+    """
 
     def __init__(self, network) -> None:
         import numpy as np
@@ -36,25 +58,10 @@ class ColumnarState:
         self.users_per_isp = network.users_per_isp
         self.n_users = self.n_isps * self.users_per_isp
         n, k = self.n_users, self.n_isps
-        # Per-user columns (gid-indexed).
-        self.account = np.zeros(n, dtype=np.int64)
-        self.balance = np.zeros(n, dtype=np.int64)
-        self.daily_limit = np.zeros(n, dtype=np.int64)
-        self.sent_today = np.zeros(n, dtype=np.int64)
-        self.lifetime_sent = np.zeros(n, dtype=np.int64)
-        self.lifetime_received = np.zeros(n, dtype=np.int64)
-        self.lifetime_received_paid = np.zeros(n, dtype=np.int64)
-        self.limit_warnings = np.zeros(n, dtype=np.int64)
-        self.inbox = np.zeros(n, dtype=np.int64)
-        self.limit_hits = np.zeros(n, dtype=np.int64)
-        # Per-ISP columns.
-        self.pool = np.zeros(k, dtype=np.int64)
-        self.cash = np.zeros(k, dtype=np.int64)
-        self.stats_sent_paid = np.zeros(k, dtype=np.int64)
-        self.stats_delivered_local = np.zeros(k, dtype=np.int64)
-        self.stats_received_paid = np.zeros(k, dtype=np.int64)
-        self.stats_blocked_balance = np.zeros(k, dtype=np.int64)
-        self.stats_blocked_limit = np.zeros(k, dtype=np.int64)
+        for name in USER_COLUMNS:
+            setattr(self, name, np.zeros(n, dtype=np.int64))
+        for name in ("pool", "cash", *(f"stats_{f}" for f in STATS_FIELDS)):
+            setattr(self, name, np.zeros(k, dtype=np.int64))
         # Inter-ISP credit: credit[a][b] lives at M[a, b]; touched marks
         # dict keys that exist (possibly at zero net credit).
         self.credit = np.zeros((k, k), dtype=np.int64)
@@ -67,32 +74,26 @@ class ColumnarState:
 
     def refresh(self) -> None:
         """Reload every array from the object layer (boundaries are rare)."""
+        np = self._np
         upi = self.users_per_isp
+        read_user = attrgetter("user_id", *USER_FIELDS)
+        read_stats = attrgetter(*STATS_FIELDS)
         for isp_id, isp in self.network.compliant_isps().items():
             base = isp_id * upi
             ledger = isp.ledger
-            for user in ledger.users():
-                g = base + user.user_id
-                self.account[g] = user.account
-                self.balance[g] = user.balance
-                self.daily_limit[g] = user.daily_limit
-                self.sent_today[g] = user.sent_today
-                self.lifetime_sent[g] = user.lifetime_sent
-                self.lifetime_received[g] = user.lifetime_received
-                self.lifetime_received_paid[g] = user.lifetime_received_paid
-                self.limit_warnings[g] = user.limit_warnings
-                self.inbox[g] = user.inbox
-                self.limit_hits[g] = 0
+            rows = np.array(
+                [read_user(user) for user in ledger.users()], dtype=np.int64
+            ).reshape(-1, 1 + len(USER_FIELDS))
+            gids = base + rows[:, 0]
+            for column, name in enumerate(USER_FIELDS, 1):
+                getattr(self, name)[gids] = rows[:, column]
+            self.limit_hits[gids] = 0
             for user_id, hits in isp.limit_hits.items():
                 self.limit_hits[base + user_id] = hits
             self.pool[isp_id] = ledger.pool
             self.cash[isp_id] = ledger.cash
-            stats = isp.stats
-            self.stats_sent_paid[isp_id] = stats.sent_paid
-            self.stats_delivered_local[isp_id] = stats.delivered_local
-            self.stats_received_paid[isp_id] = stats.received_paid
-            self.stats_blocked_balance[isp_id] = stats.blocked_balance
-            self.stats_blocked_limit[isp_id] = stats.blocked_limit
+            for name, value in zip(STATS_FIELDS, read_stats(isp.stats)):
+                getattr(self, f"stats_{name}")[isp_id] = value
             self.credit[isp_id, :] = 0
             self.touched[isp_id, :] = False
             for peer, value in isp.credit.items():
@@ -107,18 +108,14 @@ class ColumnarState:
         for isp_id, isp in self.network.compliant_isps().items():
             base = isp_id * upi
             ledger = isp.ledger
+            columns = [
+                getattr(self, name)[base : base + upi].tolist()
+                for name in USER_FIELDS
+            ]
+            # daily_limit never changes in the arrays; writing it is a no-op.
             for user in ledger.users():
-                g = base + user.user_id
-                user.account = int(self.account[g])
-                user.balance = int(self.balance[g])
-                user.sent_today = int(self.sent_today[g])
-                user.lifetime_sent = int(self.lifetime_sent[g])
-                user.lifetime_received = int(self.lifetime_received[g])
-                user.lifetime_received_paid = int(
-                    self.lifetime_received_paid[g]
-                )
-                user.limit_warnings = int(self.limit_warnings[g])
-                user.inbox = int(self.inbox[g])
+                for name, column in zip(USER_FIELDS, columns):
+                    setattr(user, name, column[user.user_id])
             hits = self.limit_hits[base : base + upi]
             isp.limit_hits = {
                 int(user_id): int(hits[user_id])
@@ -126,12 +123,9 @@ class ColumnarState:
             }
             ledger.pool = int(self.pool[isp_id])
             ledger.cash = int(self.cash[isp_id])
-            stats = isp.stats
-            stats.sent_paid = int(self.stats_sent_paid[isp_id])
-            stats.delivered_local = int(self.stats_delivered_local[isp_id])
-            stats.received_paid = int(self.stats_received_paid[isp_id])
-            stats.blocked_balance = int(self.stats_blocked_balance[isp_id])
-            stats.blocked_limit = int(self.stats_blocked_limit[isp_id])
+            for name in STATS_FIELDS:
+                value = int(getattr(self, f"stats_{name}")[isp_id])
+                setattr(isp.stats, name, value)
             isp.credit = {
                 int(peer): int(self.credit[isp_id, peer])
                 for peer in self.touched[isp_id].nonzero()[0]

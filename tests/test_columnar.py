@@ -10,12 +10,15 @@ both executors so the equivalence claim rests on more than the canonical
 workload; shrinking then hands back a minimal diverging scenario.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_plan
+from repro.columnar import executor
 from repro.core.config import ZmailConfig
+from repro.core.protocol import ZmailNetwork
 from repro.core.scenario import Scenario, SpammerSpec, ZombieSpec
 from repro.errors import SimulationError
 from repro.obs.manifest import accounting_digest
@@ -23,7 +26,12 @@ from repro.obs.trace import TraceRecorder
 from repro.scenario import run_plan
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import SeededStreams
-from repro.sim.workload import Address, merge_workloads
+from repro.sim.workload import (
+    Address,
+    SendRequest,
+    TrafficKind,
+    merge_workloads,
+)
 
 
 CANONICAL = load_plan("canonical-3isp.yaml")
@@ -128,6 +136,165 @@ class TestGuards:
     def test_unknown_canonical_mode_is_rejected(self):
         with pytest.raises(SimulationError):
             CANONICAL.scenario("parallel")
+
+
+# -- the contended residual -------------------------------------------------
+
+
+class ScriptedWorkload:
+    """Fixed ``(time, sender gid, recipient gid)`` normal-mail rows."""
+
+    def __init__(self, rows, users_per_isp):
+        self.rows = rows
+        self.upi = users_per_isp
+
+    def generate_columns(self):
+        times, senders, recipients = zip(*self.rows)
+        yield (
+            np.array(times, dtype=np.float64),
+            np.array(senders, dtype=np.int64),
+            np.array(recipients, dtype=np.int64),
+        )
+
+    def generate(self):
+        upi = self.upi
+        for t, s, r in self.rows:
+            yield SendRequest(
+                t,
+                Address(s // upi, s % upi),
+                Address(r // upi, r % upi),
+                TrafficKind.NORMAL,
+            )
+
+
+def scripted(rows, **spec):
+    """A scenario whose only traffic is ``rows``, on every executor."""
+    scenario = Scenario(normal_rate_per_day=0.0, **spec)
+    workload = ScriptedWorkload(rows, scenario.users_per_isp)
+    scenario._workloads = lambda streams: iter(
+        [(TrafficKind.NORMAL, None, workload, (), scenario.duration)]
+    )
+    return scenario
+
+
+@pytest.fixture
+def observed(monkeypatch):
+    """Record each ISP's credit dict at every reconcile, and each
+    residual's size and distinct users."""
+    seen = {"credits": [], "residuals": []}
+    reconcile = ZmailNetwork.reconcile
+    run_scalar = executor._run_scalar
+
+    def recording_reconcile(network, *args, **kwargs):
+        seen["credits"].append(
+            {i: dict(isp.credit) for i, isp in network.isps.items()}
+        )
+        return reconcile(network, *args, **kwargs)
+
+    def recording_run_scalar(*args):
+        _np, _net, _state, senders, recipients, _kinds, mask = args[:7]
+        users = np.union1d(senders[mask], recipients[mask])
+        seen["residuals"].append((int(mask.sum()), len(users)))
+        return run_scalar(*args)
+
+    monkeypatch.setattr(ZmailNetwork, "reconcile", recording_reconcile)
+    monkeypatch.setattr(executor, "_run_scalar", recording_run_scalar)
+    return seen
+
+
+def run_observed(scenario, observed):
+    """``run_both`` plus the credits and residuals each executor saw."""
+    scenario.mode = "direct"
+    direct = scenario.run()
+    direct_credits = observed["credits"][:]
+    observed["credits"].clear()
+    scenario.mode = "columnar"
+    columnar = scenario.run()
+    assert columnar.summary() == direct.summary()
+    assert columnar.cut_digests == direct.cut_digests
+    assert accounting_digest(columnar.network) == accounting_digest(
+        direct.network
+    )
+    assert observed["credits"] == direct_credits
+    for isp_id, isp in direct.network.isps.items():
+        assert columnar.network.isps[isp_id].stats == isp.stats
+    return direct, observed["credits"], observed["residuals"]
+
+
+class TestContendedResidual:
+    def test_pool_drain_zero_net_credit_and_limit_in_one_sub_batch(
+        self, observed
+    ):
+        # 3 ISPs x 4 users, gid = isp * 4 + user, all inside one hour:
+        # no reconcile or midnight cuts the single sub-batch.
+        # * gid 0 (ISP 0) sends 4 local mails on a 1-e-penny balance. The
+        #   2nd and 3rd are blocked on balance, auto-topped up by 1 from
+        #   the 2-e-penny pool, and retried; the 4th finds the pool dry
+        #   and stays blocked, so ISP 0 books 3 balance blocks for 1
+        #   final blocked send.
+        # * gid 4 (ISP 1) and gid 8 (ISP 2) mail each other once: the
+        #   ISP 1/ISP 2 credit nets to zero, yet both keys must exist.
+        # * gid 8, funded, sends 6 with a daily limit of 4: the last two
+        #   block on the limit mid-batch.
+        # * gid 2 -> gid 5 is a safe send beside the residual.
+        rows = [
+            (60.0, 0, 1), (120.0, 8, 4), (180.0, 4, 8), (240.0, 0, 1),
+            (300.0, 8, 9), (360.0, 0, 1), (420.0, 8, 9), (480.0, 0, 1),
+            (540.0, 8, 9), (600.0, 8, 9), (660.0, 2, 5), (720.0, 8, 9),
+        ]
+        scenario = scripted(
+            rows,
+            n_isps=3,
+            users_per_isp=4,
+            duration=HOUR,
+            spammers=[SpammerSpec(Address(2, 0), volume=0, war_chest=10)],
+            config=ZmailConfig(
+                default_daily_limit=4,
+                default_user_balance=1,
+                initial_pool=2,
+                minavail=0,
+                auto_topup_amount=1,
+            ),
+        )
+        direct, credits, residuals = run_observed(scenario, observed)
+        assert residuals == [(11, 5)]  # every row but the safe one
+        isps = direct.network.isps
+        assert isps[0].ledger.pool == 0
+        assert isps[0].stats.blocked_balance == 3
+        assert direct.blocked_balance == 1
+        assert isps[2].stats.blocked_limit == 2
+        assert credits[-1][1] == {0: -1, 2: 0}
+        assert credits[-1][2] == {1: 0}
+        # Traced, the top-ups are emitted at their messages' positions.
+        digests = set()
+        for mode in ("direct", "columnar"):
+            scenario.mode = mode
+            scenario.tracer = TraceRecorder()
+            scenario.run()
+            digests.add(scenario.tracer.digest())
+        assert len(digests) == 1
+
+    def test_residual_over_a_strict_subset_of_users(self, observed):
+        # One underfunded spammer in a 4 x 256 world: only its mail and
+        # mail to it are contended, so each residual gathers a strict
+        # subset of users and local ids differ from gids.
+        scenario = Scenario(
+            n_isps=4,
+            users_per_isp=256,
+            seed=5,
+            duration=2 * DAY,
+            normal_rate_per_day=1.0,
+            spammers=[SpammerSpec(Address(2, 17), volume=300, start=HOUR)],
+            config=ZmailConfig(
+                default_user_balance=20, default_user_account=60
+            ),
+            reconcile_every=DAY,
+        )
+        direct, _credits, residuals = run_observed(scenario, observed)
+        assert residuals
+        half = scenario.n_isps * scenario.users_per_isp // 2
+        assert all(0 < users < half for _messages, users in residuals)
+        assert direct.blocked_balance > 0
 
 
 # -- randomized equivalence ------------------------------------------------
