@@ -23,8 +23,7 @@ lowered to plain DSL worlds and driven through the columnar batch
 executor — so the "small matchups direct, large sweeps lowered" split
 has numbers attached. Results land in ``BENCH_arena.json`` at the repo
 root and one summary record is appended to ``benchmarks/results.jsonl``
-with explicit executor mode strings (``direct`` / ``columnar``),
-mirroring bench_cluster / bench_macro_scale.
+with explicit executor mode strings (``direct`` / ``columnar``).
 
 ``--check-against BENCH_arena.json`` re-checks a fresh (usually smoke
 scale) run's cells/sec against the committed reference with a loose
@@ -127,8 +126,7 @@ def append_results_record(document: dict) -> None:
     rows = [
         {
             "config": "tournament",
-            # The drive that produced the number, mirroring the
-            # executor-mode strings of bench_cluster/bench_macro_scale.
+            # The executor that produced the number.
             "mode": "direct",
             "cells": document["scale"]["cells"],
             "best_seconds": document["throughput"]["tournament"]["seconds"],

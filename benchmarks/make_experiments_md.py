@@ -1,70 +1,27 @@
 #!/usr/bin/env python3
-"""Render benchmarks/results.jsonl into EXPERIMENTS.md.
+"""Render benchmarks/results.jsonl into EXPERIMENTS.md's measured tables.
 
 Run after a full benchmark pass::
 
     pytest benchmarks/ --benchmark-only -s
     python benchmarks/make_experiments_md.py
+
+Only the block between the ``BEGIN`` and ``END`` marker lines is
+generated: one table per experiment id, from its newest record. The prose
+around it (the reproduction summary, the E20 and E21 sections) is
+written by hand and kept byte for byte.
 """
 
 import json
 import pathlib
+import re
 
 HERE = pathlib.Path(__file__).parent
 RESULTS = HERE / "results.jsonl"
 OUTPUT = HERE.parent / "EXPERIMENTS.md"
 
-PREAMBLE = """\
-# EXPERIMENTS — paper claims vs. measured
-
-The paper (*Zmail: Zero-Sum Free Market Control of Spam*, ICDCS 2005)
-contains **no numbered tables or figures**; its evaluation surface is a set
-of quantitative claims (DESIGN.md §4 maps each to an experiment E1–E19).
-This file records, for every experiment, the claim and the values measured
-by the benchmark harness on this machine. Regenerate with:
-
-```
-pytest benchmarks/ --benchmark-only -s
-python benchmarks/make_experiments_md.py
-```
-
-Absolute timings vary by host; the *shape* of each result (who wins, by
-roughly what factor, where crossovers fall) is asserted inside the
-benchmarks themselves — a green `pytest benchmarks/ --benchmark-only` run
-**is** the reproduction check.
-
-## Reproduction summary
-
-| Exp | Paper claim (section) | Status |
-|---|---|---|
-| E1 | Spam cost & break-even response rate rise ≥2 orders of magnitude (§1.2) | reproduced (101× at the paper's $0.01 e-penny) |
-| E2 | Spam volume decreases substantially (§1.2) | reproduced (bulk campaigns drop to zero volume; share 60%→<35% of calibrated market) |
-| E3 | Zero-sum: exact conservation at 100k-message scale (§1.2, §4.1) | reproduced (integer-exact) |
-| E4 | Balanced users neither pay nor profit (§1.2) | reproduced (population mean exactly 0; drift ≪ gross volume) |
-| E5 | Misbehaving ISPs are discovered; SHRED cannot detect collusion (§2.3, §4.4) | reproduced (100% cheater recall; SHRED structurally blind) |
-| E6 | Bulk settlement is cheap vs. per-payment SHRED (§2.3) | reproduced (settlement ops volume-independent; SHRED clearing cost exceeds collections) |
-| E7 | Mailing-list acks refund the distributor; stale addresses pruned (§5) | reproduced (net cost = (1−ack_rate)·size; exact 0 at full acks) |
-| E8 | Daily limit bounds zombie liability and detects zombies (§4.1, §5) | reproduced (liability ≤ limit always; 100% detection, 0 false alarms) |
-| E9 | Incremental deployment from 2 ISPs has positive feedback (§1.3, §5) | reproduced (hazard grows with adoption; stricter policies adopt faster) |
-| E10 | Filters false-positive and get evaded; Zmail needs no spam definition (§1.2, §2.2) | reproduced (evasion degrades recall; overlap drives false positives; Zmail 0 by construction) |
-| E11 | Zmail rides unmodified SMTP with transparent overhead (§1.3) | reproduced (ledger work ≪ wire cost on real localhost SMTP) |
-| E12 | Computational postage is significantly inefficient vs. Zmail (§2.3) | reproduced (20-bit hashcash ≈ server-farm hours/day at ISP scale; Zmail is ledger arithmetic) |
-| E13 | The §4 formal spec holds its invariants; cheaters flagged (§4) | reproduced (randomized model checking, 0 false alarms, both cheat modes caught) |
-| E14 | (extension) Distributed/hierarchical banks are straightforward (§5) | built & validated (detection parity with the central bank; per-node load drops) |
-| E15 | Legal approaches fail: offshore escape, registry backfire (§2.1) | reproduced (volume barely moves; registry increases expected spam at realistic leak risk) |
-| E16 | (synthesis) Compliant inboxes stay clean; incentive grows with adoption (§1.1–§1.2, §5) | reproduced (delivered spam collapses as adoption grows; receivers keep the windfall) |
-| E17 | (extension) Hybrid boundary filtering (§5) | built & validated (filter pathologies confined to non-compliant mail; paid mail structurally exempt) |
-| E18 | (extension) Solvency audit catches e-penny minting (§4.4 "further investigation") | built & validated (0 false alarms; every cash-out flagged) |
-| E19 | Motivating trend: 8%→60% spam share heading to inundation; Gartner ~$300k (§1.1) | reproduced (logistic through the cited points; Zmail counterfactual caps the share) |
-
-Substitutions for things we lack (real traffic, corpora, market data) are
-documented in DESIGN.md §2; paper-era constants ($0.0001/msg infra cost,
-$0.01 e-penny, 60% spam share) are encoded in `repro.economics` and swept
-where the claim depends on them.
-
-## Measured tables
-
-"""
+BEGIN = "<!-- BEGIN tables rendered from benchmarks/results.jsonl -->\n"
+END = "<!-- END tables rendered from benchmarks/results.jsonl -->\n"
 
 
 def format_cell(value):
@@ -78,7 +35,10 @@ def format_cell(value):
 def render_table(rows):
     if not rows:
         return "*(no rows)*\n"
-    keys = list(rows[0].keys())
+    # Rows may differ in shape (the arena's throughput rows and phase
+    # rows share one record), so the columns are every key, in order of
+    # first appearance.
+    keys = list(dict.fromkeys(key for row in rows for key in row))
     out = ["| " + " | ".join(keys) + " |"]
     out.append("|" + "|".join("---" for _ in keys) + "|")
     for row in rows:
@@ -88,42 +48,58 @@ def render_table(rows):
     return "\n".join(out) + "\n"
 
 
-def main() -> None:
-    if not RESULTS.exists():
-        raise SystemExit(
-            "no benchmarks/results.jsonl — run "
-            "`pytest benchmarks/ --benchmark-only -s` first"
-        )
-    # Keep only the most recent record per experiment id. The file is
-    # append-only (interrupted runs never clobber it), so recency is
-    # decided by the ISO-8601 ``timestamp`` field; legacy records without
-    # one rank oldest, with file order breaking ties.
+def latest_records(lines):
+    """The newest record per experiment id, in first-seen order.
+
+    The file is append-only (interrupted runs never clobber it), so
+    recency is decided by the ISO-8601 ``timestamp`` field; legacy
+    records without one rank oldest, with file order breaking ties.
+    """
     latest = {}
-    order = []
-    for index, line in enumerate(RESULTS.read_text().splitlines()):
+    for index, line in enumerate(lines):
         record = json.loads(line)
-        name = record["experiment"]
         recency = (record.get("timestamp", ""), index)
-        if name not in latest:
-            order.append(name)
+        name = record["experiment"]
         if name not in latest or recency >= latest[name][0]:
             latest[name] = (recency, record)
-    latest = {name: record for name, (recency, record) in latest.items()}
+    return {name: record for name, (_, record) in latest.items()}
 
-    def sort_key(name):
-        head = name.split("-")[0].lstrip("E")
-        digits = "".join(ch for ch in head if ch.isdigit())
-        return (int(digits or 0), name)
 
-    parts = [PREAMBLE]
-    for name in sorted(order, key=sort_key):
-        record = latest[name]
+def sort_key(name):
+    """E-numbered experiments in numeric order, then every other id."""
+    match = re.match(r"E(\d+)", name)
+    return (0, int(match[1]), name) if match else (1, 0, name)
+
+
+def render_tables(records):
+    parts = []
+    for name in sorted(records, key=sort_key):
+        record = records[name]
         parts.append(f"### {name}\n")
         parts.append(f"**Claim:** {record['claim']}\n")
         parts.append(render_table(record["rows"]))
         parts.append("")
-    OUTPUT.write_text("\n".join(parts))
-    print(f"wrote {OUTPUT} ({len(order)} experiments)")
+    return "\n".join(parts)
+
+
+def render(document, records):
+    """``document`` with its marked block replaced by fresh tables."""
+    head, begin, rest = document.partition(BEGIN)
+    _, end, tail = rest.partition(END)
+    if not (begin and end):
+        raise SystemExit("EXPERIMENTS.md lacks the generated-table markers")
+    return head + BEGIN + render_tables(records) + END + tail
+
+
+def main(results=RESULTS, output=OUTPUT) -> None:
+    if not results.exists():
+        raise SystemExit(
+            "no benchmarks/results.jsonl — run "
+            "`pytest benchmarks/ --benchmark-only -s` first"
+        )
+    records = latest_records(results.read_text().splitlines())
+    output.write_text(render(output.read_text(), records))
+    print(f"wrote {output} ({len(records)} experiments)")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ iff their digests agree, without holding either trace in memory.
 Cost model (DESIGN.md §Observability): every emit site in the hot path
 is guarded with ``if tracer.enabled:`` so the disabled path is one
 attribute load and a branch — no argument packing, no allocation. The
-macro benchmark (``benchmarks/bench_obs.py``) pins the disabled-path
-overhead under the 3% budget.
+enabled path's cost is measured by ``perfbench/run.py --trace 1`` as
+the ``trace.emit_s`` and ``trace.sink_s`` layers.
 
 Timestamps are **virtual time only**. Wall-clock profiling lives in
 :mod:`repro.obs.spans` and is deliberately kept out of every digest so

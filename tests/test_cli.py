@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import example
+from repro import cli
 from repro.cli import build_parser, main
 
 CANONICAL = example("canonical-3isp.yaml")
@@ -182,6 +183,26 @@ class TestTraceCommand:
         names = list(doc["metrics"])
         assert names == sorted(names)
         assert "zmail.deliver.delivered" in doc["metrics"]
+
+
+class TestProfile:
+    """``repro --profile`` wraps any command in cProfile."""
+
+    ARGS = ["--profile", "--profile-top", "5", "run", CANONICAL]
+
+    def test_profile_prints_the_run_then_a_pstats_table(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        run_output, table = out.split("function calls", 1)
+        assert "conserved:       True" in run_output
+        assert "Ordered by: cumulative time" in table
+        assert "due to restriction <5>" in table
+        assert "(cmd_run)" in table
+
+    def test_profile_returns_the_commands_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, "run", lambda args: 1)
+        assert main(self.ARGS) == 1
+        assert "Ordered by: cumulative time" in capsys.readouterr().out
 
 
 class TestCluster:

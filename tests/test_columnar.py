@@ -10,6 +10,9 @@ both executors so the equivalence claim rests on more than the canonical
 workload; shrinking then hands back a minimal diverging scenario.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +26,7 @@ from repro.core.scenario import Scenario, SpammerSpec, ZombieSpec
 from repro.errors import SimulationError
 from repro.obs.manifest import accounting_digest
 from repro.obs.trace import TraceRecorder
-from repro.scenario import run_plan
+from repro.scenario import compile_scenario, run_plan
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import SeededStreams
 from repro.sim.workload import (
@@ -35,6 +38,34 @@ from repro.sim.workload import (
 
 
 CANONICAL = load_plan("canonical-3isp.yaml")
+MACRO_DOC = os.path.join(
+    os.path.dirname(__file__), "..", "perfbench", "worlds", "macro-columnar.json"
+)
+
+
+def macro_smoke_plan():
+    """The benchmark's macro world at smoke scale: seed 7, two days, every
+    traffic rate scaled by 0.05 (52,491 sends)."""
+    with open(MACRO_DOC, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["seed"] = 7
+    traffic = doc["traffic"]
+    traffic["duration"] = 2 * DAY
+    traffic["normal_rate_per_day"] *= 0.05
+    for spammer in traffic["spammers"]:
+        spammer["volume"] = int(spammer["volume"] * 0.05)
+    for zombie in traffic["zombies"]:
+        zombie["rate_per_hour"] *= 0.05
+    return compile_scenario(doc)
+
+
+#: World name -> (plan, pinned send count). The macro smoke world is a
+#: tight-balance world (``fuzz.cluster_comparable`` is false), so only
+#: the instant-delivery executors are compared on it.
+WORLDS = {
+    "canonical-3isp": (CANONICAL, 3_802),
+    "macro-smoke": (macro_smoke_plan(), 52_491),
+}
 
 
 def traced(mode):
@@ -54,16 +85,27 @@ def run_both(scenario: Scenario):
     return direct, columnar
 
 
-class TestCanonicalEquivalence:
-    def test_summary_and_accounting_match_direct(self):
-        direct, columnar = run_both(CANONICAL.scenario())
-        assert columnar.summary() == direct.summary()
-        assert accounting_digest(columnar.network) == accounting_digest(
-            direct.network
-        )
+@pytest.fixture(scope="class", params=list(WORLDS))
+def world_runs(request):
+    """One world's direct, columnar and engine results."""
+    plan, sends = WORLDS[request.param]
+    runs = {mode: plan.scenario(mode).run()
+            for mode in ("direct", "columnar", "engine")}
+    assert runs["direct"].sends_attempted == sends
+    return runs
 
-    def test_every_reconcile_cut_digest_matches(self):
-        direct, columnar = run_both(CANONICAL.scenario())
+
+class TestCanonicalEquivalence:
+    def test_summary_and_accounting_match_direct(self, world_runs):
+        direct = world_runs["direct"]
+        for mode in ("columnar", "engine"):
+            assert world_runs[mode].summary() == direct.summary(), mode
+            assert accounting_digest(world_runs[mode].network) == (
+                accounting_digest(direct.network)
+            ), mode
+
+    def test_every_reconcile_cut_digest_matches(self, world_runs):
+        direct, columnar = world_runs["direct"], world_runs["columnar"]
         assert direct.cut_digests  # daily cuts + the final one
         assert columnar.cut_digests == direct.cut_digests
 

@@ -18,7 +18,7 @@ from repro.obs.manifest import build_manifest
 from repro.obs.metrics_export import export_network
 from repro.obs.schema import EVENT_TYPES, validate_trace_lines
 from repro.obs.spans import SpanRegistry
-from repro.obs.trace import ListSink, TraceRecorder
+from repro.obs.trace import JsonlSink, ListSink, RingSink, TraceRecorder
 from repro.sim import SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
@@ -94,6 +94,17 @@ class TestObserverEffect:
         _, rec_sink, _, man_sink = run_canonical(sink=ListSink())
         assert rec_sinkless.digest() == rec_sink.digest()
         assert man_sinkless.to_json() == man_sink.to_json()
+
+    def test_ring_and_jsonl_sinks_record_the_same_trace(self, tmp_path):
+        # The recorder digests the canonical line stream before any sink
+        # sees it, so the sink that stores the lines cannot change them.
+        untraced = canonical_world().run()
+        ring, ring_rec, _, ring_man = run_canonical(sink=RingSink())
+        with JsonlSink(str(tmp_path / "trace.jsonl")) as sink:
+            jsonl, jsonl_rec, _, jsonl_man = run_canonical(sink=sink)
+        assert ring.summary() == jsonl.summary() == untraced.summary()
+        assert ring_rec.digest() == jsonl_rec.digest()
+        assert ring_man.to_json() == jsonl_man.to_json()
 
     def test_spans_do_not_perturb_the_trace(self):
         plain = canonical_world(tracer=TraceRecorder())

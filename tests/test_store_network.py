@@ -1,11 +1,14 @@
 """Tests for genesis+deltas network persistence through the durable store."""
 
+import time
+
 import pytest
 
 from repro.core import ZmailConfig, ZmailNetwork
 from repro.errors import SimulationError
 from repro.sim import Address
 from repro.store import (
+    DirtyTracker,
     DurableStore,
     attach_tracker,
     commit_network,
@@ -210,3 +213,62 @@ class TestDurableDigest:
         before = durable_digest(network)
         network.isps[0].paid_letters_in_flight = 99
         assert durable_digest(network) == before
+
+
+class TestRestartCost:
+    """A restart replays O(dirty) state, not O(users) (DESIGN.md §13)."""
+
+    N_ISPS = 4
+    USERS = 50_000
+    DIRTY = USERS // 100
+
+    def test_dirty_restore_is_exact_bounded_and_ten_times_faster(self, tmp_path):
+        network = ZmailNetwork(
+            n_isps=self.N_ISPS, users_per_isp=self.USERS // self.N_ISPS, seed=7
+        )
+        dirty_path = str(tmp_path / "dirty.db")
+        with DurableStore.create(dirty_path) as store:
+            init_store(store, network)
+            tracker = attach_tracker(network)
+            for i in range(self.DIRTY):
+                network.fund_user(
+                    Address(i % self.N_ISPS, i // self.N_ISPS), epennies=1
+                )
+            commit_network(store, network, tracker, barrier=1)
+        # The same network with every user committed: the O(users) reload.
+        full_path = str(tmp_path / "full.db")
+        with DurableStore.create(full_path) as store:
+            init_store(store, network)
+            tracker = DirtyTracker()
+            tracker.dirty.update(
+                (isp_id, user_id)
+                for isp_id in range(network.n_isps)
+                for user_id in range(network.users_per_isp)
+            )
+            commit_network(store, network, tracker, barrier=1)
+
+        def restore(path):
+            with DurableStore.open(path) as store:
+                return restore_network(store)
+
+        restored = restore(dirty_path)
+        # Lazy genesis materialises exactly the dirty set, no clean user
+        # (counted before the digest below walks every account).
+        assert sum(
+            isp.ledger.materialized_count()
+            for isp in restored.compliant_isps().values()
+        ) == self.DIRTY
+        live = durable_digest(network)
+        assert durable_digest(restored) == live
+        assert durable_digest(restore(full_path)) == live
+
+        def best_of_3(path):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                restore(path)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        speedup = best_of_3(full_path) / best_of_3(dirty_path)
+        assert speedup >= 10.0, f"dirty restore only {speedup:.1f}x faster"
