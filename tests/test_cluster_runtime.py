@@ -9,6 +9,7 @@ that keep misconfigured runs from silently diverging.
 """
 
 import dataclasses
+import hashlib
 import multiprocessing
 import threading
 
@@ -41,6 +42,14 @@ def invariance_runs():
     }
 
 
+#: sha256 of the merged cluster manifest of ``smoke_world(11)`` — the
+#: absolute bytes, which shard-count comparisons alone would not catch
+#: drifting.
+SMOKE_MANIFEST_SHA256 = (
+    "3d810e4b92e3bf881e3000534d826f15c0880f51763f9653ba39814a262d0934"
+)
+
+
 class TestShardInvariance:
     def test_manifests_byte_identical(self, invariance_runs):
         reference = invariance_runs[1].manifest.to_json()
@@ -48,6 +57,8 @@ class TestShardInvariance:
             assert result.manifest.to_json() == reference, (
                 f"N={n} manifest diverged from N=1"
             )
+        digest = hashlib.sha256(reference.encode("utf-8")).hexdigest()
+        assert digest == SMOKE_MANIFEST_SHA256
 
     def test_balances_and_ledger_digests_identical(self, invariance_runs):
         reference = invariance_runs[1].manifest.extra

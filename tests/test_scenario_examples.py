@@ -31,6 +31,15 @@ def is_chaos(plan):
     return plan.doc["chaos"]["cell"] is not None
 
 
+#: sha256 of a plain document's invariant manifest (``to_json()`` bytes),
+#: the same on every executor — pins the absolute ledger multiset and
+#: accounting digests, which the executor-vs-executor checks cannot.
+MANIFEST_SHA256 = {
+    "canonical-3isp.yaml":
+        "fd3283b5859b8cec65806da4914893a3f649765796e05dc21b1799e5d4984117",
+}
+
+
 @pytest.mark.parametrize(
     "name", DOCUMENTS, ids=lambda name: name.removesuffix(".yaml")
 )
@@ -55,6 +64,9 @@ def test_document_runs_agree(name):
     texts = {mode: manifest.to_json() for mode, manifest in manifests.items()}
     assert len(set(texts.values())) == 1, sorted(texts)
     assert manifests["direct"].extra["conserved"] is True
+    if name in MANIFEST_SHA256:
+        blob = texts["direct"].encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == MANIFEST_SHA256[name]
 
 
 #: sha256 of each campaign document's chaos row (sorted-key JSON).

@@ -6,6 +6,8 @@ from the SQLite store) and as an in-memory oracle must produce
 byte-identical run manifests.
 """
 
+import hashlib
+
 import pytest
 
 from repro.chaos.crash import CrashController
@@ -27,6 +29,12 @@ FAST = SoakSpec(
     crash_down_for=45.0,
     flood_rate_per_sec=15.0,
     flood_duration=60.0,
+)
+
+#: sha256 of the ``FAST`` soak's manifest file — the absolute bytes the
+#: durable and oracle runs must both reproduce.
+FAST_MANIFEST_SHA256 = (
+    "b1673b095e6cb4754fe14e41c0a0bd4384cd861c1cae15a6411089db85f34369"
 )
 
 
@@ -73,6 +81,7 @@ class TestRecoveryEquivalence:
         durable_bytes = open(durable_path, "rb").read()
         oracle_bytes = open(oracle_path, "rb").read()
         assert durable_bytes == oracle_bytes
+        assert hashlib.sha256(oracle_bytes).hexdigest() == FAST_MANIFEST_SHA256
 
     def test_final_digests_match(self, pair):
         durable, oracle, _, _ = pair
