@@ -51,8 +51,6 @@ used by the benchmark), ``inline`` drives the same workers in-process
 from __future__ import annotations
 
 import glob
-import hashlib
-import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -61,7 +59,11 @@ from dataclasses import dataclass, field
 from ..core.bank import Bank
 from ..core.scenario import Scenario
 from ..errors import SimulationError
-from ..obs.manifest import RunManifest, config_digest
+from ..obs.manifest import (
+    RunManifest,
+    config_digest,
+    invariant_accounting_digest,
+)
 from ..obs.metrics_export import MetricsExporter
 from ..obs.schema import LEDGER_EVENT_TYPES
 from ..obs.trace import AdditiveMultisetDigest
@@ -693,11 +695,7 @@ def _merge(
         accounting["total_value"] == accounting["expected_total_value"]
     )
 
-    balances_digest = hashlib.sha256(
-        json.dumps(
-            accounting, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-    ).hexdigest()
+    balances_digest = invariant_accounting_digest(accounting)
     exporter = MetricsExporter()
     exporter.add_static("zmail", counters)
 

@@ -57,6 +57,7 @@ from ..core.protocol import ZmailNetwork
 from ..core.scenario import Scenario
 from ..core.zombie import ZombieMonitor
 from ..errors import SimulationError
+from ..obs.manifest import invariant_accounting
 from ..obs.schema import LEDGER_EVENT_TYPES, STORE_EVENT_TYPES
 from ..obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
 from ..sim.rng import SeededStreams, derive_seed
@@ -311,29 +312,12 @@ class ShardWorker:
         if self._store is not None:
             self._store.close()
             self._store = None
-        accounting: dict[str, object] = {
-            "isps": {},
-            "bank_deposits": network.bank.total_deposits(),
-            "external_deposit": network._external_deposit,
-            "total_value": network.total_value(),
-            "expected_total_value": network.expected_total_value(),
-        }
-        for isp_id, isp in sorted(network.compliant_isps().items()):
-            accounting["isps"][str(isp_id)] = {
-                "users": [
-                    [user.user_id, user.account, user.balance]
-                    for user in isp.ledger.users()
-                ],
-                "pool": isp.ledger.pool,
-                "cash": isp.ledger.cash,
-                "bank_account": network.bank.account_balance(isp_id),
-            }
         return {
             "type": "final",
             "shard": self.spec.shard_id,
             "cycle": self._last_barrier,
             "cut": cut,
-            "accounting": accounting,
+            "accounting": invariant_accounting(network),
             # Store bookkeeping counters exist only when journaling.
             "counters": {
                 name: value

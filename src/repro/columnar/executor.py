@@ -97,28 +97,27 @@ def run_columnar(scenario):
         state.refresh()
         next_reconcile += period
 
-    with network.spans.span("workload.batch"):
-        for chunk in chunks:
-            times = chunk.times
-            pos, n = 0, len(times)
-            while pos < n:
-                t_pos = float(times[pos])
-                if next_reconcile is not None and t_pos >= next_reconcile:
-                    boundary_reconcile()
-                if int(t_pos // DAY) > network._last_day_seen:
-                    state.spill()
-                    network.note_time(t_pos)
-                    state.refresh()
-                limit_t = np.inf if next_reconcile is None else next_reconcile
-                next_midnight = (network._last_day_seen + 1) * DAY
-                if next_midnight < limit_t:
-                    limit_t = next_midnight
-                end = pos + 1 + int(
-                    np.searchsorted(times[pos + 1 :], limit_t, side="left")
-                )
-                _execute_batch(np, network, state, tracer, chunk, pos, end)
-                attempted += end - pos
-                pos = end
+    for chunk in chunks:
+        times = chunk.times
+        pos, n = 0, len(times)
+        while pos < n:
+            t_pos = float(times[pos])
+            if next_reconcile is not None and t_pos >= next_reconcile:
+                boundary_reconcile()
+            if int(t_pos // DAY) > network._last_day_seen:
+                state.spill()
+                network.note_time(t_pos)
+                state.refresh()
+            limit_t = np.inf if next_reconcile is None else next_reconcile
+            next_midnight = (network._last_day_seen + 1) * DAY
+            if next_midnight < limit_t:
+                limit_t = next_midnight
+            end = pos + 1 + int(
+                np.searchsorted(times[pos + 1 :], limit_t, side="left")
+            )
+            _execute_batch(np, network, state, tracer, chunk, pos, end)
+            attempted += end - pos
+            pos = end
 
     state.spill()
     network.note_time(scenario.duration)

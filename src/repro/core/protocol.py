@@ -26,7 +26,6 @@ from typing import Callable, Iterable
 
 from ..crypto import NonceSource
 from ..errors import InsufficientBalance, SimulationError
-from ..obs.spans import NULL_SPANS, SpanRegistry
 from ..obs.trace import NULL_TRACER, TraceRecorder
 from ..sim.clock import DAY
 from ..sim.engine import Engine
@@ -135,9 +134,6 @@ class ZmailNetwork:
             attribute check. If the recorder has no clock yet, the
             network installs its own (engine time, or the direct-mode
             driver time advanced by :meth:`note_time`).
-        spans: Wall-clock span registry (:mod:`repro.obs.spans`) timing
-            snapshot rounds and workload batches; never part of any
-            digest.
 
     Example (direct mode)::
 
@@ -165,7 +161,6 @@ class ZmailNetwork:
         overload_gate: Callable[[int], bool] | None = None,
         local_isps: Iterable[int] | None = None,
         tracer: TraceRecorder | None = None,
-        spans: SpanRegistry | None = None,
     ) -> None:
         if n_isps <= 0 or users_per_isp <= 0:
             raise ValueError("need at least one ISP and one user per ISP")
@@ -261,7 +256,6 @@ class ZmailNetwork:
         self.engine = engine
         self.transport = transport
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.spans = spans if spans is not None else NULL_SPANS
         if tracer is not None and tracer is not NULL_TRACER and tracer.clock is None:
             # The outermost clock owner wins: a chaos harness or CLI that
             # installed its own clock first keeps it.
@@ -731,8 +725,7 @@ class ZmailNetwork:
                     "method='timeout'/'marker'"
                 )
             coordinator = DirectSnapshotCoordinator(self.bank, compliant)
-            with self.spans.span("snapshot.round"):
-                report = coordinator.run()
+            report = coordinator.run()
             self.last_report = report
             self._trace_reconcile("direct", report)
             return report

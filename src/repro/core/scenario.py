@@ -166,11 +166,9 @@ class Scenario:
     mode: str = "direct"
     link: object | None = None  # sim.LinkSpec; object to avoid hard import
     # Observability (repro.obs): an optional TraceRecorder threaded into
-    # the deployment (every ledger event is emitted through it) and an
-    # optional SpanRegistry for wall-clock phase timing. Both default to
-    # off; tracing must not change any protocol outcome (tested).
+    # the deployment (every ledger event is emitted through it). Off by
+    # default; tracing must not change any protocol outcome (tested).
     tracer: object | None = None
-    spans: object | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("direct", "columnar", "engine"):
@@ -190,7 +188,6 @@ class Scenario:
             engine=engine,
             link=self.link,  # type: ignore[arg-type]
             tracer=self.tracer,  # type: ignore[arg-type]
-            spans=self.spans,  # type: ignore[arg-type]
         )
 
     def _deploy(self, engine=None):
@@ -321,15 +318,14 @@ class Scenario:
             self.reconcile_every if self.reconcile_every > 0 else None
         )
         attempted = 0
-        with network.spans.span("workload.batch"):
-            for request in requests:
-                if next_reconcile is not None and request.time >= next_reconcile:
-                    reconciliations.append(network.reconcile("direct"))
-                    cut_digests.append(accounting_digest(network))
-                    next_reconcile += self.reconcile_every
-                network.note_time(request.time)
-                network.send(request.sender, request.recipient, request.kind)
-                attempted += 1
+        for request in requests:
+            if next_reconcile is not None and request.time >= next_reconcile:
+                reconciliations.append(network.reconcile("direct"))
+                cut_digests.append(accounting_digest(network))
+                next_reconcile += self.reconcile_every
+            network.note_time(request.time)
+            network.send(request.sender, request.recipient, request.kind)
+            attempted += 1
         network.note_time(self.duration)
         reconciliations.append(network.reconcile("direct"))
         cut_digests.append(accounting_digest(network))
@@ -341,7 +337,7 @@ class Scenario:
     def _run_engine(self) -> ScenarioResult:
         from ..sim.engine import Engine
 
-        engine = Engine(spans=self.spans)  # type: ignore[arg-type]
+        engine = Engine()
         network, monitor = self._deploy(engine)
         streams = SeededStreams(self.seed)
         requests = merge_workloads(*self.workload_streams(streams))

@@ -1,15 +1,19 @@
-"""Unified observability: event tracing, span timing, metrics, manifests.
+"""Unified observability: event tracing, metrics, manifests.
 
 Four pieces, one discipline (virtual time in digests, wall clock never):
 
 * :mod:`~repro.obs.trace` — the structured event bus. Near-zero cost
-  when disabled; canonical JSONL + incremental stream digest when on.
-* :mod:`~repro.obs.spans` — wall-clock span timing for profiling, kept
-  strictly out of every digest.
+  when disabled; canonical JSONL + incremental stream digest when on,
+  plus the order-insensitive multiset digest the cross-executor checks
+  compare.
+* :mod:`~repro.obs.schema` — the event taxonomy and its validators.
 * :mod:`~repro.obs.metrics_export` — one namespaced registry over all
   ad-hoc metrics, dumpable as JSON (``repro run doc.yaml --metrics``).
 * :mod:`~repro.obs.manifest` — the run identity card: seed, config
-  digest, format versions, event/metric digests.
+  digest, format versions, event/metric/accounting digests.
+
+Wall-clock timing lives outside ``src/``: ``perfbench/run.py --trace 1``
+wraps named functions from the outside and reports per-layer time.
 
 ``repro run examples/scenarios/canonical-3isp.yaml --trace out.jsonl``
 writes the canonical world's JSONL trace; two same-seed runs produce
@@ -37,7 +41,6 @@ from .schema import (
     validate_event,
     validate_trace_lines,
 )
-from .spans import NULL_SPANS, SpanRegistry
 from .trace import (
     NULL_TRACER,
     TRACE_FORMAT_VERSION,
@@ -48,7 +51,6 @@ from .trace import (
     RingSink,
     TraceRecorder,
     canonical_line,
-    multiset_digest,
     recover_jsonl_tail,
 )
 
@@ -64,10 +66,7 @@ __all__ = [
     "DigestSink",
     "NULL_TRACER",
     "canonical_line",
-    "multiset_digest",
     "AdditiveMultisetDigest",
-    "SpanRegistry",
-    "NULL_SPANS",
     "MetricsExporter",
     "export_network",
     "export_deployment",

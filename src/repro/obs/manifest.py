@@ -28,6 +28,8 @@ __all__ = [
     "MANIFEST_FORMAT_VERSION",
     "RunManifest",
     "accounting_digest",
+    "invariant_accounting",
+    "invariant_accounting_digest",
     "config_digest",
     "build_manifest",
 ]
@@ -86,6 +88,42 @@ def accounting_digest(network) -> str:
         }
     blob = json.dumps(state, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def invariant_accounting(network) -> dict[str, object]:
+    """Every balance in the system, in the cluster's mergeable shape.
+
+    A single-process run and each cluster shard build this same dict;
+    :func:`repro.cluster.runtime._merge` unions the ``isps`` maps and
+    sums the totals, so a merged cluster run digests identically to a
+    single-process one. (:func:`accounting_digest` tracks in-flight
+    letters too; quiesced cross-executor comparison needs the
+    shard-mergeable subset.)
+    """
+    accounting: dict[str, object] = {
+        "isps": {},
+        "bank_deposits": network.bank.total_deposits(),
+        "external_deposit": network._external_deposit,
+        "total_value": network.total_value(),
+        "expected_total_value": network.expected_total_value(),
+    }
+    for isp_id, isp in sorted(network.compliant_isps().items()):
+        accounting["isps"][str(isp_id)] = {
+            "users": [
+                [user.user_id, user.account, user.balance]
+                for user in isp.ledger.users()
+            ],
+            "pool": isp.ledger.pool,
+            "cash": isp.ledger.cash,
+            "bank_account": network.bank.account_balance(isp_id),
+        }
+    return accounting
+
+
+def invariant_accounting_digest(accounting: dict[str, object]) -> str:
+    """SHA-256 over an :func:`invariant_accounting` dict (canonical JSON)."""
+    blob = json.dumps(accounting, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass

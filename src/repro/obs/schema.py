@@ -86,6 +86,8 @@ _ENVELOPE = ("t", "seq", "type")
 
 def validate_event(event: dict) -> None:
     """Raise :class:`TraceSchemaError` unless ``event`` is schema-valid."""
+    if not isinstance(event, dict):
+        raise TraceSchemaError(f"event must be a JSON object: {event!r}")
     for name in _ENVELOPE:
         if name not in event:
             raise TraceSchemaError(f"event missing envelope field {name!r}: {event!r}")

@@ -14,9 +14,13 @@ attribute load and a branch — no argument packing, no allocation. The
 enabled path's cost is measured by ``perfbench/run.py --trace 1`` as
 the ``trace.emit_s`` and ``trace.sink_s`` layers.
 
-Timestamps are **virtual time only**. Wall-clock profiling lives in
-:mod:`repro.obs.spans` and is deliberately kept out of every digest so
-traces stay byte-reproducible across machines.
+Each event is built once: the recorder hands every sink the event dict
+together with its canonical line (``sink.accept(event, line)``). Line
+sinks keep the line; :class:`DigestSink` feeds the dict to its
+accumulators, so no event is ever parsed back from its own JSON.
+
+Timestamps are **virtual time only** — no wall clock reaches a trace,
+so traces stay byte-reproducible across machines.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "NULL_TRACER",
     "DigestSink",
     "canonical_line",
-    "multiset_digest",
     "AdditiveMultisetDigest",
 ]
 
@@ -78,7 +81,7 @@ class RingSink:
         """The retention limit this ring was created with."""
         return self._lines.maxlen  # type: ignore[return-value]
 
-    def accept(self, line: str) -> None:
+    def accept(self, event: dict, line: str) -> None:
         """Retain one canonical line (evicting the oldest at the bound)."""
         self._lines.append(line)
 
@@ -106,7 +109,7 @@ class ListSink:
     def __init__(self) -> None:
         self._lines: list[str] = []
 
-    def accept(self, line: str) -> None:
+    def accept(self, event: dict, line: str) -> None:
         self._lines.append(line)
 
     def lines(self) -> list[str]:
@@ -123,10 +126,10 @@ class DigestSink:
     """Feeds every event into one or more digest accumulators, O(1) memory.
 
     The sink for runs whose trace is only wanted as a digest — the
-    cluster workers and the cross-executor determinism checks. Each
-    accepted line is parsed once and offered to every accumulator
-    (typically :class:`AdditiveMultisetDigest` instances with different
-    type filters).
+    cluster workers and the cross-executor determinism checks. Every
+    event dict is offered to each accumulator (typically
+    :class:`AdditiveMultisetDigest` instances with different type
+    filters); the line is not needed.
     """
 
     __slots__ = ("_accumulators",)
@@ -134,8 +137,7 @@ class DigestSink:
     def __init__(self, *accumulators) -> None:
         self._accumulators = accumulators
 
-    def accept(self, line: str) -> None:
-        event = json.loads(line)
+    def accept(self, event: dict, line: str) -> None:
         for accumulator in self._accumulators:
             accumulator.add(event)
 
@@ -166,7 +168,7 @@ class JsonlSink:
             self._file = open(target, "a" if resume else "w", encoding="utf-8")
             self._owns = True
 
-    def accept(self, line: str) -> None:
+    def accept(self, event: dict, line: str) -> None:
         self._file.write(line + "\n")
 
     def sync(self) -> None:
@@ -239,8 +241,10 @@ class TraceRecorder:
 
     Args:
         sink: Optional retention (:class:`RingSink`, :class:`ListSink`,
-            :class:`JsonlSink`, or anything with ``accept(line)``). The
-            stream digest is maintained whether or not a sink is set.
+            :class:`JsonlSink`, :class:`DigestSink`, or anything with
+            ``accept(event, line)``; the event dict is shared, so sinks
+            must not mutate it). The stream digest is maintained whether
+            or not a sink is set.
         clock: Zero-argument virtual-time source. Subsystems that own a
             clock (the engine, the direct-mode network driver) install
             one on attachment if none is set; events emitted with no
@@ -294,7 +298,7 @@ class TraceRecorder:
         self.events_emitted += 1
         sink = self.sink
         if sink is not None:
-            sink.accept(line)
+            sink.accept(event, line)
 
     def digest(self) -> str:
         """SHA-256 over every canonical line emitted so far (hex)."""
@@ -307,60 +311,23 @@ class TraceRecorder:
 NULL_TRACER = TraceRecorder(enabled=False)
 
 
-def multiset_digest(
-    events: Iterable[dict | str],
-    *,
-    include_types: Iterable[str] | None = None,
-    exclude_fields: tuple[str, ...] = ("t", "seq"),
-) -> str:
-    """Order-insensitive digest of a set of events.
-
-    Each event (a dict, or a canonical line to parse) is reduced to its
-    canonical bytes minus ``exclude_fields`` — by default the timestamp
-    and sequence number, so two runs that produced the *same set of
-    things at different times or interleavings* still compare equal.
-    Per-event hashes are sorted before the final digest, making the
-    result independent of event order (this is the documented
-    order-insensitive digest the property tests pin down).
-
-    ``include_types`` restricts the digest to a subset of event types —
-    the chaos differential test uses it to compare only ledger events.
-    """
-    wanted = frozenset(include_types) if include_types is not None else None
-    per_event: list[str] = []
-    for item in events:
-        event = json.loads(item) if isinstance(item, str) else dict(item)
-        if wanted is not None and event.get("type") not in wanted:
-            continue
-        for name in exclude_fields:
-            event.pop(name, None)
-        digest = hashlib.sha256(canonical_line(event).encode("utf-8"))
-        per_event.append(digest.hexdigest())
-    per_event.sort()
-    rollup = hashlib.sha256()
-    for digest_hex in per_event:
-        rollup.update(digest_hex.encode("ascii"))
-    return rollup.hexdigest()
-
-
 class AdditiveMultisetDigest:
     """Order-insensitive multiset hash that merges and survives restarts.
 
-    Same per-event reduction as :func:`multiset_digest` (canonical bytes
-    minus ``exclude_fields``, optional ``include_types`` allow-list and
-    ``exclude_types`` deny-list), but the
-    accumulator is the *sum* of per-event SHA-256 values mod 2**256 plus
-    a count — O(1) state instead of O(events), so a shard worker can
-    journal it mid-run (:meth:`state_dict` / :meth:`load_state`), a
-    restarted worker can resume it exactly, and the parent can
-    :meth:`merge` per-shard accumulators into one cluster-wide digest
-    whose value is independent of sharding and interleaving. Addition
-    mod 2**256 is commutative and associative, which is the whole trick.
-
-    Not interchangeable with :func:`multiset_digest` output — the final
-    hex is defined over ``count:sum`` — but has the same identity
-    property: two accumulators agree iff (with overwhelming probability)
-    they absorbed the same multiset of reduced events.
+    Each event is reduced to its canonical bytes minus ``exclude_fields``
+    — by default the timestamp and sequence number, so two runs that
+    produced the *same things at different times or interleavings* still
+    compare equal — after an optional ``include_types`` allow-list and
+    ``exclude_types`` deny-list. The accumulator is the *sum* of
+    per-event SHA-256 values mod 2**256 plus a count — O(1) state, so a
+    shard worker can journal it mid-run (:meth:`state_dict` /
+    :meth:`load_state`), a restarted worker can resume it exactly, and
+    the parent can :meth:`merge` per-shard accumulators into one
+    cluster-wide digest whose value is independent of sharding and
+    interleaving. Addition mod 2**256 is commutative and associative,
+    which is the whole trick: two accumulators agree iff (with
+    overwhelming probability) they absorbed the same multiset of reduced
+    events.
     """
 
     _MOD = 1 << 256
@@ -380,20 +347,25 @@ class AdditiveMultisetDigest:
         self._unwanted = (
             frozenset(exclude_types) if exclude_types is not None else frozenset()
         )
-        self._exclude = tuple(exclude_fields)
+        self._exclude = frozenset(exclude_fields)
 
-    def add(self, event: dict | str) -> None:
-        """Absorb one event (a dict or canonical line)."""
-        event = json.loads(event) if isinstance(event, str) else dict(event)
+    def add(self, event: dict) -> None:
+        """Absorb one event dict.
+
+        Never mutates ``event``: a :class:`DigestSink` hands the same
+        dict to every accumulator, each with its own ``exclude_fields``.
+        """
         etype = event.get("type")
         if self._wanted is not None and etype not in self._wanted:
             return
         if etype in self._unwanted:
             return
-        for name in self._exclude:
-            event.pop(name, None)
+        exclude = self._exclude
+        reduced = {
+            name: field for name, field in event.items() if name not in exclude
+        }
         value = int.from_bytes(
-            hashlib.sha256(canonical_line(event).encode("utf-8")).digest(),
+            hashlib.sha256(canonical_line(reduced).encode("utf-8")).digest(),
             "big",
         )
         self._sum = (self._sum + value) % self._MOD

@@ -25,15 +25,20 @@ campaign row instead of an invariant manifest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.config import NonCompliantMailPolicy, ZmailConfig
 from ..core.scenario import Scenario, SpammerSpec, ZombieSpec
 from ..errors import SimulationError
-from ..obs.manifest import RunManifest, config_digest
+# ``_invariant_accounting`` stays a module-level name here: perfbench's
+# manifest.build layer wraps it by that name.
+from ..obs.manifest import (
+    RunManifest,
+    config_digest,
+    invariant_accounting as _invariant_accounting,
+    invariant_accounting_digest,
+)
 from ..obs.metrics_export import MetricsExporter
 from ..obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
 from ..sim.network import LinkSpec
@@ -206,41 +211,6 @@ def compile_scenario(source: dict[str, Any] | str) -> ScenarioPlan:
 # -- invariant manifest ------------------------------------------------------
 
 
-def _invariant_accounting(network) -> dict[str, Any]:
-    """Every balance in the system, in the cluster's mergeable shape.
-
-    Key-for-key the dict :meth:`repro.cluster.worker.ShardWorker
-    ._final_outputs` builds and :func:`repro.cluster.runtime._merge`
-    sums, so a single-process run digests identically to a merged
-    cluster run. (``accounting_digest`` in :mod:`repro.obs.manifest`
-    tracks in-flight letters too; quiesced cross-executor comparison
-    needs the shard-mergeable subset.)
-    """
-    accounting: dict[str, Any] = {
-        "isps": {},
-        "bank_deposits": network.bank.total_deposits(),
-        "external_deposit": network._external_deposit,
-        "total_value": network.total_value(),
-        "expected_total_value": network.expected_total_value(),
-    }
-    for isp_id, isp in sorted(network.compliant_isps().items()):
-        accounting["isps"][str(isp_id)] = {
-            "users": [
-                [user.user_id, user.account, user.balance]
-                for user in isp.ledger.users()
-            ],
-            "pool": isp.ledger.pool,
-            "cash": isp.ledger.cash,
-            "bank_account": network.bank.account_balance(isp_id),
-        }
-    return accounting
-
-
-def _accounting_digest(accounting: dict[str, Any]) -> str:
-    blob = json.dumps(accounting, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def _manifest(
     plan: ScenarioPlan,
     *,
@@ -272,7 +242,7 @@ def _manifest(
             "duration": doc["traffic"]["duration"],
             "reconcile_every": doc["reconcile"]["every"],
             "sends_attempted": sends_attempted,
-            "accounting_digest": _accounting_digest(accounting),
+            "accounting_digest": invariant_accounting_digest(accounting),
             "total_value": accounting["total_value"],
             "expected_total_value": accounting["expected_total_value"],
             "conserved": conserved,

@@ -27,7 +27,6 @@ import heapq
 from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from ..errors import SimulationError
-from ..obs.spans import NULL_SPANS, SpanRegistry
 from .clock import Clock
 from .events import Event, EventHandle
 
@@ -80,7 +79,7 @@ class Engine:
         [1.0, 5.0]
     """
 
-    def __init__(self, *, spans: SpanRegistry | None = None) -> None:
+    def __init__(self) -> None:
         self.clock = Clock()
         self._heap: list[Event] = []
         self._streams: list[_Stream] = []
@@ -88,9 +87,6 @@ class Engine:
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        # Wall-clock profiling of run() windows (repro.obs.spans); spans
-        # never touch virtual time or determinism.
-        self.spans = spans if spans is not None else NULL_SPANS
 
     # -- time ---------------------------------------------------------------
 
@@ -268,8 +264,6 @@ class Engine:
         heap = self._heap
         clock = self.clock
         streams = self._streams
-        span = self.spans.span("engine.run")
-        span.__enter__()
         try:
             while not self._stopped:
                 # Drop cancelled heap heads so time comparisons see the
@@ -328,7 +322,6 @@ class Engine:
                 clock.advance_to(until)
         finally:
             self._running = False
-            span.__exit__(None, None, None)
 
     def stop(self) -> None:
         """Request that the current :meth:`run` call return after this event."""

@@ -20,7 +20,6 @@ import asyncio
 from typing import Awaitable, Callable
 
 from ..errors import SMTPProtocolError
-from ..obs.spans import NULL_SPANS, SpanRegistry
 from ..obs.trace import NULL_TRACER, TraceRecorder
 from .address import parse_address
 from .message import MailMessage
@@ -58,8 +57,6 @@ class SMTPServer:
             ``smtp.session`` events. The server has no virtual clock, so
             events carry whatever clock the recorder was given (``t=0``
             for a bare recorder).
-        spans: Wall-clock span registry; each session's lifetime is
-            recorded under the ``smtp.session`` span.
 
     Example (see ``examples/smtp_demo.py`` for a full round-trip)::
 
@@ -80,14 +77,12 @@ class SMTPServer:
         max_session_errors: int = 20,
         admission: Callable[[], bool] | None = None,
         tracer: TraceRecorder | None = None,
-        spans: SpanRegistry | None = None,
     ) -> None:
         if max_connections < 1 or max_session_commands < 1 or max_session_errors < 1:
             raise ValueError("SMTP server budgets must be at least 1")
         self._handler = handler
         self.hostname = hostname
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.spans = spans if spans is not None else NULL_SPANS
         self._rcpt_checker = rcpt_checker
         self._server: asyncio.AbstractServer | None = None
         self.max_connections = max_connections
@@ -144,8 +139,7 @@ class SMTPServer:
         session = _Session(self, reader, writer)
         outcome = "served"
         try:
-            with self.spans.span("smtp.session"):
-                await session.run()
+            await session.run()
         except (ConnectionError, asyncio.IncompleteReadError):
             outcome = "aborted"
         finally:

@@ -175,9 +175,7 @@ def commit_network(
     return written
 
 
-def restore_network(
-    store: DurableStore, *, tracer=None, spans=None
-) -> ZmailNetwork:
+def restore_network(store: DurableStore, *, tracer=None) -> ZmailNetwork:
     """Rebuild a direct-mode network from the store: the genesis its
     meta pins, then :func:`load_network`. Cost is
     O(n_isps + ever-dirty-users)."""
@@ -197,7 +195,6 @@ def restore_network(
         config=config,
         seed=seed,
         tracer=tracer,
-        spans=spans,
     )
     load_network(store, network)
     return network

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.chaos import ChaosDeployment, CrashEvent, FaultSpec
 from repro.core import ZmailConfig
 from repro.obs.schema import LEDGER_EVENT_TYPES
-from repro.obs.trace import ListSink, TraceRecorder, multiset_digest
+from repro.obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
 from repro.sim import SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
@@ -118,13 +118,14 @@ def test_fault_mix_with_crash_restart_preserves_invariants(
 
 def _ledger_trace_digest(seed, faults, crashes=()):
     """The order-insensitive digest over the run's ledger-visible events."""
-    sink = ListSink()
+    ledger = AdditiveMultisetDigest(include_types=LEDGER_EVENT_TYPES)
     deployment, converged = run_deployment(
-        seed, faults, crashes=crashes, tracer=TraceRecorder(sink=sink)
+        seed, faults, crashes=crashes,
+        tracer=TraceRecorder(sink=DigestSink(ledger)),
     )
     assert converged, f"did not drain; seed={seed} faults={faults}"
     assert deployment.monitor.green, deployment.monitor.first_violation
-    return multiset_digest(sink.lines(), include_types=LEDGER_EVENT_TYPES)
+    return ledger.digest()
 
 
 def test_ledger_trace_differential_faults_are_invisible():

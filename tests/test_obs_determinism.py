@@ -17,7 +17,6 @@ from repro.core import ZmailConfig
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics_export import export_network
 from repro.obs.schema import EVENT_TYPES, validate_trace_lines
-from repro.obs.spans import SpanRegistry
 from repro.obs.trace import JsonlSink, ListSink, RingSink, TraceRecorder
 from repro.sim import SeededStreams
 from repro.sim.rng import derive_seed
@@ -105,18 +104,6 @@ class TestObserverEffect:
         assert ring.summary() == jsonl.summary() == untraced.summary()
         assert ring_rec.digest() == jsonl_rec.digest()
         assert ring_man.to_json() == jsonl_man.to_json()
-
-    def test_spans_do_not_perturb_the_trace(self):
-        plain = canonical_world(tracer=TraceRecorder())
-        spanned = canonical_world(tracer=TraceRecorder())
-        spanned.spans = SpanRegistry()
-        r1 = plain.run()
-        r2 = spanned.run()
-        assert r1.summary() == r2.summary()
-        assert plain.tracer.digest() == spanned.tracer.digest()
-        stats = spanned.spans.stats()
-        assert stats["snapshot.round"]["count"] >= 2
-        assert stats["workload.batch"]["count"] >= 1
 
 
 class TestChaosObserverEffect:

@@ -1,4 +1,4 @@
-"""Unit tests for the trace recorder, sinks, spans and event schema."""
+"""Unit tests for the trace recorder, sinks, digests and event schema."""
 
 import io
 import json
@@ -12,16 +12,15 @@ from repro.obs.schema import (
     validate_event,
     validate_trace_lines,
 )
-from repro.obs.spans import NULL_SPANS, SpanRegistry
 from repro.obs.trace import (
     NULL_TRACER,
     AdditiveMultisetDigest,
+    DigestSink,
     JsonlSink,
     ListSink,
     RingSink,
     TraceRecorder,
     canonical_line,
-    multiset_digest,
 )
 
 
@@ -128,40 +127,6 @@ class TestSinks:
         assert json.loads(buffer.getvalue())["node"] == "bank"
 
 
-class TestMultisetDigest:
-    def test_order_insensitive(self):
-        events = [
-            {"t": 1.0, "seq": 1, "type": "send", "src": "a", "dst": "b"},
-            {"t": 2.0, "seq": 2, "type": "deliver", "src": "a", "dst": "b"},
-        ]
-        assert multiset_digest(events) == multiset_digest(list(reversed(events)))
-
-    def test_time_and_seq_excluded_by_default(self):
-        early = [{"t": 1.0, "seq": 1, "type": "send", "src": "a"}]
-        late = [{"t": 9.0, "seq": 7, "type": "send", "src": "a"}]
-        assert multiset_digest(early) == multiset_digest(late)
-
-    def test_multiplicity_matters(self):
-        one = [{"t": 0, "seq": 1, "type": "send", "src": "a"}]
-        two = one + [{"t": 0, "seq": 2, "type": "send", "src": "a"}]
-        assert multiset_digest(one) != multiset_digest(two)
-
-    def test_include_types_filters(self):
-        events = [
-            {"t": 0, "seq": 1, "type": "send", "src": "a"},
-            {"t": 0, "seq": 2, "type": "net.drop", "src": "a", "dst": "b"},
-        ]
-        ledger_only = multiset_digest(events, include_types=LEDGER_EVENT_TYPES)
-        assert ledger_only == multiset_digest(
-            events[:1], include_types=LEDGER_EVENT_TYPES
-        )
-        assert ledger_only != multiset_digest(events)
-
-    def test_accepts_canonical_lines(self):
-        event = {"t": 0.5, "seq": 1, "type": "crash", "node": "bank"}
-        assert multiset_digest([event]) == multiset_digest([canonical_line(event)])
-
-
 class TestAdditiveMultisetDigest:
     EVENTS = [
         {"t": 1.0, "seq": 1, "type": "send", "src": "a", "dst": "b"},
@@ -176,11 +141,9 @@ class TestAdditiveMultisetDigest:
             acc.add(event)
         return acc
 
-    def test_order_insensitive_and_accepts_lines(self):
+    def test_order_insensitive(self):
         forward = self._absorb(self.EVENTS)
-        backward = self._absorb(
-            [canonical_line(e) for e in reversed(self.EVENTS)]
-        )
+        backward = self._absorb(list(reversed(self.EVENTS)))
         assert forward.digest() == backward.digest()
         assert forward.count == backward.count == 4
 
@@ -234,6 +197,42 @@ class TestAdditiveMultisetDigest:
             AdditiveMultisetDigest().digest()
             == AdditiveMultisetDigest(include_types={"send"}).digest()
         )
+
+
+class TestDigestSink:
+    def test_shared_event_feeds_every_accumulator_unchanged(self):
+        # One dict reaches both accumulators and the line sink: a digest
+        # that dropped fields from it in place would corrupt the others.
+        without_seq = AdditiveMultisetDigest(exclude_fields=("seq",))
+        default = AdditiveMultisetDigest()
+        digests = DigestSink(without_seq, default)
+        lines = ListSink()
+        events = []
+
+        class Fanout:
+            def accept(self, event, line):
+                digests.accept(event, line)
+                lines.accept(event, line)
+                events.append(event)
+
+        recorder = TraceRecorder(sink=Fanout(), clock=lambda: 5.0)
+        recorder.emit("send", src="a", dst="b", kind="normal", status="ok")
+        recorder.emit("crash", node="bank")
+        recorder.emit("send", src="b", dst="a", kind="normal", status="ok")
+
+        for acc, kwargs in (
+            (without_seq, {"exclude_fields": ("seq",)}),
+            (default, {}),
+        ):
+            alone = AdditiveMultisetDigest(**kwargs)
+            for event in events:
+                alone.add(event)
+            assert acc.digest() == alone.digest()
+            assert acc.count == alone.count == 3
+        assert without_seq.digest() != default.digest()
+        assert lines.lines() == [canonical_line(e) for e in events]
+        assert [e["seq"] for e in events] == [1, 2, 3]
+        assert all(e["t"] == 5.0 for e in events)
 
 
 class TestSchema:
@@ -290,6 +289,11 @@ class TestSchema:
         with pytest.raises(TraceSchemaError, match="strictly increasing"):
             validate_trace_lines(lines)
 
+    @pytest.mark.parametrize("line", ["42", "null", "[]"])
+    def test_non_object_line_rejected(self, line):
+        with pytest.raises(TraceSchemaError, match="JSON object"):
+            validate_trace_lines([line])
+
     def test_unparseable_line_rejected(self):
         with pytest.raises(TraceSchemaError, match="unparseable"):
             validate_trace_lines(["{not json"])
@@ -297,37 +301,3 @@ class TestSchema:
     def test_blank_lines_skipped(self):
         line = canonical_line({"t": 0.0, "seq": 1, "type": "crash", "node": "a"})
         assert validate_trace_lines(["", line, "  "]) == 1
-
-
-class TestSpans:
-    def test_records_with_injected_timer(self):
-        ticks = iter([10.0, 13.0, 20.0, 21.0])
-        spans = SpanRegistry(timer=lambda: next(ticks))
-        with spans.span("work"):
-            pass
-        with spans.span("work"):
-            pass
-        stats = spans.stats()["work"]
-        assert stats["count"] == 2
-        assert stats["total"] == pytest.approx(4.0)
-        assert stats["min"] == pytest.approx(1.0)
-        assert stats["max"] == pytest.approx(3.0)
-        assert stats["mean"] == pytest.approx(2.0)
-
-    def test_disabled_registry_records_nothing(self):
-        spans = SpanRegistry(enabled=False)
-        with spans.span("work"):
-            pass
-        spans.record("work", 1.0)
-        assert spans.stats() == {}
-
-    def test_null_spans_shared_noop(self):
-        assert NULL_SPANS.enabled is False
-        with NULL_SPANS.span("anything"):
-            pass
-        assert NULL_SPANS.stats() == {}
-
-    def test_direct_record(self):
-        spans = SpanRegistry()
-        spans.record("x", 0.25)
-        assert spans.stats()["x"]["total"] == pytest.approx(0.25)

@@ -16,21 +16,21 @@ class TestJsonlSinkModes:
         with open(path, "w") as handle:
             handle.write("old content\n")
         with JsonlSink(path) as sink:
-            sink.accept('{"a":1}')
+            sink.accept({"a": 1}, '{"a":1}')
         assert open(path).read() == '{"a":1}\n'
 
     def test_resume_mode_appends(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         with JsonlSink(path) as sink:
-            sink.accept('{"a":1}')
+            sink.accept({"a": 1}, '{"a":1}')
         with JsonlSink(path, resume=True) as sink:
-            sink.accept('{"a":2}')
+            sink.accept({"a": 2}, '{"a":2}')
         assert open(path).read() == '{"a":1}\n{"a":2}\n'
 
     def test_sync_flushes_to_disk(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         sink = JsonlSink(path)
-        sink.accept('{"a":1}')
+        sink.accept({"a": 1}, '{"a":1}')
         sink.sync()
         # Visible to an independent reader before close.
         assert open(path).read() == '{"a":1}\n'
@@ -39,7 +39,7 @@ class TestJsonlSinkModes:
     def test_sync_tolerates_fd_free_objects(self):
         buffer = io.StringIO()
         sink = JsonlSink(buffer)
-        sink.accept('{"a":1}')
+        sink.accept({"a": 1}, '{"a":1}')
         sink.sync()  # StringIO.fileno() raises; sync must swallow it
         sink.close()  # never closes a caller-supplied object
         assert buffer.getvalue() == '{"a":1}\n'
@@ -108,7 +108,7 @@ class TestRecoverJsonlTail:
         path = self._write(tmp_path, b'{"a":1}\n{"a":2}\n{"to')
         recover_jsonl_tail(path)
         with JsonlSink(path, resume=True) as sink:
-            sink.accept('{"a":3}')
+            sink.accept({"a": 3}, '{"a":3}')
         lines = open(path).read().splitlines()
         assert [json.loads(line)["a"] for line in lines] == [1, 2, 3]
 
