@@ -127,6 +127,46 @@ class TestSinks:
         assert json.loads(buffer.getvalue())["node"] == "bank"
 
 
+class TestMultisetDigest:
+    """The ledger multiset digest as a run computes it: through a DigestSink."""
+
+    @staticmethod
+    def _digest(events, **kwargs):
+        acc = AdditiveMultisetDigest(**kwargs)
+        sink = DigestSink(acc)
+        for event in events:
+            sink.accept(event, canonical_line(event))
+        return acc.digest()
+
+    def test_order_insensitive(self):
+        events = [
+            {"t": 1.0, "seq": 1, "type": "send", "src": "a", "dst": "b"},
+            {"t": 2.0, "seq": 2, "type": "deliver", "src": "a", "dst": "b"},
+        ]
+        assert self._digest(events) == self._digest(list(reversed(events)))
+
+    def test_time_and_seq_excluded_by_default(self):
+        early = [{"t": 1.0, "seq": 1, "type": "send", "src": "a"}]
+        late = [{"t": 9.0, "seq": 7, "type": "send", "src": "a"}]
+        assert self._digest(early) == self._digest(late)
+
+    def test_multiplicity_matters(self):
+        one = [{"t": 0, "seq": 1, "type": "send", "src": "a"}]
+        two = one + [{"t": 0, "seq": 2, "type": "send", "src": "a"}]
+        assert self._digest(one) != self._digest(two)
+
+    def test_include_types_filters(self):
+        events = [
+            {"t": 0, "seq": 1, "type": "send", "src": "a"},
+            {"t": 0, "seq": 2, "type": "net.drop", "src": "a", "dst": "b"},
+        ]
+        ledger_only = self._digest(events, include_types=LEDGER_EVENT_TYPES)
+        assert ledger_only == self._digest(
+            events[:1], include_types=LEDGER_EVENT_TYPES
+        )
+        assert ledger_only != self._digest(events)
+
+
 class TestAdditiveMultisetDigest:
     EVENTS = [
         {"t": 1.0, "seq": 1, "type": "send", "src": "a", "dst": "b"},
@@ -141,9 +181,13 @@ class TestAdditiveMultisetDigest:
             acc.add(event)
         return acc
 
-    def test_order_insensitive(self):
+    def test_order_insensitive_and_accepts_lines(self):
+        # Events read back from canonical lines (a JSONL trace file)
+        # digest the same as the live dicts they were written from.
         forward = self._absorb(self.EVENTS)
-        backward = self._absorb(list(reversed(self.EVENTS)))
+        backward = self._absorb(
+            [json.loads(canonical_line(e)) for e in reversed(self.EVENTS)]
+        )
         assert forward.digest() == backward.digest()
         assert forward.count == backward.count == 4
 
