@@ -20,9 +20,10 @@ Layers:
 * :mod:`.crash` — :class:`CrashController`, fail-stop crash/restart
   through the durable store (:mod:`repro.store`);
 * :mod:`.deployment` — :class:`ChaosDeployment`, the wired system;
-* :mod:`.campaign` — :func:`run_cell`, the chaos drive behind
-  ``repro run doc.yaml --mode chaos``: one scenario document's world
-  under faults, with a pass/fail report row.
+* :mod:`.campaign` — :func:`deploy`, a scenario document's deployment
+  and traffic, and :func:`run_cell`, the chaos drive behind ``repro run
+  doc.yaml --mode chaos``: one document's world under faults, with a
+  pass/fail report row.
 """
 
 from ..obs.manifest import accounting_digest

@@ -65,6 +65,14 @@ from .snapshot import (
 
 __all__ = ["ChaosDeployment"]
 
+#: Every wire link: 50 ms, no loss (loss is injected via ``faults``).
+LINK = LinkSpec(base_latency=0.05)
+#: Reliable layer: base retransmission timeout, exponential backoff
+#: multiplier and the cap on the backed-off interval.
+RETRANSMIT_INTERVAL = 0.5
+BACKOFF = 2.0
+MAX_INTERVAL = 8.0
+
 
 class ChaosDeployment:
     """A Zmail system under reliable links over a faulty network.
@@ -77,18 +85,11 @@ class ChaosDeployment:
             number.
         compliant: Per-ISP compliance flags (default: all compliant).
         config: Zmail economics parameters.
-        link: Wire characteristics (default 50 ms links, no loss —
-            loss is usually injected via ``faults`` instead).
-        faults: Default fault mix for every link; per-link overrides via
-            ``net.set_faults``.
-        retransmit_interval: Reliable-layer base retransmission timeout.
-        backoff: Reliable-layer exponential backoff multiplier.
-        max_interval: Cap on the backed-off retransmission interval.
+        faults: Default fault mix for every link (50 ms, lossless
+            :data:`LINK`); per-link overrides via ``net.set_faults``.
         monitor_interval: Seconds between invariant checks.
         reconcile_every: Period of §4.4 reconciliation rounds; ``None``
             disables reconciliation.
-        snapshot_opts: Keyword overrides for the
-            :class:`RetryingSnapshotCoordinator`.
         overload: Enable the overload-protection layer (admission
             control, transfer/snapshot circuit breakers, overload
             monitor) with these parameters; ``None`` (the default) keeps
@@ -103,14 +104,9 @@ class ChaosDeployment:
         seed: int,
         compliant: Iterable[bool] | None = None,
         config: ZmailConfig | None = None,
-        link: LinkSpec | None = None,
         faults: FaultSpec | None = None,
-        retransmit_interval: float = 0.5,
-        backoff: float = 2.0,
-        max_interval: float = 8.0,
         monitor_interval: float = 5.0,
         reconcile_every: float | None = None,
-        snapshot_opts: dict | None = None,
         overload: OverloadConfig | None = None,
         tracer: TraceRecorder | None = None,
     ) -> None:
@@ -125,7 +121,7 @@ class ChaosDeployment:
         self.net = FaultyNetwork(
             self.engine,
             SeededStreams(derive_seed(seed, "chaos-net")),
-            default_link=link or LinkSpec(base_latency=0.05),
+            default_link=LINK,
             default_faults=faults,
             tracer=tracer,
         )
@@ -169,24 +165,22 @@ class ChaosDeployment:
                 self.net,
                 self.engine,
                 self._isp_payload_handler(isp_id),
-                retransmit_interval=retransmit_interval,
+                retransmit_interval=RETRANSMIT_INTERVAL,
                 max_retries=None,  # peers come back; convergence is the test
-                backoff=backoff,
-                max_interval=max_interval,
+                backoff=BACKOFF,
+                max_interval=MAX_INTERVAL,
             )
         self.endpoints["bank"] = ReliableEndpoint(
             "bank",
             self.net,
             self.engine,
             self._on_bank_payload,
-            retransmit_interval=retransmit_interval,
+            retransmit_interval=RETRANSMIT_INTERVAL,
             max_retries=None,
-            backoff=backoff,
-            max_interval=max_interval,
+            backoff=BACKOFF,
+            max_interval=MAX_INTERVAL,
         )
-        self.coordinator = RetryingSnapshotCoordinator(
-            self, **(snapshot_opts or {})
-        )
+        self.coordinator = RetryingSnapshotCoordinator(self)
         self.crash_controller = CrashController(self)
         self.monitor = InvariantMonitor(self, interval=monitor_interval)
         self.overload_monitor = OverloadMonitor(self, interval=monitor_interval)

@@ -4,12 +4,14 @@ Commands map onto the library's headline capabilities so a user can see
 the system work without writing code (``python -m repro --help`` lists
 them): the paper's tables and demos (``quickstart``, ``breakeven``,
 ``compare``, ``adoption``, ``spec-check``, ``zombie``, ``audit``), the
-durable SMTP service (``serve``, ``selftest``, ``soak``), and the world
-runners. ``run`` executes one scenario document — every built-in world
-is a document under ``examples/scenarios/`` — on any drive (direct
-loop, columnar batch, event engine, sharded cluster or fault-injecting
-chaos) and writes its invariant manifest, JSONL trace and metrics
-export; ``fuzz`` and ``arena`` run seeded campaigns of generated worlds.
+durable SMTP service (``serve``, ``selftest``), and the world runners.
+``run`` executes one scenario document — every built-in world is a
+document under ``examples/scenarios/`` — on any drive (direct loop,
+columnar batch, event engine, sharded cluster, fault-injecting chaos, or
+the store soak: crash/restart through a durable store with ``--store``,
+its in-memory oracle without) and writes its invariant manifest, JSONL
+trace and metrics export; ``fuzz`` and ``arena`` run seeded campaigns of
+generated worlds.
 
 Usage errors (bad options, unreadable or invalid documents) print one
 ``repro: error: …`` line on stderr and exit 2.
@@ -18,6 +20,7 @@ Usage errors (bad options, unreadable or invalid documents) print one
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -122,39 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--store", metavar="PATH", required=True,
                           help="durable store file to verify")
 
-    soak = sub.add_parser(
-        "soak",
-        help="run the recovery-equivalence soak: crash/restart cycles "
-        "and an overload flood over the durable store; with --oracle the "
-        "same scenario runs purely in memory and must produce a "
-        "byte-identical manifest",
-    )
-    soak.add_argument("--seed", type=int, default=7)
-    soak.add_argument("--days", type=float, default=0.5,
-                      help="virtual days of workload (default 0.5)")
-    soak.add_argument("--isps", type=int, default=3)
-    soak.add_argument("--users", type=int, default=6)
-    soak.add_argument(
-        "--crashes", type=int, default=2, metavar="N",
-        help="injected crash/restart cycles, alternating isp1/bank "
-        "(default 2)",
-    )
-    soak.add_argument(
-        "--store", metavar="PATH", default=None,
-        help="durable store file (default: a temporary file, removed "
-        "afterwards); ignored with --oracle",
-    )
-    soak.add_argument(
-        "--oracle", action="store_true",
-        help="run the uninterrupted in-memory oracle instead of the "
-        "durable run",
-    )
-    soak.add_argument(
-        "--manifest", metavar="PATH", default=None,
-        help="write the run manifest here (byte-identical between the "
-        "durable and oracle runs of the same seed)",
-    )
-
     run = sub.add_parser(
         "run",
         help="compile a scenario document (JSON/YAML) and execute it on "
@@ -167,9 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--mode",
-        choices=("direct", "columnar", "engine", "cluster", "chaos"),
+        choices=("direct", "columnar", "engine", "cluster", "chaos", "soak"),
         default="direct",
-        help="drive to execute the compiled plan on (default direct)",
+        help="drive to execute the compiled plan on (default direct); "
+        "soak is the store's recovery-equivalence run",
     )
     run.add_argument(
         "--seed", type=int, default=None,
@@ -191,9 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
         "spawned processes",
     )
     run.add_argument(
+        "--store", metavar="PATH", default=None,
+        help="soak mode: crash and restart nodes through this new "
+        "durable store file (default: the in-memory oracle, whose "
+        "manifest the durable run must match byte for byte)",
+    )
+    run.add_argument(
         "--manifest", metavar="PATH", default=None,
         help="write the cross-executor invariant manifest here "
-        "(unavailable in chaos mode)",
+        "(unavailable in chaos mode; soak mode writes its run manifest)",
     )
     run.add_argument(
         "--report", metavar="PATH", default=None,
@@ -462,7 +439,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
     from .core import ZmailNetwork
     from .core.overload import OverloadConfig
@@ -528,49 +504,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_soak(args: argparse.Namespace) -> int:
-    import os
-    import tempfile
-
-    from .store.soak import SoakSpec, run_soak
-
-    nodes = tuple(
-        ("isp1", "bank")[i % 2] for i in range(args.crashes)
-    )
-    spec = SoakSpec(
-        seed=args.seed,
-        n_isps=args.isps,
-        users_per_isp=args.users,
-        days=args.days,
-        crash_nodes=nodes,
-    )
-    if args.oracle:
-        report = run_soak(spec, manifest_path=args.manifest)
-    elif args.store is not None:
-        if os.path.exists(args.store):
-            return _usage_error(f"store {args.store!r} already exists")
-        report = run_soak(
-            spec, store_path=args.store, manifest_path=args.manifest
-        )
-    else:
-        with tempfile.TemporaryDirectory() as tmpdir:
-            report = run_soak(
-                spec,
-                store_path=os.path.join(tmpdir, "soak.db"),
-                manifest_path=args.manifest,
-            )
-    print(f"mode:            {report['mode']}")
-    print(f"cuts:            {report['cuts']}")
-    print(f"crashes:         {report['stats']['crashes']} "
-          f"(restarts {report['stats']['restarts']})")
-    print(f"converged:       {report['converged']}")
-    print(f"conserved:       {report['conserved']}")
-    print(f"final digest:    {report['final_digest']}")
-    print(f"event digest:    {report['manifest']['event_digest']}")
-    print(f"passed:          {report['passed']}")
-    return 0 if report["passed"] else 1
-
-
 def _usage_error(message: str) -> int:
     """Report bad input as one ``repro: error:`` line; exit status 2."""
     print(f"repro: error: {message}", file=sys.stderr)
@@ -592,8 +525,13 @@ def _run_usage_error(args: argparse.Namespace, plan) -> str | None:
         return f"--shards must be in 1..{n_isps} (the ISP count), got {args.shards}"
     if args.lag is not None and args.lag < 0:
         return f"--lag must be >= 0, got {args.lag}"
-    if args.mode in ("cluster", "chaos") and (args.trace or args.metrics):
+    if args.mode in ("cluster", "chaos", "soak") and (args.trace or args.metrics):
         return f"--trace and --metrics are unavailable with --mode {args.mode}"
+    if args.store is not None:
+        if args.mode != "soak":
+            return "--store: only valid with --mode soak"
+        if os.path.exists(args.store):
+            return f"store {args.store!r} already exists"
     if args.mode == "columnar" and not plan.all_compliant:
         return "--mode columnar needs a document with no non-compliant ISPs"
     return None
@@ -616,13 +554,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem = _run_usage_error(args, plan)
     if problem is not None:
         return _usage_error(problem)
-    result = run_plan(
-        plan,
-        args.mode,
-        shards=args.shards,
-        lag=args.lag,
-        cluster_mode=args.cluster_mode or "inline",
-    )
+    if args.mode == "soak":
+        from .store.soak import run_soak
+
+        soak = run_soak(plan, store_path=args.store)
+        result = {
+            "mode": "soak",
+            "manifest": soak["manifest"],
+            "report": {**soak, "manifest": soak["manifest"].to_dict()},
+        }
+    else:
+        result = run_plan(
+            plan,
+            args.mode,
+            shards=args.shards,
+            lag=args.lag,
+            cluster_mode=args.cluster_mode or "inline",
+        )
     manifest = result["manifest"]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -647,6 +595,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(args.manifest, "w", encoding="utf-8") as handle:
             handle.write(manifest.to_json())
     extra, report = manifest.extra, result["report"]
+    if result["mode"] == "soak":
+        print(f"store:           {report['mode']}")
+        print(f"cuts:            {report['cuts']}")
+        print(f"crashes:         {extra['crashes']} "
+              f"(restarts {extra['restarts']})")
+        print(f"converged:       {report['converged']}")
+        print(f"conserved:       {report['conserved']}")
+        print(f"final digest:    {report['final_digest']}")
+        print(f"event digest:    {manifest.event_digest}")
+        print(f"passed:          {report['passed']}")
+        return 0 if report["passed"] else 1
     # The cluster reports its §4.4 rounds; the other drives summarize.
     consistent = (
         all(round_["consistent"] for round_ in report["rounds"])
@@ -759,7 +718,6 @@ _COMMANDS = {
     "audit": cmd_audit,
     "serve": cmd_serve,
     "selftest": cmd_selftest,
-    "soak": cmd_soak,
     "run": cmd_run,
     "fuzz": cmd_fuzz,
     "arena": cmd_arena,

@@ -539,6 +539,18 @@ def _cross_validate(doc: dict[str, Any]) -> None:
                 f"scenario crashes[{i}].node: {node!r} is neither 'bank' "
                 f"nor 'isp0'..'isp{n_isps - 1}'"
             )
+    # A node crashes again only once it is back up: windows on one node
+    # may touch (a crash at the previous restart) but not overlap.
+    back_up: dict[str, float] = {}
+    by_time = sorted(enumerate(doc["crashes"]), key=lambda item: item[1]["at"])
+    for i, crash in by_time:
+        node, at = crash["node"], crash["at"]
+        if at < back_up.get(node, at):
+            raise SimulationError(
+                f"scenario crashes[{i}]: {node!r} crashes at {at} while "
+                f"still down (until {back_up[node]})"
+            )
+        back_up[node] = at + crash["down_for"]
     strategies = doc.get("strategies")
     if strategies is not None:
         attacker = strategies["attacker"]

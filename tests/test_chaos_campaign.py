@@ -24,6 +24,7 @@ from repro.chaos import (
 from repro.core import ZmailConfig
 from repro.errors import SimulationError
 from repro.obs.manifest import accounting_digest as digest
+from repro.scenario import load
 from repro.sim import Engine, LinkSpec, SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
@@ -232,6 +233,15 @@ class TestCampaign:
         assert crashy["restarts"] == 2
         assert crashy["violations"] == 0
         assert crashy["first_violation"] is None
+
+    def test_touching_crash_windows_run_in_any_listed_order(self):
+        # isp1 crashes again the instant it restarts, listed first: the
+        # restart still fires before the second crash.
+        doc = load(example("chaos-crashy.yaml"))
+        doc["crashes"].insert(0, {"node": "isp1", "at": 180.0, "down_for": 30.0})
+        row = run_cell(load_plan(doc))
+        assert row["passed"], row
+        assert row["crashes"] == row["restarts"] == 3
 
     def test_campaign_document_loads_from_json_and_yaml(self, tmp_path):
         # A chaos world is an ordinary scenario document: its canonical

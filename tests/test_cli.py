@@ -259,6 +259,9 @@ class TestRunRejectsBadInput:
         "columnar-non-compliant": [
             example("mixed-4isp.yaml"), "--mode", "columnar"],
         "missing-file": [example("no-such-world.yaml")],
+        "store-outside-soak": [CANONICAL, "--store", "s.db"],
+        "metrics-in-soak-mode": [
+            example("soak.yaml"), "--mode", "soak", "--metrics", "m"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -279,7 +282,9 @@ class TestRunRejectsBadInput:
     def test_soak_refuses_an_existing_store(self, tmp_path, capsys):
         store = tmp_path / "soak.db"
         store.write_bytes(b"")
-        assert main(["soak", "--store", str(store)]) == 2
+        assert main([
+            "run", example("soak.yaml"), "--mode", "soak", "--store", str(store),
+        ]) == 2
         assert "already exists" in capsys.readouterr().err
 
 

@@ -151,6 +151,11 @@ def test_digest_tracks_content_not_key_order():
         (lambda d: d.update(
             crashes=[{"node": "router", "at": 1.0, "down_for": 1.0}]),
          "neither 'bank' nor"),
+        (lambda d: d.update(
+            crashes=[{"node": "isp1", "at": 150.0, "down_for": 30.0},
+                     {"node": "bank", "at": 130.0, "down_for": 60.0},
+                     {"node": "isp1", "at": 120.0, "down_for": 60.0}]),
+         r"crashes\[0\]: 'isp1' crashes at 150.0 while still down"),
         (lambda d: d.update(cluster={"shards": 5}), "cannot partition"),
         (lambda d: d.update(cluster={"shards": 2, "epoch": 7 * HOUR}),
          "does not tile"),
@@ -162,6 +167,15 @@ def test_invalid_documents_are_rejected_loudly(mutate, pattern):
     mutate(doc)
     with pytest.raises(SimulationError, match=pattern):
         validate(doc)
+
+
+def test_crash_windows_may_touch_and_come_in_any_order():
+    crashes = [
+        {"node": "isp1", "at": 180.0, "down_for": 30.0},
+        {"node": "isp1", "at": 120.0, "down_for": 60.0},
+        {"node": "bank", "at": 150.0, "down_for": 60.0},
+    ]
+    assert validate(base_doc(crashes=crashes))["crashes"] == crashes
 
 
 def test_non_mapping_inputs_are_rejected():

@@ -39,6 +39,8 @@ TRAFFIC_SHA256 = {
         "3be076344a51a2bf84f561e1f387cacd908dcc7c6fa04f30a1f78035aeb252b7",
     "overload-flood-10x":
         "c0a68fd1d5ea586a79f369e6dd0ec1e7f840e0f49e886a59d1b18a9860b69070",
+    "soak":
+        "d6880dadae03ed5c339c01eb26adc8b662b4e3f688be3a69a83bc4e72ad53670",
 }
 
 

@@ -31,10 +31,11 @@
 #    by the columnar batch executor and by the engine must produce
 #    byte-identical invariant manifests (cmp) — ledger event multiset,
 #    protocol metrics and accounting digest all agree.
-# 7. Runs the store soak smoke: a short seeded soak with two injected
-#    crash/restart cycles against the durable SQLite store must produce
-#    a run manifest byte-identical to the uninterrupted in-memory
-#    oracle (cmp) — the recovery-equivalence contract of repro.store.
+# 7. Runs the store soak smoke: examples/scenarios/soak.yaml in soak
+#    mode twice, once with --store (isp1 and the bank each crash and
+#    restart from the durable SQLite store) and once without (the
+#    in-memory oracle); the two run manifests must be byte-identical
+#    (cmp) — the recovery-equivalence contract of repro.store.
 # 8. Runs the arena determinism smoke: the same seeded mini-tournament
 #    (three attacker strategies vs the static Zmail defender) twice,
 #    byte-comparing the two canonical reports (cmp) and requiring every
@@ -163,20 +164,17 @@ cmp /tmp/invariant_columnar.json /tmp/invariant_engine.json \
     || { echo "columnar executor diverges from the engine"; exit 1; }
 echo "invariant manifests byte-identical across executors"
 
-SOAK_SEED="${CI_SOAK_SEED:-7}"
-echo "== store soak smoke (seed ${SOAK_SEED}, durable vs in-memory oracle) =="
-# Recovery-equivalence gate: the same seeded crash/restart/flood soak
-# run against the durable store (every restart rebuilt from disk) and
-# as an uninterrupted in-memory oracle must produce byte-identical run
-# manifests. Two crash/restart cycles are injected by default. The store
-# file is removed first: a store left by an aborted run is refused.
+SOAK_DOC=examples/scenarios/soak.yaml
+echo "== store soak smoke (durable vs in-memory oracle) =="
+# Recovery-equivalence gate: the soak document run against the durable
+# store (every restart rebuilt from disk) and as an in-memory oracle
+# must produce byte-identical run manifests. The store file is removed
+# first: a store left by an aborted run is refused.
 rm -f /tmp/soak_store.db /tmp/soak_store.db-wal /tmp/soak_store.db-shm
-PYTHONPATH=src python -m repro soak --seed "${SOAK_SEED}" \
-    --days 0.25 --crashes 2 \
+PYTHONPATH=src python -m repro run "${SOAK_DOC}" --mode soak \
     --store /tmp/soak_store.db \
     --manifest /tmp/soak_manifest_durable.json
-PYTHONPATH=src python -m repro soak --seed "${SOAK_SEED}" \
-    --days 0.25 --crashes 2 --oracle \
+PYTHONPATH=src python -m repro run "${SOAK_DOC}" --mode soak \
     --manifest /tmp/soak_manifest_oracle.json >/dev/null
 cmp /tmp/soak_manifest_durable.json /tmp/soak_manifest_oracle.json \
     || { echo "durable soak diverges from the in-memory oracle"; exit 1; }
