@@ -618,11 +618,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"consistent:      {consistent}")
     print(f"manifest digest: {manifest.digest()}")
     if args.trace or args.metrics:
-        # A second, traced run; tracing has no observer effect, so it is
-        # the same run the manifest describes.
+        # A second run, traced only for --trace; tracing has no observer
+        # effect, so either way it is the run the manifest describes.
         scenario = plan.scenario(args.mode)
-        sink = JsonlSink(args.trace) if args.trace else None
-        scenario.tracer = recorder = TraceRecorder(sink=sink)
+        sink = None
+        if args.trace:
+            sink = JsonlSink(args.trace)
+            scenario.tracer = recorder = TraceRecorder(sink=sink)
         try:
             network = scenario.run().network
         finally:

@@ -3,10 +3,14 @@
 A :class:`TraceRecorder` is the single funnel every subsystem emits
 through. Each event becomes one canonical JSON line — keys sorted,
 compact separators — so the byte stream for a given run is a pure
-function of the seed. The recorder maintains an incremental SHA-256
-digest over those lines regardless of which sink (if any) retains them,
-which is what makes the trace usable as a test oracle: two runs agree
-iff their digests agree, without holding either trace in memory.
+function of the seed. A recorder with a line sink or no sink maintains
+an incremental SHA-256 digest over those lines, which is what makes the
+trace usable as a test oracle: two runs agree iff their digests agree,
+without holding either trace in memory.
+
+A recorder whose sink is a :class:`DigestSink` is *digest-only*: its
+accumulators read the event dicts, nothing reads a line, so it builds
+no line and keeps no stream digest (:meth:`TraceRecorder.digest` raises).
 
 Cost model (DESIGN.md §Observability): every emit site in the hot path
 is guarded with ``if tracer.enabled:`` so the disabled path is one
@@ -17,7 +21,8 @@ the ``trace.emit_s`` and ``trace.sink_s`` layers.
 Each event is built once: the recorder hands every sink the event dict
 together with its canonical line (``sink.accept(event, line)``). Line
 sinks keep the line; :class:`DigestSink` feeds the dict to its
-accumulators, so no event is ever parsed back from its own JSON.
+accumulators and is handed ``line=None``: no event is encoded when no
+sink reads the line, and none is ever parsed back from its own JSON.
 
 Timestamps are **virtual time only** — no wall clock reaches a trace,
 so traces stay byte-reproducible across machines.
@@ -29,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import re
 from collections import deque
 from typing import Callable, Iterable
 
@@ -52,13 +58,18 @@ __all__ = [
 TRACE_FORMAT_VERSION = 1
 
 
+#: One shared encoder: ``json.dumps`` with non-default options builds a
+#: new ``JSONEncoder`` per call; this is the same encoding without that.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_line(event: dict) -> str:
     """The one true encoding of an event: sorted keys, compact separators.
 
     Every digest in this package is defined over these bytes; any other
     serialization of the same event is a display convenience only.
     """
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return _encode(event)
 
 
 class RingSink:
@@ -126,10 +137,11 @@ class DigestSink:
     """Feeds every event into one or more digest accumulators, O(1) memory.
 
     The sink for runs whose trace is only wanted as a digest — the
-    cluster workers and the cross-executor determinism checks. Every
-    event dict is offered to each accumulator (typically
+    cluster workers, the soak and the cross-executor determinism
+    checks. Every event dict is offered to each accumulator (typically
     :class:`AdditiveMultisetDigest` instances with different type
-    filters); the line is not needed.
+    filters); the line is not needed, and a recorder with this sink
+    passes ``None`` for it.
     """
 
     __slots__ = ("_accumulators",)
@@ -137,7 +149,7 @@ class DigestSink:
     def __init__(self, *accumulators) -> None:
         self._accumulators = accumulators
 
-    def accept(self, event: dict, line: str) -> None:
+    def accept(self, event: dict, line: str | None) -> None:
         for accumulator in self._accumulators:
             accumulator.add(event)
 
@@ -243,8 +255,11 @@ class TraceRecorder:
         sink: Optional retention (:class:`RingSink`, :class:`ListSink`,
             :class:`JsonlSink`, :class:`DigestSink`, or anything with
             ``accept(event, line)``; the event dict is shared, so sinks
-            must not mutate it). The stream digest is maintained whether
-            or not a sink is set.
+            must not mutate it). The sink type, read once here, decides
+            what each event costs: with a :class:`DigestSink` the
+            recorder is digest-only — no canonical line, no stream
+            digest — and with any other sink, or none, it encodes every
+            event and keeps the stream digest.
         clock: Zero-argument virtual-time source. Subsystems that own a
             clock (the engine, the direct-mode network driver) install
             one on attachment if none is set; events emitted with no
@@ -268,7 +283,8 @@ class TraceRecorder:
         self.sink = sink
         self.events_emitted = 0
         self._seq = 0
-        self._hash = hashlib.sha256()
+        # None marks a digest-only recorder: nothing reads its lines.
+        self._hash = None if isinstance(sink, DigestSink) else hashlib.sha256()
 
     def emit(self, etype: str, **fields) -> None:
         """Record one event of type ``etype`` at the current virtual time."""
@@ -292,16 +308,29 @@ class TraceRecorder:
         event = {"t": t, "seq": self._seq, "type": etype}
         if fields:
             event.update(fields)
-        line = canonical_line(event)
-        self._hash.update(line.encode("utf-8"))
-        self._hash.update(b"\n")
         self.events_emitted += 1
+        stream = self._hash
+        if stream is None:
+            self.sink.accept(event, None)
+            return
+        line = _encode(event)
+        stream.update((line + "\n").encode("utf-8"))
         sink = self.sink
         if sink is not None:
             sink.accept(event, line)
 
     def digest(self) -> str:
-        """SHA-256 over every canonical line emitted so far (hex)."""
+        """SHA-256 over every canonical line emitted so far (hex).
+
+        Raises:
+            SimulationError: on a digest-only recorder (its sink is a
+                :class:`DigestSink`), which never built those lines.
+        """
+        if self._hash is None:
+            raise SimulationError(
+                "digest-only recorder keeps no stream digest: read its "
+                "DigestSink accumulators, or attach a line sink or no sink"
+            )
         return self._hash.hexdigest()
 
 
@@ -309,6 +338,11 @@ class TraceRecorder:
 #: never ``None`` and the guard is always a plain attribute check. Never
 #: mutate it (it is shared); pass a real recorder to enable tracing.
 NULL_TRACER = TraceRecorder(enabled=False)
+
+
+#: A journaled accumulator sum: what ``format(sum, "x")`` writes for a
+#: value below 2**256.
+_SUM_HEX = re.compile(r"[0-9a-fA-F]{1,64}")
 
 
 class AdditiveMultisetDigest:
@@ -360,13 +394,11 @@ class AdditiveMultisetDigest:
             return
         if etype in self._unwanted:
             return
-        exclude = self._exclude
-        reduced = {
-            name: field for name, field in event.items() if name not in exclude
-        }
+        reduced = event.copy()
+        for name in self._exclude:
+            reduced.pop(name, None)
         value = int.from_bytes(
-            hashlib.sha256(canonical_line(reduced).encode("utf-8")).digest(),
-            "big",
+            hashlib.sha256(_encode(reduced).encode("utf-8")).digest(), "big"
         )
         self._sum = (self._sum + value) % self._MOD
         self.count += 1
@@ -381,9 +413,26 @@ class AdditiveMultisetDigest:
         return {"sum": format(self._sum, "x"), "count": self.count}
 
     def load_state(self, state: dict) -> None:
-        """Restore accumulator state written by :meth:`state_dict`."""
-        self._sum = int(state["sum"], 16) % self._MOD
-        self.count = int(state["count"])
+        """Restore accumulator state written by :meth:`state_dict`.
+
+        Raises:
+            SimulationError: naming the field, if ``sum`` is not 1–64 hex
+                digits or ``count`` is not a non-negative integer — a
+                corrupt journal must not resume as a plausible digest.
+        """
+        total, count = state["sum"], state["count"]
+        if not isinstance(total, str) or not _SUM_HEX.fullmatch(total):
+            raise SimulationError(
+                f"multiset digest state: 'sum' must be 1-64 hex digits, "
+                f"got {total!r}"
+            )
+        if type(count) is not int or count < 0:
+            raise SimulationError(
+                f"multiset digest state: 'count' must be a non-negative "
+                f"integer, got {count!r}"
+            )
+        self._sum = int(total, 16)
+        self.count = count
 
     def digest(self) -> str:
         """SHA-256 over ``count:sum`` (hex)."""

@@ -184,6 +184,17 @@ class TestTraceCommand:
         assert names == sorted(names)
         assert "zmail.deliver.delivered" in doc["metrics"]
 
+    def test_metrics_bytes_same_with_and_without_trace(self, tmp_path, capsys):
+        # --metrics alone re-runs the world untraced; tracing has no
+        # observer effect on the counters the export reads.
+        untraced, traced = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["run", CANONICAL, "--metrics", str(untraced)]) == 0
+        assert "trace digest:" not in capsys.readouterr().out
+        assert main(["run", CANONICAL, "--metrics", str(traced),
+                     "--trace", str(tmp_path / "t.jsonl")]) == 0
+        assert "trace digest:" in capsys.readouterr().out
+        assert untraced.read_bytes() == traced.read_bytes()
+
 
 class TestProfile:
     """``repro --profile`` wraps any command in cProfile."""

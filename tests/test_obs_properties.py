@@ -5,6 +5,8 @@
   decreases the value, and invalid ones change nothing;
 * every event type round-trips JSONL bit-exactly (emit → serialize →
   parse → same event), for arbitrary field values;
+* the recorder's shared encoder writes exactly the bytes of
+  ``json.dumps(sort_keys=True, separators=(",", ":"))`` for any event;
 * manifest and metrics-export digests are order-insensitive: insertion
   and attachment order never change the digest.
 """
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics_export import MetricsExporter
 from repro.obs.schema import EVENT_TYPES, validate_event
-from repro.obs.trace import JsonlSink, RingSink, TraceRecorder
+from repro.obs.trace import JsonlSink, RingSink, TraceRecorder, canonical_line
 from repro.sim.metrics import Counter
 
 OBS_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -34,6 +36,34 @@ SCALARS = st.one_of(
     st.text(max_size=20),
     st.booleans(),
 )
+
+#: Any JSON value the encoder can meet: nested containers, non-ASCII and
+#: control-character strings, and the float/int edge cases whose text
+#: form an encoder could get wrong.
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.sampled_from([-0.0, 0.0, 1e300, -1e300, 2**63, 2**64 + 1, -(2**63) - 1]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(),
+        st.text(st.characters(codec="ascii", categories=["Cc"])),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@OBS_SETTINGS
+@given(event=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6))
+def test_canonical_line_matches_json_dumps(event):
+    assert canonical_line(event) == json.dumps(
+        event, sort_keys=True, separators=(",", ":")
+    )
 
 
 @OBS_SETTINGS

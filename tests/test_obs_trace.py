@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.obs.schema import (
     EVENT_TYPES,
     LEDGER_EVENT_TYPES,
@@ -236,6 +237,28 @@ class TestAdditiveMultisetDigest:
         )
         assert kept.digest() != early.digest()
 
+    def test_load_state_accepts_the_largest_sum(self):
+        acc = AdditiveMultisetDigest()
+        acc.load_state({"sum": "f" * 64, "count": 0})
+        assert acc.state_dict() == {"sum": "f" * 64, "count": 0}
+
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ({"sum": "-1", "count": 1}, "sum"),
+            ({"sum": "1" * 65, "count": 1}, "sum"),
+            ({"sum": "12g4", "count": 1}, "sum"),
+            ({"sum": "ff", "count": -1}, "count"),
+        ],
+        ids=["negative-sum", "overlong-sum", "non-hex-sum", "negative-count"],
+    )
+    def test_load_state_rejects_corrupt_state(self, state, field):
+        acc = self._absorb(self.EVENTS)
+        before = acc.state_dict()
+        with pytest.raises(SimulationError, match=f"'{field}'"):
+            acc.load_state(state)
+        assert acc.state_dict() == before
+
     def test_empty_accumulators_agree(self):
         assert (
             AdditiveMultisetDigest().digest()
@@ -277,6 +300,47 @@ class TestDigestSink:
         assert lines.lines() == [canonical_line(e) for e in events]
         assert [e["seq"] for e in events] == [1, 2, 3]
         assert all(e["t"] == 5.0 for e in events)
+
+
+class TestDigestOnlyRecorder:
+    """A recorder whose sink is a DigestSink builds no line and no stream hash."""
+
+    def _emit_all(self, recorder):
+        recorder.emit("send", src="a", dst="b", kind="normal", status="ok")
+        recorder.emit("deliver", src="a", dst="b", kind="normal")
+        recorder.emit("midnight", day=1)
+        recorder.emit_at(7.0, "send", src="b", dst="a", kind="normal",
+                         status="ok")
+
+    def test_accumulators_equal_a_line_sinks_read_back(self):
+        ledger = AdditiveMultisetDigest(include_types=LEDGER_EVENT_TYPES)
+        full = AdditiveMultisetDigest(exclude_fields=("seq",))
+        digest_only = TraceRecorder(
+            sink=DigestSink(ledger, full), clock=lambda: 3.0
+        )
+        lines = ListSink()
+        traced = TraceRecorder(sink=lines, clock=lambda: 3.0)
+        self._emit_all(digest_only)
+        self._emit_all(traced)
+
+        assert digest_only.events_emitted == traced.events_emitted == 4
+        for acc, kwargs in (
+            (ledger, {"include_types": LEDGER_EVENT_TYPES}),
+            (full, {"exclude_fields": ("seq",)}),
+        ):
+            read_back = AdditiveMultisetDigest(**kwargs)
+            for line in lines.lines():
+                read_back.add(json.loads(line))
+            assert acc.count == read_back.count > 0
+            assert acc.digest() == read_back.digest()
+
+    def test_stream_digest_raises(self):
+        recorder = TraceRecorder(sink=DigestSink(AdditiveMultisetDigest()))
+        self._emit_all(recorder)
+        with pytest.raises(
+            SimulationError, match="attach a line sink or no sink"
+        ):
+            recorder.digest()
 
 
 class TestSchema:
