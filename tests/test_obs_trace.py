@@ -266,6 +266,81 @@ class TestAdditiveMultisetDigest:
         )
 
 
+class TestAccumulatorPin:
+    """Absolute accumulator bytes for a fixed event list.
+
+    Built through a digest-only recorder, with repeated events, values
+    Python conflates but JSON encodes apart (``True``/``1``/``1.0``,
+    ``0.0``/``-0.0``), nested containers and a journal round trip
+    mid-stream. Any change to how the accumulator reduces, hashes or
+    counts events moves these bytes.
+    """
+
+    MID_STATE = [
+        {"sum": "e3522a3af6c1b48d108cfe7291baf713e19dd31038778f491a504295fb6de78",
+         "count": 8},
+        {"sum": "e3522a3af6c1b48d108cfe7291baf713e19dd31038778f491a504295fb6de78",
+         "count": 8},
+        {"sum": "a639e7cce5ef3dce4ad76079322022197a27dd43fa15a04aea5f0e3871dd516c",
+         "count": 8},
+    ]
+    FINAL_STATE = [
+        {"sum": "be239e7629607f9ff9ae639ed5d50dd556e3b5dc6578525df2bea4d7b9fae138",
+         "count": 15},
+        {"sum": "a3a1650646331964393961ed19680244a02ef05ba1058aab3b96eecaec119c62",
+         "count": 10},
+        {"sum": "71afa88326c110bc0e7a0c89d845fd138937bbf60292658babbfc54231f40a98",
+         "count": 15},
+    ]
+    FINAL_DIGEST = [
+        "8fe4e3a8030bff360bdfeea4f1dba9937826a52641703effbe79882b74b0e9a0",
+        "670b72e91c8938d669ccf118d85309e819c77a52408aeb673f85c265695ed175",
+        "92990ae9538e350fccf39ee608cce95ec359691344634277b64c543be5f55541",
+    ]
+
+    @staticmethod
+    def _accumulators():
+        return (
+            AdditiveMultisetDigest(),
+            AdditiveMultisetDigest(include_types=LEDGER_EVENT_TYPES),
+            AdditiveMultisetDigest(exclude_fields=("seq",)),
+        )
+
+    @staticmethod
+    def _emit_first(recorder):
+        for _ in range(3):
+            recorder.emit("send", src="a", dst="b", kind="normal", status="ok")
+        recorder.emit("deliver", src="a", dst="b", kind="normal")
+        for amount in (True, 1, 1.0, 1):
+            recorder.emit("topup", isp="isp0", amount=amount)
+
+    @staticmethod
+    def _emit_second(recorder):
+        recorder.emit("send", src="a", dst="b", kind="normal", status="ok")
+        for credit in (0.0, -0.0, 0.0):
+            recorder.emit("crash", node="isp0", credit=credit)
+        for _ in range(2):
+            recorder.emit(
+                "crash", node="bank", path=[1, [2, "x"]],
+                meta={"k": [None, False]},
+            )
+        recorder.emit("deliver", src="a", dst="b", kind="normal", note=None)
+
+    def test_digest_and_state_bytes(self):
+        ticks = iter(range(100))
+        clock = lambda: float(next(ticks))  # noqa: E731
+        first = self._accumulators()
+        self._emit_first(TraceRecorder(sink=DigestSink(*first), clock=clock))
+        mid = [acc.state_dict() for acc in first]
+        assert mid == self.MID_STATE
+        resumed = self._accumulators()
+        for acc, state in zip(resumed, mid):
+            acc.load_state(state)
+        self._emit_second(TraceRecorder(sink=DigestSink(*resumed), clock=clock))
+        assert [acc.state_dict() for acc in resumed] == self.FINAL_STATE
+        assert [acc.digest() for acc in resumed] == self.FINAL_DIGEST
+
+
 class TestDigestSink:
     def test_shared_event_feeds_every_accumulator_unchanged(self):
         # One dict reaches both accumulators and the line sink: a digest
