@@ -134,7 +134,7 @@ class ListSink:
 
 
 class DigestSink:
-    """Feeds every event into one or more digest accumulators, O(1) memory.
+    """Feeds every event into one or more digest accumulators, bounded memory.
 
     The sink for runs whose trace is only wanted as a digest — the
     cluster workers, the soak and the cross-executor determinism
@@ -345,6 +345,14 @@ NULL_TRACER = TraceRecorder(enabled=False)
 _SUM_HEX = re.compile(r"[0-9a-fA-F]{1,64}")
 
 
+#: Value types whose equality matches their encoding once the exact type
+#: is part of the key (``True == 1`` but they encode apart; the types in
+#: the key keep them apart). Floats are left out because ``0.0 == -0.0``,
+#: containers because they are unhashable. Field names are strings in
+#: every emitted or parsed event, so they need no type.
+_COUNTABLE_TYPES = frozenset({str, int, bool, type(None)})
+
+
 class AdditiveMultisetDigest:
     """Order-insensitive multiset hash that merges and survives restarts.
 
@@ -353,20 +361,35 @@ class AdditiveMultisetDigest:
     produced the *same things at different times or interleavings* still
     compare equal — after an optional ``include_types`` allow-list and
     ``exclude_types`` deny-list. The accumulator is the *sum* of
-    per-event SHA-256 values mod 2**256 plus a count — O(1) state, so a
-    shard worker can journal it mid-run (:meth:`state_dict` /
-    :meth:`load_state`), a restarted worker can resume it exactly, and
-    the parent can :meth:`merge` per-shard accumulators into one
-    cluster-wide digest whose value is independent of sharding and
-    interleaving. Addition mod 2**256 is commutative and associative,
-    which is the whole trick: two accumulators agree iff (with
-    overwhelming probability) they absorbed the same multiset of reduced
-    events.
+    per-event SHA-256 values mod 2**256 plus a count, so a shard worker
+    can journal it mid-run (:meth:`state_dict` / :meth:`load_state`), a
+    restarted worker can resume it exactly, and the parent can
+    :meth:`merge` per-shard accumulators into one cluster-wide digest
+    whose value is independent of sharding and interleaving. Addition
+    mod 2**256 is commutative and associative, which is the whole trick:
+    two accumulators agree iff (with overwhelming probability) they
+    absorbed the same multiset of reduced events.
+
+    A reduced event seen n times adds n·H(e), so each distinct one is
+    hashed once: a reduced event whose values are all ``str``, ``int``,
+    ``bool`` or ``None`` is counted in a bounded ``pending`` map keyed
+    by its field names, values and the values' exact types, and any
+    other event (a float or container value) is hashed on arrival.
+    Every read — :meth:`digest`, :meth:`state_dict` and both sides of
+    :meth:`merge` — first flushes ``pending`` into the sum, as does
+    reaching :attr:`PENDING_CAP` distinct entries; :meth:`load_state`
+    discards it. State is therefore the sum, the count and at most
+    :attr:`PENDING_CAP` pending entries; a journaled state has none.
     """
 
     _MOD = 1 << 256
 
-    __slots__ = ("_sum", "count", "_wanted", "_unwanted", "_exclude")
+    #: Distinct reduced events held before a flush. Bounds memory for
+    #: any event mix, at a few MB; a fuzz world's ledger holds a few
+    #: hundred distinct events and the 14-day macro world's 16,855.
+    PENDING_CAP = 16384
+
+    __slots__ = ("_sum", "count", "_pending", "_wanted", "_unwanted", "_exclude")
 
     def __init__(
         self,
@@ -377,6 +400,7 @@ class AdditiveMultisetDigest:
     ) -> None:
         self._sum = 0
         self.count = 0
+        self._pending: dict[tuple, int] = {}
         self._wanted = frozenset(include_types) if include_types is not None else None
         self._unwanted = (
             frozenset(exclude_types) if exclude_types is not None else frozenset()
@@ -394,32 +418,69 @@ class AdditiveMultisetDigest:
             return
         if etype in self._unwanted:
             return
+        self.count += 1
         reduced = event.copy()
         for name in self._exclude:
             reduced.pop(name, None)
-        value = int.from_bytes(
-            hashlib.sha256(_encode(reduced).encode("utf-8")).digest(), "big"
-        )
-        self._sum = (self._sum + value) % self._MOD
-        self.count += 1
+        values = reduced.values()
+        types = tuple(map(type, values))
+        if not _COUNTABLE_TYPES.issuperset(types):
+            self._sum = (self._sum + _event_hash(reduced)) % self._MOD
+            return
+        # Names, values, then the values' types in one flat tuple: cheaper
+        # to build and hash than a tuple per item.
+        key = (*reduced, *values, *types)
+        pending = self._pending
+        pending[key] = pending.get(key, 0) + 1
+        if len(pending) >= self.PENDING_CAP:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Fold every pending reduced event into the sum, n·H(e) each."""
+        pending = self._pending
+        if not pending:
+            return
+        total = self._sum
+        for key, n in pending.items():
+            width = len(key) // 3
+            reduced = dict(zip(key[:width], key[width : 2 * width]))
+            total += n * _event_hash(reduced)
+        self._sum = total % self._MOD
+        pending.clear()
 
     def merge(self, other: "AdditiveMultisetDigest") -> None:
         """Absorb everything ``other`` absorbed (disjoint-union merge)."""
+        self._flush()
+        other._flush()
         self._sum = (self._sum + other._sum) % self._MOD
         self.count += other.count
 
     def state_dict(self) -> dict:
         """JSON-compatible accumulator state (journal/restart support)."""
+        self._flush()
         return {"sum": format(self._sum, "x"), "count": self.count}
 
     def load_state(self, state: dict) -> None:
         """Restore accumulator state written by :meth:`state_dict`.
 
+        Replaces everything absorbed so far, pending events included.
+
         Raises:
-            SimulationError: naming the field, if ``sum`` is not 1–64 hex
-                digits or ``count`` is not a non-negative integer — a
+            SimulationError: naming the field, if ``state`` is not a
+                dict, ``sum`` is missing or not 1–64 hex digits, or
+                ``count`` is missing or not a non-negative integer — a
                 corrupt journal must not resume as a plausible digest.
         """
+        if not isinstance(state, dict):
+            raise SimulationError(
+                f"multiset digest state must be a dict with 'sum' and "
+                f"'count', got {type(state).__name__}"
+            )
+        for name in ("sum", "count"):
+            if name not in state:
+                raise SimulationError(
+                    f"multiset digest state: missing field {name!r}"
+                )
         total, count = state["sum"], state["count"]
         if not isinstance(total, str) or not _SUM_HEX.fullmatch(total):
             raise SimulationError(
@@ -433,8 +494,17 @@ class AdditiveMultisetDigest:
             )
         self._sum = int(total, 16)
         self.count = count
+        self._pending.clear()
 
     def digest(self) -> str:
         """SHA-256 over ``count:sum`` (hex)."""
+        self._flush()
         payload = f"{self.count}:{self._sum:064x}".encode("ascii")
         return hashlib.sha256(payload).hexdigest()
+
+
+def _event_hash(reduced: dict) -> int:
+    """One reduced event's SHA-256 over its canonical line, as an int."""
+    return int.from_bytes(
+        hashlib.sha256(_encode(reduced).encode("utf-8")).digest(), "big"
+    )

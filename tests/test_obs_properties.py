@@ -8,9 +8,14 @@
 * the recorder's shared encoder writes exactly the bytes of
   ``json.dumps(sort_keys=True, separators=(",", ":"))`` for any event;
 * manifest and metrics-export digests are order-insensitive: insertion
-  and attachment order never change the digest.
+  and attachment order never change the digest;
+* the additive multiset accumulator, which counts repeated reduced
+  events, equals the per-event definition (the sum of each reduced
+  event's SHA-256 mod 2**256, plus a count) whatever reads, journal
+  round trips and merges interleave with the events.
 """
 
+import hashlib
 import io
 import json
 
@@ -23,7 +28,13 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics_export import MetricsExporter
 from repro.obs.schema import EVENT_TYPES, validate_event
-from repro.obs.trace import JsonlSink, RingSink, TraceRecorder, canonical_line
+from repro.obs.trace import (
+    AdditiveMultisetDigest,
+    JsonlSink,
+    RingSink,
+    TraceRecorder,
+    canonical_line,
+)
 from repro.sim.metrics import Counter
 
 OBS_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -175,3 +186,124 @@ def test_exporter_digest_is_attachment_order_insensitive(namespaces):
         backward.add_static(namespace, values)
     assert forward.digest() == backward.digest()
     assert forward.export() == backward.export()
+
+
+#: Values Python conflates but JSON encodes apart (``True == 1 == 1.0``,
+#: ``0.0 == -0.0``): half countable, half floats and containers.
+MULTISET_VALUES = st.one_of(
+    st.sampled_from([True, False, 1, 0, None, "1", "a", 2]),
+    st.sampled_from([1.0, 0.0, -0.0, [1], [True], {"k": -0.0}, {"k": [0]}]),
+)
+MULTISET_TYPES = ("send", "deliver", "topup", "crash")
+MULTISET_EVENTS = st.builds(
+    lambda t, seq, etype, fields: {"t": t, "seq": seq, "type": etype, **fields},
+    st.sampled_from([0.0, 1.5]),
+    st.integers(1, 3),
+    st.sampled_from(MULTISET_TYPES),
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), MULTISET_VALUES, max_size=3),
+)
+MULTISET_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), MULTISET_EVENTS),
+        # An event and its twin whose field ``name`` holds a value equal
+        # in Python but encoded differently.
+        st.builds(
+            lambda event, name, value: ("twins", {**event, name: value}, name),
+            MULTISET_EVENTS,
+            st.sampled_from(["a", "b", "c"]),
+            st.sampled_from([True, False, 1, 0, 0.0, -0.0]),
+        ),
+        st.just(("digest",)),
+        st.just(("roundtrip",)),
+        st.tuples(st.just("merge"), st.lists(MULTISET_EVENTS, max_size=6)),
+    ),
+    max_size=60,
+)
+
+
+def _conflated(value):
+    """The value equal to ``value`` in Python that encodes differently."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int:
+        return bool(value)
+    return -value
+
+
+class _SmallCapDigest(AdditiveMultisetDigest):
+    """Flushes at two distinct pending events, to interleave cap flushes."""
+
+    __slots__ = ()
+    PENDING_CAP = 2
+
+
+def _reference_state(events, include, exclude, fields):
+    """The per-event definition: Σ sha256(canonical_line(reduced)) mod 2**256."""
+    total = count = 0
+    for event in events:
+        if include is not None and event["type"] not in include:
+            continue
+        if event["type"] in exclude:
+            continue
+        reduced = {k: v for k, v in event.items() if k not in fields}
+        line = canonical_line(reduced).encode("utf-8")
+        total += int.from_bytes(hashlib.sha256(line).digest(), "big")
+        count += 1
+    return {"sum": format(total % (1 << 256), "x"), "count": count}
+
+
+def _reference_digest(state):
+    payload = f"{state['count']}:{int(state['sum'], 16):064x}"
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    ops=MULTISET_OPS,
+    include=st.one_of(st.none(), st.frozensets(st.sampled_from(MULTISET_TYPES))),
+    exclude=st.frozensets(st.sampled_from(MULTISET_TYPES)),
+    fields=st.sampled_from([("t", "seq"), ("seq",), ("t", "seq", "a"), ("t",), ()]),
+    cls=st.sampled_from([AdditiveMultisetDigest, _SmallCapDigest]),
+)
+def test_multiset_counting_equals_per_event_definition(
+    ops, include, exclude, fields, cls
+):
+    def fresh():
+        return cls(include_types=include, exclude_types=exclude,
+                   exclude_fields=fields)
+
+    def reference(events):
+        return _reference_state(events, include, exclude, fields)
+
+    acc, absorbed = fresh(), []
+    for op in ops:
+        if op[0] == "add":
+            acc.add(op[1])
+            absorbed.append(op[1])
+        elif op[0] == "twins":
+            _, event, name = op
+            twin = {**event, name: _conflated(event[name])}
+            for event in (event, twin):
+                acc.add(event)
+                absorbed.append(event)
+        elif op[0] == "digest":
+            assert acc.digest() == _reference_digest(reference(absorbed))
+        elif op[0] == "roundtrip":
+            state = acc.state_dict()
+            assert state == reference(absorbed)
+            # Loading replaces everything, pending events included.
+            acc = fresh()
+            for event in absorbed[-3:]:
+                acc.add(event)
+            acc.load_state(state)
+        else:
+            other = fresh()
+            for event in op[1]:
+                other.add(event)
+            acc.merge(other)
+            absorbed.extend(op[1])
+            assert other.state_dict() == reference(op[1])
+    final = reference(absorbed)
+    assert acc.count == final["count"]
+    assert acc.state_dict() == final
+    assert acc.digest() == _reference_digest(final)

@@ -1,5 +1,6 @@
 """Unit tests for the trace recorder, sinks, digests and event schema."""
 
+import hashlib
 import io
 import json
 
@@ -249,8 +250,13 @@ class TestAdditiveMultisetDigest:
             ({"sum": "1" * 65, "count": 1}, "sum"),
             ({"sum": "12g4", "count": 1}, "sum"),
             ({"sum": "ff", "count": -1}, "count"),
+            (None, "sum"),
+            ([], "sum"),
+            ({"count": 1}, "sum"),
+            ({"sum": "ff"}, "count"),
         ],
-        ids=["negative-sum", "overlong-sum", "non-hex-sum", "negative-count"],
+        ids=["negative-sum", "overlong-sum", "non-hex-sum", "negative-count",
+             "none-state", "list-state", "missing-sum", "missing-count"],
     )
     def test_load_state_rejects_corrupt_state(self, state, field):
         acc = self._absorb(self.EVENTS)
@@ -258,6 +264,37 @@ class TestAdditiveMultisetDigest:
         with pytest.raises(SimulationError, match=f"'{field}'"):
             acc.load_state(state)
         assert acc.state_dict() == before
+
+    def test_pending_stays_below_the_cap(self):
+        cap = AdditiveMultisetDigest.PENDING_CAP
+        acc = AdditiveMultisetDigest()
+        events = [
+            {"t": 0.0, "seq": n, "type": "send", "src": f"u{n}", "ok": True}
+            for n in range(cap + cap // 2)
+        ]
+        for event in events:
+            acc.add(event)
+            assert len(acc._pending) < cap
+        # One flush at the cap; the rest waits for a read.
+        assert len(acc._pending) == cap // 2
+        total = sum(
+            int.from_bytes(hashlib.sha256(canonical_line(
+                {"type": "send", "src": e["src"], "ok": True}
+            ).encode()).digest(), "big")
+            for e in events
+        )
+        assert acc.state_dict() == {
+            "sum": format(total % (1 << 256), "x"), "count": len(events)
+        }
+        assert not acc._pending
+
+    def test_float_valued_events_hold_nothing_pending(self):
+        acc = AdditiveMultisetDigest()
+        for amount in (1.0, 1.0, -0.0, 0.0):
+            acc.add({"t": 0.0, "seq": 1, "type": "topup", "amount": amount})
+        acc.add({"t": 0.0, "seq": 1, "type": "crash", "path": ["a"]})
+        assert not acc._pending
+        assert acc.count == 5
 
     def test_empty_accumulators_agree(self):
         assert (
