@@ -93,8 +93,11 @@ class ClusterConfig:
             barriers — the alignment the determinism argument needs.
         mode: ``"spawn"`` for real processes, ``"inline"`` for
             in-process workers (tests, coverage, deterministic faults).
-        traced: Per-worker event tracing into the mergeable digest
-            accumulators. Off for benchmarks.
+        traced: Also keep each worker's timestamped full-event digest
+            (``manifest.event_digest``, the shard-invariance oracle).
+            The ledger digest (``ledger_digest``/``ledger_event_count``
+            in ``manifest.extra``) is kept either way: every manifest
+            reads it. ``run_plan`` turns this off.
         journal_dir: Where workers commit their barrier state, one
             :class:`~repro.store.backend.DurableStore` per shard
             (``shard{N}.db``). Required for crash recovery; without it a

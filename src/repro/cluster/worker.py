@@ -4,7 +4,7 @@ A :class:`ShardWorker` owns the ISPs its :class:`ShardSpec` assigns to
 it — materialized as real :class:`~repro.core.isp.CompliantISP` /
 ``NonCompliantISP`` nodes, with every other ISP a
 :class:`~repro.core.isp.RemoteISP` placeholder — plus its own bank
-slice, metrics registry, optional tracer and workload slice. Workers
+slice, metrics registry, digest-only tracer and workload slice. Workers
 never talk to each other directly; the parent forwards opaque
 pre-pickled letter batches between them (star topology), so a SIGKILLed
 worker can never corrupt a peer's channel.
@@ -86,7 +86,7 @@ class ShardSpec:
     epoch_len: float
     total_cycles: int
     journal_dir: str | None = None
-    traced: bool = True
+    traced: bool = True  # see ClusterConfig.traced
 
     @property
     def local_isps(self) -> frozenset[int]:
@@ -120,6 +120,8 @@ class ShardWorker:
         # an identical copy at each day boundary, so it is the one event
         # type whose multiset would scale with shard count.
         # The store's bookkeeping events exist only when journaling.
+        # Every manifest reads the ledger digest, so it is always kept;
+        # the timestamped full-event digest only when traced.
         self.events_acc = AdditiveMultisetDigest(
             exclude_types=("midnight", *STORE_EVENT_TYPES),
             exclude_fields=("seq",),
@@ -127,11 +129,10 @@ class ShardWorker:
         self.ledger_acc = AdditiveMultisetDigest(
             include_types=LEDGER_EVENT_TYPES
         )
-        tracer = None
+        accs = [self.ledger_acc]
         if spec.traced:
-            tracer = TraceRecorder(
-                sink=DigestSink(self.events_acc, self.ledger_acc)
-            )
+            accs.append(self.events_acc)
+        tracer = TraceRecorder(sink=DigestSink(*accs))
         self.network = ZmailNetwork(
             n_isps=scenario.n_isps,
             users_per_isp=scenario.users_per_isp,

@@ -18,6 +18,7 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..crypto import (
     KeyPair,
@@ -65,9 +66,20 @@ class Bank:
         self._seq = 0
         self.reports: list[ReconciliationReport] = []
         self.use_crypto = use_crypto
-        self.keys: KeyPair = generate_keypair(key_bits, seed=seed)
+        self._key_bits = key_bits
+        self._key_seed = seed
         self.buy_requests = 0
         self.sell_requests = 0
+
+    @cached_property
+    def keys(self) -> KeyPair:
+        """The bank's RSA key pair, generated on first read.
+
+        Only the encrypted §4.3 message path reads it. Key generation
+        draws from its own ``random.Random(seed)``, so a lazy pair equals
+        an eager one and no shared random stream moves.
+        """
+        return generate_keypair(self._key_bits, seed=self._key_seed)
 
     # -- registry -----------------------------------------------------------------
 

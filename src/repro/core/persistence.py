@@ -57,6 +57,10 @@ __all__ = [
 #     each ISP's bank-trade nonce counter.
 FORMAT_VERSION = 4
 
+# Field names copied explicitly on every barrier commit: ``asdict``
+# recurses and deep-copies, ten times the cost for flat int fields.
+_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(DeliveryStats))
+
 
 def user_state(user) -> dict[str, Any]:
     """One user's durable state (purse, limits, counters, mailboxes)."""
@@ -164,7 +168,7 @@ def isp_aggregate_state(isp: CompliantISP) -> dict[str, Any]:
         "compliance_view": {
             str(k): v for k, v in sorted(isp.compliance_view.items())
         },
-        "stats": dataclasses.asdict(isp.stats),
+        "stats": {name: getattr(isp.stats, name) for name in _STATS_FIELDS},
         "limit_hits": {
             str(user_id): count
             for user_id, count in sorted(isp.limit_hits.items())

@@ -201,18 +201,21 @@ class ZmailNetwork:
         self.metrics = MetricsRegistry()
         # Hot-path counters, resolved once: the per-send/per-delivery code
         # calls a cached bound increment instead of formatting a metric
-        # name and re-looking it up for every message.
+        # name and re-looking it up for every message. They are keyed by
+        # the member's ``_value_`` string: an Enum member key would cost a
+        # Python-level ``Enum.__hash__`` per lookup, and ``.value`` a
+        # property call.
         metrics = self.metrics
         self._inc_send_status = {
-            status: metrics.counter(f"send.{status.value}").increment
+            status._value_: metrics.counter(f"send.{status._value_}").increment
             for status in SendStatus
         }
         self._inc_send_kind = {
-            kind: metrics.counter(f"send.kind.{kind.value}").increment
+            kind._value_: metrics.counter(f"send.kind.{kind._value_}").increment
             for kind in TrafficKind
         }
         self._inc_deliver_kind = {
-            kind: metrics.counter(f"deliver.kind.{kind.value}").increment
+            kind._value_: metrics.counter(f"deliver.kind.{kind._value_}").increment
             for kind in TrafficKind
         }
         self._inc_delivered = metrics.counter("deliver.delivered").increment
@@ -389,16 +392,18 @@ class ZmailNetwork:
         if self._admission is not None:
             receipt = self._admit_send(sender, recipient, kind, content)
             if receipt is not None:
-                self._inc_send_status[receipt.status]()
-                self._inc_send_kind[kind]()
+                status = receipt.status._value_
+                kind_name = kind._value_
+                self._inc_send_status[status]()
+                self._inc_send_kind[kind_name]()
                 tracer = self.tracer
                 if tracer.enabled:
                     tracer.emit(
                         "send",
                         src=str(sender),
                         dst=str(recipient),
-                        kind=kind.value,
-                        status=receipt.status.value,
+                        kind=kind_name,
+                        status=status,
                     )
                 return receipt
         return self._send_admitted(sender, recipient, kind, content)
@@ -425,16 +430,18 @@ class ZmailNetwork:
             and self.config.auto_topup_amount > 0
         ):
             receipt = self._retry_with_topup(isp, sender, recipient, kind, content)
-        self._inc_send_status[receipt.status]()
-        self._inc_send_kind[kind]()
+        status = receipt.status._value_
+        kind_name = kind._value_
+        self._inc_send_status[status]()
+        self._inc_send_kind[kind_name]()
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(
                 "send",
                 src=str(sender),
                 dst=str(recipient),
-                kind=kind.value,
-                status=receipt.status.value,
+                kind=kind_name,
+                status=status,
             )
         if receipt.letter is not None:
             self._route_letter(receipt.letter)
@@ -653,14 +660,15 @@ class ZmailNetwork:
             self._inc_delivered()
         else:
             self._inc_dropped()
-        self._inc_deliver_kind[letter.kind]()
+        kind_name = letter.kind._value_
+        self._inc_deliver_kind[kind_name]()
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(
                 "deliver",
                 src=str(letter.sender),
                 dst=str(letter.recipient),
-                kind=letter.kind.value,
+                kind=kind_name,
                 ok=delivered,
             )
 

@@ -290,6 +290,9 @@ def _run_cluster(
     from ..cluster.runtime import run_cluster
 
     config = plan.cluster_config(shards=shards, lag=lag, mode=cluster_mode)
+    # The manifest below reads the ledger digest, never the timestamped
+    # full-event one, so the workers need not compute it.
+    config.traced = False
     result = run_cluster(config)
     extra = result.manifest.extra
     manifest = _manifest(

@@ -330,3 +330,46 @@ class TestUntraced:
             untraced.manifest.extra["sends_attempted"]
             == traced.manifest.extra["sends_attempted"]
         )
+
+    def test_untraced_run_keeps_ledger_digest(self, invariance_runs):
+        """``traced`` gates only the full-event digest: the ledger
+        digest every manifest reads is kept either way."""
+        traced = invariance_runs[2]
+        untraced = run_cluster(
+            ClusterConfig(
+                scenario=smoke_world(11), n_shards=2, mode="inline",
+                traced=False,
+            )
+        )
+        assert untraced.manifest.event_count == 0
+        assert traced.manifest.event_count > 0
+        assert untraced.manifest.extra["ledger_event_count"] > 0
+        for key in ("ledger_digest", "ledger_event_count"):
+            assert untraced.manifest.extra[key] == traced.manifest.extra[key]
+
+    def test_run_plan_manifest_bytes_ignore_traced(self, monkeypatch):
+        """``run_plan`` runs the cluster untraced; forcing the
+        full-event digest back on changes no manifest byte."""
+        from repro.cluster import runtime
+        from repro.scenario import run_plan
+
+        plan = load_plan(mixed_world(
+            5, n_isps=4, users_per_isp=6, days=1
+        ))
+        real = runtime.run_cluster
+        seen = []
+
+        def spy(config):
+            seen.append(config.traced)
+            return real(config)
+
+        monkeypatch.setattr(runtime, "run_cluster", spy)
+        untraced = run_plan(plan, "cluster", shards=2)
+        monkeypatch.setattr(
+            runtime, "run_cluster",
+            lambda config: spy(dataclasses.replace(config, traced=True)),
+        )
+        traced = run_plan(plan, "cluster", shards=2)
+        assert seen == [False, True]
+        assert untraced["manifest"].event_count > 0
+        assert untraced["manifest"].to_json() == traced["manifest"].to_json()

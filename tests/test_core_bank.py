@@ -118,6 +118,42 @@ class TestEncryptedForms:
             bank.handle_buy_message(0, request)
 
 
+class TestLazyKeys:
+    """The key pair is generated on first read, and only then."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_lazy_keys_equal_eager_generation(self, seed):
+        from repro.crypto import generate_keypair
+
+        bank = Bank(seed=seed)
+        assert bank.keys == generate_keypair(256, seed=seed)
+        assert bank.keys is bank.keys  # generated once, then cached
+
+    def test_plain_network_never_generates_keys(self, monkeypatch):
+        from repro.core import bank as bank_module
+        from repro.core.config import ZmailConfig
+        from repro.core.protocol import ZmailNetwork
+        from repro.sim.workload import Address
+
+        calls = []
+        real = bank_module.generate_keypair
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bank_module, "generate_keypair", counting)
+        network = ZmailNetwork(
+            n_isps=3, users_per_isp=4,
+            config=ZmailConfig(use_crypto=False), seed=5,
+        )
+        network.send(Address(0, 0), Address(1, 0))
+        network.reconcile()
+        assert calls == []
+        network.bank.keys
+        assert len(calls) == 1
+
+
 class TestReconciliation:
     def test_consistent_round(self):
         bank = make_bank()

@@ -1,6 +1,7 @@
 """Deployments round-tripped through the durable store, and the
 per-record state codecs it is built on (:mod:`repro.core.persistence`)."""
 
+import dataclasses
 import json
 import random
 
@@ -31,6 +32,7 @@ from repro.store import (
     init_store,
     restore_network,
 )
+from repro.store.codec import encode_payload
 
 
 def traffic(net, seed, messages):
@@ -230,3 +232,19 @@ class TestPerNodeJournals:
         del journal["nonces"]
         with pytest.raises(SimulationError, match="malformed bank journal"):
             load_bank_state(net.bank, journal)
+
+    def test_aggregate_stats_match_asdict_and_do_not_alias(self):
+        net, _, _ = busy_network(seed=9)
+        isp = net.isps[1]
+        assert isp.stats.sent_paid and isp.stats.received_paid  # populated
+        state = isp_aggregate_state(isp)
+        assert state["stats"] == dataclasses.asdict(isp.stats)
+        assert encode_payload(state["stats"]) == encode_payload(
+            dataclasses.asdict(isp.stats)
+        )
+        before = encode_payload(state)
+        isp.stats.sent_paid += 1
+        state["stats"]["received_paid"] += 1
+        assert encode_payload(isp_aggregate_state(isp)) != before
+        assert state["stats"]["sent_paid"] == isp.stats.sent_paid - 1
+        assert isp.stats.received_paid == state["stats"]["received_paid"] - 1

@@ -1,6 +1,7 @@
 """Tests for the durable SMTP service and the operator selftest."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.smtp.client import SMTPClient
 from repro.smtp.message import MailMessage
 from repro.smtp.transport import Envelope
 from repro.store import DurableStore, durable_digest, init_store
+from repro.store.codec import encode_payload
 from repro.store.service import ZmailService, run_selftest
 
 OVERLOAD = OverloadConfig(
@@ -159,6 +161,24 @@ class TestServiceBasics:
         barrier = asyncio.run(run())
         store.close()
         assert barrier >= 2  # at least one periodic + the final commit
+
+
+class TestOverloadRecord:
+    def test_overload_record_matches_asdict_and_does_not_alias(self, tmp_path):
+        _, store = _make_store(tmp_path)
+        service = ZmailService(store, overload=OVERLOAD)
+        puts = {key: value for _kind, key, value in service._pending_puts()}
+        record = puts["overload"]
+        assert record == dataclasses.asdict(OVERLOAD)
+        assert encode_payload(record) == encode_payload(
+            dataclasses.asdict(OVERLOAD)
+        )
+        record["admit_rate"] = 99.0
+        assert service.overload.admit_rate == 1.0
+        again = {key: value for _kind, key, value in service._pending_puts()}
+        assert again["overload"] is not record
+        assert OverloadConfig(**again["overload"]) == OVERLOAD
+        store.close()
 
 
 class TestPendingRehydration:

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests, perfbench throughput floors and determinism smokes.
 #
-# 1. Runs the full tier-1 test suite (ROADMAP.md's verify command).
+# 1. Runs the full tier-1 test suite (ROADMAP.md's verify command),
+#    then the benchmark harness's own tests (perfbench/tests).
 # 2. Re-runs the suite under tools/coverage_gate.py: overall line
 #    coverage must stay at or above the pinned floor (CI_COVERAGE_FLOOR,
 #    default 94 — measured 94.9% when the gate was introduced) and the
@@ -73,6 +74,14 @@ TOLERANCE="${CI_BENCH_TOLERANCE:-0.45}"
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
+
+echo "== benchmark harness tests (smoke size) =="
+# perfbench wraps private executor functions (_execute_batch,
+# _run_scalar, _emit_batch, ...) by name to time each layer;
+# test_every_wrapper_is_removed_on_exit resolves every wrapped
+# boundary, so a rename fails here instead of silently blanking
+# those layers in every traced benchmark run.
+python -m pytest perfbench/tests -q
 
 if [ "${CI_COVERAGE:-1}" != "0" ]; then
     COVERAGE_FLOOR="${CI_COVERAGE_FLOOR:-94}"
