@@ -22,8 +22,9 @@ match path, and a lowered-sweep figure — the first ``--lowered`` cells
 lowered to plain DSL worlds and driven through the columnar batch
 executor — so the "small matchups direct, large sweeps lowered" split
 has numbers attached. Results land in ``BENCH_arena.json`` at the repo
-root and one summary record is appended to ``benchmarks/results.jsonl``
-with explicit executor mode strings (``direct`` / ``columnar``).
+root and its summary record replaces the ``arena-tournament`` record in
+``benchmarks/results.jsonl``, with explicit executor mode strings
+(``direct`` / ``columnar``).
 
 ``--check-against BENCH_arena.json`` re-checks a fresh (usually smoke
 scale) run's cells/sec against the committed reference with a loose
@@ -38,14 +39,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import pathlib
 import platform
 import sys
 import time
-import uuid
+
+from make_experiments_md import store_record
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -54,7 +55,6 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-RESULTS_PATH = HERE / "results.jsonl"
 BASELINE_DEFENDER = "zmail_static"
 
 
@@ -120,7 +120,7 @@ def lowered_columnar_sweep(report: dict, seed: int, count: int) -> dict:
     }
 
 
-def append_results_record(document: dict) -> None:
+def store_results_record(document: dict) -> None:
     """One EXPERIMENTS.md-style record, same shape the conftest writes."""
     sweep = document["throughput"]["lowered_columnar"]
     rows = [
@@ -165,13 +165,8 @@ def append_results_record(document: dict) -> None:
         ),
         "rows": rows,
         "host": document["host"],
-        "run_id": uuid.uuid4().hex[:12],
-        "timestamp": datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat(),
     }
-    with open(RESULTS_PATH, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+    store_record(record)
 
 
 def main() -> None:
@@ -320,7 +315,7 @@ def main() -> None:
         args.output.write_text(
             json.dumps(document, sort_keys=True, indent=2) + "\n"
         )
-        append_results_record(document)
+        store_results_record(document)
         print(f"[bench_arena] wrote {args.output}", flush=True)
     print("[bench_arena] all gates passed", flush=True)
 

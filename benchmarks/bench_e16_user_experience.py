@@ -10,92 +10,70 @@ segregated), and the adoption incentive of E9 (compliant users' inboxes
 are visibly cleaner, which is what drives switching).
 """
 
-from conftest import report
+from conftest import report, run_document
 
-from repro.core import NonCompliantMailPolicy, ZmailConfig, ZmailNetwork
-from repro.sim import DAY, Address, SeededStreams
-from repro.sim.workload import (
-    NormalUserWorkload,
-    SpamCampaignWorkload,
-    merge_workloads,
-)
+from repro.sim import DAY
 
 N_ISPS = 8
 USERS = 10
 
 
-def run_scenario(n_compliant: int, seed: int = 16):
-    flags = [i < n_compliant for i in range(N_ISPS)]
-    config = ZmailConfig(
-        default_user_balance=60,
-        auto_topup_amount=0,
-        default_daily_limit=100_000,
-        noncompliant_policy=NonCompliantMailPolicy.SEGREGATE,
-    )
-    net = ZmailNetwork(
-        n_isps=N_ISPS, users_per_isp=USERS, compliant=flags,
-        config=config, seed=seed,
-    )
-    streams = SeededStreams(seed)
-    normal = NormalUserWorkload(
-        n_isps=N_ISPS, users_per_isp=USERS, rate_per_day=8.0, streams=streams
-    )
-    spam_streams = []
-    # One spammer on a compliant ISP (pays), one per non-compliant ISP (free).
-    compliant_spammer = Address(0, 0)
-    net.fund_user(compliant_spammer, epennies=200)  # its whole war chest
-    spam_streams.append(
-        SpamCampaignWorkload(
-            spammer=compliant_spammer, n_isps=N_ISPS, users_per_isp=USERS,
-            volume=2_000, start=0.0, duration=5 * DAY,
-            streams=streams.spawn("cspam"),
-        ).generate()
-    )
-    for isp_id in range(n_compliant, N_ISPS):
-        spam_streams.append(
-            SpamCampaignWorkload(
-                spammer=Address(isp_id, 0), n_isps=N_ISPS,
-                users_per_isp=USERS, volume=2_000, start=0.0,
-                duration=5 * DAY, streams=streams.spawn(f"nspam{isp_id}"),
-            ).generate()
-        )
-    net.run_workload(
-        merge_workloads(normal.generate(5 * DAY), *spam_streams)
-    )
-
-    compliant_inbox = compliant_junk = compliant_ham = 0
-    for isp_id in range(n_compliant):
-        isp = net.isps[isp_id]
-        stats = isp.stats
-        compliant_junk += stats.junked
-        for user in isp.ledger.users():
-            compliant_inbox += user.inbox
-    # Paid spam that reached compliant inboxes is bounded by war chests;
-    # estimate inbox spam = delivered spam-kind letters to compliant ISPs.
-    spam_delivered = net.metrics.counter("deliver.kind.spam").value
-    total_delivered = net.metrics.counter("deliver.delivered").value
+def world(n_compliant: int) -> dict:
+    """ISPs ``n_compliant`` and up do not comply. One spammer on isp0
+    pays from a 200 e¢ war chest; one per non-compliant ISP sends free.
+    The columnar executor refuses non-compliant ISPs, so the engine is
+    the second executor."""
+    spam = {"volume": 2_000, "duration": 5 * DAY}
     return {
-        "compliant_isps": n_compliant,
-        "inbox_total": compliant_inbox,
-        "junked_spam": compliant_junk,
-        "spam_delivered_all": spam_delivered,
-        "net": net,
+        "schema_version": 1,
+        "name": f"e16-compliant{n_compliant}",
+        "seed": 16,
+        "topology": {
+            "n_isps": N_ISPS,
+            "users_per_isp": USERS,
+            "noncompliant": list(range(n_compliant, N_ISPS)),
+        },
+        "economics": {
+            "default_user_balance": 60,
+            "auto_topup_amount": 0,
+            "default_daily_limit": 100_000,
+            "noncompliant_policy": "segregate",
+        },
+        "traffic": {
+            "duration": 5 * DAY,
+            "normal_rate_per_day": 8.0,
+            "spammers": [{"isp": 0, "war_chest": 200, **spam}]
+            + [{"isp": isp, **spam} for isp in range(n_compliant, N_ISPS)],
+        },
     }
+
+
+def run_world(n_compliant: int):
+    return run_document(world(n_compliant), modes=("direct", "engine"))
 
 
 def test_e16_inbox_spam_vs_adoption(benchmark):
     def sweep():
         rows = []
         for n_compliant in (2, 4, 6, 8):
-            result = run_scenario(n_compliant)
-            net = result.pop("net")
-            # Spam that reached a compliant user's *inbox* (not junk):
-            # only what a funded compliant-side spammer could pay for.
-            paid_spam = net.metrics.counter("send.kind.spam").value
-            blocked = net.metrics.counter("send.blocked_balance").value
-            result["spam_junked_not_inboxed"] = result.pop("junked_spam")
-            result["compliant_spammer_blocked"] = blocked
-            rows.append(result)
+            result = run_world(n_compliant)
+            compliant = result.network.compliant_isps().values()
+            rows.append(
+                {
+                    "compliant_isps": n_compliant,
+                    "inbox_total": sum(
+                        user.inbox
+                        for isp in compliant
+                        for user in isp.ledger.users()
+                    ),
+                    "spam_delivered_all": result.spam_delivered,
+                    # Free-riding spam segregated into compliant users'
+                    # junk folders, never their inboxes.
+                    "spam_junked_not_inboxed": result.junked,
+                    # Paid spam refused once the war chest ran dry.
+                    "compliant_spammer_blocked": result.blocked_balance,
+                }
+            )
         return rows
 
     rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
@@ -112,10 +90,7 @@ def test_e16_inbox_spam_vs_adoption(benchmark):
         "E16",
         "compliant-ISP users' inboxes stay clean: paid spam is throttled "
         "by money, free spam is segregated; incentives grow with adoption",
-        [
-            {k: v for k, v in row.items()}
-            for row in rows
-        ],
+        rows,
     )
 
 
@@ -123,13 +98,12 @@ def test_e16_windfall_to_receivers(benchmark):
     """§1.2: whatever paid spam does arrive is compensated attention."""
 
     def run():
-        result = run_scenario(4)
-        net = result["net"]
-        windfall = 0
-        for isp_id in range(1, 4):  # compliant ISPs other than spammer's
-            for user in net.isps[isp_id].ledger.users():
-                windfall += max(0, user.net_epenny_flow)
-        return windfall
+        isps = run_world(4).network.isps
+        return sum(
+            max(0, user.net_epenny_flow)
+            for isp_id in range(1, 4)  # compliant ISPs other than spammer's
+            for user in isps[isp_id].ledger.users()
+        )
 
     windfall = benchmark.pedantic(run, iterations=1, rounds=1)
     assert windfall > 0

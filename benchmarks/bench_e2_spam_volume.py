@@ -2,16 +2,17 @@
 
 Two parts: (a) the market projection — profit-maximising spammers
 re-optimise under Zmail pricing and aggregate spam volume collapses from
-the calibrated 60% share; (b) a behavioural simulation — the same funded
-spammer against a live deployment is cut off by its war chest.
+the calibrated 60% share; (b) a behavioural simulation — a funded
+spammer in a world document, run on the direct and columnar executors,
+is cut off by its war chest.
 """
 
-from conftest import report
+from conftest import report, run_document
 
 from repro.core import ZmailConfig, ZmailNetwork
-from repro.economics import CampaignModel, SpamRegime, project_market
-from repro.sim import DAY, Address, SeededStreams
-from repro.sim.workload import SpamCampaignWorkload
+from repro.economics import CampaignModel, project_market
+from repro.economics.adaptive import AdaptiveSpammer
+from repro.sim import DAY, Address
 
 CAMPAIGNS = [
     CampaignModel(1_000_000, 0.00003, 25.0),
@@ -45,31 +46,36 @@ def test_e2_market_volume_collapse(benchmark):
     )
 
 
-def run_funded_campaign(war_chest: int):
-    config = ZmailConfig(
-        default_daily_limit=10**9,
-        default_user_balance=50,
-        auto_topup_amount=0,
-    )
-    net = ZmailNetwork(n_isps=4, users_per_isp=25, config=config, seed=7)
-    spammer = Address(0, 0)
-    net.fund_user(spammer, epennies=war_chest)
-    workload = SpamCampaignWorkload(
-        spammer=spammer, n_isps=4, users_per_isp=25,
-        volume=20_000, start=0.0, duration=DAY, streams=SeededStreams(7),
-    )
-    net.run_workload(workload.generate())
-    delivered = (
-        net.metrics.counter("send.sent_paid").value
-        + net.metrics.counter("send.delivered_local").value
-    )
-    blocked = net.metrics.counter("send.blocked_balance").value
-    assert net.total_value() == net.expected_total_value()
-    return delivered, blocked
+#: A 20,000-mail campaign from isp0's user 0 with a 2,000 e¢ war chest.
+FUNDED = {
+    "schema_version": 1,
+    "name": "e2-funded-campaign",
+    "seed": 7,
+    "topology": {"n_isps": 4, "users_per_isp": 25},
+    "economics": {
+        "default_daily_limit": 10**9,
+        "default_user_balance": 50,
+        "auto_topup_amount": 0,
+    },
+    "traffic": {
+        "duration": DAY,
+        "normal_rate_per_day": 0.0,
+        "spammers": [{"isp": 0, "volume": 20_000, "war_chest": 2_000}],
+    },
+}
 
 
 def test_e2_war_chest_bounds_campaign(benchmark):
-    delivered, blocked = benchmark(run_funded_campaign, war_chest=2_000)
+    result = benchmark.pedantic(
+        run_document, args=(FUNDED,), iterations=1, rounds=1
+    )
+    assert result.conserved
+    metrics = result.network.metrics
+    delivered = (
+        metrics.counter("send.sent_paid").value
+        + metrics.counter("send.delivered_local").value
+    )
+    blocked = result.blocked_balance
     # Delivery is bounded by funding (war chest + initial balance + windfalls
     # the spammer's own address happens to receive), not by bandwidth.
     assert delivered < 3_000
@@ -80,7 +86,7 @@ def test_e2_war_chest_bounds_campaign(benchmark):
         [
             {
                 "war_chest_epennies": 2_000,
-                "attempted": 20_000,
+                "attempted": result.sends_attempted,
                 "delivered": delivered,
                 "blocked_broke": blocked,
             }
@@ -91,9 +97,6 @@ def test_e2_war_chest_bounds_campaign(benchmark):
 def test_e2_adaptive_spammer_no_oracle(benchmark):
     """E2 dynamic form: a spammer with NO knowledge of the regime, only
     observed profit, grows under free riding and collapses under Zmail."""
-    from repro.core import ZmailConfig, ZmailNetwork
-    from repro.economics.adaptive import AdaptiveSpammer
-
     def run_both():
         rows = []
         for label, compliant_flags, spammer_isp, epenny in (
@@ -109,8 +112,6 @@ def test_e2_adaptive_spammer_no_oracle(benchmark):
                 ),
                 seed=82,
             )
-            from repro.sim.workload import Address
-
             # Conversion between the two break-evens: profitable at
             # $0.0001/msg, a loser at $0.0101/msg.
             spammer = AdaptiveSpammer(

@@ -1,41 +1,34 @@
 """E3 — zero-sum conservation at scale (§1.2, §4.1).
 
-Drives 100k mixed messages (plus buy/sell churn via pool rebalancing and
-auto top-ups) through a deployment and checks exact integer conservation
-of total value, plus throughput of the accounting hot path.
+Drives over 100k messages (plus buy/sell churn via pool rebalancing and
+auto top-ups) through a world document on the direct and columnar
+executors and checks exact integer conservation of total value, plus
+throughput of the accounting hot path.
 """
 
-from conftest import report
+from conftest import report, run_document
 
-from repro.core import ZmailConfig, ZmailNetwork
-from repro.sim import DAY, SeededStreams
-from repro.sim.workload import NormalUserWorkload
+from repro.core import ZmailNetwork
+from repro.sim import DAY
 
-
-def run_large_workload(n_messages: int):
-    config = ZmailConfig(default_user_balance=30, auto_topup_amount=20)
-    net = ZmailNetwork(n_isps=5, users_per_isp=40, config=config, seed=3)
-    workload = NormalUserWorkload(
-        n_isps=5, users_per_isp=40, rate_per_day=50.0,
-        streams=SeededStreams(3),
-    )
-    sent = 0
-    for request in workload.generate(30 * DAY):
-        net.note_time(request.time)
-        net.send(request.sender, request.recipient, request.kind)
-        sent += 1
-        if sent >= n_messages:
-            break
-    return net, sent
+# 200 users at 50 mails a day; 10 days fall just short of 100k sends.
+WORLD = {
+    "schema_version": 1,
+    "name": "e3-zero-sum",
+    "seed": 3,
+    "topology": {"n_isps": 5, "users_per_isp": 40},
+    "economics": {"default_user_balance": 30, "auto_topup_amount": 20},
+    "traffic": {"duration": 11 * DAY, "normal_rate_per_day": 50.0},
+}
 
 
 def test_e3_conservation_100k_messages(benchmark):
-    net, sent = benchmark.pedantic(
-        run_large_workload, args=(100_000,), iterations=1, rounds=1
+    result = benchmark.pedantic(
+        run_document, args=(WORLD,), iterations=1, rounds=1
     )
-    assert sent == 100_000
-    assert net.total_value() == net.expected_total_value()
-    assert net.reconcile("direct").consistent
+    net = result.network
+    assert result.sends_attempted >= 100_000
+    assert result.conserved and result.all_reconciliations_consistent
     topups = net.metrics.counter("topup.count").value
     rebalances = (
         net.metrics.counter("bank.buys").value
@@ -46,12 +39,12 @@ def test_e3_conservation_100k_messages(benchmark):
         "every transaction is zero-sum: total value is exactly conserved",
         [
             {
-                "messages": sent,
+                "messages": result.sends_attempted,
                 "topups": topups,
                 "bank_rebalances": rebalances,
                 "total_value": net.total_value(),
                 "expected": net.expected_total_value(),
-                "conserved": net.total_value() == net.expected_total_value(),
+                "conserved": result.conserved,
             }
         ],
     )

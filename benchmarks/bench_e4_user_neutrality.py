@@ -1,31 +1,33 @@
 """E4 — normal users "neither pay nor profit" on average (§1.2).
 
-Balanced correspondence: per-user net e-penny flow distribution should be
+Balanced correspondence (a world document, run on the direct and
+columnar executors): per-user net e-penny flow distribution should be
 centred on zero with small spread, and the buffer needed to ride out the
 fluctuations is pocket change. Sweeps the send/receive imbalance to show
 where neutrality breaks (deliberately unbalanced users pay).
 """
 
-from conftest import report
+from conftest import report, run_document
 
 from repro.core import ZmailNetwork
 from repro.economics import analyze_user_flows, required_buffer
 from repro.sim import DAY, Address, SeededStreams, TrafficKind
 from repro.sim.workload import NormalUserWorkload
 
-
-def run_balanced(days: int = 20):
-    net = ZmailNetwork(n_isps=3, users_per_isp=20, seed=6)
-    workload = NormalUserWorkload(
-        n_isps=3, users_per_isp=20, rate_per_day=10.0,
-        streams=SeededStreams(6),
-    )
-    net.run_workload(workload.generate(days * DAY))
-    return analyze_user_flows(net, tolerance=100)
+WORLD = {
+    "schema_version": 1,
+    "name": "e4-balanced",
+    "seed": 6,
+    "topology": {"n_isps": 3, "users_per_isp": 20},
+    "traffic": {"duration": 20 * DAY, "normal_rate_per_day": 10.0},
+}
 
 
 def test_e4_balanced_users_are_neutral(benchmark):
-    summary = benchmark(run_balanced)
+    result = benchmark.pedantic(
+        run_document, args=(WORLD,), iterations=1, rounds=1
+    )
+    summary = analyze_user_flows(result.network, tolerance=100)
     # Population-level neutrality is exact (every debit credits someone).
     assert abs(summary.mean_net_flow) < 0.5
     # Individual imbalance is popularity-driven and stays well below the

@@ -7,10 +7,11 @@ actually admitted and delivered per second) should plateau near the
 configured rate instead of collapsing, queue memory should stay under
 its hard bound, and no admitted message may vanish from the accounting.
 
-This harness sweeps a flood multiplier over one fixed deployment —
-3 ISPs with an 8 msg/s admission rate, background user traffic, and a
-zombie flood from isp0 aimed at isp1 scaled to ``multiplier x
-admit_rate`` — then checks three acceptance criteria:
+This harness sweeps a flood multiplier over one fixed world — 3 ISPs
+with an 8 msg/s admission rate, background user traffic, and a zombie
+flood from isp0 aimed at isp1 scaled to ``multiplier x admit_rate``,
+each point a scenario document deployed by ``chaos.campaign.deploy`` —
+then checks three acceptance criteria:
 
 * **plateau** — goodput at the highest multiplier (10x) is within 20%
   of the peak goodput across the sweep;
@@ -21,7 +22,7 @@ admit_rate`` — then checks three acceptance criteria:
   holds at quiescence.
 
 Results land in ``BENCH_overload.json`` at the repo root and print as a
-fixed-width table. Deterministic for a given seed.
+Markdown table. Deterministic for a given seed.
 
 Usage::
 
@@ -37,6 +38,8 @@ import json
 import pathlib
 import sys
 
+from make_experiments_md import render_table
+
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -48,56 +51,47 @@ ADMIT_RATE = 8.0
 GOODPUT_TOLERANCE = 0.20
 
 
+def point_document(multiplier: float, *, duration: float) -> dict:
+    """One offered-load point's world: background mail plus a zombie
+    flood from isp0 at ``multiplier x ADMIT_RATE``, behind admission
+    control."""
+    return {
+        "schema_version": 1,
+        "name": f"overload-bench-{multiplier:g}x",
+        "topology": {"n_isps": 3, "users_per_isp": 6},
+        "traffic": {
+            "duration": duration,
+            "normal_rate_per_day": 2000.0,
+            "floods": [{
+                "attacker_isp": 0,
+                "target_isp": 1,
+                "rate_per_sec": multiplier * ADMIT_RATE,
+                "duration": duration,
+            }],
+        },
+        "reconcile": {"every": max(duration, 150.0)},
+        "overload": {
+            "enabled": True,
+            "admit_rate": ADMIT_RATE,
+            "admit_burst": 16,
+            "queue_capacity": 64,
+            "retry_max_interval": 30.0,
+            "max_retries": 3,
+        },
+    }
+
+
 def run_point(
     multiplier: float, *, seed: int, duration: float, drain_window: float
 ) -> dict:
     """Run one offered-load point; returns its measurement row."""
-    from repro.chaos.deployment import ChaosDeployment
-    from repro.chaos.faults import FaultSpec, FloodSpec, flood_requests
-    from repro.core.overload import OverloadConfig
-    from repro.sim.rng import SeededStreams, derive_seed
-    from repro.sim.workload import NormalUserWorkload, merge_workloads
+    from repro.chaos.campaign import deploy
+    from repro.scenario import compile_scenario
+    from repro.sim.rng import derive_seed
 
-    point_seed = derive_seed(seed, f"overload-bench:{multiplier}")
-    overload = OverloadConfig(
-        admit_rate=ADMIT_RATE,
-        admit_burst=16,
-        queue_capacity=64,
-        retry_base=2.0,
-        retry_backoff=2.0,
-        retry_max_interval=30.0,
-        max_retries=3,
-    )
-    deployment = ChaosDeployment(
-        seed=point_seed,
-        faults=FaultSpec(),
-        n_isps=3,
-        users_per_isp=6,
-        monitor_interval=5.0,
-        reconcile_every=max(duration, 150.0),
-        overload=overload,
-    )
-    background = NormalUserWorkload(
-        n_isps=3,
-        users_per_isp=6,
-        rate_per_day=2000.0,
-        streams=SeededStreams(derive_seed(point_seed, "background")),
-    )
-    flood = FloodSpec(
-        attacker_isp=0,
-        target_isp=1,
-        rate_per_sec=multiplier * ADMIT_RATE,
-        start=0.0,
-        duration=duration,
-    )
-    requests = merge_workloads(
-        background.generate(duration),
-        flood_requests(
-            flood,
-            n_isps=3,
-            users_per_isp=6,
-            streams=SeededStreams(derive_seed(point_seed, "flood")),
-        ),
+    plan = compile_scenario(point_document(multiplier, duration=duration))
+    deployment, requests = deploy(
+        plan, seed=derive_seed(seed, f"overload-bench:{multiplier}")
     )
     converged = deployment.run(
         requests, until=duration, drain_window=drain_window
@@ -116,7 +110,7 @@ def run_point(
         "shed": stats["overload_shed"],
         "bounced": stats["overload_bounced"],
         "peak_queue": stats["overload_peak_pending"],
-        "queue_capacity": overload.queue_capacity,
+        "queue_capacity": plan.doc["overload"]["queue_capacity"],
         "converged": converged,
         "conserved": network.total_value() == network.expected_total_value(),
         "monitor_green": stats["overload_violations"] == 0
@@ -149,30 +143,6 @@ def check_criteria(rows: list[dict]) -> list[str]:
         if not row["converged"]:
             failures.append(f"{label}: deployment failed to drain")
     return failures
-
-
-def format_table(rows: list[dict]) -> str:
-    headers = [
-        "mult", "offered/s", "goodput/s", "accepted", "shed",
-        "bounced", "peakq", "green",
-    ]
-    keys = [
-        "multiplier", "offered_per_sec", "goodput_per_sec", "accepted",
-        "shed", "bounced", "peak_queue", "monitor_green",
-    ]
-    table = [[
-        ("yes" if row[k] else "NO") if isinstance(row[k], bool) else str(row[k])
-        for k in keys
-    ] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in table))
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in table:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines)
 
 
 def main() -> None:
@@ -208,7 +178,7 @@ def main() -> None:
             )
         )
 
-    print(format_table(rows))
+    print(render_table(rows))
     failures = check_criteria(rows)
     for failure in failures:
         print(f"CRITERION FAILED: {failure}", file=sys.stderr)

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Render benchmarks/results.jsonl into EXPERIMENTS.md's measured tables.
 
-Run after a full benchmark pass::
+Run after a benchmark pass::
 
-    pytest benchmarks/ --benchmark-only -s
+    python -m pytest benchmarks --benchmark-disable -o addopts="" -q
     python benchmarks/make_experiments_md.py
 
+The results file holds one record per experiment id in :func:`sort_key`
+order; :func:`store_record` replaces one in place, so a partial pass
+(``-k e3``) updates only its own experiments.
+
 Only the block between the ``BEGIN`` and ``END`` marker lines is
-generated: one table per experiment id, from its newest record. The prose
-around it (the reproduction summary, the E20 and E21 sections) is
-written by hand and kept byte for byte.
+generated: one table per experiment id. The prose around it (the
+reproduction summary, the E20 and E21 sections) is written by hand and
+kept byte for byte.
 """
 
 import json
@@ -25,6 +29,8 @@ END = "<!-- END tables rendered from benchmarks/results.jsonl -->\n"
 
 
 def format_cell(value):
+    if isinstance(value, bool):
+        return str(value)
     if isinstance(value, float):
         return f"{value:,.4g}"
     if isinstance(value, int):
@@ -48,27 +54,30 @@ def render_table(rows):
     return "\n".join(out) + "\n"
 
 
-def latest_records(lines):
-    """The newest record per experiment id, in first-seen order.
-
-    The file is append-only (interrupted runs never clobber it), so
-    recency is decided by the ISO-8601 ``timestamp`` field; legacy
-    records without one rank oldest, with file order breaking ties.
-    """
-    latest = {}
-    for index, line in enumerate(lines):
-        record = json.loads(line)
-        recency = (record.get("timestamp", ""), index)
-        name = record["experiment"]
-        if name not in latest or recency >= latest[name][0]:
-            latest[name] = (recency, record)
-    return {name: record for name, (_, record) in latest.items()}
-
-
 def sort_key(name):
     """E-numbered experiments in numeric order, then every other id."""
     match = re.match(r"E(\d+)", name)
     return (0, int(match[1]), name) if match else (1, 0, name)
+
+
+def read_records(results=RESULTS):
+    """The results file's records, keyed by experiment id."""
+    if not results.exists():
+        return {}
+    records = map(json.loads, results.read_text().splitlines())
+    return {record["experiment"]: record for record in records}
+
+
+def store_record(record, results=RESULTS):
+    """Put ``record`` in the results file in place of its experiment's."""
+    records = read_records(results)
+    records[record["experiment"]] = record
+    results.write_text(
+        "".join(
+            json.dumps(records[name]) + "\n"
+            for name in sorted(records, key=sort_key)
+        )
+    )
 
 
 def render_tables(records):
@@ -95,9 +104,9 @@ def main(results=RESULTS, output=OUTPUT) -> None:
     if not results.exists():
         raise SystemExit(
             "no benchmarks/results.jsonl — run "
-            "`pytest benchmarks/ --benchmark-only -s` first"
+            "`python -m pytest benchmarks --benchmark-disable` first"
         )
-    records = latest_records(results.read_text().splitlines())
+    records = read_records(results)
     output.write_text(render(output.read_text(), records))
     print(f"wrote {output} ({len(records)} experiments)")
 

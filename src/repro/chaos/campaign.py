@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.overload import OverloadConfig
+from ..errors import SimulationError
 from ..obs.metrics_export import export_deployment
 from ..sim.rng import SeededStreams, derive_seed
 from ..sim.workload import NormalUserWorkload, merge_workloads
@@ -27,7 +28,26 @@ from .crash import CrashController, CrashEvent
 from .deployment import ChaosDeployment
 from .faults import FaultSpec, FloodSpec, flood_requests
 
-__all__ = ["deploy", "run_cell"]
+__all__ = ["deploy", "deploy_refusal", "run_cell"]
+
+
+def deploy_refusal(plan) -> str | None:
+    """Why :func:`deploy` refuses ``plan``, or ``None`` if it does not.
+
+    The chaos drive lowers only normal traffic and floods, so a document
+    with ``spammers``, ``zombies`` or ``strategies`` terms is refused
+    rather than run without them.
+    """
+    traffic = plan.doc["traffic"]
+    dropped = [term for term in ("spammers", "zombies") if traffic[term]]
+    if plan.doc.get("strategies") is not None:
+        dropped.append("strategies")
+    if not dropped:
+        return None
+    return (
+        f"scenario {plan.name}: the chaos drive runs only normal traffic "
+        f"and floods; it cannot run the {', '.join(dropped)} term(s)"
+    )
 
 
 def deploy(plan, *, seed: int, tracer=None, store=None):
@@ -36,7 +56,9 @@ def deploy(plan, *, seed: int, tracer=None, store=None):
     Returns ``(deployment, requests)``: a fresh :class:`ChaosDeployment`
     with the document's crashes scheduled, and the normal workload
     merged with every flood, ready for ``deployment.run``. Every RNG
-    stream derives from ``seed``.
+    stream derives from ``seed``. Raises
+    :class:`~repro.errors.SimulationError` with the
+    :func:`deploy_refusal` message for a document it cannot run.
 
     Args:
         plan: A :class:`~repro.scenario.compiler.ScenarioPlan`.
@@ -49,6 +71,9 @@ def deploy(plan, *, seed: int, tracer=None, store=None):
     """
     doc = plan.doc
     topology, traffic = doc["topology"], doc["traffic"]
+    refusal = deploy_refusal(plan)
+    if refusal is not None:
+        raise SimulationError(refusal)
     n_isps, users_per_isp = topology["n_isps"], topology["users_per_isp"]
     overload = dict(doc["overload"])
     deployment = ChaosDeployment(

@@ -243,6 +243,25 @@ class TestCampaign:
         assert row["passed"], row
         assert row["crashes"] == row["restarts"] == 3
 
+    @pytest.mark.parametrize("term, value", [
+        ("spammers", [{"isp": 0, "volume": 5_000}]),
+        ("zombies", [{"isp": 1, "rate_per_hour": 600.0, "start": 0.0,
+                      "end": 600.0}]),
+        ("strategies", {"periods": 1, "attacker": {"name": "static"},
+                        "defender": {"name": "zmail_static"}}),
+    ])
+    def test_terms_the_chaos_drive_cannot_run_are_refused(self, term, value):
+        # Only normal traffic and floods reach a chaos deployment; any
+        # other term must fail loudly instead of vanishing from the row.
+        doc = load(example("chaos-clean.yaml"))
+        if term == "strategies":
+            doc.update(schema_version=2, strategies=value)
+            doc["traffic"]["duration"] = 86_400.0
+        else:
+            doc["traffic"][term] = value
+        with pytest.raises(SimulationError, match=term):
+            run_cell(load_plan(doc))
+
     def test_campaign_document_loads_from_json_and_yaml(self, tmp_path):
         # A chaos world is an ordinary scenario document: its canonical
         # JSON form is the same world as the committed YAML.

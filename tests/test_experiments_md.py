@@ -36,3 +36,16 @@ def test_table_columns_are_the_union_of_row_keys(renderer):
 def test_a_file_without_markers_is_refused(renderer):
     with pytest.raises(SystemExit, match="markers"):
         renderer.render("# EXPERIMENTS\n", {})
+
+
+def test_a_stored_record_replaces_only_its_own_experiment(renderer, tmp_path):
+    results = tmp_path / "results.jsonl"
+    for name, value in (("E10", 1), ("arena", 2), ("E2", 3), ("E10", 4)):
+        record = {"experiment": name, "claim": "c", "rows": [{"v": value}]}
+        renderer.store_record(record, results)
+    before = results.read_bytes()
+    records = renderer.read_records(results)
+    assert list(records) == ["E2", "E10", "arena"]  # numeric, then other ids
+    assert records["E10"]["rows"] == [{"v": 4}]
+    renderer.store_record(records["E2"], results)
+    assert results.read_bytes() == before

@@ -1,8 +1,15 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, perfbench throughput floors and determinism smokes.
+# CI gate: tier-1 tests, the paper-claim experiments, perfbench
+# throughput floors and determinism smokes.
 #
 # 1. Runs the full tier-1 test suite (ROADMAP.md's verify command),
-#    then the benchmark harness's own tests (perfbench/tests).
+#    then the benchmark harness's own tests (perfbench/tests), then
+#    every paper-claim experiment (benchmarks/bench_e*.py; each asserts
+#    its claim's shape, and the document-built worlds pin their
+#    invariant manifests). The experiment pass rewrites
+#    benchmarks/results.jsonl and make_experiments_md.py re-renders
+#    EXPERIMENTS.md from it; both must equal their committed copies, as
+#    must the overload sweep's fresh BENCH_overload.json (E20).
 # 2. Re-runs the suite under tools/coverage_gate.py: overall line
 #    coverage must stay at or above the pinned floor (CI_COVERAGE_FLOOR,
 #    default 94 — measured 94.9% when the gate was introduced) and the
@@ -82,6 +89,16 @@ echo "== benchmark harness tests (smoke size) =="
 # boundary, so a rename fails here instead of silently blanking
 # those layers in every traced benchmark run.
 python -m pytest perfbench/tests -q
+
+echo "== paper-claim experiments (benchmarks/) and result freshness =="
+python -m pytest benchmarks --benchmark-disable -o addopts="" -q \
+    -p no:cacheprovider
+python benchmarks/make_experiments_md.py
+git diff --exit-code HEAD -- EXPERIMENTS.md benchmarks/results.jsonl \
+    || { echo "EXPERIMENTS.md or benchmarks/results.jsonl differs from a fresh run"; exit 1; }
+python benchmarks/bench_overload.py --output /tmp/bench_overload.json
+cmp /tmp/bench_overload.json BENCH_overload.json \
+    || { echo "BENCH_overload.json differs from a fresh sweep"; exit 1; }
 
 if [ "${CI_COVERAGE:-1}" != "0" ]; then
     COVERAGE_FLOOR="${CI_COVERAGE_FLOOR:-94}"
