@@ -22,9 +22,12 @@ match path, and a lowered-sweep figure — the first ``--lowered`` cells
 lowered to plain DSL worlds and driven through the columnar batch
 executor — so the "small matchups direct, large sweeps lowered" split
 has numbers attached. Results land in ``BENCH_arena.json`` at the repo
-root and its summary record replaces the ``arena-tournament`` record in
-``benchmarks/results.jsonl``, with explicit executor mode strings
-(``direct`` / ``columnar``).
+root, timings and host included. The ``arena-tournament`` record in
+``benchmarks/results.jsonl`` keeps only what the seed decides — cell
+and message counts, the phase rows and the collapse boundary, with
+explicit executor mode strings (``direct`` / ``columnar``) — so
+EXPERIMENTS.md renders the same bytes on any host; the timings stay
+on stdout and in ``BENCH_arena.json``.
 
 ``--check-against BENCH_arena.json`` re-checks a fresh (usually smoke
 scale) run's cells/sec against the committed reference with a loose
@@ -121,7 +124,10 @@ def lowered_columnar_sweep(report: dict, seed: int, count: int) -> dict:
 
 
 def store_results_record(document: dict) -> None:
-    """One EXPERIMENTS.md-style record, same shape the conftest writes."""
+    """One EXPERIMENTS.md-style record, same shape the conftest writes.
+
+    Deterministic fields only: no host, no timings.
+    """
     sweep = document["throughput"]["lowered_columnar"]
     rows = [
         {
@@ -129,18 +135,12 @@ def store_results_record(document: dict) -> None:
             # The executor that produced the number.
             "mode": "direct",
             "cells": document["scale"]["cells"],
-            "best_seconds": document["throughput"]["tournament"]["seconds"],
-            "cells_per_sec": document["throughput"]["tournament"][
-                "cells_per_sec"
-            ],
         },
         {
             "config": "lowered_sweep",
             "mode": "columnar",
             "cells": sweep["cells"],
             "messages": sweep["messages"],
-            "best_seconds": sweep["seconds"],
-            "messages_per_sec": sweep["messages_per_sec"],
         },
     ]
     for defender, phase in document["phase"].items():
@@ -164,7 +164,6 @@ def store_results_record(document: dict) -> None:
             "across runs"
         ),
         "rows": rows,
-        "host": document["host"],
     }
     store_record(record)
 

@@ -10,10 +10,12 @@ The results file holds one record per experiment id in :func:`sort_key`
 order; :func:`store_record` replaces one in place, so a partial pass
 (``-k e3``) updates only its own experiments.
 
-Only the block between the ``BEGIN`` and ``END`` marker lines is
-generated: one table per experiment id. The prose around it (the
-reproduction summary, the E20 and E21 sections) is written by hand and
-kept byte for byte.
+Two marked blocks are generated: one table per experiment id between
+the ``BEGIN`` and ``END`` marker lines, and the E20 overload table with
+its plateau figure, rendered from ``BENCH_overload.json``
+(``benchmarks/bench_overload.py`` writes it). The prose around them
+(the reproduction summary, the rest of the E20 and E21 sections) is
+written by hand and kept byte for byte.
 """
 
 import json
@@ -23,9 +25,12 @@ import re
 HERE = pathlib.Path(__file__).parent
 RESULTS = HERE / "results.jsonl"
 OUTPUT = HERE.parent / "EXPERIMENTS.md"
+OVERLOAD = HERE.parent / "BENCH_overload.json"
 
 BEGIN = "<!-- BEGIN tables rendered from benchmarks/results.jsonl -->\n"
 END = "<!-- END tables rendered from benchmarks/results.jsonl -->\n"
+E20_BEGIN = "<!-- BEGIN E20 table rendered from BENCH_overload.json -->\n"
+E20_END = "<!-- END E20 table rendered from BENCH_overload.json -->\n"
 
 
 def format_cell(value):
@@ -41,7 +46,7 @@ def format_cell(value):
 def render_table(rows):
     if not rows:
         return "*(no rows)*\n"
-    # Rows may differ in shape (the arena's throughput rows and phase
+    # Rows may differ in shape (the arena's count rows and phase
     # rows share one record), so the columns are every key, in order of
     # first appearance.
     keys = list(dict.fromkeys(key for row in rows for key in row))
@@ -91,24 +96,57 @@ def render_tables(records):
     return "\n".join(parts)
 
 
+def render_overload(sweep):
+    """The E20 table and plateau sentence from a ``BENCH_overload.json``."""
+    rows = [
+        {
+            "mult": row["multiplier"],
+            "offered/s": row["offered_per_sec"],
+            "goodput/s": row["goodput_per_sec"],
+            "accepted": row["accepted"],
+            "shed": row["shed"],
+            "bounced": row["bounced"],
+            "peakq": row["peak_queue"],
+            "monitors": "green" if row["monitor_green"] else "red",
+        }
+        for row in sweep["rows"]
+    ]
+    peak = max(row["goodput_per_sec"] for row in sweep["rows"])
+    last = sweep["rows"][-1]
+    shortfall = (peak - last["goodput_per_sec"]) / peak
+    return (
+        render_table(rows)
+        + f"\nGoodput at {last['multiplier']:g}× is within {shortfall:.1%} "
+        f"of the sweep peak (bar: {sweep['goodput_tolerance']:.0%}).\n"
+    )
+
+
+def _splice(document, begin, end, body):
+    """``document`` with the block between ``begin`` and ``end`` replaced."""
+    head, found_begin, rest = document.partition(begin)
+    _, found_end, tail = rest.partition(end)
+    if not (found_begin and found_end):
+        raise SystemExit(f"EXPERIMENTS.md lacks the markers {begin.strip()}")
+    return head + begin + body + end + tail
+
+
 def render(document, records):
     """``document`` with its marked block replaced by fresh tables."""
-    head, begin, rest = document.partition(BEGIN)
-    _, end, tail = rest.partition(END)
-    if not (begin and end):
-        raise SystemExit("EXPERIMENTS.md lacks the generated-table markers")
-    return head + BEGIN + render_tables(records) + END + tail
+    return _splice(document, BEGIN, END, render_tables(records))
 
 
-def main(results=RESULTS, output=OUTPUT) -> None:
+def main(results=RESULTS, output=OUTPUT, overload=OVERLOAD) -> None:
     if not results.exists():
         raise SystemExit(
             "no benchmarks/results.jsonl — run "
             "`python -m pytest benchmarks --benchmark-disable` first"
         )
     records = read_records(results)
-    output.write_text(render(output.read_text(), records))
-    print(f"wrote {output} ({len(records)} experiments)")
+    document = render(output.read_text(), records)
+    sweep = json.loads(overload.read_text())
+    document = _splice(document, E20_BEGIN, E20_END, render_overload(sweep))
+    output.write_text(document)
+    print(f"wrote {output} ({len(records)} experiments, E20 from {overload.name})")
 
 
 if __name__ == "__main__":

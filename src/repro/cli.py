@@ -27,9 +27,24 @@ from typing import Sequence
 __all__ = ["main", "build_parser"]
 
 
+class _BadArguments(SystemExit):
+    """Arguments argparse rejected; :func:`main` reports them in one line."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(2)
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors :func:`main` turns into exit 2."""
+
+    def error(self, message: str):
+        raise _BadArguments(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Zmail (ICDCS 2005) reproduction — runnable scenarios",
     )
@@ -150,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=None, metavar="N",
         help="cluster mode: worker count (default: the document's "
         "cluster.shards); the manifest does not depend on it",
-    )
-    run.add_argument(
-        "--lag", type=int, default=None, metavar="K",
-        help="cluster mode: bounded-lag drive, shards up to K epochs "
-        "apart (default: the document's cluster.lag)",
     )
     run.add_argument(
         "--cluster-mode", choices=("inline", "spawn"), default=None,
@@ -514,7 +524,7 @@ def _run_usage_error(args: argparse.Namespace, plan) -> str | None:
     """Why ``args`` cannot drive ``plan``, or None when they can."""
     cluster_only = [
         flag
-        for flag, value in (("--shards", args.shards), ("--lag", args.lag),
+        for flag, value in (("--shards", args.shards),
                             ("--cluster-mode", args.cluster_mode))
         if value is not None
     ]
@@ -523,8 +533,6 @@ def _run_usage_error(args: argparse.Namespace, plan) -> str | None:
         return f"{', '.join(cluster_only)}: only valid with --mode cluster"
     if args.shards is not None and not 1 <= args.shards <= n_isps:
         return f"--shards must be in 1..{n_isps} (the ISP count), got {args.shards}"
-    if args.lag is not None and args.lag < 0:
-        return f"--lag must be >= 0, got {args.lag}"
     if args.mode in ("cluster", "chaos", "soak") and (args.trace or args.metrics):
         return f"--trace and --metrics are unavailable with --mode {args.mode}"
     if args.store is not None:
@@ -572,7 +580,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             plan,
             args.mode,
             shards=args.shards,
-            lag=args.lag,
             cluster_mode=args.cluster_mode or "inline",
         )
     manifest = result["manifest"]
@@ -732,7 +739,10 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _BadArguments as exc:
+        return _usage_error(exc.message)
     command = _COMMANDS[args.command]
     if args.profile:
         import cProfile

@@ -6,18 +6,15 @@ deployment's ISPs are hash-partitioned across N worker processes
 :class:`~repro.core.protocol.ZmailNetwork` slice; cross-shard mail
 travels sequence-numbered inter-shard links
 (:mod:`~repro.cluster.links`) under epoch-barriered virtual-time
-lockstep or bounded-lag asynchrony (``ClusterConfig.lag``), with the
-bank/snapshot coordinator — batch at barriers, or streaming through a
-:class:`~repro.core.reconcile.StreamingReconciler` — and the digest
-merge in the parent (:mod:`~repro.cluster.runtime`). Results are
-bit-identical across shard counts, drive modes and schedulers —
-``repro run doc.yaml --mode cluster`` at ``--shards 1`` lockstep and
-``--shards 4 --lag 2`` writes the same manifest bytes — which is what makes multi-core speedup safe to take:
-the parallel run *is* the sequential run.
+lockstep, with the bank/snapshot coordinator and the digest merge in the
+parent (:mod:`~repro.cluster.runtime`). Results are bit-identical across
+shard counts, drive modes and schedulers — ``repro run doc.yaml --mode
+cluster`` at ``--shards 1`` and ``--shards 4`` writes the same manifest
+bytes — which is what makes multi-core speedup safe to take: the
+parallel run *is* the sequential run.
 """
 
 from .links import (
-    BatchRouter,
     InterShardLink,
     LetterSequencer,
     ShardOutbox,
@@ -37,7 +34,6 @@ __all__ = [
     "LetterSequencer",
     "ShardOutbox",
     "InterShardLink",
-    "BatchRouter",
     "ShardSpec",
     "ShardWorker",
     "worker_entry",

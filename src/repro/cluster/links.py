@@ -32,7 +32,6 @@ __all__ = [
     "LetterSequencer",
     "ShardOutbox",
     "InterShardLink",
-    "BatchRouter",
 ]
 
 
@@ -146,79 +145,3 @@ class InterShardLink:
             )
         self.expected_epoch += 1
         return batch["letters"]
-
-
-class BatchRouter:
-    """Parent-side epoch-tagged batch buffer for the bounded-lag drive.
-
-    The lockstep parent forwards each epoch's batches immediately — the
-    barrier guarantees every producer finished before any consumer
-    starts. The bounded-lag drive decouples producers from consumers,
-    so the parent buffers instead: :meth:`put` stores one blob per
-    directed ``(src, dst)`` link per epoch (dropping duplicates from a
-    restarted worker replaying its journaled epoch), :meth:`ready` says
-    whether shard ``dst`` holds *every* peer's batch for an epoch — the
-    data-readiness condition that keeps the virtual delivery schedule
-    identical to lockstep — and :meth:`take` drains them in shard order,
-    enforcing the same per-link FIFO contract as
-    :class:`InterShardLink`.
-    """
-
-    __slots__ = ("n_shards", "_expected", "_buffers")
-
-    def __init__(self, n_shards: int) -> None:
-        self.n_shards = n_shards
-        pairs = [
-            (src, dst)
-            for src in range(n_shards)
-            for dst in range(n_shards)
-            if src != dst
-        ]
-        self._expected: dict[tuple[int, int], int] = {p: 0 for p in pairs}
-        self._buffers: dict[tuple[int, int], dict[int, bytes]] = {
-            p: {} for p in pairs
-        }
-
-    def put(self, src: int, dst: int, epoch: int, blob: bytes) -> bool:
-        """Buffer one blob; returns ``False`` for a dropped duplicate."""
-        key = (src, dst)
-        if epoch < self._expected[key] or epoch in self._buffers[key]:
-            return False  # replayed journal epoch; already routed
-        self._buffers[key][epoch] = blob
-        return True
-
-    def ready(self, dst: int, epoch: int) -> bool:
-        """Whether every peer's batch for ``epoch`` is buffered for ``dst``."""
-        if epoch < 0:
-            return True  # cycle 0 consumes nothing
-        for src in range(self.n_shards):
-            if src == dst:
-                continue
-            key = (src, dst)
-            if (epoch not in self._buffers[key]
-                    and self._expected[key] <= epoch):
-                return False
-        return True
-
-    def take(self, dst: int, epoch: int) -> list[bytes]:
-        """Drain ``dst``'s inbound batches for ``epoch``, in shard order."""
-        if epoch < 0:
-            return []
-        blobs: list[bytes] = []
-        for src in range(self.n_shards):
-            if src == dst:
-                continue
-            key = (src, dst)
-            if self._expected[key] != epoch:
-                raise SimulationError(
-                    f"router link {src}->{dst}: expected epoch "
-                    f"{self._expected[key]}, asked for {epoch}"
-                )
-            try:
-                blobs.append(self._buffers[key].pop(epoch))
-            except KeyError:
-                raise SimulationError(
-                    f"router link {src}->{dst}: epoch {epoch} not buffered"
-                ) from None
-            self._expected[key] = epoch + 1
-        return blobs

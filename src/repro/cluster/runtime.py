@@ -1,36 +1,19 @@
 """The cluster parent: coordinator, bank, and merge point.
 
-``run_cluster`` drives N shard workers in one of two modes sharing
-every line of worker code. With ``lag == 0`` (the default) it is the
-epoch-barriered lockstep documented in :mod:`repro.cluster.worker`;
-with ``lag == K >= 1`` it is the **bounded-lag asynchronous drive**:
-shards advance independently, up to K epochs apart, and §4.4
-verification streams through a
-:class:`~repro.core.reconcile.StreamingReconciler` instead of a merged
-snapshot barrier. The two modes converge to byte-identical manifests —
-lockstep is the differential oracle (DESIGN.md §11). The parent owns:
+``run_cluster`` drives N shard workers through the epoch-barriered
+lockstep documented in :mod:`repro.cluster.worker`. The parent owns:
 
-* the **cycle clock** — lockstep broadcasts ``INPUTS(k)`` and will not
+* the **cycle clock** — it broadcasts ``INPUTS(k)`` and will not
   start cycle ``k+1`` until every shard returned ``OUTPUTS(k)``, the
-  BSP barrier that makes OS scheduling irrelevant to the results; the
-  bounded-lag drive replaces the barrier with two per-shard conditions:
-  *data readiness* (every peer batch for epoch ``k-1`` is buffered,
-  which preserves the lockstep virtual delivery schedule exactly) and
-  the *lag bound* (cycle ``k`` may start only while ``k <= min
-  completed + K``, the flow control that bounds staleness and recovery
-  replay);
+  BSP barrier that makes OS scheduling irrelevant to the results;
 * the **data plane routing** — per-epoch letter batches are forwarded
   between shards as the opaque pre-pickled blobs the workers produced
   (star topology: workers never hold channels to each other, so a
   SIGKILLed worker cannot corrupt a peer's pipe);
-* the **bank coordinator** — lockstep merges the per-shard snapshot
+* the **bank coordinator** — it merges the per-shard snapshot
   replies at every cut into one credit matrix, runs the §4.4
   anti-symmetry verification, and checks global value conservation
-  (Σ total_value == Σ expected_total_value across shards); the
-  bounded-lag drive feeds the same replies, as they arrive, into the
-  streaming verifier as per-pair sequence-numbered credit deltas —
-  windows close in order off the critical path, and quiescence
-  (:meth:`StreamingReconciler.finalize`) requires every window closed;
+  (Σ total_value == Σ expected_total_value across shards);
 * **fail-stop recovery** — a worker that dies mid-run (crash or
   injected SIGKILL) is detected at the barrier, respawned from its
   shard store, and fed the last inputs again; duplicate messages on either
@@ -52,7 +35,6 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
-import multiprocessing.connection
 import os
 from dataclasses import dataclass, field
 
@@ -68,7 +50,6 @@ from ..obs.metrics_export import MetricsExporter
 from ..obs.schema import LEDGER_EVENT_TYPES
 from ..obs.trace import AdditiveMultisetDigest
 from ..sim.clock import DAY, HOUR
-from .links import BatchRouter
 from .planner import ShardPlan, plan_shards
 from .worker import ShardSpec, ShardWorker, worker_entry
 
@@ -107,12 +88,6 @@ class ClusterConfig:
             exercising the fail-stop path deterministically.
         recv_timeout: Seconds the parent waits on one worker message in
             spawn mode before declaring the run wedged.
-        lag: ``0`` (default) keeps the epoch-barriered lockstep drive.
-            ``K >= 1`` switches to the bounded-lag asynchronous drive:
-            shards may run up to K epochs apart (subject to data
-            readiness), and reconciliation streams through a
-            :class:`~repro.core.reconcile.StreamingReconciler` with a
-            K-window staleness bound. Results are invariant to it.
     """
 
     scenario: Scenario
@@ -124,7 +99,6 @@ class ClusterConfig:
     kill_shard: int | None = None
     kill_cycle: int | None = None
     recv_timeout: float = 300.0
-    lag: int = 0
 
 
 @dataclass
@@ -187,10 +161,6 @@ class _InlineHandle:
         if outputs is not None:
             self._queue.append(outputs)
 
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether :meth:`recv` would return (or raise EOF) right now."""
-        return bool(self._queue) or self._worker is None
-
     def recv(self, timeout: float) -> dict:
         if self._worker is None or not self._queue:
             raise EOFError("inline shard worker is gone")
@@ -231,20 +201,11 @@ class _SpawnHandle:
         child_conn.close()
         self._proc, self._conn = proc, parent_conn
 
-    @property
-    def connection(self):
-        """The parent pipe end (for ``multiprocessing.connection.wait``)."""
-        return self._conn
-
     def send(self, msg: dict) -> None:
         try:
             self._conn.send(msg)
         except (BrokenPipeError, OSError):
             pass  # the worker died; recv() reports it
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether :meth:`recv` would return (or raise EOF) right now."""
-        return self._conn.poll(timeout)
 
     def recv(self, timeout: float) -> dict:
         if not self._conn.poll(timeout):
@@ -293,8 +254,6 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         )
     cuts = set(range(cut_every, total_cycles, cut_every)) if cut_every else set()
     cuts.add(total_cycles)  # the final barrier is always a cut
-    if not isinstance(config.lag, int) or config.lag < 0:
-        raise ValueError(f"lag must be a non-negative int, got {config.lag!r}")
     if (config.kill_shard is None) != (config.kill_cycle is None):
         raise ValueError("kill_shard and kill_cycle must be set together")
     if config.kill_shard is not None:
@@ -384,14 +343,6 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             return msg
 
     try:
-        if config.lag:
-            finals, rounds, all_consistent, extra_report = _drive_bounded_lag(
-                config, handles, bank, total_cycles, cuts, restarts
-            )
-            return _merge(
-                config, plan, finals, rounds, all_consistent, restarts,
-                extra_report=extra_report,
-            )
         batches_for = [[] for _ in range(config.n_shards)]
         for cycle in range(total_cycles + 1):
             is_cut = cycle in cuts
@@ -462,183 +413,6 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     return _merge(config, plan, finals, rounds, all_consistent, restarts)
 
 
-def _drive_bounded_lag(
-    config: ClusterConfig,
-    handles: list,
-    bank: Bank,
-    total_cycles: int,
-    cuts: set[int],
-    restarts: list[int],
-) -> tuple[list[dict], list[dict], bool, dict]:
-    """The asynchronous drive: shards up to ``config.lag`` epochs apart.
-
-    No global rounds: each shard receives ``INPUTS(k)`` the moment (a)
-    every peer's epoch ``k-1`` batch is buffered in the parent's
-    :class:`BatchRouter` — which preserves the lockstep virtual
-    delivery schedule, hence byte-identical finals — and (b) ``k`` is
-    within ``lag`` epochs of the slowest shard's completed frontier.
-    Cut replies stream into the bank's
-    :class:`~repro.core.reconcile.StreamingReconciler` as they arrive;
-    windows close in order, entirely off the shards' critical path.
-
-    Returns ``(finals, rounds, all_consistent, extra_report)``.
-    """
-    n = config.n_shards
-    lag = config.lag
-    cut_cycles = sorted(cuts)
-    window_of_cycle = {cycle: w for w, cycle in enumerate(cut_cycles)}
-    rounds: list[dict] = []
-
-    def record_round(report, meta) -> None:
-        # Same row shape as the lockstep cut merge, built at window
-        # closure so the list is ordered by round regardless of the
-        # interleaving the shards actually produced.
-        rounds.append(
-            {
-                "cycle": cut_cycles[meta["window"]],
-                "round_seq": report.round_seq,
-                "isps_polled": report.isps_polled,
-                "consistent": report.consistent,
-                "suspects": list(report.suspects),
-                "total_value": meta["total_value"],
-                "expected_total_value": meta["expected_total_value"],
-            }
-        )
-
-    verifier = bank.stream_reconciler(
-        max_lag=lag,
-        totals_sources=range(n),
-        strict=True,
-        on_report=record_round,
-    )
-    router = BatchRouter(n)
-    next_cycle = [0] * n
-    completed = [0] * n
-    finals: list[dict | None] = [None] * n
-    # Inputs sent but not yet answered, per shard: exactly what a
-    # respawned worker needs replayed after restoring its journal
-    # (the journal is never older than the last answered cycle).
-    retained: list[dict[int, dict]] = [{} for _ in range(n)]
-    killed = False
-
-    def send_input(shard: int) -> None:
-        nonlocal killed
-        cycle = next_cycle[shard]
-        msg = {
-            "type": "inputs",
-            "cycle": cycle,
-            "batches": router.take(shard, cycle - 1),
-            "reconcile": cycle in cuts,
-            "final": cycle == total_cycles,
-        }
-        retained[shard][cycle] = msg
-        next_cycle[shard] = cycle + 1
-        handles[shard].send(msg)
-        if (
-            not killed
-            and config.kill_shard == shard
-            and config.kill_cycle == cycle
-        ):
-            handles[shard].kill()
-            killed = True
-
-    def schedulable(shard: int) -> bool:
-        cycle = next_cycle[shard]
-        if finals[shard] is not None or cycle > total_cycles:
-            return False
-        if cycle > min(completed) + lag:
-            return False  # flow control: bounded staleness + replay
-        return router.ready(shard, cycle - 1)
-
-    def recover(shard: int) -> None:
-        if config.journal_dir is None:
-            raise ClusterError(
-                f"shard {shard} died with no journal to recover from"
-            )
-        restarts[shard] += 1
-        if restarts[shard] > 3 * (total_cycles + 1):
-            raise ClusterError(
-                f"shard {shard} keeps dying; giving up after "
-                f"{restarts[shard]} restarts"
-            )
-        handles[shard].respawn()
-        for cycle in sorted(retained[shard]):
-            handles[shard].send(retained[shard][cycle])
-
-    def process(shard: int, msg: dict) -> None:
-        cycle = msg["cycle"]
-        if cycle < completed[shard]:
-            return  # duplicate from a replayed journal epoch
-        if cycle > completed[shard]:
-            raise ClusterError(
-                f"shard {shard} ran ahead: expected cycle "
-                f"{completed[shard]}, got {cycle}"
-            )
-        if msg["type"] == "final":
-            finals[shard] = msg
-        else:
-            for dst, blob in msg["batches"].items():
-                router.put(shard, dst, cycle, blob)
-        cut = msg["cut"]
-        if cut is not None:
-            window = window_of_cycle.get(cycle)
-            if window is None or cut["round_seq"] != window:
-                raise ClusterError(
-                    f"shard {shard} out of step at cut cycle {cycle}: "
-                    f"{cut!r}"
-                )
-            for isp_id in sorted(cut["replies"]):
-                verifier.ingest_report(
-                    isp_id, window, cut["replies"][isp_id]
-                )
-            verifier.ingest_totals(
-                shard, window,
-                cut["total_value"], cut["expected_total_value"],
-            )
-        completed[shard] = cycle + 1
-        retained[shard].pop(cycle, None)
-
-    while any(final is None for final in finals):
-        progress = False
-        for shard in range(n):
-            if finals[shard] is not None:
-                continue
-            while finals[shard] is None and handles[shard].poll(0):
-                try:
-                    msg = handles[shard].recv(config.recv_timeout)
-                except (EOFError, OSError):
-                    recover(shard)
-                    progress = True
-                    continue
-                process(shard, msg)
-                progress = True
-        for shard in range(n):
-            while schedulable(shard):
-                send_input(shard)
-                progress = True
-        if progress:
-            continue
-        if config.mode != "spawn":
-            raise ClusterError(
-                "bounded-lag drive stalled with no runnable shard"
-            )
-        pending = [
-            handles[shard].connection
-            for shard in range(n)
-            if finals[shard] is None
-        ]
-        if not multiprocessing.connection.wait(
-            pending, timeout=config.recv_timeout
-        ):
-            raise ClusterError(
-                f"no shard sent anything for {config.recv_timeout}s; "
-                "cluster run is wedged"
-            )
-    summary = verifier.finalize()
-    extra_report = {"reconcile": summary}
-    return finals, rounds, verifier.all_consistent, extra_report
-
-
 def _merge(
     config: ClusterConfig,
     plan: ShardPlan,
@@ -646,7 +420,6 @@ def _merge(
     rounds: list[dict],
     all_consistent: bool,
     restarts: list[int],
-    extra_report: dict | None = None,
 ) -> ClusterResult:
     """Fold per-shard final states into the invariant manifest + report."""
     scenario = config.scenario
@@ -733,9 +506,6 @@ def _merge(
     report = {
         "n_shards": config.n_shards,
         "mode": config.mode,
-        # The drive mode is report-only detail: the manifest above is
-        # the lag-invariance cmp oracle and must never mention it.
-        "lag": config.lag,
         "traced": config.traced,
         "epoch_len": config.epoch_len,
         "cycles": round(scenario.duration / config.epoch_len),
@@ -745,8 +515,6 @@ def _merge(
         "rounds": rounds,
         "manifest_digest": manifest.digest(),
     }
-    if extra_report:
-        report.update(extra_report)
     return ClusterResult(
         manifest=manifest,
         report=report,

@@ -35,14 +35,6 @@ applied, epoch ``k`` re-run from the workload position, duplicate
 outputs dropped by the parent and duplicate inputs dropped here
 (``cycle <= last barrier``), so every letter and ledger event lands
 exactly once.
-
-The worker contract is *sequential cycles*, not lockstep: it requires
-inputs in cycle order but never that the parent wait for its peers.
-The bounded-lag drive (``ClusterConfig.lag >= 1``) exploits exactly
-that — it pipelines up to K cycles of inputs into the channel while
-other shards trail behind, and because each ``INPUTS(k)`` still carries
-every peer's epoch ``k-1`` batch, the state evolution (and so every
-digest) is bit-identical to the lockstep drive.
 """
 
 from __future__ import annotations

@@ -38,12 +38,6 @@ from .misbehavior import (
     infer_suspects,
     verify_credit_matrix,
 )
-from .reconcile import (
-    PairDeltaStream,
-    ReconcileError,
-    StaleWindowError,
-    StreamingReconciler,
-)
 from .protocol import ZmailNetwork
 from .scenario import Scenario, ScenarioResult, SpammerSpec, ZombieSpec
 from .snapshot import (
@@ -97,10 +91,6 @@ __all__ = [
     "ReconciliationReport",
     "verify_credit_matrix",
     "infer_suspects",
-    "PairDeltaStream",
-    "ReconcileError",
-    "StaleWindowError",
-    "StreamingReconciler",
     "ZmailNetwork",
     "Scenario",
     "ScenarioResult",

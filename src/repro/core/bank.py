@@ -243,38 +243,3 @@ class Bank:
         self.reports.append(report)
         self._seq += 1
         return report
-
-    def stream_reconciler(
-        self,
-        *,
-        max_lag: int = 1,
-        totals_sources=None,
-        strict: bool = True,
-        tracer=None,
-        on_report=None,
-    ) -> "StreamingReconciler":
-        """A barrier-free verifier bound to this bank's directory.
-
-        The returned :class:`~repro.core.reconcile.StreamingReconciler`
-        accepts per-pair credit deltas from the currently-compliant
-        ISPs; each window it closes appends its
-        :class:`ReconciliationReport` to :attr:`reports` and advances
-        :attr:`next_seq`, exactly as a batch :meth:`reconcile` round
-        would — the two paths share one report history.
-        """
-        from .reconcile import StreamingReconciler
-
-        def _record(report: ReconciliationReport, meta: dict) -> None:
-            self.reports.append(report)
-            self._seq = max(self._seq, report.round_seq + 1)
-            if on_report is not None:
-                on_report(report, meta)
-
-        return StreamingReconciler(
-            [isp for isp, ok in self._compliant.items() if ok],
-            max_lag=max_lag,
-            totals_sources=totals_sources,
-            strict=strict,
-            tracer=tracer,
-            on_report=_record,
-        )

@@ -40,12 +40,6 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "bank.trade": frozenset({"isp", "op", "amount"}),
     "midnight": frozenset({"day"}),
     "reconcile": frozenset({"method", "round", "consistent", "flagged"}),
-    # streaming (barrier-free) reconciliation — observational only, so
-    # none of these join LEDGER_EVENT_TYPES: the ledger multiset must
-    # stay identical between lockstep and bounded-lag drives.
-    "reconcile.delta": frozenset({"reporter", "peer", "window"}),
-    "reconcile.window": frozenset({"window", "consistent", "flagged"}),
-    "reconcile.fault": frozenset({"kind"}),
     # overload admission layer
     "overload.shed": frozenset({"isp"}),
     "overload.defer": frozenset({"isp"}),

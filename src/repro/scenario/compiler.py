@@ -186,7 +186,6 @@ class ScenarioPlan:
         self,
         *,
         shards: int | None = None,
-        lag: int | None = None,
         mode: str = "inline",
     ):
         """The document as a :class:`~repro.cluster.runtime.ClusterConfig`."""
@@ -198,7 +197,6 @@ class ScenarioPlan:
             n_shards=cluster["shards"] if shards is None else shards,
             epoch_len=cluster["epoch"],
             mode=mode,
-            lag=cluster["lag"] if lag is None else lag,
         )
 
 
@@ -284,12 +282,11 @@ def _run_cluster(
     plan: ScenarioPlan,
     *,
     shards: int | None,
-    lag: int | None,
     cluster_mode: str,
 ) -> dict[str, Any]:
     from ..cluster.runtime import run_cluster
 
-    config = plan.cluster_config(shards=shards, lag=lag, mode=cluster_mode)
+    config = plan.cluster_config(shards=shards, mode=cluster_mode)
     # The manifest below reads the ledger digest, never the timestamped
     # full-event one, so the workers need not compute it.
     config.traced = False
@@ -318,7 +315,6 @@ def run_plan(
     mode: str = "direct",
     *,
     shards: int | None = None,
-    lag: int | None = None,
     cluster_mode: str = "inline",
 ) -> dict[str, Any]:
     """Execute ``plan`` on one drive.
@@ -330,9 +326,7 @@ def run_plan(
     if mode in ("direct", "columnar", "engine"):
         return _run_single(plan, mode)
     if mode == "cluster":
-        return _run_cluster(
-            plan, shards=shards, lag=lag, cluster_mode=cluster_mode
-        )
+        return _run_cluster(plan, shards=shards, cluster_mode=cluster_mode)
     if mode == "chaos":
         return _run_chaos(plan)
     raise SimulationError(

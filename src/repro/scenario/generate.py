@@ -131,6 +131,5 @@ def generate_doc(seed: int) -> dict[str, Any]:
     doc["cluster"] = {
         "shards": rng.randint(1, min(3, n_isps)),
         "epoch": rng.choice(_EPOCH_HOURS) * HOUR,
-        "lag": 0,
     }
     return validate(doc)

@@ -35,7 +35,7 @@ class TestInlineFailStop:
     # midnight barrier; 25 is the first barrier after midnight.
     @pytest.mark.parametrize(
         "kill_shard,kill_cycle",
-        [(0, 0), (0, 1), (1, 20), (1, 24), (2, 25), (2, 47)],
+        [(0, 0), (0, 1), (1, 5), (1, 20), (1, 24), (2, 25), (2, 47)],
     )
     def test_kill_converges_to_fault_free_digest(
         self, fault_free, tmp_path, kill_shard, kill_cycle
@@ -53,7 +53,11 @@ class TestInlineFailStop:
         assert result.report["restarts"][kill_shard] == 1
         assert result.report["shards"][str(kill_shard)]["restored"]
         assert result.manifest.to_json() == fault_free.manifest.to_json()
+        assert result.rounds == fault_free.rounds
         assert result.conserved and result.all_consistent
+        for isp in result.accounting["isps"].values():
+            assert isp["pool"] >= 0
+            assert all(balance >= 0 for _, _, balance in isp["users"])
 
     def test_kill_without_journal_is_fatal(self, tmp_path):
         # The parent refuses the config outright: fail-stop recovery

@@ -49,3 +49,16 @@ def test_a_stored_record_replaces_only_its_own_experiment(renderer, tmp_path):
     assert records["E10"]["rows"] == [{"v": 4}]
     renderer.store_record(records["E2"], results)
     assert results.read_bytes() == before
+
+
+def test_stored_records_carry_no_host_or_wall_clock_fields(renderer):
+    # EXPERIMENTS.md must render the same bytes on any host, so the
+    # results file holds what the seeds decide and nothing measured by
+    # a wall clock; timings belong on stdout or in the BENCH_*.json
+    # files.
+    timing = {"host", "seconds", "best_seconds"}
+    for name, record in renderer.read_records().items():
+        assert "host" not in record, name
+        for row in record["rows"]:
+            keys = {key for key in row if key in timing or key.endswith("_per_sec")}
+            assert not keys, f"{name} stores wall-clock fields {sorted(keys)}"

@@ -196,6 +196,14 @@ def test_epoch_must_tile_reconcile_when_sharded():
         validate(doc)
 
 
+def test_cluster_lag_must_be_zero():
+    # The key survives only so canonical documents keep their digests;
+    # lockstep is the one cluster drive, so any other value is refused.
+    doc = base_doc(cluster={"shards": 1, "lag": 2})
+    with pytest.raises(SimulationError, match=r"cluster\.lag"):
+        validate(doc)
+
+
 # -- the v2 ``strategies`` term ----------------------------------------------
 
 

@@ -31,10 +31,7 @@
 # 5. Runs the cluster determinism smoke on examples/scenarios/
 #    cluster-8isp.yaml: the same seeded world at 1 and 4 shards (real
 #    spawn workers) must produce byte-identical invariant manifests
-#    (cmp), the sharding-invariance contract — then again at 4 shards
-#    under the bounded-lag asynchronous drive (--lag 2, streaming
-#    reconciliation): its manifest must byte-match the lockstep one,
-#    the lockstep-as-oracle contract.
+#    (cmp), the sharding-invariance contract.
 # 6. Runs the columnar determinism smoke: the canonical document driven
 #    by the columnar batch executor and by the engine must produce
 #    byte-identical invariant manifests (cmp) — ledger event multiset,
@@ -102,7 +99,7 @@ cmp /tmp/bench_overload.json BENCH_overload.json \
 
 if [ "${CI_COVERAGE:-1}" != "0" ]; then
     COVERAGE_FLOOR="${CI_COVERAGE_FLOOR:-94}"
-    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, cluster/columnar/store/scenario/arena/reconcile at 90%) =="
+    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, cluster/columnar/store/scenario/arena at 90%) =="
     PYTHONPATH=src python tools/coverage_gate.py \
         --target src/repro \
         --floor "${COVERAGE_FLOOR}" \
@@ -112,7 +109,6 @@ if [ "${CI_COVERAGE:-1}" != "0" ]; then
         --require store=90 \
         --require scenario=90 \
         --require arena=90 \
-        --require core/reconcile.py=90 \
         -- -q -p no:cacheprovider
 else
     echo "== coverage gate skipped (CI_COVERAGE=0) =="
@@ -168,14 +164,6 @@ PYTHONPATH=src python -m repro run "${CLUSTER_DOC}" --mode cluster \
 cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_4.json \
     || { echo "cluster runtime is not shard-invariant"; exit 1; }
 echo "cluster manifests byte-identical across shard counts"
-
-echo "== bounded-lag determinism smoke (seed ${CLUSTER_SEED}, lockstep vs --lag 2) =="
-PYTHONPATH=src python -m repro run "${CLUSTER_DOC}" --mode cluster \
-    --cluster-mode spawn --seed "${CLUSTER_SEED}" --shards 4 --lag 2 \
-    --manifest /tmp/cluster_manifest_lag.json >/dev/null
-cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_lag.json \
-    || { echo "bounded-lag drive diverges from lockstep"; exit 1; }
-echo "bounded-lag manifest byte-identical to lockstep"
 
 CANONICAL_DOC=examples/scenarios/canonical-3isp.yaml
 COLUMNAR_SEED="${CI_COLUMNAR_SEED:-7}"
