@@ -11,7 +11,8 @@ from collections import Counter
 
 from conftest import report, run_document
 
-from repro.core import ZmailNetwork
+from repro.core import ZmailConfig, ZmailNetwork
+from repro.core.transfer import SendStatus
 from repro.obs import ListSink, TraceRecorder
 from repro.sim import DAY
 from repro.sim.workload import Address, TrafficKind
@@ -89,16 +90,28 @@ def funded_send_counts() -> dict:
 
 
 def test_e3_transfer_throughput(benchmark):
-    """Messages/second through the full accounting path."""
-    net = ZmailNetwork(n_isps=2, users_per_isp=10, seed=1)
+    """Messages/second through the full accounting path.
+
+    Virtual time stands still while the benchmark repeats the send, so
+    the daily limit is lifted out of reach and the sender funded for
+    every call: each timed send takes the paid path, none the refusal.
+    """
+    net = ZmailNetwork(
+        n_isps=2, users_per_isp=10, seed=1,
+        config=ZmailConfig(default_daily_limit=10**9),
+    )
     net.fund_user(Address(0, 0), epennies=10**7)
     counter = iter(range(10**9))
+    statuses = Counter()
 
     def one_send():
         i = next(counter)
-        net.send(Address(0, 0), Address(1, i % 10), TrafficKind.NORMAL)
+        receipt = net.send(Address(0, 0), Address(1, i % 10), TrafficKind.NORMAL)
+        statuses[receipt.status] += 1
 
     benchmark(one_send)
+    assert net.metrics.counter("send.blocked_limit").value == 0
+    assert set(statuses) == {SendStatus.SENT_PAID}
     counts = funded_send_counts()
     n = counts["sends"]
     assert counts["ledger_transfers"] == counts["epennies_moved"] == n

@@ -230,9 +230,7 @@ class _Engine:
         self.scenario.tracer = tracer
         self.network = self.scenario.build_network()
         self.tracer = self.network.tracer
-        for spec in self.scenario.spammers:
-            if spec.war_chest:
-                self.network.fund_user(spec.address, epennies=spec.war_chest)
+        self.scenario.fund_spammers(self.network)
         self.monitor = ZombieMonitor(self.network)
         self.requests = merge_workloads(
             *self.scenario.workload_streams(SeededStreams(self.scenario.seed))

@@ -9,9 +9,7 @@ recovery. Campaigns are bit-reproducible from a single seed.
 
 Layers:
 
-* :mod:`.faults` — :class:`FaultyNetwork`, per-link fault injection,
-  plus :class:`FloodSpec` burst/flood load injection (overload as a
-  first-class fault family);
+* :mod:`.faults` — :class:`FaultyNetwork`, per-link fault injection;
 * :mod:`.monitors` — :class:`InvariantMonitor`, always-on invariant
   checks with first-violation reporting, and :class:`OverloadMonitor`
   for bounded-memory / no-lost-accounting checks;
@@ -24,19 +22,19 @@ Layers:
   and traffic, and :func:`run_cell`, the chaos drive behind ``repro run
   doc.yaml --mode chaos``: one document's world under faults, with a
   pass/fail report row.
+
+A chaos cell runs the document's own traffic — normal mail, spam
+campaigns, zombie bursts and floods, drawn by the same workloads every
+other drive draws from (:meth:`repro.core.scenario.Scenario
+.workload_streams`) — so any document runs on it, strategy worlds once
+lowered. Overload is a flood term, injected where mail enters the
+system rather than on the wire.
 """
 
-from ..obs.manifest import accounting_digest
 from .campaign import run_cell
 from .crash import CrashController, CrashEvent
 from .deployment import ChaosDeployment
-from .faults import (
-    NO_FAULTS,
-    FaultSpec,
-    FaultyNetwork,
-    FloodSpec,
-    flood_requests,
-)
+from .faults import NO_FAULTS, FaultSpec, FaultyNetwork
 from .monitors import InvariantMonitor, OverloadMonitor, Violation
 from .snapshot import RetryingSnapshotCoordinator
 
@@ -48,11 +46,8 @@ __all__ = [
     "NO_FAULTS",
     "FaultSpec",
     "FaultyNetwork",
-    "FloodSpec",
-    "flood_requests",
     "InvariantMonitor",
     "OverloadMonitor",
     "Violation",
-    "accounting_digest",
     "RetryingSnapshotCoordinator",
 ]

@@ -20,45 +20,25 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.overload import OverloadConfig
-from ..errors import SimulationError
 from ..obs.metrics_export import export_deployment
 from ..sim.rng import SeededStreams, derive_seed
-from ..sim.workload import NormalUserWorkload, merge_workloads
+from ..sim.workload import merge_workloads
 from .crash import CrashController, CrashEvent
 from .deployment import ChaosDeployment
-from .faults import FaultSpec, FloodSpec, flood_requests
+from .faults import FaultSpec
 
-__all__ = ["deploy", "deploy_refusal", "run_cell"]
-
-
-def deploy_refusal(plan) -> str | None:
-    """Why :func:`deploy` refuses ``plan``, or ``None`` if it does not.
-
-    The chaos drive lowers only normal traffic and floods, so a document
-    with ``spammers``, ``zombies`` or ``strategies`` terms is refused
-    rather than run without them.
-    """
-    traffic = plan.doc["traffic"]
-    dropped = [term for term in ("spammers", "zombies") if traffic[term]]
-    if plan.doc.get("strategies") is not None:
-        dropped.append("strategies")
-    if not dropped:
-        return None
-    return (
-        f"scenario {plan.name}: the chaos drive runs only normal traffic "
-        f"and floods; it cannot run the {', '.join(dropped)} term(s)"
-    )
+__all__ = ["deploy", "run_cell"]
 
 
 def deploy(plan, *, seed: int, tracer=None, store=None):
     """Build a chaos document's deployment and its traffic.
 
     Returns ``(deployment, requests)``: a fresh :class:`ChaosDeployment`
-    with the document's crashes scheduled, and the normal workload
-    merged with every flood, ready for ``deployment.run``. Every RNG
-    stream derives from ``seed``. Raises
-    :class:`~repro.errors.SimulationError` with the
-    :func:`deploy_refusal` message for a document it cannot run.
+    with the document's spammers funded and crashes scheduled, and the
+    document's traffic — every term the other drives run, cut at the
+    horizon (:meth:`~repro.core.scenario.Scenario.workload_streams`) —
+    merged, ready for ``deployment.run``. Every RNG stream derives from
+    ``seed``.
 
     Args:
         plan: A :class:`~repro.scenario.compiler.ScenarioPlan`.
@@ -70,50 +50,29 @@ def deploy(plan, *, seed: int, tracer=None, store=None):
             the controller current at that moment.
     """
     doc = plan.doc
-    topology, traffic = doc["topology"], doc["traffic"]
-    refusal = deploy_refusal(plan)
-    if refusal is not None:
-        raise SimulationError(refusal)
-    n_isps, users_per_isp = topology["n_isps"], topology["users_per_isp"]
+    scenario = plan.scenario("direct")
     overload = dict(doc["overload"])
     deployment = ChaosDeployment(
-        n_isps=n_isps,
-        users_per_isp=users_per_isp,
+        n_isps=scenario.n_isps,
+        users_per_isp=scenario.users_per_isp,
         seed=seed,
-        compliant=plan.compliant_flags(),
-        config=plan.config(),
+        compliant=scenario.compliant,
+        config=scenario.config,
         faults=FaultSpec(**doc["faults"]),
         monitor_interval=doc["chaos"]["monitor_interval"],
-        reconcile_every=doc["reconcile"]["every"],
+        reconcile_every=scenario.reconcile_every,
         overload=OverloadConfig(**overload) if overload.pop("enabled") else None,
         tracer=tracer,
     )
+    scenario.fund_spammers(deployment.network)
     if store is not None:
         deployment.crash_controller = CrashController(deployment, store)
     # In time order, so a restart fires before a crash of the same node
     # at the same instant (the schema lets windows touch).
     for crash in sorted(doc["crashes"], key=lambda crash: crash["at"]):
         deployment.schedule_crash(CrashEvent(**crash))
-    workload = NormalUserWorkload(
-        n_isps=n_isps,
-        users_per_isp=users_per_isp,
-        streams=SeededStreams(derive_seed(seed, "chaos-workload")),
-        rate_per_day=traffic["normal_rate_per_day"],
-    )
-    requests = workload.generate(traffic["duration"])
-    floods = [
-        flood_requests(
-            FloodSpec(**flood),
-            n_isps=n_isps,
-            users_per_isp=users_per_isp,
-            streams=SeededStreams(derive_seed(seed, f"flood:{index}")),
-            name=f"flood{index}",
-        )
-        for index, flood in enumerate(traffic["floods"])
-    ]
-    if floods:
-        requests = merge_workloads(requests, *floods)
-    return deployment, requests
+    streams = SeededStreams(derive_seed(seed, "chaos-workload"))
+    return deployment, merge_workloads(*scenario.workload_streams(streams))
 
 
 def run_cell(plan) -> dict[str, Any]:

@@ -88,7 +88,7 @@ class ChaosDeployment:
         faults: Default fault mix for every link (50 ms, lossless
             :data:`LINK`); per-link overrides via ``net.set_faults``.
         monitor_interval: Seconds between invariant checks.
-        reconcile_every: Period of §4.4 reconciliation rounds; ``None``
+        reconcile_every: Period of §4.4 reconciliation rounds; ``0``
             disables reconciliation.
         overload: Enable the overload-protection layer (admission
             control, transfer/snapshot circuit breakers, overload
@@ -106,7 +106,7 @@ class ChaosDeployment:
         config: ZmailConfig | None = None,
         faults: FaultSpec | None = None,
         monitor_interval: float = 5.0,
-        reconcile_every: float | None = None,
+        reconcile_every: float = 0.0,
         overload: OverloadConfig | None = None,
         tracer: TraceRecorder | None = None,
     ) -> None:
@@ -442,7 +442,7 @@ class ChaosDeployment:
             DAY, self._midnight, label="chaos-midnight"
         )
         reconcile_handle = None
-        if self.reconcile_every is not None:
+        if self.reconcile_every > 0:
             reconcile_handle = self.engine.schedule_every(
                 self.reconcile_every,
                 self._reconcile_tick,

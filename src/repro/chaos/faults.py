@@ -2,9 +2,9 @@
 
 :class:`FaultyNetwork` extends :class:`~repro.sim.network.Network` with
 the four classic message faults — drop, duplicate, reorder, delay — plus
-node down/up state for the crash model. :class:`FloodSpec` adds the
-fifth fault family: *overload*, a burst of send traffic aimed at one ISP
-at a rate chosen relative to what its admission controller can sustain. Faults are applied per directed
+node down/up state for the crash model. (Overload, the fifth fault
+family, is not a wire fault: a document's floods are ordinary traffic,
+:class:`~repro.sim.workload.FloodSpec`.) Faults are applied per directed
 link and each fault type draws from its own named RNG stream
 (``chaos:drop:a->b``, ``chaos:dup:a->b``, …), so changing one fault rate
 never perturbs the random decisions of another: campaigns stay
@@ -21,27 +21,14 @@ exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..errors import SimulationError
 from ..obs.trace import TraceRecorder
 from ..sim.engine import Engine
 from ..sim.network import LinkSpec, Network
 from ..sim.rng import SeededStreams
-from ..sim.workload import (
-    Address,
-    FloodSpec,
-    SendRequest,
-    TrafficKind,
-)
 
-__all__ = [
-    "FaultSpec",
-    "NO_FAULTS",
-    "FaultyNetwork",
-    "FloodSpec",
-    "flood_requests",
-]
+__all__ = ["FaultSpec", "NO_FAULTS", "FaultyNetwork"]
 
 
 @dataclass(frozen=True)
@@ -89,51 +76,6 @@ class FaultSpec:
 
 
 NO_FAULTS = FaultSpec()
-
-
-# FloodSpec moved to repro.sim.workload (floods are plain traffic shared
-# with the scenario compiler's executor-neutral FloodWorkload); it stays
-# re-exported here for every existing chaos import site.
-
-
-def flood_requests(
-    spec: FloodSpec,
-    *,
-    n_isps: int,
-    users_per_isp: int,
-    streams: SeededStreams,
-    name: str = "flood",
-) -> Iterator[SendRequest]:
-    """Generate one flood's time-ordered :class:`SendRequest` stream.
-
-    Deterministic per seed (one named RNG stream per flood), lazy
-    (constant memory), and mergeable with any other workload via
-    :func:`~repro.sim.workload.merge_workloads`.
-    """
-    if not 0 <= spec.attacker_isp < n_isps or not 0 <= spec.target_isp < n_isps:
-        raise SimulationError(
-            f"flood ISPs out of range: {spec.attacker_isp} -> {spec.target_isp}"
-        )
-    stream = streams.get(f"{name}:{spec.attacker_isp}->{spec.target_isp}")
-    kind = TrafficKind(spec.kind)
-    attackers = [
-        Address(spec.attacker_isp, user % users_per_isp)
-        for user in range(spec.attackers)
-    ]
-    end = spec.start + spec.duration
-    t = spec.start
-
-    def generate() -> Iterator[SendRequest]:
-        now = t
-        while True:
-            now += stream.expovariate(spec.rate_per_sec)
-            if now >= end:
-                return
-            sender = attackers[stream.randrange(len(attackers))]
-            recipient = Address(spec.target_isp, stream.randrange(users_per_isp))
-            yield SendRequest(now, sender, recipient, kind)
-
-    return generate()
 
 
 class FaultyNetwork(Network):

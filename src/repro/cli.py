@@ -542,10 +542,6 @@ def _run_usage_error(args: argparse.Namespace, plan) -> str | None:
             return f"store {args.store!r} already exists"
     if args.mode == "columnar" and not plan.all_compliant:
         return "--mode columnar needs a document with no non-compliant ISPs"
-    if args.mode in ("chaos", "soak"):
-        from .chaos.campaign import deploy_refusal
-
-        return deploy_refusal(plan)
     return None
 
 

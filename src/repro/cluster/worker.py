@@ -135,12 +135,7 @@ class ShardWorker:
             local_isps=self.local,
             tracer=tracer,
         )
-        for spammer in scenario.spammers:
-            if spammer.war_chest:
-                # No-op for remote spammers: their home shard funds them.
-                self.network.fund_user(
-                    spammer.address, epennies=spammer.war_chest
-                )
+        scenario.fund_spammers(self.network)
         self._sequencer = LetterSequencer()
         self._outbox = ShardOutbox(spec.shard_id, self._peers)
         self._links = {s: InterShardLink(s) for s in self._peers}

@@ -154,10 +154,8 @@ class Scenario:
     normal_rate_per_day: float = 8.0
     spammers: list[SpammerSpec] = field(default_factory=list)
     zombies: list[ZombieSpec] = field(default_factory=list)
-    # Flood bursts as real traffic on every executor (direct, engine,
-    # columnar, cluster) — the scenario compiler lowers overload
-    # profiles here. Distinct from the chaos harness's flood_requests,
-    # which injects floods only into ChaosDeployment campaigns.
+    # Flood bursts as real traffic on every drive (direct, engine,
+    # columnar, cluster, and the chaos and soak deployments).
     floods: list[FloodSpec] = field(default_factory=list)
     reconcile_every: float = 0.0
     # "direct" is the reference semantics; "columnar" runs them as
@@ -190,12 +188,20 @@ class Scenario:
             tracer=self.tracer,  # type: ignore[arg-type]
         )
 
-    def _deploy(self, engine=None):
-        """The deployment, spammers funded, and a zombie monitor on it."""
-        network = self.build_network(engine=engine)
+    def fund_spammers(self, network: ZmailNetwork) -> None:
+        """Grant every spammer its war chest on ``network``.
+
+        A no-op for spammers homed off a cluster shard's slice: their
+        home shard funds them.
+        """
         for spec in self.spammers:
             if spec.war_chest:
                 network.fund_user(spec.address, epennies=spec.war_chest)
+
+    def _deploy(self, engine=None):
+        """The deployment, spammers funded, and a zombie monitor on it."""
+        network = self.build_network(engine=engine)
+        self.fund_spammers(network)
         return network, ZombieMonitor(network)
 
     def _workloads(self, streams: SeededStreams):

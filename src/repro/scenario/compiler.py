@@ -19,8 +19,8 @@ in the cluster's shard-mergeable shape. For the same document these
 bytes must be identical on ``direct``, ``columnar``, ``engine`` and
 ``cluster`` — that equality is the fuzzing oracle of
 :mod:`repro.scenario.fuzz`. The chaos drive is the exception by design:
-it injects faults and runs its own drained workload, so it reports a
-campaign row instead of an invariant manifest.
+it runs the same traffic under faults and drains to quiescence, so it
+reports a campaign row instead of an invariant manifest.
 """
 
 from __future__ import annotations

@@ -334,10 +334,9 @@ class FloodSpec:
     of ``target_isp`` over ``[start, start + duration)``. The attack
     traffic is ordinary :class:`SendRequest` workload — overload is an
     *admission-layer* fault, so it is injected where mail enters the
-    system, not on the wire. Defined here (not in :mod:`repro.chaos`)
-    because floods are plain traffic: the chaos harness injects them via
-    :func:`repro.chaos.faults.flood_requests` and the scenario compiler
-    runs them on every executor via :class:`FloodWorkload`.
+    system, not on the wire. Floods are plain traffic: every drive,
+    the chaos and soak deployments included, runs them as a
+    :class:`FloodWorkload`.
 
     Attributes:
         attacker_isp: ISP hosting the flooding machines (the ISP whose
@@ -375,12 +374,9 @@ class FloodSpec:
 class FloodWorkload:
     """A :class:`FloodSpec` as executor-neutral traffic.
 
-    The scenario compiler's lowering of a flood: the same burst the chaos
-    harness injects with :func:`repro.chaos.faults.flood_requests`, drawn
-    as column chunks like every workload here. (The chaos path keeps its
-    own pure-python draw discipline for backward-compatible campaign
-    reports; the two paths are deterministic per seed but not
-    draw-compatible with each other.)
+    The one generator of flood arrivals, on every drive: Poisson
+    arrivals from a named numpy stream, drawn as column chunks like
+    every workload here and expanded to requests on demand.
     """
 
     def __init__(

@@ -21,13 +21,14 @@ from repro.chaos import (
     NO_FAULTS,
     run_cell,
 )
+from repro.chaos.campaign import deploy
 from repro.core import ZmailConfig
 from repro.errors import SimulationError
 from repro.obs.manifest import accounting_digest as digest
 from repro.scenario import load
 from repro.sim import Engine, LinkSpec, SeededStreams
 from repro.sim.rng import derive_seed
-from repro.sim.workload import NormalUserWorkload
+from repro.sim.workload import NormalUserWorkload, TrafficKind
 
 
 class TestFaultyNetwork:
@@ -243,24 +244,44 @@ class TestCampaign:
         assert row["passed"], row
         assert row["crashes"] == row["restarts"] == 3
 
-    @pytest.mark.parametrize("term, value", [
-        ("spammers", [{"isp": 0, "volume": 5_000}]),
+    @pytest.mark.parametrize("term, value, kind", [
+        ("spammers", [{"isp": 0, "volume": 5_000}], TrafficKind.SPAM),
         ("zombies", [{"isp": 1, "rate_per_hour": 600.0, "start": 0.0,
-                      "end": 600.0}]),
+                      "end": 600.0}], TrafficKind.ZOMBIE),
         ("strategies", {"periods": 1, "attacker": {"name": "static"},
-                        "defender": {"name": "zmail_static"}}),
-    ])
-    def test_terms_the_chaos_drive_cannot_run_are_refused(self, term, value):
-        # Only normal traffic and floods reach a chaos deployment; any
-        # other term must fail loudly instead of vanishing from the row.
+                        "defender": {"name": "zmail_static"}},
+         TrafficKind.SPAM),
+    ], ids=["spammers", "zombies", "strategies"])
+    def test_every_traffic_term_runs_on_the_chaos_drive(
+        self, term, value, kind
+    ):
+        # Spam campaigns, zombie bursts and strategy worlds reach a chaos
+        # deployment as traffic, like normal mail and floods.
         doc = load(example("chaos-clean.yaml"))
         if term == "strategies":
             doc.update(schema_version=2, strategies=value)
             doc["traffic"]["duration"] = 86_400.0
         else:
             doc["traffic"][term] = value
-        with pytest.raises(SimulationError, match=term):
-            run_cell(load_plan(doc))
+        plan = load_plan(doc)
+        _, requests = deploy(plan, seed=0)
+        assert kind in {request.kind for request in requests}
+        row = run_cell(plan)
+        assert row["passed"], row
+
+    def test_reconcile_every_zero_turns_reconciliation_off(self):
+        # 0 is the schema default and means "off" on every drive.
+        from repro.store.soak import run_soak
+
+        doc = load(example("chaos-clean.yaml"))
+        doc["reconcile"]["every"] = 0.0
+        plan = load_plan(doc)
+        row = run_cell(plan)
+        assert row["passed"], row
+        assert row["snapshot_rounds"] == 0
+        soak = run_soak(plan)
+        assert soak["passed"], soak
+        assert soak["stats"]["snapshot_rounds"] == 0
 
     def test_campaign_document_loads_from_json_and_yaml(self, tmp_path):
         # A chaos world is an ordinary scenario document: its canonical

@@ -273,8 +273,6 @@ class TestRunRejectsBadInput:
         "store-outside-soak": [CANONICAL, "--store", "s.db"],
         "metrics-in-soak-mode": [
             example("soak.yaml"), "--mode", "soak", "--metrics", "m"],
-        "spam-in-chaos-mode": [CANONICAL, "--mode", "chaos"],
-        "zombies-in-soak-mode": [CANONICAL, "--mode", "soak"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -12,7 +12,7 @@ import pytest
 from conftest import load_plan
 from repro.chaos import run_cell
 from repro.chaos.deployment import ChaosDeployment
-from repro.chaos.faults import FaultSpec, FloodSpec, flood_requests
+from repro.chaos.faults import FaultSpec
 from repro.core.overload import (
     AdmissionController,
     CircuitBreaker,
@@ -28,7 +28,12 @@ from repro.core.protocol import ZmailNetwork
 from repro.core.transfer import SendStatus
 from repro.errors import ConfigError, SimulationError
 from repro.sim.rng import SeededStreams, derive_seed
-from repro.sim.workload import Address, TrafficKind
+from repro.sim.workload import (
+    Address,
+    FloodSpec,
+    FloodWorkload,
+    TrafficKind,
+)
 
 
 class TestTokenBucket:
@@ -335,9 +340,9 @@ class TestNetworkAdmission:
             attacker_isp=0, target_isp=1, rate_per_sec=5.0,
             start=0.0, duration=10.0, kind="normal",
         )
-        requests = flood_requests(
-            flood, n_isps=2, users_per_isp=4, streams=SeededStreams(5)
-        )
+        requests = FloodWorkload(
+            spec=flood, n_isps=2, users_per_isp=4, streams=SeededStreams(5)
+        ).generate()
         assert deployment.run(requests, until=10.0, drain_window=200.0)
         stats = deployment.stats()
         assert stats["overload_retries"] > 0
@@ -354,29 +359,29 @@ class TestFloodSpec:
         with pytest.raises(SimulationError):
             FloodSpec(kind="nonsense")
         with pytest.raises(SimulationError):
-            list(
-                flood_requests(
-                    FloodSpec(target_isp=9),
-                    n_isps=3, users_per_isp=4, streams=SeededStreams(1),
-                )
+            FloodWorkload(
+                spec=FloodSpec(target_isp=9),
+                n_isps=3, users_per_isp=4, streams=SeededStreams(1),
             )
 
     def test_deterministic_and_in_window(self):
         spec = FloodSpec(rate_per_sec=20.0, start=5.0, duration=10.0)
 
-        def generate():
-            return list(
-                flood_requests(
-                    spec, n_isps=3, users_per_isp=4,
-                    streams=SeededStreams(derive_seed(9, "flood")),
-                )
+        def workload():
+            return FloodWorkload(
+                spec=spec, n_isps=3, users_per_isp=4,
+                streams=SeededStreams(derive_seed(9, "flood")),
             )
 
-        first, second = generate(), generate()
+        first = list(workload().generate())
+        second = list(workload().generate())
         assert first == second
         assert first, "a 20/s flood over 10s must produce requests"
         assert all(5.0 <= r.time < 15.0 for r in first)
         assert all(r.sender.isp == 0 and r.recipient.isp == 1 for r in first)
+        assert all(r.kind is TrafficKind.ZOMBIE for r in first)
+        times = [r.time for r in first]
+        assert times == sorted(times)
 
 
 OVERLOAD_DOCUMENTS = ("overload-baseline.yaml", "overload-burst-2x.yaml",

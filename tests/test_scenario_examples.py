@@ -5,9 +5,9 @@ the canonical 3-ISP world, the mixed deployment, the cluster
 shard-invariance world, the strategy-arena world and the six cells of
 the chaos and overload campaigns. These tests hold every document to
 its contract — a plain world's invariant manifest is byte-identical on
-every executor that accepts it, and a chaos cell passes with
-byte-reproducible rows whose bytes are pinned — plus the ``repro run``
-surface that executes them.
+every executor that accepts it and the world passes on the chaos drive,
+and a chaos cell passes with byte-reproducible rows whose bytes are
+pinned — plus the ``repro run`` surface that executes them.
 """
 
 import glob
@@ -18,6 +18,7 @@ import os
 import pytest
 
 from conftest import EXAMPLES, example, load_plan
+from repro.chaos.deployment import ChaosDeployment
 from repro.cli import main
 from repro.scenario import load, run_plan
 
@@ -64,6 +65,10 @@ def test_document_runs_agree(name):
     texts = {mode: manifest.to_json() for mode, manifest in manifests.items()}
     assert len(set(texts.values())) == 1, sorted(texts)
     assert manifests["direct"].extra["conserved"] is True
+    # The chaos drive runs the same traffic under its deployment; it
+    # reports a campaign row, not a manifest.
+    row = run_plan(plan, "chaos")["report"]
+    assert row["passed"], row
     if name in MANIFEST_SHA256:
         blob = texts["direct"].encode("utf-8")
         assert hashlib.sha256(blob).hexdigest() == MANIFEST_SHA256[name]
@@ -80,9 +85,9 @@ ROW_SHA256 = {
     "overload-baseline":
         "88844b5c183d898b80de63f946273440d539a6612a9835ad0e53b38d7da984a8",
     "overload-burst-2x":
-        "8b687dfb7dba86f18b92280b8c629c1fde24886a1c843190693b6554368c6389",
+        "96e9c7b8bc97f300c8d596f61a97e8342cb1ff4f60bbb02b8516cd8ff7a0e0a7",
     "overload-flood-10x":
-        "e21578c2ac8d22f83314031c564e55a57a30ebae01ab8ef1576d0648082ca92f",
+        "c7022263d47db5b066ce440e70d1510042c3225421829e89cb51c66f4ecd3026",
 }
 
 
@@ -106,7 +111,7 @@ PAST_HORIZON = {
 
 
 @pytest.mark.parametrize("term", sorted(PAST_HORIZON))
-def test_traffic_past_the_horizon_is_cut_on_every_executor(term):
+def test_traffic_past_the_horizon_is_cut_on_every_executor(term, monkeypatch):
     key, window = PAST_HORIZON[term]
     doc = load(example("canonical-3isp.yaml"))
     doc["traffic"][key] = [{**(doc["traffic"][key] or [{}])[0], **window}]
@@ -116,6 +121,20 @@ def test_traffic_past_the_horizon_is_cut_on_every_executor(term):
         for mode in ("direct", "columnar", "engine", "cluster")
     }
     assert len(set(texts.values())) == 1, sorted(texts)
+    if term != "flood":
+        return
+    # The chaos drive drains past the horizon; no request may reach it
+    # there.
+    submitted, submit = [], ChaosDeployment.submit
+
+    def record(deployment, request):
+        submitted.append(request.time)
+        submit(deployment, request)
+
+    monkeypatch.setattr(ChaosDeployment, "submit", record)
+    row = run_plan(plan, "chaos")["report"]
+    assert row["passed"], row
+    assert submitted and max(submitted) < doc["traffic"]["duration"]
 
 
 def test_cli_run_writes_manifest_and_report(tmp_path, capsys):

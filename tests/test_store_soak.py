@@ -50,14 +50,14 @@ FAST_COMMIT_EVERY = 900.0
 #: sha256 of the ``FAST`` soak's manifest file — the absolute bytes the
 #: durable and oracle runs must both reproduce.
 FAST_MANIFEST_SHA256 = (
-    "b1673b095e6cb4754fe14e41c0a0bd4384cd861c1cae15a6411089db85f34369"
+    "9c516c6127a140bb6c37e16d41c1a36df684cfadedfc4e95ad21b49c294b2d26"
 )
 
 #: sha256 of the CI soak world's manifest file (seed 7, 3x6 users, a
 #: quarter day, isp1 and bank each crashed once) — the bytes the
 #: ``tools/ci.sh`` soak step compares between its durable and oracle runs.
 SOAK_MANIFEST_SHA256 = (
-    "1dbc914497fcb4687f3ac47e9042eab632b8fe7db3e7e508854287a915c6d7db"
+    "ac1e9c5de71d5161f1ab343818fce4ad6512dd8cee6c1910c5a26cec5a6ef3b0"
 )
 
 

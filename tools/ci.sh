@@ -23,11 +23,12 @@
 #    (default 45%) of the 10-seed median in perfbench/baseline.json.
 #    Cross-executor agreement on the macro world at smoke scale is a
 #    tier-1 test (tests/test_columnar.py).
-# 4. Runs every chaos and overload document under examples/scenarios/
-#    twice in chaos mode (well under 60s total) and fails if any cell
-#    breaks an invariant (the overload cells also keep their monitors
-#    green: bounded queues, no lost accounting) or the two report rows
-#    are not byte-identical (determinism gate).
+# 4. Runs every chaos and overload document under examples/scenarios/,
+#    plus canonical-3isp.yaml (spam campaign and zombie burst under the
+#    chaos deployment), twice in chaos mode (well under 60s total) and
+#    fails if any cell breaks an invariant (the overload cells also keep
+#    their monitors green: bounded queues, no lost accounting) or the
+#    two report rows are not byte-identical (determinism gate).
 # 5. Runs the cluster determinism smoke on examples/scenarios/
 #    cluster-8isp.yaml: the same seeded world at 1 and 4 shards (real
 #    spawn workers) must produce byte-identical invariant manifests
@@ -134,7 +135,8 @@ if not result["correct"] or measured < floor:
 done
 
 echo "== chaos and overload smoke (every chaos document, run twice) =="
-for doc in examples/scenarios/chaos-*.yaml examples/scenarios/overload-*.yaml; do
+for doc in examples/scenarios/chaos-*.yaml examples/scenarios/overload-*.yaml \
+        examples/scenarios/canonical-3isp.yaml; do
     PYTHONPATH=src python -m repro run "${doc}" --mode chaos \
         --report /tmp/chaos_row_1.json
     PYTHONPATH=src python -m repro run "${doc}" --mode chaos \
