@@ -38,6 +38,8 @@ def is_chaos(plan):
 MANIFEST_SHA256 = {
     "canonical-3isp.yaml":
         "fd3283b5859b8cec65806da4914893a3f649765796e05dc21b1799e5d4984117",
+    "mixed-4isp.yaml":
+        "29de3b551ef062d1bb7fd746045bad61d5725adf3a57f3db8df4802f8f7c526d",
 }
 
 
