@@ -20,9 +20,7 @@ USERS = 10
 
 def world(n_compliant: int) -> dict:
     """ISPs ``n_compliant`` and up do not comply. One spammer on isp0
-    pays from a 200 e¢ war chest; one per non-compliant ISP sends free.
-    The columnar executor refuses non-compliant ISPs, so the engine is
-    the second executor."""
+    pays from a 200 e¢ war chest; one per non-compliant ISP sends free."""
     spam = {"volume": 2_000, "duration": 5 * DAY}
     return {
         "schema_version": 1,
@@ -49,7 +47,7 @@ def world(n_compliant: int) -> dict:
 
 
 def run_world(n_compliant: int):
-    return run_document(world(n_compliant), modes=("direct", "engine"))
+    return run_document(world(n_compliant))
 
 
 def test_e16_inbox_spam_vs_adoption(benchmark):

@@ -7,7 +7,7 @@ them): the paper's tables and demos (``quickstart``, ``breakeven``,
 durable SMTP service (``serve``, ``selftest``), and the world runners.
 ``run`` executes one scenario document — every built-in world is a
 document under ``examples/scenarios/`` — on any drive (direct loop,
-columnar batch, event engine, sharded cluster, fault-injecting chaos, or
+columnar batch, sharded cluster, fault-injecting chaos, or
 the store soak: crash/restart through a durable store with ``--store``,
 its in-memory oracle without) and writes its invariant manifest, JSONL
 trace and metrics export; ``fuzz`` and ``arena`` run seeded campaigns of
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="compile a scenario document (JSON/YAML) and execute it on "
         "one drive; the invariant manifest is byte-identical across "
-        "direct/columnar/engine/cluster for the same document",
+        "direct/columnar/cluster for the same document",
     )
     run.add_argument(
         "scenario", metavar="PATH",
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--mode",
-        choices=("direct", "columnar", "engine", "cluster", "chaos", "soak"),
+        choices=("direct", "columnar", "cluster", "chaos", "soak"),
         default="direct",
         help="drive to execute the compiled plan on (default direct); "
         "soak is the store's recovery-equivalence run",
@@ -188,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="direct/columnar/engine: write the schema-valid JSONL event "
+        help="direct/columnar: write the schema-valid JSONL event "
         "trace here (byte-identical across same-seed runs)",
     )
     run.add_argument(
         "--metrics", metavar="PATH", default=None,
-        help="direct/columnar/engine: write the unified metrics export "
+        help="direct/columnar: write the unified metrics export "
         "(sorted, namespaced JSON) here",
     )
 
@@ -540,8 +540,6 @@ def _run_usage_error(args: argparse.Namespace, plan) -> str | None:
             return "--store: only valid with --mode soak"
         if os.path.exists(args.store):
             return f"store {args.store!r} already exists"
-    if args.mode == "columnar" and not plan.all_compliant:
-        return "--mode columnar needs a document with no non-compliant ISPs"
     return None
 
 

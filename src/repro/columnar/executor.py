@@ -6,8 +6,15 @@ masked numpy operations over :class:`~repro.columnar.state.ColumnarState`
 instead of per-message method calls. Each time-sorted
 :class:`~repro.columnar.plan.ChunkPlan` is cut at protocol boundaries
 (reconciliation cuts, midnight rollovers) and each boundary-free
-sub-batch is partitioned into three exact-equivalence classes:
+sub-batch is partitioned into four exact-equivalence classes:
 
+* **unpaid**: §5 incremental deployment — messages whose sender's or
+  recipient's ISP is non-compliant. They move no ledger and check no
+  limit or balance; the outcome depends only on the receiver (a
+  compliant one applies its ``noncompliant_policy``: deliver, or filter
+  with no filter installed, to the inbox; segregate to the junk folder;
+  discard drops it). Applied with ``bincount`` before the other classes
+  are drawn, and left out of the send counts they are drawn from.
 * **blocked-limit**: messages whose sender is already at the daily limit
   when the sub-batch starts. Blocked sends never advance ``sent_today``,
   so the sender stays at the limit for the whole sub-batch and every one
@@ -42,8 +49,7 @@ mode byte for byte (asserted in tests); tracing changes no outcome.
 
 from __future__ import annotations
 
-from ..core.isp import CompliantISP
-from ..errors import SimulationError
+from ..core.config import NonCompliantMailPolicy
 from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
 from ..sim.rng import SeededStreams
@@ -57,12 +63,23 @@ _DELIVERED_LOCAL = 0
 _SENT_PAID = 1
 _BLOCKED_BALANCE = 2
 _BLOCKED_LIMIT = 3
+_SENT_UNPAID = 4
+_SENT_UNPAID_DISCARDED = 5
 _STATUS_VALUES = (
     "delivered_local",
     "sent_paid",
     "blocked_balance",
     "blocked_limit",
+    "sent_unpaid",
+    "sent_unpaid",
 )
+#: The ``ok`` of the ``deliver`` event that follows each outcome's
+#: ``send``; outcomes absent here deliver no letter.
+_DELIVER_OK = {
+    _SENT_PAID: True,
+    _SENT_UNPAID: True,
+    _SENT_UNPAID_DISCARDED: False,
+}
 _KIND_VALUES = tuple(kind.value for kind in KIND_ORDER)
 _N_KINDS = len(_KIND_VALUES)
 
@@ -72,12 +89,6 @@ def run_columnar(scenario):
     import numpy as np
 
     network, monitor = scenario._deploy()
-    if any(
-        not isinstance(isp, CompliantISP) for isp in network.isps.values()
-    ):
-        raise SimulationError(
-            "columnar mode requires an all-compliant deployment"
-        )
     streams = SeededStreams(scenario.seed)
     chunks = merge_column_streams(scenario.workload_column_streams(streams))
 
@@ -137,8 +148,25 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
     n_users = state.n_users
     upi = state.users_per_isp
 
+    # Traced runs only: each message's outcome and top-up, for emission.
+    traced = tracer.enabled
+    status = np.empty(end - pos, dtype=np.uint8) if traced else None
+    topups = np.zeros(end - pos, dtype=np.int64) if traced else None
+
+    # -- unpaid class: no ledger, applied first and left out of the rest ----
+    paid = None
+    if state.unpaid_user is not None:
+        unpaid = state.unpaid_user[senders] | state.unpaid_user[recipients]
+        if unpaid.any():
+            _apply_unpaid(
+                np, network, state, senders, recipients, kinds, unpaid, status
+            )
+            paid = ~unpaid
+
     # -- classification (all decisions from sub-batch start state) ----------
-    send_count = np.bincount(senders, minlength=n_users)
+    send_count = np.bincount(
+        senders if paid is None else senders[paid], minlength=n_users
+    )
     at_limit = state.sent_today >= state.daily_limit
     contended = (
         ~at_limit
@@ -151,11 +179,10 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
     msg_at_limit = at_limit[senders]
     msg_scalar = ~msg_at_limit & (contended[senders] | contended[recipients])
     msg_safe = ~msg_at_limit & ~msg_scalar
-
-    # Traced runs only: each message's outcome and top-up, for emission.
-    traced = tracer.enabled
-    status = np.empty(end - pos, dtype=np.uint8) if traced else None
-    topups = np.zeros(end - pos, dtype=np.int64) if traced else None
+    if paid is not None:
+        msg_at_limit &= paid
+        msg_scalar &= paid
+        msg_safe &= paid
 
     # -- blocked-limit class: counters only ---------------------------------
     if msg_at_limit.any():
@@ -210,6 +237,69 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
 
     if traced:
         _emit_batch(network, tracer, chunk, pos, end, status, topups, upi)
+
+
+def _apply_unpaid(
+    np, network, state, senders, recipients, kinds, mask, status
+):
+    """Apply the unpaid (§5) messages under ``mask``: counters only.
+
+    Mirrors ``NonCompliantISP`` and ``CompliantISP``'s non-compliant
+    branches: a non-compliant ISP's own mail is a local delivery; any
+    other unpaid message books ``sent_unpaid`` at its sender's ISP and
+    then one delivery. A non-compliant receiver takes everything; a
+    compliant one applies ``noncompliant_policy`` (no spam filter is
+    installed on a scenario's ISPs, so FILTER delivers like DELIVER).
+    """
+    n_isps, upi = state.n_isps, state.users_per_isp
+    recipients = recipients[mask]
+    src_isp = senders[mask] // upi
+    dst_isp = recipients // upi
+    local = src_isp == dst_isp
+    remote = ~local
+    state.stats_delivered_local += np.bincount(
+        src_isp[local], minlength=n_isps
+    )
+    state.stats_sent_unpaid += np.bincount(src_isp[remote], minlength=n_isps)
+    state.bump_metric("send.delivered_local", int(local.sum()))
+    state.bump_metric("send.sent_unpaid", int(remote.sum()))
+    _bump_kind_metrics(np, state, "send.kind.", kinds[mask])
+    _bump_kind_metrics(np, state, "deliver.kind.", kinds[mask][remote])
+
+    # A compliant receiver (the sender is then non-compliant) applies the
+    # policy; a non-compliant one accepts everything.
+    at_compliant = remote & ~state.unpaid_user[recipients]
+    policy = network.config.noncompliant_policy
+    if policy is NonCompliantMailPolicy.DISCARD:
+        dropped = at_compliant
+        state.stats_discarded += np.bincount(
+            dst_isp[dropped], minlength=n_isps
+        )
+    else:
+        dropped = np.zeros_like(at_compliant)
+        received = np.bincount(
+            recipients[at_compliant], minlength=state.n_users
+        )
+        state.lifetime_received += received
+        if policy is NonCompliantMailPolicy.SEGREGATE:
+            state.junk_folder += received
+            state.stats_junked += np.bincount(
+                dst_isp[at_compliant], minlength=n_isps
+            )
+        else:
+            state.inbox += received
+    accepted = remote & ~dropped
+    state.stats_received_unpaid += np.bincount(
+        dst_isp[accepted], minlength=n_isps
+    )
+    state.bump_metric("deliver.delivered", int(accepted.sum()))
+    state.bump_metric("deliver.dropped", int(dropped.sum()))
+    if status is not None:
+        status[mask] = np.where(
+            local,
+            _DELIVERED_LOCAL,
+            np.where(dropped, _SENT_UNPAID_DISCARDED, _SENT_UNPAID),
+        )
 
 
 def _run_scalar(
@@ -366,13 +456,14 @@ def _emit_batch(network, tracer, chunk, pos, end, status, topups, upi):
             kind=kind_value,
             status=_STATUS_VALUES[outcome],
         )
-        if outcome == _SENT_PAID:
+        ok = _DELIVER_OK.get(outcome)
+        if ok is not None:
             emit(
                 "deliver",
                 src=addresses[s],
                 dst=addresses[r],
                 kind=kind_value,
-                ok=True,
+                ok=ok,
             )
 
 

@@ -1,16 +1,17 @@
-"""Struct-of-arrays mirror of an all-compliant ``ZmailNetwork``.
+"""Struct-of-arrays mirror of a ``ZmailNetwork``.
 
-:class:`ColumnarState` flattens every per-user purse and counter, every
-per-ISP ledger scalar and delivery statistic, and the inter-ISP credit
-arrays into numpy arrays indexed by the flat user gid
-``isp * users_per_isp + user`` (or by ISP id). While a batch executes,
-the arrays are the authoritative copy; :meth:`spill` writes every field
-back into the object layer before any protocol-visible operation
-(reconciliation cut, midnight rollover, final zombie poll) so
-``ZmailNetwork``/``ISP``/ledger semantics remain the source of truth,
-and :meth:`refresh` reloads the arrays afterwards to pick up whatever
-the object layer changed (credit reset at a cut, ``sent_today`` reset
-and pool rebalancing at midnight).
+:class:`ColumnarState` flattens every compliant user's purse and
+counters, every compliant ISP's ledger scalars, every ISP's delivery
+statistics, and the inter-ISP credit arrays into numpy arrays indexed by
+the flat user gid ``isp * users_per_isp + user`` (or by ISP id). The
+users of a non-compliant ISP have no ledger; their columns stay zero.
+While a batch executes, the arrays are the authoritative copy;
+:meth:`spill` writes every field back into the object layer before any
+protocol-visible operation (reconciliation cut, midnight rollover,
+final zombie poll) so ``ZmailNetwork``/``ISP``/ledger semantics remain
+the source of truth, and :meth:`refresh` reloads the arrays afterwards
+to pick up whatever the object layer changed (credit reset at a cut,
+``sent_today`` reset and pool rebalancing at midnight).
 
 The credit matrix needs a companion boolean *touched* mask: the object
 layer's credit dicts materialize a key on first use and keep it at zero
@@ -25,28 +26,33 @@ from operator import attrgetter
 
 __all__ = ["ColumnarState"]
 
-#: ``UserAccount`` attributes mirrored as gid-indexed int64 columns of the
-#: same name.
-USER_FIELDS = (
+#: The per-user columns the contended residual gathers: the
+#: ``UserAccount`` fields a paid send moves plus ``CompliantISP.limit_hits``.
+USER_COLUMNS = (
     "account", "balance", "daily_limit", "sent_today", "lifetime_sent",
     "lifetime_received", "lifetime_received_paid", "limit_warnings", "inbox",
+    "limit_hits",
 )
-#: Every per-user column: the ledger fields plus ``CompliantISP.limit_hits``.
-USER_COLUMNS = USER_FIELDS + ("limit_hits",)
-#: ``DeliveryStats`` counters the executor moves, mirrored per ISP as
-#: ``stats_<name>`` columns.
+#: ``UserAccount`` attributes mirrored as gid-indexed int64 columns of the
+#: same name: the residual's ledger fields plus ``junk_folder``, which
+#: only unpaid mail moves.
+USER_FIELDS = USER_COLUMNS[:-1] + ("junk_folder",)
+#: ``DeliveryStats`` counters the executor moves, mirrored for every ISP
+#: as ``stats_<name>`` columns.
 STATS_FIELDS = (
     "sent_paid", "delivered_local", "received_paid", "blocked_balance",
-    "blocked_limit",
+    "blocked_limit", "sent_unpaid", "received_unpaid", "junked", "discarded",
 )
 
 
 class ColumnarState:
     """Numpy mirror of users, ledgers, stats and credit for one network.
 
-    Per-user columns are the attributes named in :data:`USER_COLUMNS`;
-    per-ISP columns are ``pool``, ``cash`` and ``stats_<name>`` for each
-    name in :data:`STATS_FIELDS`.
+    Per-user columns are the attributes named in :data:`USER_COLUMNS`
+    and :data:`USER_FIELDS`; per-ISP columns are ``pool``, ``cash`` and
+    ``stats_<name>`` for each name in :data:`STATS_FIELDS`.
+    ``unpaid_user`` marks the gids of non-compliant ISPs (``None`` when
+    every ISP is compliant): a message from or to one is unpaid mail.
     """
 
     def __init__(self, network) -> None:
@@ -58,7 +64,7 @@ class ColumnarState:
         self.users_per_isp = network.users_per_isp
         self.n_users = self.n_isps * self.users_per_isp
         n, k = self.n_users, self.n_isps
-        for name in USER_COLUMNS:
+        for name in (*USER_COLUMNS, "junk_folder"):
             setattr(self, name, np.zeros(n, dtype=np.int64))
         for name in ("pool", "cash", *(f"stats_{f}" for f in STATS_FIELDS)):
             setattr(self, name, np.zeros(k, dtype=np.int64))
@@ -66,6 +72,13 @@ class ColumnarState:
         # dict keys that exist (possibly at zero net credit).
         self.credit = np.zeros((k, k), dtype=np.int64)
         self.touched = np.zeros((k, k), dtype=bool)
+        compliant = network.compliant_isps()
+        self.unpaid_user = None
+        if len(compliant) < k:
+            self.unpaid_user = np.repeat(
+                [isp_id not in compliant for isp_id in range(k)],
+                self.users_per_isp,
+            )
         # Network-level metric deltas, applied to the counters at spill.
         self.metric_deltas: dict[str, int] = {}
         self.refresh()
@@ -78,6 +91,9 @@ class ColumnarState:
         upi = self.users_per_isp
         read_user = attrgetter("user_id", *USER_FIELDS)
         read_stats = attrgetter(*STATS_FIELDS)
+        for isp_id, isp in self.network.isps.items():
+            for name, value in zip(STATS_FIELDS, read_stats(isp.stats)):
+                getattr(self, f"stats_{name}")[isp_id] = value
         for isp_id, isp in self.network.compliant_isps().items():
             base = isp_id * upi
             ledger = isp.ledger
@@ -92,8 +108,6 @@ class ColumnarState:
                 self.limit_hits[base + user_id] = hits
             self.pool[isp_id] = ledger.pool
             self.cash[isp_id] = ledger.cash
-            for name, value in zip(STATS_FIELDS, read_stats(isp.stats)):
-                getattr(self, f"stats_{name}")[isp_id] = value
             self.credit[isp_id, :] = 0
             self.touched[isp_id, :] = False
             for peer, value in isp.credit.items():
@@ -105,6 +119,10 @@ class ColumnarState:
     def spill(self) -> None:
         """Write the arrays back so the object layer is authoritative."""
         upi = self.users_per_isp
+        for isp_id, isp in self.network.isps.items():
+            for name in STATS_FIELDS:
+                value = int(getattr(self, f"stats_{name}")[isp_id])
+                setattr(isp.stats, name, value)
         for isp_id, isp in self.network.compliant_isps().items():
             base = isp_id * upi
             ledger = isp.ledger
@@ -123,9 +141,6 @@ class ColumnarState:
             }
             ledger.pool = int(self.pool[isp_id])
             ledger.cash = int(self.cash[isp_id])
-            for name in STATS_FIELDS:
-                value = int(getattr(self, f"stats_{name}")[isp_id])
-                setattr(isp.stats, name, value)
             isp.credit = {
                 int(peer): int(self.credit[isp_id, peer])
                 for peer in self.touched[isp_id].nonzero()[0]

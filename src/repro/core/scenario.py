@@ -103,10 +103,8 @@ class ScenarioResult:
     zombie_detections: list[ZombieDetection]
     reconciliations: list[ReconciliationReport]
     conserved: bool
-    # Accounting digest after every reconciliation cut (direct and
-    # columnar modes; empty in engine modes, whose midnight/reconcile
-    # ordering at a shared boundary legitimately differs mid-cut). Kept
-    # out of summary() so engine-mode summaries stay mode-invariant.
+    # Accounting digest after every reconciliation cut; reports carry it
+    # beside summary(), not in it.
     cut_digests: list[str] = field(default_factory=list)
 
     @property
@@ -142,7 +140,8 @@ class Scenario:
         spammers / zombies: Adversarial actors to inject.
         reconcile_every: Period between §4.4 rounds (0 disables; a final
             round always runs at the end).
-        mode: The executor, ``"direct"``, ``"columnar"`` or ``"engine"``.
+        mode: The executor, ``"direct"`` or ``"columnar"``; :meth:`run`
+            refuses any other.
     """
 
     n_isps: int = 3
@@ -154,28 +153,19 @@ class Scenario:
     normal_rate_per_day: float = 8.0
     spammers: list[SpammerSpec] = field(default_factory=list)
     zombies: list[ZombieSpec] = field(default_factory=list)
-    # Flood bursts as real traffic on every drive (direct, engine,
-    # columnar, cluster, and the chaos and soak deployments).
+    # Flood bursts as real traffic on every drive (direct, columnar,
+    # cluster, and the chaos and soak deployments).
     floods: list[FloodSpec] = field(default_factory=list)
     reconcile_every: float = 0.0
     # "direct" is the reference semantics; "columnar" runs them as
-    # vectorized batches (repro.columnar, all-compliant deployments
-    # only); "engine" sends letters over a FIFO latency network.
+    # vectorized batches (repro.columnar).
     mode: str = "direct"
-    link: object | None = None  # sim.LinkSpec; object to avoid hard import
     # Observability (repro.obs): an optional TraceRecorder threaded into
     # the deployment (every ledger event is emitted through it). Off by
     # default; tracing must not change any protocol outcome (tested).
     tracer: object | None = None
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("direct", "columnar", "engine"):
-            raise SimulationError(
-                f"unknown scenario executor mode {self.mode!r}; expected "
-                "'direct', 'columnar' or 'engine'"
-            )
-
-    def build_network(self, engine=None) -> ZmailNetwork:
+    def build_network(self) -> ZmailNetwork:
         """The deployment this scenario runs on (exposed for customisation)."""
         return ZmailNetwork(
             n_isps=self.n_isps,
@@ -183,8 +173,6 @@ class Scenario:
             compliant=self.compliant,
             config=self.config,
             seed=self.seed,
-            engine=engine,
-            link=self.link,  # type: ignore[arg-type]
             tracer=self.tracer,  # type: ignore[arg-type]
         )
 
@@ -198,9 +186,9 @@ class Scenario:
             if spec.war_chest:
                 network.fund_user(spec.address, epennies=spec.war_chest)
 
-    def _deploy(self, engine=None):
+    def _deploy(self):
         """The deployment, spammers funded, and a zombie monitor on it."""
-        network = self.build_network(engine=engine)
+        network = self.build_network()
         self.fund_spammers(network)
         return network, ZombieMonitor(network)
 
@@ -307,13 +295,20 @@ class Scenario:
         return column_streams
 
     def run(self) -> ScenarioResult:
-        """Execute the scenario and collect the result."""
+        """Execute the scenario on :attr:`mode` and collect the result.
+
+        Raises:
+            SimulationError: if :attr:`mode` names no executor.
+        """
         if self.mode == "columnar":
             from ..columnar.executor import run_columnar
 
             return run_columnar(self)
-        if self.mode == "engine":
-            return self._run_engine()
+        if self.mode != "direct":
+            raise SimulationError(
+                f"unknown scenario executor mode {self.mode!r}; expected "
+                "'direct' or 'columnar'"
+            )
         network, monitor = self._deploy()
         streams = SeededStreams(self.seed)
         requests = merge_workloads(*self.workload_streams(streams))
@@ -339,44 +334,6 @@ class Scenario:
         result = self._collect(network, monitor, attempted, reconciliations)
         result.cut_digests = cut_digests
         return result
-
-    def _run_engine(self) -> ScenarioResult:
-        from ..sim.engine import Engine
-
-        engine = Engine()
-        network, monitor = self._deploy(engine)
-        streams = SeededStreams(self.seed)
-        requests = merge_workloads(*self.workload_streams(streams))
-        # The network tallies attempts itself (workload_attempted), so the
-        # streaming fast path needs no counting wrapper around the (hot)
-        # request iterator and never holds the workload in memory.
-        network.run_workload(requests)
-        if self.reconcile_every > 0:
-            t = self.reconcile_every
-            while t < self.duration:
-                engine.schedule_at(
-                    t, lambda: network.reconcile("marker"), label="reconcile"
-                )
-                t += self.reconcile_every
-        # Bounded runs: run_workload arms a perpetual midnight chain, so
-        # an unbounded engine.run() would never return. One virtual day of
-        # slack drains in-flight letters and completes the closing round.
-        engine.run(until=self.duration)
-        network.reconcile("marker")
-        # The workload is over: cancel the perpetual midnight chain so the
-        # drain window below only delivers in-flight letters. Letting it
-        # fire would rebalance pools for a day the direct path never
-        # simulates, making cross-mode accounting diverge.
-        if network.midnight_handle is not None:
-            network.midnight_handle.cancel()
-        engine.run(until=self.duration + DAY)
-        monitor.poll()
-        return self._collect(
-            network,
-            monitor,
-            network.workload_attempted,
-            list(network.bank.reports),
-        )
 
     def _collect(self, network, monitor, attempted, reconciliations):
         counters = network.metrics.snapshot()["counters"]

@@ -3,11 +3,10 @@
 :func:`compile_scenario` turns a validated document into a
 :class:`ScenarioPlan` — a frozen view of the world that can emit, on
 demand, each executor's native spec: a :class:`~repro.core.scenario
-.Scenario` for the direct loop, the columnar batch executor and the
-event engine; a :class:`~repro.cluster.runtime.ClusterConfig` for the
-sharded runtime; and, through :func:`repro.chaos.campaign.run_cell`, a
-fault-injecting chaos cell. One document, five drives, zero hand-rolled
-spec objects.
+.Scenario` for the direct loop and the columnar batch executor; a
+:class:`~repro.cluster.runtime.ClusterConfig` for the sharded runtime;
+and, through :func:`repro.chaos.campaign.run_cell`, a fault-injecting
+chaos cell. One document, four drives, zero hand-rolled spec objects.
 
 :func:`run_plan` executes a plan on a chosen drive and distils the run
 into the **cross-executor invariant manifest**: the additive multiset of
@@ -16,8 +15,8 @@ and sequence numbers stripped — ``reconcile`` rows are excluded because
 the cluster takes its cuts through snapshots and never emits them), the
 ``zmail`` metrics digest, and the accounting digest over every balance
 in the cluster's shard-mergeable shape. For the same document these
-bytes must be identical on ``direct``, ``columnar``, ``engine`` and
-``cluster`` — that equality is the fuzzing oracle of
+bytes must be identical on ``direct``, ``columnar`` and ``cluster`` —
+that equality is the fuzzing oracle of
 :mod:`repro.scenario.fuzz`. The chaos drive is the exception by design:
 it runs the same traffic under faults and drains to quiescence, so it
 reports a campaign row instead of an invariant manifest.
@@ -41,7 +40,6 @@ from ..obs.manifest import (
 )
 from ..obs.metrics_export import MetricsExporter
 from ..obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
-from ..sim.network import LinkSpec
 from ..sim.workload import Address, FloodSpec
 from .schema import load, scenario_digest, validate
 
@@ -53,9 +51,9 @@ __all__ = [
     "run_plan",
 ]
 
-#: Drives a plan can run on. The first four must agree byte-for-byte on
+#: Drives a plan can run on. The first three must agree byte-for-byte on
 #: the invariant manifest; ``chaos`` reports a campaign row instead.
-PLAN_MODES = ("direct", "columnar", "engine", "cluster", "chaos")
+PLAN_MODES = ("direct", "columnar", "cluster", "chaos")
 
 #: Ledger facts every executor must agree on. ``reconcile`` is absent on
 #: purpose: cluster workers take §4.4 cuts via snapshot control messages
@@ -85,10 +83,6 @@ class ScenarioPlan:
     @property
     def seed(self) -> int:
         return self.doc["seed"]
-
-    @property
-    def all_compliant(self) -> bool:
-        return not self.doc["topology"]["noncompliant"]
 
     def config(self) -> ZmailConfig:
         economics = dict(self.doc["economics"])
@@ -128,11 +122,8 @@ class ScenarioPlan:
         """The document as a :class:`~repro.core.scenario.Scenario`.
 
         ``mode`` points the scenario at an executor: ``direct`` (also
-        the base for the cluster's shard workers), ``columnar``, or
-        ``engine`` (streaming engine over a zero-latency link, keeping
-        every delivery inside the sender's epoch so invariant facts line
-        up with the synchronous drives). Strategy worlds lower first
-        (see :meth:`lowered`).
+        the base for the cluster's shard workers) or ``columnar``.
+        Strategy worlds lower first (see :meth:`lowered`).
         """
         if self.doc.get("strategies") is not None:
             return self.lowered().scenario(mode)
@@ -179,7 +170,6 @@ class ScenarioPlan:
             ],
             reconcile_every=doc["reconcile"]["every"],
             mode=mode,
-            link=LinkSpec(base_latency=0.0) if mode == "engine" else None,
         )
 
     def cluster_config(
@@ -230,7 +220,7 @@ def _manifest(
         extra={
             # Executor-invariant facts only: nothing here may depend on
             # which drive ran the world — these bytes are the fuzzing
-            # oracle compared across direct/columnar/engine/cluster.
+            # oracle compared across direct/columnar/cluster.
             "runtime": "scenario",
             "scenario": plan.name,
             "scenario_digest": plan.digest,
@@ -323,7 +313,7 @@ def run_plan(
     cross-executor invariant :class:`RunManifest` (``None`` for the
     chaos drive, which reports its campaign row instead).
     """
-    if mode in ("direct", "columnar", "engine"):
+    if mode in ("direct", "columnar"):
         return _run_single(plan, mode)
     if mode == "cluster":
         return _run_cluster(plan, shards=shards, cluster_mode=cluster_mode)

@@ -2,8 +2,8 @@
 
 :func:`run_fuzz` drives a seeded campaign: world ``i`` is generated from
 ``derive_seed(campaign_seed, "world:i")``, compiled once, and executed
-on the full executor matrix — direct, columnar (when the world is
-all-compliant) and the inline cluster at a fixed shard count. The
+on the full executor matrix — direct, columnar and the inline cluster
+at a fixed shard count. The
 worlds' invariant manifests must be byte-identical across executors and
 must report conservation; any violation is a failure. A failing world
 is immediately shrunk (:mod:`repro.scenario.shrink`) to a minimal
@@ -70,16 +70,12 @@ def check_world(doc: dict[str, Any], *, shards: int = 2) -> str | None:
     """Run one world across the executor matrix; None means healthy.
 
     The oracle: every executor's invariant manifest is byte-identical
-    and every run conserves total value. Non-compliant worlds drop the
-    columnar executor (it refuses them by design); tight-balance worlds
-    drop the cluster (see :func:`cluster_comparable`); worlds with
-    fewer ISPs than ``shards`` clamp the shard count.
+    and every run conserves total value. Tight-balance worlds drop the
+    cluster (see :func:`cluster_comparable`); worlds with fewer ISPs
+    than ``shards`` clamp the shard count.
     """
     plan = compile_scenario(doc)
-    modes = ["direct"]
-    if plan.all_compliant:
-        modes.append("columnar")
-    runs = {mode: run_plan(plan, mode) for mode in modes}
+    runs = {mode: run_plan(plan, mode) for mode in ("direct", "columnar")}
     if cluster_comparable(plan.doc):
         runs["cluster"] = run_plan(
             plan, "cluster", shards=min(shards, plan.doc["topology"]["n_isps"])

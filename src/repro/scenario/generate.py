@@ -53,9 +53,7 @@ def generate_doc(seed: int) -> dict[str, Any]:
     }
 
     # One ISP in five runs non-compliant (only when a compliant majority
-    # remains): exercises the §5 incremental-deployment boundary. The
-    # columnar executor refuses these worlds by design, so the fuzzer
-    # drops it from the executor matrix for them.
+    # remains): exercises the §5 incremental-deployment boundary.
     if n_isps >= 3 and rng.random() < 0.2:
         doc["topology"]["noncompliant"] = [rng.randrange(n_isps)]
 

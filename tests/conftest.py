@@ -8,8 +8,13 @@ when they need to vary a world's size.
 import os
 
 from repro.cluster import ShardSpec, plan_shards
+from repro.core.protocol import ZmailNetwork
+from repro.core.zombie import ZombieMonitor
 from repro.scenario import compile_scenario, load
 from repro.sim.clock import DAY, HOUR
+from repro.sim.engine import Engine
+from repro.sim.rng import SeededStreams
+from repro.sim.workload import merge_workloads
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "scenarios")
 
@@ -78,4 +83,44 @@ def journaling_shard(journal_dir):
         epoch_len=6 * HOUR,
         total_cycles=8,
         journal_dir=journal_dir and str(journal_dir),
+    )
+
+
+def run_streamed(scenario, link=None):
+    """``scenario``'s deployment and traffic on an engine-mode network.
+
+    The requests stream through ``run_workload`` over ``link`` (default
+    ``LinkSpec()``); marker rounds run every ``reconcile_every`` and once
+    at the horizon, then in-flight letters drain for a day with the
+    midnight chain cancelled. Returns the :class:`ScenarioResult`.
+    """
+    engine = Engine()
+    network = ZmailNetwork(
+        n_isps=scenario.n_isps,
+        users_per_isp=scenario.users_per_isp,
+        compliant=scenario.compliant,
+        config=scenario.config,
+        seed=scenario.seed,
+        engine=engine,
+        link=link,
+    )
+    scenario.fund_spammers(network)
+    network.run_workload(
+        merge_workloads(
+            *scenario.workload_streams(SeededStreams(scenario.seed))
+        )
+    )
+    t = scenario.reconcile_every
+    while 0 < t < scenario.duration:
+        engine.schedule_at(t, lambda: network.reconcile("marker"))
+        t += scenario.reconcile_every
+    engine.run(until=scenario.duration)
+    network.reconcile("marker")
+    network.midnight_handle.cancel()
+    engine.run(until=scenario.duration + DAY)
+    monitor = ZombieMonitor(network)
+    monitor.poll()
+    return scenario._collect(
+        network, monitor, network.workload_attempted,
+        list(network.bank.reports),
     )

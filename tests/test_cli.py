@@ -118,11 +118,10 @@ class TestExtendedCommands:
 
 #: sha256 of the canonical document's ``--trace`` file per executor: the
 #: regression pins of the trace format. Direct and columnar emit the same
-#: ordered stream; the engine's reconcile trigger and timestamps differ.
+#: ordered stream.
 TRACE_SHA256 = {
     "direct": "febd3980f405720894514efdf28807e0bdd7bc993aeb3884274c35818226d8b1",
     "columnar": "febd3980f405720894514efdf28807e0bdd7bc993aeb3884274c35818226d8b1",
-    "engine": "ef22b4a01a335ef639e0e8a659719226b09aa63b06b295a1cac045e9ec4cc772",
 }
 
 
@@ -267,8 +266,7 @@ class TestRunRejectsBadInput:
         "negative-lag": [CANONICAL, "--mode", "cluster", "--lag", "-1"],
         "trace-in-chaos-mode": [
             example("chaos-clean.yaml"), "--mode", "chaos", "--trace", "t"],
-        "columnar-non-compliant": [
-            example("mixed-4isp.yaml"), "--mode", "columnar"],
+        "engine-mode": [CANONICAL, "--mode", "engine"],
         "missing-file": [example("no-such-world.yaml")],
         "store-outside-soak": [CANONICAL, "--store", "s.db"],
         "metrics-in-soak-mode": [

@@ -10,6 +10,7 @@ both executors so the equivalence claim rests on more than the canonical
 workload; shrinking then hands back a minimal diverging scenario.
 """
 
+import dataclasses
 import json
 import os
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import load_plan
 from repro.columnar import executor
-from repro.core.config import ZmailConfig
+from repro.core.config import NonCompliantMailPolicy, ZmailConfig
 from repro.core.protocol import ZmailNetwork
 from repro.core.scenario import Scenario, SpammerSpec, ZombieSpec
 from repro.errors import SimulationError
@@ -87,22 +88,20 @@ def run_both(scenario: Scenario):
 
 @pytest.fixture(scope="class", params=list(WORLDS))
 def world_runs(request):
-    """One world's direct, columnar and engine results."""
+    """One world's direct and columnar results."""
     plan, sends = WORLDS[request.param]
-    runs = {mode: plan.scenario(mode).run()
-            for mode in ("direct", "columnar", "engine")}
+    runs = {mode: plan.scenario(mode).run() for mode in ("direct", "columnar")}
     assert runs["direct"].sends_attempted == sends
     return runs
 
 
 class TestCanonicalEquivalence:
     def test_summary_and_accounting_match_direct(self, world_runs):
-        direct = world_runs["direct"]
-        for mode in ("columnar", "engine"):
-            assert world_runs[mode].summary() == direct.summary(), mode
-            assert accounting_digest(world_runs[mode].network) == (
-                accounting_digest(direct.network)
-            ), mode
+        direct, columnar = world_runs["direct"], world_runs["columnar"]
+        assert columnar.summary() == direct.summary()
+        assert accounting_digest(columnar.network) == (
+            accounting_digest(direct.network)
+        )
 
     def test_every_reconcile_cut_digest_matches(self, world_runs):
         direct, columnar = world_runs["direct"], world_runs["columnar"]
@@ -130,7 +129,7 @@ class TestCanonicalEquivalence:
     def test_invariant_manifest_identical_across_all_executors(self):
         documents = {
             mode: run_plan(CANONICAL, mode)["manifest"].to_json()
-            for mode in ("direct", "columnar", "engine", "cluster")
+            for mode in ("direct", "columnar", "cluster")
         }
         assert len(set(documents.values())) == 1, documents.keys()
 
@@ -169,15 +168,17 @@ class TestColumnStreams:
 
 
 class TestGuards:
-    def test_non_compliant_deployment_is_rejected(self):
-        scenario = CANONICAL.scenario("columnar")
-        scenario.compliant = [True, True, False]
-        with pytest.raises(SimulationError):
-            scenario.run()
-
     def test_unknown_canonical_mode_is_rejected(self):
         with pytest.raises(SimulationError):
-            CANONICAL.scenario("parallel")
+            CANONICAL.scenario("parallel").run()
+
+    def test_mode_assigned_after_construction_is_checked_at_run(self):
+        # run() checks the mode it dispatches on, so a mode set after
+        # construction cannot fall through to the direct loop.
+        scenario = CANONICAL.scenario("columnar")
+        scenario.mode = "engine"
+        with pytest.raises(SimulationError, match="'engine'"):
+            scenario.run()
 
 
 # -- the contended residual -------------------------------------------------
@@ -339,6 +340,64 @@ class TestContendedResidual:
         assert direct.blocked_balance > 0
 
 
+# -- unpaid mail (§5 incremental deployment) ---------------------------------
+
+
+def mail_counters(network):
+    """Every ISP's ``DeliveryStats``, every compliant user's inbox, junk
+    folder and received count, and the network's metric counters."""
+    users = {
+        (isp_id, user.user_id): (
+            user.inbox, user.junk_folder, user.lifetime_received
+        )
+        for isp_id, isp in network.compliant_isps().items()
+        for user in isp.ledger.users()
+    }
+    stats = {isp_id: isp.stats for isp_id, isp in network.isps.items()}
+    return stats, users, network.metrics.snapshot()["counters"]
+
+
+def assert_executors_agree(scenario):
+    """Direct and columnar agree on every observable of ``scenario``:
+    summary, cut and final accounting digests, mail counters, and the
+    traced ordered event stream."""
+    direct, columnar = run_both(scenario)
+    assert columnar.summary() == direct.summary()
+    assert columnar.cut_digests == direct.cut_digests
+    assert accounting_digest(columnar.network) == accounting_digest(
+        direct.network
+    )
+    assert mail_counters(columnar.network) == mail_counters(direct.network)
+    recorders = []
+    for mode in ("direct", "columnar"):
+        scenario.mode = mode
+        scenario.tracer = TraceRecorder()
+        scenario.run()
+        recorders.append(scenario.tracer)
+    direct_rec, columnar_rec = recorders
+    assert columnar_rec.events_emitted == direct_rec.events_emitted
+    assert columnar_rec.digest() == direct_rec.digest()
+    return direct
+
+
+class TestUnpaidClass:
+    @pytest.mark.parametrize(
+        "policy", [policy.value for policy in NonCompliantMailPolicy]
+    )
+    def test_mixed_world_matches_direct_under_every_policy(self, policy):
+        # mixed-4isp: isp3 is non-compliant and hosts an unfunded spammer,
+        # so every policy branch of the unpaid class carries traffic.
+        scenario = load_plan("mixed-4isp.yaml").scenario()
+        scenario.config = dataclasses.replace(
+            scenario.config, noncompliant_policy=NonCompliantMailPolicy(policy)
+        )
+        direct = assert_executors_agree(scenario)
+        stats = direct.network.isps[0].stats
+        assert stats.sent_unpaid > 0 and stats.received_unpaid + (
+            stats.discarded
+        ) > 0
+
+
 # -- randomized equivalence ------------------------------------------------
 
 N_ISPS, USERS = 3, 5
@@ -372,11 +431,16 @@ _scenarios = st.builds(
     Scenario,
     n_isps=st.just(N_ISPS),
     users_per_isp=st.just(USERS),
+    # At least one compliant ISP; the rest send and receive unpaid (§5).
+    compliant=st.lists(
+        st.booleans(), min_size=N_ISPS, max_size=N_ISPS
+    ).filter(any),
     config=st.builds(
         ZmailConfig,
         default_daily_limit=st.integers(min_value=1, max_value=40),
         default_user_balance=st.integers(min_value=0, max_value=30),
         auto_topup_amount=st.integers(min_value=0, max_value=15),
+        noncompliant_policy=st.sampled_from(NonCompliantMailPolicy),
     ),
     seed=st.integers(min_value=0, max_value=2**16),
     duration=st.floats(min_value=HOUR, max_value=2 * DAY, allow_nan=False),
@@ -393,17 +457,13 @@ _scenarios = st.builds(
 class TestRandomizedEquivalence:
     @given(scenario=_scenarios)
     @settings(
-        max_examples=25,
+        max_examples=50,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_columnar_matches_direct_on_random_scenarios(self, scenario):
         # Tight limits, tiny balances and mid-day campaign starts push
         # most messages into the contended/blocked classes — the paths
-        # where a vectorization bug would actually show up.
-        direct, columnar = run_both(scenario)
-        assert columnar.summary() == direct.summary()
-        assert columnar.cut_digests == direct.cut_digests
-        assert accounting_digest(columnar.network) == accounting_digest(
-            direct.network
-        )
+        # where a vectorization bug would actually show up. Non-compliant
+        # ISPs under every policy exercise the unpaid class.
+        assert_executors_agree(scenario)

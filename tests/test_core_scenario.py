@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import run_streamed
 from repro.core import NonCompliantMailPolicy, ZmailConfig
 from repro.core.scenario import Scenario, ScenarioResult, SpammerSpec, ZombieSpec
 from repro.sim import DAY, HOUR, Address
@@ -106,16 +107,15 @@ class TestScenarioCustomisation:
 
 
 class TestEngineModeScenario:
+    """A scenario's traffic streamed over engine-mode latency links."""
+
     def test_engine_run_with_latency_and_markers(self):
         from repro.sim import LinkSpec
 
-        result = Scenario(
-            duration=2 * DAY,
-            seed=5,
-            reconcile_every=DAY,
-            mode="engine",
-            link=LinkSpec(base_latency=0.5, jitter=0.3),
-        ).run()
+        result = run_streamed(
+            Scenario(duration=2 * DAY, seed=5, reconcile_every=DAY),
+            LinkSpec(base_latency=0.5, jitter=0.3),
+        )
         assert result.conserved
         assert result.all_reconciliations_consistent
         assert len(result.reconciliations) >= 2
@@ -126,21 +126,22 @@ class TestEngineModeScenario:
         conserved (delivery timing differs, totals must not)."""
         spec = dict(duration=DAY, seed=6, normal_rate_per_day=10.0)
         direct = Scenario(**spec).run()
-        engine = Scenario(**spec, mode="engine").run()
+        engine = run_streamed(Scenario(**spec))
         assert direct.sends_attempted == engine.sends_attempted
         assert direct.conserved and engine.conserved
 
     def test_engine_adversarial(self):
         from repro.sim import LinkSpec
 
-        result = Scenario(
-            n_isps=3,
-            compliant=[True, True, False],
-            duration=2 * DAY,
-            seed=7,
-            spammers=[SpammerSpec(Address(2, 0), volume=300)],
-            mode="engine",
-            link=LinkSpec(base_latency=0.2),
-        ).run()
+        result = run_streamed(
+            Scenario(
+                n_isps=3,
+                compliant=[True, True, False],
+                duration=2 * DAY,
+                seed=7,
+                spammers=[SpammerSpec(Address(2, 0), volume=300)],
+            ),
+            LinkSpec(base_latency=0.2),
+        )
         assert result.conserved
         assert result.spam_delivered > 200

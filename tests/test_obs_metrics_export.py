@@ -95,18 +95,20 @@ class TestExportNetwork:
         assert (before, after) == (0, 1)
 
     def test_engine_mode_network_exports_engine_and_link(self):
-        from repro.core.scenario import Scenario
-        from repro.sim import DAY
+        from repro.sim import DAY, Engine, LinkSpec, SeededStreams
+        from repro.sim.workload import NormalUserWorkload
 
-        result = Scenario(
-            n_isps=2,
-            users_per_isp=4,
-            seed=9,
-            duration=DAY / 4,
-            normal_rate_per_day=60.0,
-            mode="engine",
-        ).run()
-        exporter = export_network(result.network)
+        engine = Engine()
+        network = ZmailNetwork(
+            n_isps=2, users_per_isp=4, seed=9, engine=engine, link=LinkSpec()
+        )
+        workload = NormalUserWorkload(
+            n_isps=2, users_per_isp=4, rate_per_day=60.0,
+            streams=SeededStreams(9),
+        )
+        network.run_workload(workload.generate(DAY / 4))
+        engine.run(until=DAY / 4)
+        exporter = export_network(network)
         flat = exporter.collect()
         assert set(exporter.namespaces()) == {
             "zmail", "overload", "engine", "link",

@@ -5,9 +5,9 @@ the canonical 3-ISP world, the mixed deployment, the cluster
 shard-invariance world, the strategy-arena world and the six cells of
 the chaos and overload campaigns. These tests hold every document to
 its contract — a plain world's invariant manifest is byte-identical on
-every executor that accepts it and the world passes on the chaos drive,
-and a chaos cell passes with byte-reproducible rows whose bytes are
-pinned — plus the ``repro run`` surface that executes them.
+every executor and the world passes on the chaos drive, and a chaos
+cell passes with byte-reproducible rows whose bytes are pinned — plus
+the ``repro run`` surface that executes them.
 """
 
 import glob
@@ -56,13 +56,10 @@ def test_document_runs_agree(name):
             second, sort_keys=True
         )
         return
-    # The columnar executor refuses non-compliant deployments by design.
-    modes = ["direct", "engine", "cluster"]
-    if plan.all_compliant:
-        modes.append("columnar")
     shards = min(4, plan.doc["topology"]["n_isps"])
     manifests = {
-        mode: run_plan(plan, mode, shards=shards)["manifest"] for mode in modes
+        mode: run_plan(plan, mode, shards=shards)["manifest"]
+        for mode in ("direct", "columnar", "cluster")
     }
     texts = {mode: manifest.to_json() for mode, manifest in manifests.items()}
     assert len(set(texts.values())) == 1, sorted(texts)
@@ -120,7 +117,7 @@ def test_traffic_past_the_horizon_is_cut_on_every_executor(term, monkeypatch):
     plan = load_plan(doc)
     texts = {
         mode: run_plan(plan, mode, shards=3)["manifest"].to_json()
-        for mode in ("direct", "columnar", "engine", "cluster")
+        for mode in ("direct", "columnar", "cluster")
     }
     assert len(set(texts.values())) == 1, sorted(texts)
     if term != "flood":

@@ -86,13 +86,6 @@ def test_mixed_world_agrees_across_all_executors():
     assert check_world(doc, shards=2) is None
 
 
-def test_engine_mode_matches_direct():
-    plan = compile_scenario(slack_world())
-    direct = run_plan(plan, "direct")["manifest"].to_json()
-    engine = run_plan(plan, "engine")["manifest"].to_json()
-    assert direct == engine
-
-
 @given(
     seed=st.integers(0, 2**16 - 1),
     users=st.integers(2, 4),

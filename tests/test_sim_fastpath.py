@@ -4,12 +4,14 @@ The streaming engine mode (``Engine.add_stream``, which
 ``ZmailNetwork.run_workload`` uses in engine mode) must be a pure
 performance change: identical results to the direct loop over
 zero-latency links, correct interleaving with periodic timers at day
-boundaries, and working cancellation while a stream is draining. The ``__slots__`` hot-path classes must actually
-reject stray attributes, or the allocation win silently evaporates.
+boundaries, and working cancellation while a stream is draining. The
+``__slots__`` hot-path classes must actually reject stray attributes,
+or the allocation win silently evaporates.
 """
 
 import pytest
 
+from conftest import run_streamed
 from repro.core.config import ZmailConfig
 from repro.core.scenario import Scenario, SpammerSpec, ZombieSpec
 from repro.errors import SimulationError
@@ -40,7 +42,6 @@ def _scenario(**overrides) -> Scenario:
             )
         ],
         reconcile_every=DAY,
-        mode="engine",
     )
     params.update(overrides)
     return Scenario(**params)
@@ -64,15 +65,15 @@ class TestStreamingEquivalence:
     def test_streaming_matches_direct_mode_with_zero_latency(self):
         """With zero-latency links even the synchronous path agrees."""
         link = LinkSpec(base_latency=0.0, jitter=0.0, loss_rate=0.0)
-        streamed = _scenario(link=link).run()
-        direct = _scenario(mode="direct").run()
+        streamed = run_streamed(_scenario(), link)
+        direct = _scenario().run()
 
         assert streamed.summary() == direct.summary()
         assert _balances(streamed.network) == _balances(direct.network)
 
     def test_streaming_is_deterministic_across_runs(self):
-        first = _scenario().run()
-        second = _scenario().run()
+        first = run_streamed(_scenario())
+        second = run_streamed(_scenario())
         assert first.summary() == second.summary()
         assert _balances(first.network) == _balances(second.network)
 
@@ -124,7 +125,7 @@ class TestStreamTimerInterleaving:
 
     def test_daily_limit_resets_exactly_at_boundary(self):
         """End-to-end: a streamed burst straddling midnight sees the reset."""
-        result = _scenario(
+        result = run_streamed(_scenario(
             normal_rate_per_day=0.0,
             spammers=[SpammerSpec(Address(0, 0), volume=500, war_chest=600)],
             zombies=[],
@@ -134,7 +135,7 @@ class TestStreamTimerInterleaving:
                 default_user_balance=700,
                 auto_topup_amount=0,
             ),
-        ).run()
+        ))
         # Volume 500 over one day against a limit of 180: the campaign
         # day hits the brake, and the summary proves the midnight timer
         # actually fired between streamed sends (otherwise nothing would

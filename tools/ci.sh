@@ -33,8 +33,9 @@
 #    cluster-8isp.yaml: the same seeded world at 1 and 4 shards (real
 #    spawn workers) must produce byte-identical invariant manifests
 #    (cmp), the sharding-invariance contract.
-# 6. Runs the columnar determinism smoke: the canonical document driven
-#    by the columnar batch executor and by the engine must produce
+# 6. Runs the columnar determinism smoke: canonical-3isp.yaml and
+#    mixed-4isp.yaml (a non-compliant ISP, so unpaid §5 mail) driven by
+#    the columnar batch executor and by the direct loop must produce
 #    byte-identical invariant manifests (cmp) — ledger event multiset,
 #    protocol metrics and accounting digest all agree.
 # 7. Runs the store soak smoke: examples/scenarios/soak.yaml in soak
@@ -167,18 +168,18 @@ cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_4.json \
     || { echo "cluster runtime is not shard-invariant"; exit 1; }
 echo "cluster manifests byte-identical across shard counts"
 
-CANONICAL_DOC=examples/scenarios/canonical-3isp.yaml
 COLUMNAR_SEED="${CI_COLUMNAR_SEED:-7}"
-echo "== columnar determinism smoke (seed ${COLUMNAR_SEED}, columnar vs engine) =="
-PYTHONPATH=src python -m repro run "${CANONICAL_DOC}" \
-    --seed "${COLUMNAR_SEED}" --mode columnar \
-    --manifest /tmp/invariant_columnar.json >/dev/null
-PYTHONPATH=src python -m repro run "${CANONICAL_DOC}" \
-    --seed "${COLUMNAR_SEED}" --mode engine \
-    --manifest /tmp/invariant_engine.json >/dev/null
-cmp /tmp/invariant_columnar.json /tmp/invariant_engine.json \
-    || { echo "columnar executor diverges from the engine"; exit 1; }
-echo "invariant manifests byte-identical across executors"
+echo "== columnar determinism smoke (seed ${COLUMNAR_SEED}, columnar vs direct) =="
+for doc in canonical-3isp.yaml mixed-4isp.yaml; do
+    for mode in columnar direct; do
+        PYTHONPATH=src python -m repro run "examples/scenarios/${doc}" \
+            --seed "${COLUMNAR_SEED}" --mode "${mode}" \
+            --manifest "/tmp/invariant_${mode}.json" >/dev/null
+    done
+    cmp /tmp/invariant_columnar.json /tmp/invariant_direct.json \
+        || { echo "${doc}: columnar executor diverges from direct"; exit 1; }
+    echo "${doc}: invariant manifests byte-identical across executors"
+done
 
 SOAK_DOC=examples/scenarios/soak.yaml
 echo "== store soak smoke (durable vs in-memory oracle) =="
