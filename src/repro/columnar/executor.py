@@ -252,7 +252,7 @@ def _apply_unpaid(
     installed on a scenario's ISPs, so FILTER delivers like DELIVER).
     """
     n_isps, upi = state.n_isps, state.users_per_isp
-    recipients = recipients[mask]
+    recipients, kinds = recipients[mask], kinds[mask]
     src_isp = senders[mask] // upi
     dst_isp = recipients // upi
     local = src_isp == dst_isp
@@ -263,8 +263,8 @@ def _apply_unpaid(
     state.stats_sent_unpaid += np.bincount(src_isp[remote], minlength=n_isps)
     state.bump_metric("send.delivered_local", int(local.sum()))
     state.bump_metric("send.sent_unpaid", int(remote.sum()))
-    _bump_kind_metrics(np, state, "send.kind.", kinds[mask])
-    _bump_kind_metrics(np, state, "deliver.kind.", kinds[mask][remote])
+    _bump_kind_metrics(np, state, "send.kind.", kinds)
+    _bump_kind_metrics(np, state, "deliver.kind.", kinds[remote])
 
     # A compliant receiver (the sender is then non-compliant) applies the
     # policy; a non-compliant one accepts everything.
