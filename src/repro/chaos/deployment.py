@@ -9,9 +9,9 @@ deployment actually runs it:
 * one :class:`~repro.sim.reliable.ReliableEndpoint` per ISP and one for
   the bank restore exactly-once in-order delivery on top of the faults —
   the paper's §3 channel assumption, earned rather than assumed;
-* the :class:`~repro.core.protocol.ZmailNetwork` core runs in direct
-  mode but hands every outbound letter to this deployment's transport,
-  so all economics flow through the faulty wire;
+* the :class:`~repro.core.protocol.ZmailNetwork` core runs on this
+  deployment's engine but hands every outbound letter to this
+  deployment's transport, so all economics flow through the faulty wire;
 * a :class:`~repro.chaos.crash.CrashController` fail-stops nodes mid-run
   and restarts them from the records it committed to a durable store;
 * a :class:`~repro.chaos.snapshot.RetryingSnapshotCoordinator` keeps
@@ -125,7 +125,8 @@ class ChaosDeployment:
             default_faults=faults,
             tracer=tracer,
         )
-        # The Zmail core runs in direct mode but yields every outbound
+        # The Zmail core runs on this deployment's engine (the clock and
+        # timers of admission-control retries) and yields every outbound
         # letter to our transport, which carries it over reliable links.
         self.overload = overload
         self.network = ZmailNetwork(
@@ -134,20 +135,9 @@ class ChaosDeployment:
             compliant=compliant,
             config=config,
             seed=seed,
+            engine=self.engine,
             transport=self._transport,
             overload=overload,
-            # The core runs in direct mode; this deployment's engine is
-            # the clock and timer source for admission-control retries.
-            overload_clock=(lambda: self.engine.now) if overload else None,
-            overload_scheduler=(
-                (
-                    lambda delay, cb: self.engine.schedule_after(
-                        delay, cb, label="overload-retry"
-                    )
-                )
-                if overload
-                else None
-            ),
             # A crashed ISP must not process admission retries: the pump
             # holds its deferred queue until the node is back up.
             overload_gate=(
@@ -438,7 +428,7 @@ class ChaosDeployment:
         self.monitor.start()
         self.overload_monitor.start()
         self.engine.add_stream(requests, self.submit, label="chaos-workload")
-        midnight_handle = self.engine.schedule_every(
+        midnight = self.engine.schedule_every(
             DAY, self._midnight, label="chaos-midnight"
         )
         reconcile_handle = None
@@ -449,7 +439,7 @@ class ChaosDeployment:
                 label="chaos-reconcile",
             )
         self.engine.run(until=until)
-        midnight_handle.cancel()
+        midnight.cancel()
         if reconcile_handle is not None:
             reconcile_handle.cancel()
         deadline = until + drain_window

@@ -4,15 +4,20 @@
 configurable subset compliant), ``m`` users each, one central bank — and
 routes :class:`~repro.sim.workload.SendRequest` traffic through it.
 
-Two drive modes share all of the protocol logic:
+A network is timed one of two ways, and both share all of the protocol
+logic:
 
-* **direct mode** (no engine): sends deliver synchronously. Fast enough
-  for the million-message economics experiments; snapshots are trivially
-  consistent.
-* **engine mode** (with a :class:`~repro.sim.engine.Engine`): letters
-  travel over a FIFO latency/loss network, midnight resets and
-  reconciliation run on virtual time, and the §4.4 snapshot methods can
-  actually race with in-flight mail.
+* **direct mode** (no engine): sends deliver synchronously and the
+  caller's :meth:`~ZmailNetwork.note_time` applies midnight work at day
+  boundaries. Fast enough for the million-message economics
+  experiments; snapshots are trivially consistent.
+* **engine mode** (with a :class:`~repro.sim.engine.Engine`): the engine
+  is the network's only time source. Letters travel over a FIFO
+  latency/loss network (or the caller's transport), overload-admission
+  retries run on engine timers, and the §4.4 snapshot methods can
+  actually race with in-flight mail. The caller attaches the traffic and
+  the midnight chain to the engine (:meth:`Engine.add_stream`,
+  :meth:`~ZmailNetwork.advance_day_to`).
 
 The network also implements the operational conveniences the paper
 describes informally: automatic e-penny top-up from a user's real-money
@@ -88,9 +93,11 @@ class ZmailNetwork:
         compliant: Per-ISP compliance flags; defaults to all compliant.
         config: Deployment parameters shared by all compliant ISPs.
         seed: Root seed for nonces and the latency network.
-        engine: Attach to this discrete-event engine (engine mode); omit
-            for synchronous direct mode.
-        link: Latency/loss characteristics for engine mode.
+        engine: The discrete-event engine that times this network
+            (engine mode); omit for synchronous direct mode.
+        link: Latency/loss characteristics of the built-in latency
+            network, which engine mode builds when no ``transport`` is
+            given.
         transport: Custom letter carrier. When set, letters that leave an
             ISP are handed to this callable instead of being delivered
             directly or via the built-in latency network; the carrier must
@@ -102,16 +109,9 @@ class ZmailNetwork:
             :class:`~repro.core.overload.AdmissionController` *before*
             any ledger operation, so shed/deferred outcomes never move
             value. Deferred messages retry with capped exponential
-            backoff (engine timers in engine mode, :meth:`note_time`
-            pumping in direct mode) and terminally bounce when their
-            retry budget runs out. Omit (the default) for the historical
-            unbounded behaviour.
-        overload_clock: Virtual-time source for the overload layer when
-            the network itself runs in direct mode but an external engine
-            drives time (the chaos harness). Defaults to the attached
-            engine's clock, or the latest :meth:`note_time` value.
-        overload_scheduler: ``(delay, callback)`` timer facility for
-            retry wake-ups, same defaulting as ``overload_clock``.
+            backoff on the engine's clock and timers, and terminally
+            bounce when their retry budget runs out. Needs ``engine``.
+            Omit (the default) for the historical unbounded behaviour.
         overload_gate: Optional readiness predicate per ISP id; a retry
             pump for an ISP whose gate answers ``False`` (e.g. the node
             is crashed in the chaos harness) is postponed rather than
@@ -135,6 +135,11 @@ class ZmailNetwork:
             network installs its own (engine time, or the direct-mode
             driver time advanced by :meth:`note_time`).
 
+    Raises:
+        ValueError: on an empty deployment, mismatched flags, an
+            out-of-range or transport-less ``local_isps`` slice, or
+            ``overload`` without an ``engine``.
+
     Example (direct mode)::
 
         net = ZmailNetwork(n_isps=2, users_per_isp=10)
@@ -154,10 +159,6 @@ class ZmailNetwork:
         link: LinkSpec | None = None,
         transport: Callable[[Letter], None] | None = None,
         overload: OverloadConfig | None = None,
-        overload_clock: Callable[[], float] | None = None,
-        overload_scheduler: (
-            Callable[[float, Callable[[], None]], object] | None
-        ) = None,
         overload_gate: Callable[[int], bool] | None = None,
         local_isps: Iterable[int] | None = None,
         tracer: TraceRecorder | None = None,
@@ -176,6 +177,8 @@ class ZmailNetwork:
             raise ValueError(f"local_isps out of range: {sorted(local)}")
         if local != set(range(n_isps)) and transport is None:
             raise ValueError("a sharded slice (local_isps) needs a transport")
+        if overload is not None and engine is None:
+            raise ValueError("overload admission needs an engine for its retries")
         self.local_isps = frozenset(local)
 
         self.bank = Bank(use_crypto=self.config.use_crypto, seed=seed)
@@ -223,10 +226,6 @@ class ZmailNetwork:
         self._inc_topup_count = metrics.counter("topup.count").increment
         self._inc_topup_epennies = metrics.counter("topup.epennies").increment
         self.paid_letters_in_flight = 0
-        # Requests seen by run_workload/_dispatch_request; lets streaming
-        # callers read the attempt count without wrapping the (hot) request
-        # iterator in a counting generator.
-        self.workload_attempted = 0
         self._last_day_seen = 0
         self._external_deposit = 0
         # Durable-store dirty hook: called as touch(isp_id, user_id) at
@@ -235,7 +234,6 @@ class ZmailNetwork:
         # branch-predictable.
         self._touch: Callable[[int, int], None] | None = None
         self._bank_reply_handler = None
-        self.midnight_handle = None  # set by run_workload in engine mode
         self.last_report: ReconciliationReport | None = None
         self._isp_names = [f"isp{isp_id}" for isp_id in range(n_isps)]
 
@@ -243,8 +241,6 @@ class ZmailNetwork:
         self._admission: dict[int, AdmissionController] | None = None
         self._retry_armed: dict[int, float] = {}
         self._direct_now = 0.0
-        self._overload_clock = overload_clock
-        self._overload_scheduler = overload_scheduler
         self._overload_gate = overload_gate
         if overload is not None:
             self._admission = {
@@ -269,7 +265,7 @@ class ZmailNetwork:
                 tracer.clock = lambda: self._direct_now
         self.net: Network | None = None
         self._active_coordinator: object | None = None
-        if engine is not None:
+        if engine is not None and transport is None:
             streams = SeededStreams(seed)
             self.net = Network(
                 engine,
@@ -475,20 +471,6 @@ class ZmailNetwork:
 
     # -- overload admission -------------------------------------------------------------
 
-    def _overload_now(self) -> float:
-        if self._overload_clock is not None:
-            return self._overload_clock()
-        return self.engine.now if self.engine is not None else self._direct_now
-
-    def _retry_timer(self) -> Callable[[float, Callable[[], None]], object] | None:
-        if self._overload_scheduler is not None:
-            return self._overload_scheduler
-        if self.engine is not None:
-            return lambda delay, cb: self.engine.schedule_after(
-                delay, cb, label="overload-retry"
-            )
-        return None
-
     def _is_paid_route(self, sender: Address, recipient: Address) -> bool:
         return isinstance(self.isps[sender.isp], CompliantISP) and isinstance(
             self.isps[recipient.isp], CompliantISP
@@ -504,7 +486,7 @@ class ZmailNetwork:
         """Run admission control; ``None`` means accepted (proceed now)."""
         assert self._admission is not None
         controller = self._admission[sender.isp]
-        now = self._overload_now()
+        now = self.engine.now
         shed_class = shed_class_for(
             kind, paid=self._is_paid_route(sender, recipient)
         )
@@ -531,15 +513,11 @@ class ZmailNetwork:
         return RECEIPT_DEFERRED
 
     def _arm_retry(self, isp_id: int, controller: AdmissionController) -> None:
-        """Engine mode: make sure a timer covers the earliest pending retry.
+        """Make sure an engine timer covers the earliest pending retry.
 
-        Direct mode needs no timers — :meth:`note_time` pumps as the
-        driver advances virtual time. Superseded timers fire spuriously
-        and pump an empty queue, which is harmless.
+        Superseded timers fire spuriously and pump an empty queue, which
+        is harmless.
         """
-        timer = self._retry_timer()
-        if timer is None:
-            return
         due = controller.next_due()
         if due is None:
             return
@@ -547,7 +525,12 @@ class ZmailNetwork:
         if armed is not None and armed <= due:
             return
         self._retry_armed[isp_id] = due
-        timer(max(0.0, due - self._overload_now()), lambda: self._retry_fire(isp_id))
+        self._retry_after(max(0.0, due - self.engine.now), isp_id)
+
+    def _retry_after(self, delay: float, isp_id: int) -> None:
+        self.engine.schedule_after(
+            delay, lambda: self._retry_fire(isp_id), label="overload-retry"
+        )
 
     def _retry_fire(self, isp_id: int) -> None:
         self._retry_armed.pop(isp_id, None)
@@ -557,15 +540,14 @@ class ZmailNetwork:
         """Process due deferred sends for one ISP: deliver or bounce."""
         assert self._admission is not None
         controller = self._admission[isp_id]
-        now = self._overload_now()
+        now = self.engine.now
         if self._overload_gate is not None and not self._overload_gate(isp_id):
             # Node not ready (crashed); hold the queue and try again after
             # one base-backoff interval.
-            timer = self._retry_timer()
-            if timer is not None and controller.pending:
+            if controller.pending:
                 delay = self.overload.retry_base  # type: ignore[union-attr]
                 self._retry_armed[isp_id] = now + delay
-                timer(delay, lambda: self._retry_fire(isp_id))
+                self._retry_after(delay, isp_id)
             return
         tracer = self.tracer
         for outcome, item in controller.pump(now):
@@ -609,30 +591,6 @@ class ZmailNetwork:
                 stats["overload_peak_pending"], controller.peak_pending
             )
         return stats
-
-    def drain_overload(self, *, deadline: float | None = None) -> bool:
-        """Direct mode: advance time through every pending retry.
-
-        Returns ``True`` when the deferred queues drained (every admitted
-        message delivered or bounced); ``False`` if ``deadline`` cut the
-        drain short. Engine mode drains through its own retry timers —
-        run the engine instead.
-        """
-        if self._admission is None or self._retry_timer() is not None:
-            return self.overload_pending() == 0
-        while self.overload_pending():
-            dues = [
-                due
-                for c in self._admission.values()
-                if (due := c.next_due()) is not None
-            ]
-            if not dues:
-                break
-            next_due = min(dues)
-            if deadline is not None and next_due > deadline:
-                return False
-            self.note_time(next_due)
-        return self.overload_pending() == 0
 
     def _route_letter(self, letter: Letter) -> None:
         if letter.paid:
@@ -811,20 +769,14 @@ class ZmailNetwork:
                 self._touch(isp.isp_id, user_id)
 
     def note_time(self, t: float) -> None:
-        """Direct-mode driver: midnight work at day boundaries, plus the
-        overload retry pump (deferred sends whose backoff expired by ``t``).
+        """Direct-mode driver: midnight work at day boundaries up to ``t``.
 
         Also advances the direct-mode virtual clock the tracer reads, so
-        traced events carry the driver's time even with overload off.
+        traced events carry the driver's time.
         """
         if t > self._direct_now:
             self._direct_now = t
         self.advance_day_to(int(t // DAY))
-        if self._admission is not None:
-            for isp_id, controller in self._admission.items():
-                due = controller.next_due()
-                if due is not None and due <= self._direct_now:
-                    self._pump_overload(isp_id)
 
     def rebalance_pools(self, isp_ids: Iterable[int] | None = None) -> None:
         """§4.3: compliant ISPs buy/sell pool e-pennies at the bank.
@@ -879,51 +831,24 @@ class ZmailNetwork:
     # -- workload driving --------------------------------------------------------------------
 
     def run_workload(self, requests: Iterable[SendRequest]) -> None:
-        """Drive a time-ordered request stream through the deployment.
-
-        Direct mode: requests execute immediately, with midnight work
+        """Drive a time-ordered request stream through a direct-mode
+        deployment: each request executes immediately, with midnight work
         applied at day boundaries.
 
-        Engine mode: the request iterator is attached as an engine
-        stream, pulled lazily between heap events — the heap then only
-        carries periodic/control timers (midnights, reconciliations,
-        deliveries), so a million-message workload costs O(1)
-        scheduling memory. Callers then ``engine.run()``.
+        Raises:
+            SimulationError: on an engine-mode network, whose traffic the
+                caller attaches to the engine (:meth:`Engine.add_stream`).
         """
-        if self.engine is None:
-            note_time = self.note_time
-            send = self.send
-            count = 0
-            for request in requests:
-                note_time(request.time)
-                send(request.sender, request.recipient, request.kind)
-                count += 1
-            self.workload_attempted += count
-            return
-        self.engine.add_stream(
-            requests, self._dispatch_request, label="workload"
-        )
-        # The perpetual midnight chain; exposed so bounded runs can cancel
-        # it once the workload is done (otherwise the drain window would
-        # apply midnight work — notably pool rebalancing — for days the
-        # direct path never simulates, and cross-mode accounting would
-        # diverge).
-        self.midnight_handle = self.engine.schedule_every(
-            DAY, self._engine_midnight, label="midnight"
-        )
-
-    def _dispatch_request(self, request: SendRequest) -> None:
-        """Engine-stream dispatcher: one shared callback for all sends."""
-        self.workload_attempted += 1
-        self.send(request.sender, request.recipient, request.kind)
-
-    def _engine_midnight(self) -> None:
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit("midnight", day=int(self.engine.now // DAY))
-        for isp in self.compliant_isps().values():
-            self.isp_midnight(isp)
-        self.rebalance_pools()
+        if self.engine is not None:
+            raise SimulationError(
+                "run_workload drives a direct-mode network; attach an "
+                "engine network's traffic with Engine.add_stream"
+            )
+        note_time = self.note_time
+        send = self.send
+        for request in requests:
+            note_time(request.time)
+            send(request.sender, request.recipient, request.kind)
 
     # -- audits ---------------------------------------------------------------------------------
 

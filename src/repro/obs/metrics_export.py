@@ -152,17 +152,21 @@ def export_network(network) -> MetricsExporter:
             },
         )
     if network.net is not None:
-        net = network.net
-        exporter.add_source(
-            "link",
-            lambda: {
-                "messages_sent": net.messages_sent,
-                "messages_delivered": net.messages_delivered,
-                "messages_dropped": net.messages_dropped,
-                "bytes_sent": net.bytes_sent,
-            },
-        )
+        _add_link(exporter, network.net)
     return exporter
+
+
+def _add_link(exporter: MetricsExporter, net) -> None:
+    """Attach a wire's totals under ``link``."""
+    exporter.add_source(
+        "link",
+        lambda: {
+            "messages_sent": net.messages_sent,
+            "messages_delivered": net.messages_delivered,
+            "messages_dropped": net.messages_dropped,
+            "bytes_sent": net.bytes_sent,
+        },
+    )
 
 
 def export_deployment(deployment) -> MetricsExporter:
@@ -170,30 +174,12 @@ def export_deployment(deployment) -> MetricsExporter:
 
     Everything :func:`export_network` provides, plus the harness's own
     accounting (fault, crash, snapshot and monitor totals) under
-    ``chaos``. The deployment drives its Zmail network in direct mode,
-    so the ``engine`` and ``link`` namespaces come from the harness's
-    own engine and faulty wire rather than from the network.
+    ``chaos``. The deployment's Zmail network runs on the deployment's
+    engine but carries letters over the harness's faulty wire, so the
+    ``engine`` namespace comes from the network and ``link`` from the
+    harness's wire.
     """
     exporter = export_network(deployment.network)
-    engine = deployment.engine
-    if engine is not None and "engine" not in exporter.namespaces():
-        exporter.add_source(
-            "engine",
-            lambda: {
-                "events_processed": engine.events_processed,
-                "pending": engine.pending,
-            },
-        )
-    net = deployment.net
-    if net is not None and "link" not in exporter.namespaces():
-        exporter.add_source(
-            "link",
-            lambda: {
-                "messages_sent": net.messages_sent,
-                "messages_delivered": net.messages_delivered,
-                "messages_dropped": net.messages_dropped,
-                "bytes_sent": net.bytes_sent,
-            },
-        )
+    _add_link(exporter, deployment.net)
     exporter.add_source("chaos", deployment.stats)
     return exporter

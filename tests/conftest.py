@@ -86,13 +86,40 @@ def journaling_shard(journal_dir):
     )
 
 
+def midnight_chain(network):
+    """Apply ``network``'s midnight work on its engine every ``DAY``;
+    returns the chain's handle, so a bounded run can cancel it."""
+    engine = network.engine
+    return engine.schedule_every(
+        DAY,
+        lambda: network.advance_day_to(int(engine.now // DAY)),
+        label="midnight",
+    )
+
+
+def stream_workload(network, requests):
+    """Attach a time-ordered request stream to engine-mode ``network``.
+
+    Each request is sent when the engine's virtual time reaches it, and
+    the midnight chain runs every day. Returns the chain's handle.
+    """
+    network.engine.add_stream(
+        requests,
+        lambda request: network.send(
+            request.sender, request.recipient, request.kind
+        ),
+        label="workload",
+    )
+    return midnight_chain(network)
+
+
 def run_streamed(scenario, link=None):
     """``scenario``'s deployment and traffic on an engine-mode network.
 
-    The requests stream through ``run_workload`` over ``link`` (default
-    ``LinkSpec()``); marker rounds run every ``reconcile_every`` and once
-    at the horizon, then in-flight letters drain for a day with the
-    midnight chain cancelled. Returns the :class:`ScenarioResult`.
+    The requests stream over ``link`` (default ``LinkSpec()``); marker
+    rounds run every ``reconcile_every`` and once at the horizon, then
+    in-flight letters drain for a day with the midnight chain cancelled.
+    Returns the :class:`ScenarioResult`.
     """
     engine = Engine()
     network = ZmailNetwork(
@@ -105,10 +132,11 @@ def run_streamed(scenario, link=None):
         link=link,
     )
     scenario.fund_spammers(network)
-    network.run_workload(
+    midnight = stream_workload(
+        network,
         merge_workloads(
             *scenario.workload_streams(SeededStreams(scenario.seed))
-        )
+        ),
     )
     t = scenario.reconcile_every
     while 0 < t < scenario.duration:
@@ -116,11 +144,15 @@ def run_streamed(scenario, link=None):
         t += scenario.reconcile_every
     engine.run(until=scenario.duration)
     network.reconcile("marker")
-    network.midnight_handle.cancel()
+    midnight.cancel()
     engine.run(until=scenario.duration + DAY)
     monitor = ZombieMonitor(network)
     monitor.poll()
+    counters = network.metrics.snapshot()["counters"]
+    attempted = sum(
+        value for name, value in counters.items()
+        if name.startswith("send.kind.")
+    )
     return scenario._collect(
-        network, monitor, network.workload_attempted,
-        list(network.bank.reports),
+        network, monitor, attempted, list(network.bank.reports)
     )

@@ -139,6 +139,16 @@ class TestFaultyNetwork:
         assert FaultSpec(drop_rate=0.1).active
 
 
+class TestDeploymentWiring:
+    def test_network_runs_on_the_deployment_engine(self):
+        deployment = ChaosDeployment(n_isps=2, users_per_isp=2, seed=1)
+        network = deployment.network
+        assert network.engine is deployment.engine
+        # Letters ride the deployment's faulty wire, not a second one.
+        assert network.net is None
+        assert network.transport is not None
+
+
 class TestDifferentialRecovery:
     """Satellite 2: faults + crash/recovery converge to the exact
     accounting state of the fault-free run."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import stream_workload
 from repro.core import NonCompliantMailPolicy, SendStatus, ZmailConfig, ZmailNetwork
 from repro.errors import SimulationError
 from repro.sim import DAY, Address, Engine, LinkSpec, SeededStreams, TrafficKind
@@ -249,6 +250,11 @@ class TestEngineMode:
             net.reconcile("marker")
 
     def test_run_workload_engine_mode(self):
+        net = make_net(engine=Engine())
+        with pytest.raises(SimulationError, match="Engine.add_stream"):
+            net.run_workload([])
+
+    def test_streamed_workload_engine_mode(self):
         engine = Engine()
         net = make_net(engine=engine, link=LinkSpec(base_latency=0.2))
         streams = SeededStreams(5)
@@ -260,7 +266,9 @@ class TestEngineMode:
             volume=50, start=0.0, duration=DAY, streams=streams,
         )
         net.fund_user(Address(0, 0), epennies=100)
-        net.run_workload(merge_workloads(normal.generate(DAY), spam.generate()))
+        stream_workload(
+            net, merge_workloads(normal.generate(DAY), spam.generate())
+        )
         engine.run(until=1.5 * DAY)
         assert net.total_value() == net.expected_total_value()
         assert net.metrics.counter("send.kind.spam").value == 50

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import stream_workload
 from repro.baselines.shred import ShredConfig, ShredSystem
 from repro.core import (
     NonCompliantMailPolicy,
@@ -177,7 +178,7 @@ class TestEngineModeScenario:
         workload = NormalUserWorkload(
             n_isps=3, users_per_isp=6, rate_per_day=100.0, streams=streams
         )
-        net.run_workload(workload.generate(DAY))
+        stream_workload(net, workload.generate(DAY))
         for t in (DAY / 4, DAY / 2, 3 * DAY / 4):
             engine.schedule_at(t, lambda: net.reconcile("marker"))
         engine.run(until=1.2 * DAY)

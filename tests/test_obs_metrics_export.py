@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import stream_workload
 from repro.core import ZmailConfig, ZmailNetwork
 from repro.obs.manifest import (
     MANIFEST_FORMAT_VERSION,
@@ -106,7 +107,7 @@ class TestExportNetwork:
             n_isps=2, users_per_isp=4, rate_per_day=60.0,
             streams=SeededStreams(9),
         )
-        network.run_workload(workload.generate(DAY / 4))
+        stream_workload(network, workload.generate(DAY / 4))
         engine.run(until=DAY / 4)
         exporter = export_network(network)
         flat = exporter.collect()

@@ -1,7 +1,8 @@
 """Overload layer tests: admission control, shedding, breakers, floods.
 
 Covers the building blocks in :mod:`repro.core.overload`, their wiring
-into :class:`ZmailNetwork` (direct and engine drive modes), the priority
+into an engine-timed :class:`ZmailNetwork` and the chaos deployment, the
+priority
 shedding policy (paid compliant mail sheds last), the SMTP gateway's
 backpressure face, and byte-level determinism of the built-in overload
 documents.
@@ -27,6 +28,7 @@ from repro.core.overload import (
 from repro.core.protocol import ZmailNetwork
 from repro.core.transfer import SendStatus
 from repro.errors import ConfigError, SimulationError
+from repro.sim.engine import Engine
 from repro.sim.rng import SeededStreams, derive_seed
 from repro.sim.workload import (
     Address,
@@ -262,12 +264,17 @@ def overload_network(**overrides):
     )
     defaults.update(overrides)
     return ZmailNetwork(
-        n_isps=2, users_per_isp=4, overload=OverloadConfig(**defaults)
+        n_isps=2, users_per_isp=4, engine=Engine(),
+        overload=OverloadConfig(**defaults),
     )
 
 
 class TestNetworkAdmission:
-    def test_statuses_and_identity_direct_mode(self):
+    def test_overload_needs_an_engine(self):
+        with pytest.raises(ValueError, match="needs an engine"):
+            ZmailNetwork(n_isps=2, users_per_isp=4, overload=OverloadConfig())
+
+    def test_statuses_and_identity(self):
         net = overload_network()
         statuses = [
             net.send(Address(0, 0), Address(1, 0), TrafficKind.NORMAL).status
@@ -277,7 +284,8 @@ class TestNetworkAdmission:
         assert statuses[2:5] == [SendStatus.DEFERRED] * 3
         assert statuses[5:] == [SendStatus.SHED] * 2
         assert net.overload_pending() == 3
-        assert net.drain_overload()
+        net.engine.run()  # the retries fire on the network's engine
+        assert net.overload_pending() == 0
         stats = net.overload_stats()
         assert stats["overload_attempts"] == 7
         assert stats["overload_accepted"] == 5

@@ -15,6 +15,7 @@ operation sequences rather than hand-picked ones:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import midnight_chain
 from repro.core import SendStatus, ZmailConfig, ZmailNetwork
 from repro.core.ledger import Ledger
 from repro.crypto import NonceSource, dcr, generate_keypair, ncr
@@ -233,7 +234,9 @@ class TestDailyLimitRollover:
         throughout."""
         from repro.core.overload import OverloadConfig
         from repro.sim.clock import DAY
+        from repro.sim.engine import Engine
 
+        engine = Engine()
         config = ZmailConfig(
             default_daily_limit=limit,
             default_user_balance=1000,
@@ -244,6 +247,7 @@ class TestDailyLimitRollover:
             users_per_isp=2,
             config=config,
             seed=0,
+            engine=engine,
             overload=OverloadConfig(
                 admit_rate=0.02,
                 admit_burst=2,
@@ -254,13 +258,17 @@ class TestDailyLimitRollover:
                 max_retries=3,
             ),
         )
+        midnight_chain(net)
         sender = Address(0, 0)
         user = net.isps[0].ledger.user(0)
-        for t in sorted(day * DAY for day in day_times):
-            net.note_time(t)
+        times = sorted(day * DAY for day in day_times)
+        for t in times:
+            engine.run(until=t)
             net.send(sender, Address(1, 0))
             assert user.sent_today <= limit
-        assert net.drain_overload()
+        # Every retry budget (base 30 s, doubling) runs out within the hour.
+        engine.run(until=times[-1] + 3600.0)
+        assert net.overload_pending() == 0
 
         for controller in net.overload_controllers().values():
             assert controller.accounting_delta() == 0
@@ -268,24 +276,26 @@ class TestDailyLimitRollover:
         # limit_hits is bounded per user, never an unbounded event log.
         assert set(net.isps[0].limit_hits) <= {0, 1}
         # The next midnight resets every daily counter.
-        net.note_time(10 * DAY)
+        engine.run(until=10 * DAY)
         for isp in net.compliant_isps().values():
             for account in isp.ledger.users():
                 assert account.sent_today == 0
 
     def test_retry_crossing_midnight_counts_against_new_day(self):
         """A send deferred just before midnight whose retry fires after
-        it consumes the *new* day's quota: the day rollover applies
-        before the retry pump at the same note_time instant."""
+        it consumes the *new* day's quota: the midnight timer resets the
+        counter before the retry timer fires."""
         from repro.core.overload import OverloadConfig
-        from repro.sim.clock import DAY
+        from repro.sim.clock import DAY, HOUR
+        from repro.sim.engine import Engine
 
+        engine = Engine()
         config = ZmailConfig(
             default_daily_limit=2, default_user_balance=100,
             auto_topup_amount=0,
         )
         net = ZmailNetwork(
-            n_isps=2, users_per_isp=2, config=config, seed=0,
+            n_isps=2, users_per_isp=2, config=config, seed=0, engine=engine,
             overload=OverloadConfig(
                 # 0.02/s: the burst of 2 is gone at `late`, and the first
                 # retry 120s later (2.4 tokens refilled) succeeds.
@@ -297,17 +307,19 @@ class TestDailyLimitRollover:
         sender = Address(0, 0)
         user = net.isps[0].ledger.user(0)
         late = DAY - 10.0
-        net.note_time(late)
+        midnight_chain(net)
+        engine.run(until=late)
         statuses = [net.send(sender, Address(1, 0)).status for _ in range(3)]
         assert [s.value for s in statuses] == [
             "sent_paid", "sent_paid", "deferred",
         ]
         assert user.sent_today == 2  # day-0 quota fully used
 
-        # The deferred retry is due at late+120s, after midnight. Pumping
-        # past the boundary must reset the counter *first*, so the retry
-        # is charged to day 1, not blocked by day 0's exhausted quota.
-        assert net.drain_overload()
+        # The deferred retry is due at late+120s, after midnight, which
+        # must reset the counter *first*, so the retry is charged to day
+        # 1, not blocked by day 0's exhausted quota.
+        engine.run(until=DAY + HOUR)
+        assert net.overload_pending() == 0
         assert user.sent_today == 1
         stats = net.overload_stats()
         assert stats["overload_accepted"] == 3
