@@ -264,7 +264,6 @@ def _apply_unpaid(
     state.bump_metric("send.delivered_local", int(local.sum()))
     state.bump_metric("send.sent_unpaid", int(remote.sum()))
     _bump_kind_metrics(np, state, "send.kind.", kinds)
-    _bump_kind_metrics(np, state, "deliver.kind.", kinds[remote])
 
     # A compliant receiver (the sender is then non-compliant) applies the
     # policy; a non-compliant one accepts everything.
@@ -294,6 +293,7 @@ def _apply_unpaid(
     )
     state.bump_metric("deliver.delivered", int(accepted.sum()))
     state.bump_metric("deliver.dropped", int(dropped.sum()))
+    _bump_kind_metrics(np, state, "deliver.kind.", kinds[accepted])
     if status is not None:
         status[mask] = np.where(
             local,

@@ -614,12 +614,12 @@ class ZmailNetwork:
         if self._touch is not None:
             self._touch(letter.recipient.isp, letter.recipient.user)
         delivered = self.isps[letter.recipient.isp].deliver(letter)
+        kind_name = letter.kind._value_
         if delivered:
             self._inc_delivered()
+            self._inc_deliver_kind[kind_name]()
         else:
             self._inc_dropped()
-        kind_name = letter.kind._value_
-        self._inc_deliver_kind[kind_name]()
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(

@@ -26,7 +26,7 @@ from repro.core.protocol import ZmailNetwork
 from repro.core.scenario import Scenario, SpammerSpec, ZombieSpec
 from repro.errors import SimulationError
 from repro.obs.manifest import accounting_digest
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import ListSink, TraceRecorder
 from repro.scenario import compile_scenario, run_plan
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import SeededStreams
@@ -396,6 +396,30 @@ class TestUnpaidClass:
         assert stats.sent_unpaid > 0 and stats.received_unpaid + (
             stats.discarded
         ) > 0
+
+    @pytest.mark.parametrize("mode", ["direct", "columnar"])
+    @pytest.mark.parametrize(
+        "policy", [policy.value for policy in NonCompliantMailPolicy]
+    )
+    def test_spam_delivered_counts_only_spam_that_reached_a_user(
+        self, policy, mode
+    ):
+        scenario = load_plan("mixed-4isp.yaml").scenario(mode)
+        scenario.config = dataclasses.replace(
+            scenario.config, noncompliant_policy=NonCompliantMailPolicy(policy)
+        )
+        sink = ListSink()
+        scenario.tracer = TraceRecorder(sink=sink)
+        result = scenario.run()
+        reached = [
+            event for event in sink.events()
+            if event["type"] == "deliver" and event["kind"] == "spam"
+        ]
+        assert result.spam_delivered == sum(e["ok"] for e in reached)
+        # isp3's unfunded spammer mails compliant users unpaid, so under
+        # DISCARD some spam is handed over and dropped.
+        dropped = sum(not e["ok"] for e in reached)
+        assert (dropped > 0) == (policy == "discard")
 
 
 # -- randomized equivalence ------------------------------------------------
