@@ -57,8 +57,8 @@ class MetricsExporter:
             raise ValueError(f"namespace {namespace!r} already attached")
 
     def add_registry(self, namespace: str, registry: MetricsRegistry) -> None:
-        """Attach a :class:`MetricsRegistry`; counters, series and
-        histogram summaries export under ``namespace.<instrument>``."""
+        """Attach a :class:`MetricsRegistry`; its counters export under
+        ``namespace.<counter>``."""
         self._claim(namespace)
         self._registries[namespace] = registry
 
@@ -84,15 +84,8 @@ class MetricsExporter:
         """Flatten everything to a ``{namespace.key: value}`` mapping."""
         flat: dict[str, object] = {}
         for namespace, registry in self._registries.items():
-            snap = registry.snapshot()
-            for name, value in snap["counters"].items():
+            for name, value in registry.snapshot()["counters"].items():
                 flat[f"{namespace}.{name}"] = value
-            for name, info in snap["series"].items():
-                flat[f"{namespace}.{name}.len"] = info["len"]
-                flat[f"{namespace}.{name}.mean"] = info["stats"]["mean"]
-            for name, info in snap["histograms"].items():
-                flat[f"{namespace}.{name}.observations"] = info["observations"]
-                flat[f"{namespace}.{name}.mean"] = info["mean"]
         for namespace, source in self._sources.items():
             for name, value in source().items():
                 flat[f"{namespace}.{name}"] = value

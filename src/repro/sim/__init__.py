@@ -8,7 +8,7 @@ which all Zmail experiments run.
 from .clock import DAY, HOUR, MINUTE, MONTH, SECOND, WEEK, Clock, format_time
 from .engine import Engine
 from .events import Event, EventHandle
-from .metrics import Counter, Histogram, MetricsRegistry, TimeSeries, summary_stats
+from .metrics import Counter, MetricsRegistry, summary_stats
 from .network import LinkSpec, Network
 from .reliable import ReliableAck, ReliableEndpoint, ReliableLink, ReliablePayload
 from .rng import SeededStreams, derive_seed
@@ -36,8 +36,6 @@ __all__ = [
     "Event",
     "EventHandle",
     "Counter",
-    "TimeSeries",
-    "Histogram",
     "MetricsRegistry",
     "summary_stats",
     "LinkSpec",

@@ -1,22 +1,18 @@
 """Measurement primitives for simulation experiments.
 
-Three shapes cover everything the experiments need:
-
-* :class:`Counter` — monotonically increasing named totals.
-* :class:`TimeSeries` — (time, value) samples, with summary statistics.
-* :class:`Histogram` — fixed-bin distribution of observed values.
-
-A :class:`MetricsRegistry` namespaces them so workloads, protocol layers
-and baselines can record without sharing global state.
+:class:`Counter` — a monotonically increasing named total — is the one
+instrument every layer records; a :class:`MetricsRegistry` namespaces
+counters so workloads, protocol layers and baselines can record without
+sharing global state. :func:`summary_stats` summarises a run's samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["Counter", "TimeSeries", "Histogram", "MetricsRegistry", "summary_stats"]
+__all__ = ["Counter", "MetricsRegistry", "summary_stats"]
 
 
 def summary_stats(values: Iterable[float]) -> dict[str, float]:
@@ -70,132 +66,15 @@ class Counter:
         self.value += amount
 
 
-@dataclass(slots=True)
-class TimeSeries:
-    """A sequence of (time, value) observations."""
-
-    name: str
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def record(self, time: float, value: float) -> None:
-        """Append one sample; times must be non-decreasing."""
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"time series {self.name!r} times must be non-decreasing: "
-                f"{time} < {self.times[-1]}"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def last(self) -> float:
-        """The most recent value (raises ``IndexError`` if empty)."""
-        return self.values[-1]
-
-    def stats(self) -> dict[str, float]:
-        """Summary statistics over all recorded values."""
-        return summary_stats(self.values)
-
-    def time_weighted_mean(self) -> float:
-        """Mean of the value weighted by how long it was held.
-
-        Treats each sample as holding until the next sample time; the final
-        sample contributes zero width. Returns 0.0 with fewer than 2 samples.
-        """
-        if len(self.times) < 2:
-            return 0.0
-        total = 0.0
-        duration = self.times[-1] - self.times[0]
-        if duration <= 0:
-            return self.values[-1]
-        for i in range(len(self.times) - 1):
-            total += self.values[i] * (self.times[i + 1] - self.times[i])
-        return total / duration
-
-
-class Histogram:
-    """Fixed-width binned distribution over ``[low, high)``.
-
-    Out-of-range observations accumulate in underflow/overflow buckets so
-    no sample is silently dropped.
-    """
-
-    __slots__ = (
-        "name", "low", "high", "bins", "counts",
-        "underflow", "overflow", "_samples", "_total",
-    )
-
-    def __init__(self, name: str, low: float, high: float, bins: int) -> None:
-        if high <= low:
-            raise ValueError(f"histogram {name!r}: high ({high}) <= low ({low})")
-        if bins <= 0:
-            raise ValueError(f"histogram {name!r}: bins must be positive")
-        self.name = name
-        self.low = low
-        self.high = high
-        self.bins = bins
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-        self._samples = 0
-        self._total = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self._samples += 1
-        self._total += value
-        if value < self.low:
-            self.underflow += 1
-        elif value >= self.high:
-            self.overflow += 1
-        else:
-            width = (self.high - self.low) / self.bins
-            index = int((value - self.low) / width)
-            self.counts[min(index, self.bins - 1)] += 1
-
-    @property
-    def total_observations(self) -> int:
-        """All observations including under/overflow."""
-        return self._samples
-
-    @property
-    def mean(self) -> float:
-        """Exact mean of all observed values (not bin midpoints)."""
-        return self._total / self._samples if self._samples else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bin boundaries (in-range samples only)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        in_range = sum(self.counts)
-        if in_range == 0:
-            return self.low
-        target = q * in_range
-        width = (self.high - self.low) / self.bins
-        cumulative = 0
-        for i, count in enumerate(self.counts):
-            cumulative += count
-            if cumulative >= target:
-                return self.low + (i + 1) * width
-        return self.high
-
-
 class MetricsRegistry:
-    """A namespace of counters, time series and histograms.
+    """A namespace of counters.
 
-    Components call :meth:`counter` / :meth:`series` / :meth:`histogram` to
-    get-or-create instruments by name; experiments read them back at the end
-    of a run via :meth:`snapshot`.
+    Components call :meth:`counter` to get-or-create a counter by name;
+    experiments read them back at the end of a run via :meth:`snapshot`.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._series: dict[str, TimeSeries] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter called ``name``."""
@@ -205,37 +84,8 @@ class MetricsRegistry:
             self._counters[name] = counter
         return counter
 
-    def series(self, name: str) -> TimeSeries:
-        """Get or create the time series called ``name``."""
-        series = self._series.get(name)
-        if series is None:
-            series = TimeSeries(name)
-            self._series[name] = series
-        return series
-
-    def histogram(
-        self, name: str, low: float = 0.0, high: float = 1.0, bins: int = 20
-    ) -> Histogram:
-        """Get or create the histogram called ``name``.
-
-        Bounds are fixed at creation; later calls ignore the bound arguments.
-        """
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = Histogram(name, low, high, bins)
-            self._histograms[name] = histogram
-        return histogram
-
     def snapshot(self) -> dict[str, object]:
-        """A plain-dict dump of every instrument, for reports and tests."""
+        """A plain-dict dump of every counter, for reports and tests."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "series": {
-                n: {"len": len(s), "stats": s.stats()}
-                for n, s in sorted(self._series.items())
-            },
-            "histograms": {
-                n: {"observations": h.total_observations, "mean": h.mean}
-                for n, h in sorted(self._histograms.items())
-            },
         }

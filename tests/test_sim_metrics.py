@@ -1,14 +1,8 @@
-"""Tests for counters, time series, histograms and the registry."""
+"""Tests for counters, summary statistics and the registry."""
 
 import pytest
 
-from repro.sim.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    TimeSeries,
-    summary_stats,
-)
+from repro.sim.metrics import Counter, MetricsRegistry, summary_stats
 
 
 class TestSummaryStats:
@@ -54,95 +48,12 @@ class TestCounter:
             Counter("c").increment(-1)
 
 
-class TestTimeSeries:
-    def test_record_and_stats(self):
-        series = TimeSeries("s")
-        series.record(0.0, 10.0)
-        series.record(1.0, 20.0)
-        assert len(series) == 2
-        assert series.last == 20.0
-        assert series.stats()["mean"] == pytest.approx(15.0)
-
-    def test_non_decreasing_times_enforced(self):
-        series = TimeSeries("s")
-        series.record(5.0, 1.0)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            series.record(4.0, 2.0)
-
-    def test_equal_times_allowed(self):
-        series = TimeSeries("s")
-        series.record(5.0, 1.0)
-        series.record(5.0, 2.0)
-        assert len(series) == 2
-
-    def test_time_weighted_mean(self):
-        series = TimeSeries("s")
-        series.record(0.0, 10.0)  # held for 1s
-        series.record(1.0, 0.0)  # held for 3s
-        series.record(4.0, 99.0)  # final sample: zero width
-        assert series.time_weighted_mean() == pytest.approx(10.0 / 4.0)
-
-    def test_time_weighted_mean_too_short(self):
-        series = TimeSeries("s")
-        assert series.time_weighted_mean() == 0.0
-        series.record(1.0, 5.0)
-        assert series.time_weighted_mean() == 0.0
-
-
-class TestHistogram:
-    def test_bins_and_bounds(self):
-        hist = Histogram("h", 0.0, 10.0, bins=10)
-        hist.observe(0.5)
-        hist.observe(9.5)
-        hist.observe(-1.0)
-        hist.observe(10.0)  # boundary counts as overflow
-        assert hist.counts[0] == 1
-        assert hist.counts[9] == 1
-        assert hist.underflow == 1
-        assert hist.overflow == 1
-        assert hist.total_observations == 4
-
-    def test_mean_is_exact(self):
-        hist = Histogram("h", 0.0, 10.0, bins=2)
-        for v in (1.0, 2.0, 3.0):
-            hist.observe(v)
-        assert hist.mean == pytest.approx(2.0)
-
-    def test_quantile(self):
-        hist = Histogram("h", 0.0, 100.0, bins=100)
-        for v in range(100):
-            hist.observe(float(v))
-        assert hist.quantile(0.5) == pytest.approx(50.0, abs=2.0)
-        assert hist.quantile(0.99) == pytest.approx(99.0, abs=2.0)
-
-    def test_quantile_empty(self):
-        assert Histogram("h", 0.0, 1.0, bins=4).quantile(0.5) == 0.0
-
-    def test_quantile_bounds_checked(self):
-        hist = Histogram("h", 0.0, 1.0, bins=4)
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            Histogram("h", 1.0, 1.0, bins=4)
-        with pytest.raises(ValueError):
-            Histogram("h", 0.0, 1.0, bins=0)
-
-
 class TestRegistry:
     def test_get_or_create(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.series("b") is registry.series("b")
-        assert registry.histogram("c") is registry.histogram("c")
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("sent").increment(3)
-        registry.series("queue").record(0.0, 1.0)
-        registry.histogram("lat", 0, 10, 5).observe(2.0)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"sent": 3}
-        assert snap["series"]["queue"]["len"] == 1
-        assert snap["histograms"]["lat"]["observations"] == 1
+        assert registry.snapshot() == {"counters": {"sent": 3}}
