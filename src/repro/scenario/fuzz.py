@@ -99,14 +99,29 @@ def check_world(doc: dict[str, Any], *, shards: int = 2) -> str | None:
     return None
 
 
-def _fail_row(
+def _failure(
+    oracle: Callable[[dict[str, Any]], str | None],
     campaign_seed: int,
     index: int,
-    doc: dict[str, Any],
-    reason: str,
-    minimal: dict[str, Any],
-) -> dict[str, Any]:
-    return {
+    out: str | None,
+    max_shrink_steps: int,
+) -> dict[str, Any] | None:
+    """Check world ``index`` of a campaign; ``None`` if it passes.
+
+    A failing world is shrunk to a minimal document that still fails,
+    and its row — both documents and the replay token — is written out
+    as artifacts when ``out`` is set.
+    """
+    doc = generate_doc(world_seed(campaign_seed, index))
+    reason = oracle(doc)
+    if reason is None:
+        return None
+    minimal = shrink(
+        doc,
+        lambda candidate: oracle(candidate) is not None,
+        max_steps=max_shrink_steps,
+    )
+    row = {
         "index": index,
         "world_seed": world_seed(campaign_seed, index),
         "replay": f"{campaign_seed}:{index}",
@@ -114,6 +129,9 @@ def _fail_row(
         "doc": doc,
         "minimal": minimal,
     }
+    if out:
+        row["artifacts"] = _write_artifacts(out, row)
+    return row
 
 
 def _write_artifacts(out: str, row: dict[str, Any]) -> list[str]:
@@ -150,19 +168,9 @@ def run_fuzz(
     oracle = check or (lambda doc: check_world(doc, shards=shards))
     failures = []
     for index in range(count):
-        doc = generate_doc(world_seed(seed, index))
-        reason = oracle(doc)
-        if reason is None:
-            continue
-        minimal = shrink(
-            doc,
-            lambda candidate: oracle(candidate) is not None,
-            max_steps=max_shrink_steps,
-        )
-        row = _fail_row(seed, index, doc, reason, minimal)
-        if out:
-            row["artifacts"] = _write_artifacts(out, row)
-        failures.append(row)
+        row = _failure(oracle, seed, index, out, max_shrink_steps)
+        if row is not None:
+            failures.append(row)
     return {
         "seed": seed,
         "count": count,
@@ -194,26 +202,14 @@ def replay_world(
     """Re-run (and re-shrink) one world from its failure-report token."""
     seed, index = parse_replay(token)
     oracle = check or (lambda doc: check_world(doc, shards=shards))
-    doc = generate_doc(world_seed(seed, index))
-    reason = oracle(doc)
-    report: dict[str, Any] = {
+    row = _failure(oracle, seed, index, out, max_shrink_steps)
+    return {
         "seed": seed,
         "count": 1,
         "shards": shards,
-        "failures": [],
-        "passed": reason is None,
+        "failures": [] if row is None else [row],
+        "passed": row is None,
     }
-    if reason is not None:
-        minimal = shrink(
-            doc,
-            lambda candidate: oracle(candidate) is not None,
-            max_steps=max_shrink_steps,
-        )
-        row = _fail_row(seed, index, doc, reason, minimal)
-        if out:
-            row["artifacts"] = _write_artifacts(out, row)
-        report["failures"].append(row)
-    return report
 
 
 def format_report(report: dict[str, Any]) -> str:
