@@ -146,18 +146,18 @@ class InvariantMonitor:
         for isp_id, isp in sorted(compliant.items()):
             if isp.ledger.pool < 0:
                 found.append(Violation(
-                    now, "non-negative", f"isp{isp_id} pool {isp.ledger.pool}"
+                    now, "non-negativity", f"isp{isp_id} pool {isp.ledger.pool}"
                 ))
             bank_account = network.bank.account_balance(isp_id)
             if bank_account < 0:
                 found.append(Violation(
-                    now, "non-negative", f"isp{isp_id} bank account {bank_account}"
+                    now, "non-negativity", f"isp{isp_id} bank account {bank_account}"
                 ))
             for user in isp.ledger.users():
                 if user.balance < 0 or user.account < 0:
                     found.append(Violation(
                         now,
-                        "non-negative",
+                        "non-negativity",
                         f"isp{isp_id} user{user.user_id} balance="
                         f"{user.balance} account={user.account}",
                     ))

@@ -274,7 +274,9 @@ class TestNetworkAdmission:
         with pytest.raises(ValueError, match="needs an engine"):
             ZmailNetwork(n_isps=2, users_per_isp=4, overload=OverloadConfig())
 
-    def test_statuses_and_identity(self):
+    def test_statuses_and_identity_direct_mode(self):
+        """Statuses decided at send time; the deferred retries then
+        drain on the network's engine."""
         net = overload_network()
         statuses = [
             net.send(Address(0, 0), Address(1, 0), TrafficKind.NORMAL).status

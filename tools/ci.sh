@@ -101,7 +101,7 @@ cmp /tmp/bench_overload.json BENCH_overload.json \
 
 if [ "${CI_COVERAGE:-1}" != "0" ]; then
     COVERAGE_FLOOR="${CI_COVERAGE_FLOOR:-94}"
-    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, cluster/columnar/store/scenario/arena at 90%) =="
+    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, cluster/columnar/store/scenario/arena/chaos at 90%) =="
     PYTHONPATH=src python tools/coverage_gate.py \
         --target src/repro \
         --floor "${COVERAGE_FLOOR}" \
@@ -111,6 +111,7 @@ if [ "${CI_COVERAGE:-1}" != "0" ]; then
         --require store=90 \
         --require scenario=90 \
         --require arena=90 \
+        --require chaos=90 \
         -- -q -p no:cacheprovider
 else
     echo "== coverage gate skipped (CI_COVERAGE=0) =="
