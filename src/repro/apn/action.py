@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .channel import Message
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .process import Process
     from .scheduler import ProtocolState
@@ -98,19 +96,3 @@ class Action:
     def __str__(self) -> str:
         return f"{self.name}: {self.guard} ->"
 
-
-def receive_action(
-    name: str,
-    message_name: str,
-    sender: str,
-    statement: Callable[["Process", Message], None],
-    *,
-    weight: float = 1.0,
-) -> Action:
-    """Convenience constructor for a receive-guarded action."""
-    return Action(
-        name=name,
-        guard=ReceiveGuard(message_name, sender),
-        statement=statement,
-        weight=weight,
-    )

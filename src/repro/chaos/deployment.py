@@ -72,6 +72,8 @@ LINK = LinkSpec(base_latency=0.05)
 RETRANSMIT_INTERVAL = 0.5
 BACKOFF = 2.0
 MAX_INTERVAL = 8.0
+#: Virtual seconds the drain phase runs between quiescence checks.
+DRAIN_STEP = 5.0
 
 
 class ChaosDeployment:
@@ -85,8 +87,8 @@ class ChaosDeployment:
             number.
         compliant: Per-ISP compliance flags (default: all compliant).
         config: Zmail economics parameters.
-        faults: Default fault mix for every link (50 ms, lossless
-            :data:`LINK`); per-link overrides via ``net.set_faults``.
+        faults: The fault mix of every link (on top of the 50 ms,
+            lossless :data:`LINK`); default no faults.
         monitor_interval: Seconds between invariant checks.
         reconcile_every: Period of §4.4 reconciliation rounds; ``0``
             disables reconciliation.
@@ -411,14 +413,13 @@ class ChaosDeployment:
         *,
         until: float,
         drain_window: float = 600.0,
-        drain_step: float = 5.0,
     ) -> bool:
         """Drive a workload then drain to quiescence.
 
         The workload phase runs to ``until`` with the monitor, midnight
         chain and (if configured) periodic reconciliation armed. The
         drain phase stops *generating* new periodic work and runs the
-        engine in ``drain_step`` slices until :meth:`quiescent` or the
+        engine in :data:`DRAIN_STEP` slices until :meth:`quiescent` or the
         ``drain_window`` expires, then performs one final invariant
         check.
 
@@ -444,7 +445,7 @@ class ChaosDeployment:
             reconcile_handle.cancel()
         deadline = until + drain_window
         while self.engine.now < deadline and not self.quiescent():
-            self.engine.run(until=min(self.engine.now + drain_step, deadline))
+            self.engine.run(until=min(self.engine.now + DRAIN_STEP, deadline))
         self.monitor.stop()
         self.monitor.check()
         self.overload_monitor.stop()

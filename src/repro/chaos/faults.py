@@ -82,8 +82,8 @@ class FaultyNetwork(Network):
     """A :class:`Network` with per-link fault injection and node crashes.
 
     Args:
-        default_faults: Fault mix applied to every link without an
-            explicit :meth:`set_faults` override.
+        default_faults: Fault mix applied to every link. Each directed
+            link still draws its faults from its own RNG streams.
 
     Down nodes model fail-stop crashes: a down source sends nothing and a
     message arriving at a down endpoint is dropped on the wire (in-flight
@@ -101,9 +101,8 @@ class FaultyNetwork(Network):
         tracer: TraceRecorder | None = None,
     ) -> None:
         super().__init__(engine, streams, default_link=default_link, tracer=tracer)
-        self._default_faults = default_faults or NO_FAULTS
-        self._fault_overrides: dict[tuple[str, str], FaultSpec] = {}
-        # Per-link fault RNG bundle: (spec, drop, dup, reorder, delay).
+        self._faults = default_faults or NO_FAULTS
+        # Per-link fault RNG bundle: (drop, dup, reorder, delay).
         self._fault_cache: dict[tuple[str, str], tuple] = {}
         self._down: set[str] = set()
         self.faults_dropped = 0
@@ -111,23 +110,12 @@ class FaultyNetwork(Network):
         self.faults_reordered = 0
         self.dropped_down = 0
 
-    # -- fault topology --------------------------------------------------------
-
-    def set_faults(self, src: str, dst: str, spec: FaultSpec) -> None:
-        """Override the fault mix for the directed link src→dst."""
-        self._fault_overrides[(src, dst)] = spec
-        self._fault_cache.pop((src, dst), None)
-
-    def faults(self, src: str, dst: str) -> FaultSpec:
-        """The effective fault mix for the directed link src→dst."""
-        return self._fault_overrides.get((src, dst), self._default_faults)
+    # -- fault streams ---------------------------------------------------------
 
     def _resolve_faults(self, key: tuple[str, str]) -> tuple:
         src, dst = key
-        spec = self.faults(src, dst)
         streams = self._streams
         cached = (
-            spec,
             streams.get(f"chaos:drop:{src}->{dst}"),
             streams.get(f"chaos:dup:{src}->{dst}"),
             streams.get(f"chaos:reorder:{src}->{dst}"),
@@ -187,7 +175,8 @@ class FaultyNetwork(Network):
         fcached = self._fault_cache.get(key)
         if fcached is None:
             fcached = self._resolve_faults(key)
-        faults, drop_rng, dup_rng, reorder_rng, delay_rng = fcached
+        drop_rng, dup_rng, reorder_rng, delay_rng = fcached
+        faults = self._faults
 
         if faults.drop_rate > 0 and drop_rng.random() < faults.drop_rate:
             self.faults_dropped += 1

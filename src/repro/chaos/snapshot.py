@@ -46,6 +46,22 @@ __all__ = [
     "RetryingSnapshotCoordinator",
 ]
 
+#: Quiesce window (seconds) of a round's first attempt; each retry
+#: multiplies it by ``QUIESCE_GROWTH``, up to ``MAX_QUIESCE``.
+QUIESCE = 2.0
+QUIESCE_GROWTH = 2.0
+MAX_QUIESCE = 60.0
+#: Base wait for all replies before an attempt is abandoned; it grows by
+#: the attempt's quiesce window per expected ISP.
+ROUND_TIMEOUT = 30.0
+#: Pause between an aborted attempt and the next one.
+RETRY_DELAY = 1.0
+#: Attempts per round before giving up (a given-up round fails the cell).
+MAX_ATTEMPTS = 8
+#: ISP-side deadline after which a still-open snapshot whose coordinator
+#: went silent is aborted locally.
+ORPHAN_TIMEOUT = 120.0
+
 
 @dataclass(frozen=True)
 class ChaosSnapshotRequest:
@@ -100,38 +116,15 @@ class RetryingSnapshotCoordinator:
     Args:
         deployment: Provides the engine, the reliable endpoints, the
             Zmail network and crash state.
-        quiesce: Base quiesce window (seconds) for attempt 1.
-        growth: Multiplier applied to the quiesce window per retry.
-        max_quiesce: Cap on the grown quiesce window.
-        round_timeout: Base wait for all replies before the attempt is
-            abandoned; grows with the quiesce window.
-        retry_delay: Pause between an aborted attempt and the next one.
-        max_attempts: Attempts per round before giving up (a given-up
-            round fails the campaign cell).
-        orphan_timeout: ISP-side deadline after which a still-open
-            snapshot whose coordinator went silent is aborted locally.
+
+    Its timing is the module constants: :data:`QUIESCE` grown by
+    :data:`QUIESCE_GROWTH` per retry up to :data:`MAX_QUIESCE`,
+    :data:`ROUND_TIMEOUT`, :data:`RETRY_DELAY`, :data:`MAX_ATTEMPTS` and
+    :data:`ORPHAN_TIMEOUT`.
     """
 
-    def __init__(
-        self,
-        deployment: "ChaosDeployment",
-        *,
-        quiesce: float = 2.0,
-        growth: float = 2.0,
-        max_quiesce: float = 60.0,
-        round_timeout: float = 30.0,
-        retry_delay: float = 1.0,
-        max_attempts: int = 8,
-        orphan_timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, deployment: "ChaosDeployment") -> None:
         self.deployment = deployment
-        self.quiesce = quiesce
-        self.growth = growth
-        self.max_quiesce = max_quiesce
-        self.round_timeout = round_timeout
-        self.retry_delay = retry_delay
-        self.max_attempts = max_attempts
-        self.orphan_timeout = orphan_timeout
         self._next_token = 0
         self._round: _Round | None = None
         self._outcome: RoundOutcome | None = None
@@ -185,13 +178,12 @@ class RetryingSnapshotCoordinator:
         self._begin_attempt(1)
 
     def _attempt_quiesce(self, attempt: int) -> float:
-        window = self.quiesce * (self.growth ** (attempt - 1))
-        return min(window, self.max_quiesce)
+        return min(QUIESCE * QUIESCE_GROWTH ** (attempt - 1), MAX_QUIESCE)
 
     def _begin_attempt(self, attempt: int) -> None:
         deployment = self.deployment
         assert self._outcome is not None
-        if attempt > self.max_attempts:
+        if attempt > MAX_ATTEMPTS:
             # Give up: the round is recorded as failed; campaign fails.
             self._trace_round(attempt - 1, "giveup")
             self._outcome.finished_at = deployment.engine.now
@@ -209,7 +201,7 @@ class RetryingSnapshotCoordinator:
         request = ChaosSnapshotRequest(token=token, quiesce=quiesce)
         for isp_id in sorted(expected):
             deployment.send_control("bank", f"isp{isp_id}", request)
-        timeout = self.round_timeout + quiesce * len(expected)
+        timeout = ROUND_TIMEOUT + quiesce * len(expected)
         round_.timeout_handle = deployment.engine.schedule_after(
             timeout,
             lambda: self._on_round_timeout(token),
@@ -236,7 +228,7 @@ class RetryingSnapshotCoordinator:
             label="chaos-snapshot-peek",
         )
         deployment.engine.schedule_after(
-            self.orphan_timeout,
+            ORPHAN_TIMEOUT,
             lambda: self._orphan_check(isp_id, request.token),
             label="chaos-snapshot-orphan",
         )
@@ -344,7 +336,7 @@ class RetryingSnapshotCoordinator:
         attempt = round_.attempt
         self._round = None
         deployment.engine.schedule_after(
-            self.retry_delay,
+            RETRY_DELAY,
             lambda: self._retry(attempt + 1),
             label="chaos-snapshot-retry",
         )

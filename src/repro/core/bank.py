@@ -36,6 +36,9 @@ from .misbehavior import (
 
 __all__ = ["BuyResult", "Bank"]
 
+#: RSA modulus size of the bank's key pair.
+KEY_BITS = 256
+
 
 @dataclass(frozen=True)
 class BuyResult:
@@ -58,15 +61,12 @@ class Bank:
         700
     """
 
-    def __init__(self, *, use_crypto: bool = False, key_bits: int = 256,
-                 seed: int = 0) -> None:
+    def __init__(self, *, seed: int = 0) -> None:
         self._accounts: dict[int, int] = {}
         self._compliant: dict[int, bool] = {}
         self._nonces: dict[int, NonceRegistry] = {}
         self._seq = 0
         self.reports: list[ReconciliationReport] = []
-        self.use_crypto = use_crypto
-        self._key_bits = key_bits
         self._key_seed = seed
         self.buy_requests = 0
         self.sell_requests = 0
@@ -79,7 +79,7 @@ class Bank:
         draws from its own ``random.Random(seed)``, so a lazy pair equals
         an eager one and no shared random stream moves.
         """
-        return generate_keypair(self._key_bits, seed=self._key_seed)
+        return generate_keypair(KEY_BITS, seed=self._key_seed)
 
     # -- registry -----------------------------------------------------------------
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 
 __all__ = ["InconsistentPair", "ReconciliationReport", "verify_credit_matrix", "infer_suspects"]
 
+#: Bad pairs an ISP must appear in to stand out as a prime suspect.
+MIN_PAIR_COUNT = 2
+
 
 @dataclass(frozen=True)
 class InconsistentPair:
@@ -82,14 +85,12 @@ def verify_credit_matrix(
     return bad
 
 
-def infer_suspects(
-    inconsistent: list[InconsistentPair], *, min_pair_count: int = 2
-) -> list[int]:
+def infer_suspects(inconsistent: list[InconsistentPair]) -> list[int]:
     """Rank likely cheaters from the pattern of inconsistent pairs.
 
     An ISP misreporting its traffic is inconsistent with *every* honest
-    peer it exchanged mail with, so ISPs appearing in ``min_pair_count``
-    or more bad pairs are prime suspects. With a single bad pair the
+    peer it exchanged mail with, so ISPs appearing in
+    :data:`MIN_PAIR_COUNT` or more bad pairs are prime suspects. With a single bad pair the
     evidence cannot separate the two parties, so both are returned.
 
     Returns:
@@ -101,7 +102,7 @@ def infer_suspects(
     for pair in inconsistent:
         counts[pair.isp_a] = counts.get(pair.isp_a, 0) + 1
         counts[pair.isp_b] = counts.get(pair.isp_b, 0) + 1
-    heavy = [isp for isp, c in counts.items() if c >= min_pair_count]
+    heavy = [isp for isp, c in counts.items() if c >= MIN_PAIR_COUNT]
     if heavy:
         return sorted(heavy, key=lambda isp: (-counts[isp], isp))
     # Ambiguous: single isolated pair(s); report all participants.

@@ -48,11 +48,6 @@ class SendStatus(Enum):
     DEFERRED = "deferred"
 
     @property
-    def left_the_isp(self) -> bool:
-        """Whether a message actually entered the inter-ISP network."""
-        return self in (SendStatus.SENT_PAID, SendStatus.SENT_UNPAID)
-
-    @property
     def blocked(self) -> bool:
         """Whether the send was refused outright."""
         return self in (SendStatus.BLOCKED_BALANCE, SendStatus.BLOCKED_LIMIT)

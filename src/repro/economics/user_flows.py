@@ -38,13 +38,6 @@ class UserFlowSummary:
     fraction_within: float  # |net| <= tolerance
     tolerance: int
 
-    @property
-    def mean_net_dollars(self) -> float:
-        """Mean net flow expressed in dollars at the e-penny price."""
-        from ..core.epenny import epennies_to_dollars
-
-        return epennies_to_dollars(int(round(self.mean_net_flow)))
-
 
 def analyze_user_flows(
     network: ZmailNetwork, *, exclude: set | None = None, tolerance: int = 10

@@ -10,7 +10,7 @@ from .engine import Engine
 from .events import Event, EventHandle
 from .metrics import Counter, MetricsRegistry, summary_stats
 from .network import LinkSpec, Network
-from .reliable import ReliableAck, ReliableEndpoint, ReliableLink, ReliablePayload
+from .reliable import ReliableAck, ReliableEndpoint, ReliablePayload
 from .rng import SeededStreams, derive_seed
 from .traffic import TrafficMatrix
 from .workload import (
@@ -41,7 +41,6 @@ __all__ = [
     "LinkSpec",
     "Network",
     "ReliableEndpoint",
-    "ReliableLink",
     "ReliablePayload",
     "ReliableAck",
     "TrafficMatrix",

@@ -329,18 +329,6 @@ class Engine:
 
     # -- introspection ---------------------------------------------------------
 
-    def next_event_time(self) -> float | None:
-        """Earliest live heap-event time, or ``None`` if the heap is empty.
-
-        Cancelled heads are dropped on the way (they carry no information).
-        Stream heads are not consulted; this is a heap-only peek used by
-        drain loops deciding how far to run.
-        """
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        return heap[0].time if heap else None
-
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled heap events."""

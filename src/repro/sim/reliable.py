@@ -11,8 +11,8 @@ exactly-once in-order delivery over a :class:`~repro.sim.network.Network`
 with arbitrary loss (< 1.0).
 
 Failure-injection tests use it both ways: demonstrating that loss breaks
-reconciliation on raw links, and that :class:`ReliableLink` restores the
-paper's assumption. The chaos harness (:mod:`repro.chaos`) additionally
+reconciliation on raw links, and that :class:`ReliableEndpoint` restores
+the paper's assumption. The chaos harness (:mod:`repro.chaos`) additionally
 crashes endpoints mid-run: :meth:`ReliableEndpoint.close` cancels the
 outstanding retransmission timers (so none fires into a dead endpoint)
 and :meth:`ReliableEndpoint.reopen` re-arms them from the durable
@@ -29,7 +29,7 @@ from .engine import Engine
 from .events import EventHandle
 from .network import Network
 
-__all__ = ["ReliablePayload", "ReliableAck", "ReliableEndpoint", "ReliableLink"]
+__all__ = ["ReliablePayload", "ReliableAck", "ReliableEndpoint"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,21 @@ class ReliableEndpoint:
         backoff: Multiplier applied to the interval per consecutive
             no-progress round (1.0 = fixed interval, the historic default).
         max_interval: Cap on the backed-off interval, if any.
+
+    Example:
+        >>> from repro.sim import Engine, Network, SeededStreams, LinkSpec
+        >>> engine = Engine()
+        >>> net = Network(engine, SeededStreams(0),
+        ...               default_link=LinkSpec(loss_rate=0.3))
+        >>> received = []
+        >>> a = ReliableEndpoint("a", net, engine, lambda src, p: None)
+        >>> b = ReliableEndpoint("b", net, engine,
+        ...                      lambda src, p: received.append(p))
+        >>> for i in range(20):
+        ...     a.send("b", i)
+        >>> engine.run(until=1000)
+        >>> received == list(range(20))
+        True
     """
 
     def __init__(
@@ -345,45 +360,3 @@ class ReliableEndpoint:
         """Whether every sent frame has been acknowledged."""
         return all(not s.unacked for s in self._outbound.values())
 
-
-class ReliableLink:
-    """Convenience: a bidirectional reliable pipe between two names.
-
-    Example:
-        >>> from repro.sim import Engine, Network, SeededStreams, LinkSpec
-        >>> engine = Engine()
-        >>> net = Network(engine, SeededStreams(0),
-        ...               default_link=LinkSpec(loss_rate=0.3))
-        >>> received = []
-        >>> link = ReliableLink("a", "b", net, engine,
-        ...                     lambda src, p: received.append(p))
-        >>> for i in range(20):
-        ...     link.a.send("b", i)
-        >>> engine.run(until=1000)
-        >>> received == list(range(20))
-        True
-    """
-
-    def __init__(
-        self,
-        name_a: str,
-        name_b: str,
-        network: Network,
-        engine: Engine,
-        on_payload: Callable[[str, Any], None],
-        *,
-        retransmit_interval: float = 1.0,
-    ) -> None:
-        self.a = ReliableEndpoint(
-            name_a, network, engine, on_payload,
-            retransmit_interval=retransmit_interval,
-        )
-        self.b = ReliableEndpoint(
-            name_b, network, engine, on_payload,
-            retransmit_interval=retransmit_interval,
-        )
-
-    def close(self) -> None:
-        """Tear down both endpoints, cancelling their retransmit timers."""
-        self.a.close()
-        self.b.close()

@@ -48,6 +48,8 @@ __all__ = [
 # Vectorized generators draw this many arrivals per RNG call: large enough
 # to amortize numpy call overhead, small enough to keep streams lazy.
 _CHUNK = 8192
+#: Size of each normal user's fixed contact list.
+CONTACTS_PER_USER = 8
 
 
 class TrafficKind(Enum):
@@ -108,9 +110,10 @@ class NormalUserWorkload:
     """Poisson correspondence among normal users.
 
     Each user sends at ``rate_per_day`` on average; recipients are drawn
-    from the sender's contact list (a fixed random subset of the
-    population), modelling the paper's observation that normal users
-    roughly balance sends and receives over time.
+    from the sender's contact list (a fixed random subset of
+    :data:`CONTACTS_PER_USER` other users), modelling the paper's
+    observation that normal users roughly balance sends and receives
+    over time.
     """
 
     def __init__(
@@ -120,7 +123,6 @@ class NormalUserWorkload:
         users_per_isp: int,
         rate_per_day: float,
         streams: SeededStreams,
-        contacts_per_user: int = 8,
         name: str = "normal",
     ) -> None:
         if n_isps <= 0 or users_per_isp <= 0:
@@ -130,7 +132,6 @@ class NormalUserWorkload:
         self.n_isps = n_isps
         self.users_per_isp = users_per_isp
         self.rate_per_day = rate_per_day
-        self.contacts_per_user = contacts_per_user
         self._streams = streams
         self.name = name
         self._addresses = _address_table(n_isps, users_per_isp)
@@ -149,11 +150,11 @@ class NormalUserWorkload:
         """
         n = len(self._addresses)
         counts = np.zeros(n, dtype=np.int64)
-        table = np.zeros((n, max(1, self.contacts_per_user)), dtype=np.int64)
+        table = np.zeros((n, CONTACTS_PER_USER), dtype=np.int64)
         for gid, sender in enumerate(self._addresses):
             stream = self._streams.get(f"{self.name}:contacts:{sender}")
             others = [other for other in range(n) if other != gid]
-            k = min(self.contacts_per_user, len(others))
+            k = min(CONTACTS_PER_USER, len(others))
             counts[gid] = k
             table[gid, :k] = stream.sample(others, k)
         return table, counts

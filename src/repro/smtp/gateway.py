@@ -17,8 +17,8 @@ envisions: one :class:`ZmailGateway` per compliant ISP that
 
 With an :class:`~repro.core.overload.OverloadConfig` the gateway also
 applies admission control to outbound submissions: saturation defers
-(bounded queue, exponential-backoff retries via :meth:`ZmailGateway.pump`)
-or sheds, and a deferred message that exhausts its retries is terminally
+(bounded queue, exponential-backoff retries via :meth:`ZmailGateway.pump`,
+timed by the gateway's ``clock``) or sheds, and a deferred message that exhausts its retries is terminally
 bounced with a DSN-style notice filed into the sender's own mailbox.
 All gateway counters are exported through the shared network's
 :class:`~repro.sim.metrics.MetricsRegistry` under ``gateway.*`` names.
@@ -84,13 +84,16 @@ class ZmailGateway:
         network: The Zmail deployment this gateway accounts against.
         isp_id: Which compliant ISP this gateway fronts.
         transport: Where outbound mail (including automatic acks) goes.
-        retain_messages: Keep full messages in mailboxes (tests/demos);
-            disable for high-volume simulations.
         overload: Enables outbound admission control (token bucket +
             bounded deferred queue + priority shedding). ``None`` keeps
-            the pre-overload behaviour exactly.
-        clock: Virtual-time source for the admission layer; without one
-            time only advances through :meth:`pump` calls.
+            the pre-overload behaviour exactly. Needs ``clock``.
+        clock: The admission layer's only time source: token refills
+            and retry backoff read it, and :meth:`pump` retries what is
+            due at its current reading.
+
+    Raises:
+        ValueError: for an ISP that is not compliant, or ``overload``
+            without a ``clock``.
     """
 
     def __init__(
@@ -99,16 +102,16 @@ class ZmailGateway:
         isp_id: int,
         transport: MailTransport,
         *,
-        retain_messages: bool = True,
         overload: OverloadConfig | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         if isp_id not in network.compliant_isps():
             raise ValueError(f"isp {isp_id} is not compliant in this network")
+        if overload is not None and clock is None:
+            raise ValueError("overload admission needs a clock for its retries")
         self.network = network
         self.isp_id = isp_id
         self.transport = transport
-        self.retain_messages = retain_messages
         self.mailboxes: dict[int, Mailbox] = {}
         self.forged_rejected = 0
         self.acks_sent = 0
@@ -119,7 +122,6 @@ class ZmailGateway:
         self.bounced_sends = 0
         self.overload = overload
         self._clock = clock
-        self._now = 0.0
         # Trace through the shared network's recorder so gateway events
         # interleave with the accounting events they cause.
         self.tracer = network.tracer
@@ -178,7 +180,7 @@ class ZmailGateway:
             else TrafficKind.NORMAL
         )
         if self._admission is not None:
-            now = self._gateway_now()
+            now = self._clock()
             shed_class = shed_class_for(
                 kind, paid=self.network.bank.is_compliant(recipient.isp)
             )
@@ -259,29 +261,17 @@ class ZmailGateway:
 
     # -- overload: deferred retries and terminal bounces ----------------------------
 
-    def _gateway_now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return self._now
-
-    def pump(self, now: float | None = None) -> int:
-        """Retry due deferred submissions; returns how many were processed.
-
-        Args:
-            now: Virtual time of the pump; advances the gateway's internal
-                clock when no ``clock`` callable was configured. ``None``
-                reads the configured clock.
+    def pump(self) -> int:
+        """Retry deferred submissions due by the clock; returns how many.
 
         Accepted retries run the normal submission path; exhausted ones
         are terminally bounced (the DSN notice is filed by the bounce
         hook). A no-op without overload protection.
         """
-        if now is not None:
-            self._now = max(self._now, now)
         if self._admission is None:
             return 0
         processed = 0
-        for outcome, item in self._admission.pump(self._gateway_now()):
+        for outcome, item in self._admission.pump(self._clock()):
             processed += 1
             if outcome == "accept":
                 sender_user, recipient, message, list_token = item.payload
@@ -486,11 +476,6 @@ class ZmailGateway:
     def _file(
         self, user_id: int, envelope: Envelope, *, paid: bool, folder: str
     ) -> None:
-        record = DeliveryRecord(
-            envelope=envelope if self.retain_messages else Envelope(
-                envelope.mail_from, envelope.rcpt_to, MailMessage()
-            ),
-            paid=paid,
-            folder=folder,
+        self.mailbox(user_id).file(
+            DeliveryRecord(envelope=envelope, paid=paid, folder=folder)
         )
-        self.mailbox(user_id).file(record)

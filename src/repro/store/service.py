@@ -215,7 +215,7 @@ class ZmailService:
         self.now += seconds
         pumped = 0
         for _, gateway in sorted(self.gateways.items()):
-            pumped += gateway.pump(self.now)
+            pumped += gateway.pump()
         return pumped
 
     def commit(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import SeededStreams
 from repro.sim.workload import (
+    CONTACTS_PER_USER,
     Address,
     NormalUserWorkload,
     SpamCampaignWorkload,
@@ -62,7 +63,7 @@ class TestNormalUserWorkload:
         for r in requests:
             by_sender.setdefault(r.sender, set()).add(r.recipient)
         for recipients in by_sender.values():
-            assert len(recipients) <= workload.contacts_per_user
+            assert len(recipients) <= CONTACTS_PER_USER
 
     def test_deterministic_given_seed(self):
         a = list(self.make(seed=5).generate(DAY))

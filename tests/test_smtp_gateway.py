@@ -178,6 +178,15 @@ class TestMailingListAcks:
         with pytest.raises(ValueError, match="not compliant"):
             ZmailGateway(net, 1, InMemoryTransport())
 
+    def test_overload_without_clock_is_refused(self):
+        from repro.core.overload import OverloadConfig
+
+        net = ZmailNetwork(n_isps=2, users_per_isp=3, seed=1)
+        with pytest.raises(ValueError, match="needs a clock"):
+            ZmailGateway(
+                net, 0, InMemoryTransport(), overload=OverloadConfig()
+            )
+
 
 class TestGatewayBackpressure:
     def _overloaded_deployment(self, **overrides):
@@ -192,12 +201,15 @@ class TestGatewayBackpressure:
         config = OverloadConfig(**defaults)
         net = ZmailNetwork(n_isps=2, users_per_isp=5, seed=50)
         transport = InMemoryTransport()
+        now = [0.0]
         gateways = {}
         for isp_id in net.compliant_isps():
-            gateway = ZmailGateway(net, isp_id, transport, overload=config)
+            gateway = ZmailGateway(
+                net, isp_id, transport, overload=config, clock=lambda: now[0]
+            )
             transport.register_domain(gateway.domain, gateway.handle_inbound)
             gateways[isp_id] = gateway
-        return net, transport, gateways
+        return net, now, gateways
 
     def test_saturation_defers_then_sheds(self):
         net, _, gateways = self._overloaded_deployment()
@@ -216,15 +228,14 @@ class TestGatewayBackpressure:
         assert net.total_value() == net.expected_total_value()
 
     def test_pump_delivers_deferred_mail(self):
-        net, _, gateways = self._overloaded_deployment()
+        net, now, gateways = self._overloaded_deployment()
         recipient = Address(1, 2)
         message = plain_message(Address(0, 1), recipient)
         for _ in range(4):
             gateways[0].submit_outbound(1, recipient, message)
-        t = 0.0
-        while gateways[0].pending_sends and t < 60.0:
-            t += 1.0
-            gateways[0].pump(t)
+        while gateways[0].pending_sends and now[0] < 60.0:
+            now[0] += 1.0
+            gateways[0].pump()
         assert gateways[0].pending_sends == 0
         assert gateways[0].bounced_sends == 0
         # All four eventually reached the recipient's inbox.
@@ -232,7 +243,7 @@ class TestGatewayBackpressure:
         assert net.total_value() == net.expected_total_value()
 
     def test_exhausted_retries_bounce_with_dsn(self):
-        net, _, gateways = self._overloaded_deployment(
+        net, now, gateways = self._overloaded_deployment(
             admit_rate=0.001, admit_burst=1, max_retries=1,
         )
         recipient = Address(1, 2)
@@ -245,10 +256,9 @@ class TestGatewayBackpressure:
             gateways[0].submit_outbound(1, recipient, message)
             is SendStatus.DEFERRED
         )
-        t = 0.0
-        while gateways[0].pending_sends and t < 200.0:
-            t += 1.0
-            gateways[0].pump(t)
+        while gateways[0].pending_sends and now[0] < 200.0:
+            now[0] += 1.0
+            gateways[0].pump()
         assert gateways[0].bounced_sends == 1
         # The DSN notice lands in the *sender's* inbox.
         notices = [
@@ -304,6 +314,6 @@ class TestGatewayBackpressure:
     def test_no_overload_config_is_passthrough(self):
         net, _, gateways = build_deployment()
         assert gateways[0].pending_sends == 0
-        assert gateways[0].pump(100.0) == 0
+        assert gateways[0].pump() == 0
         assert gateways[0].admission_stats()["attempts"] == 0
         assert gateways[0].next_retry_due() is None
