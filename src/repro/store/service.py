@@ -5,11 +5,11 @@ localhost TCP, one listener per compliant ISP, with the Zmail ledger,
 bank and ISP aggregates living in the SQLite write-ahead store. Mail
 from a local user arrives unstamped and is submitted outbound (admission
 control, accounting, stamping); stamped mail from a peer ISP is
-authenticated and delivered. Barrier commits persist the network *and*
-each gateway's pending deferred queue in one transaction, so killing the
-process and starting a new one resumes with every in-flight retry
-intact — the service-level face of the soak harness's
-recovery-equivalence guarantee.
+authenticated and delivered. Barrier commits persist the network, the
+service clock *and* each gateway's pending deferred queue in one
+transaction, so killing the process and starting a new one resumes with
+every in-flight retry intact and no midnight replayed or skipped — the
+service-level face of the soak harness's recovery-equivalence guarantee.
 
 Also home to ``repro selftest``, the operator's one-command health
 check: open the store read-only, verify every checksum, rebuild the
@@ -33,6 +33,7 @@ from ..smtp.transport import Envelope, InMemoryTransport
 from ..smtp.zmail_headers import read_stamp
 from ..smtp.address import from_sim_address, to_sim_address
 from ..smtp.client import SMTPClient
+from ..sim.clock import DAY
 from ..sim.workload import Address
 from .backend import DurableStore
 from .network import attach_tracker, commit_network, restore_network
@@ -62,9 +63,13 @@ class ZmailService:
             :meth:`commit`/:meth:`stop`.
 
     Time: the service keeps a logical clock (`now`) advanced by
-    :meth:`tick`; admission retries are pumped there, keeping the whole
-    service deterministic under test while the asyncio layer stays free
-    to schedule ticks off wall time in production.
+    :meth:`tick`. It is the network's clock too: each tick runs the
+    midnights it crosses (§4.1 limit reset, §4.3 pool rebalance), then
+    the gateways' due admission retries, keeping the whole service
+    deterministic under test while the asyncio layer stays free to
+    schedule ticks off wall time in production. Every commit persists
+    the clock, and a restarted service resumes at the largest of it and
+    the persisted retry timestamps, so no day is replayed or skipped.
     """
 
     def __init__(
@@ -80,7 +85,14 @@ class ZmailService:
         self.transport = InMemoryTransport()
         self.overload = overload
         self.commit_interval = commit_interval
-        self.now = 0.0
+        clock = store.get(_SERVICE_KIND, "clock")
+        # A store written before the clock record resumes at its last
+        # midnight.
+        self.now = (
+            float(clock["now"])
+            if clock is not None
+            else float(self.network._last_day_seen * DAY)
+        )
         self.barrier = store.barrier
         self.messages_handled = 0
         self.unroutable = 0
@@ -209,24 +221,27 @@ class ZmailService:
     # -- time and durability ---------------------------------------------------------
 
     def tick(self, seconds: float) -> int:
-        """Advance the logical clock and pump due admission retries."""
+        """Advance the logical clock, run the midnights it crosses, then
+        pump due admission retries."""
         if seconds < 0:
             raise SimulationError(f"cannot tick backwards ({seconds})")
         self.now += seconds
+        self.network.note_time(self.now)
         pumped = 0
         for _, gateway in sorted(self.gateways.items()):
             pumped += gateway.pump()
         return pumped
 
     def commit(self) -> int:
-        """Barrier commit: network deltas + pending queues, one txn."""
+        """Barrier commit: network deltas, clock, pending queues, one txn."""
         self.barrier += 1
         return commit_network(
             self.store,
             self.network,
             self.tracker,
             barrier=self.barrier,
-            extra=self._pending_puts(),
+            extra=[(_SERVICE_KIND, "clock", {"now": self.now}),
+                   *self._pending_puts()],
         )
 
     def stats(self) -> dict[str, Any]:

@@ -5,9 +5,11 @@ import dataclasses
 
 import pytest
 
-from repro.core import ZmailNetwork
+from repro.core import SendStatus, ZmailConfig, ZmailNetwork
 from repro.core.overload import OverloadConfig
 from repro.errors import SimulationError
+from repro.sim.clock import DAY
+from repro.sim.workload import Address
 from repro.smtp.client import SMTPClient
 from repro.smtp.message import MailMessage
 from repro.smtp.transport import Envelope
@@ -161,6 +163,64 @@ class TestServiceBasics:
         barrier = asyncio.run(run())
         store.close()
         assert barrier >= 2  # at least one periodic + the final commit
+
+
+class TestServiceMidnight:
+    """The service clock drives the §4.1 daily reset, across restarts."""
+
+    LIMIT = 5
+
+    def _store(self, tmp_path, *, days_seen=0):
+        path = str(tmp_path / "midnight.db")
+        store = DurableStore.create(path)
+        network = ZmailNetwork(
+            n_isps=2, users_per_isp=4, seed=5,
+            config=ZmailConfig(default_daily_limit=self.LIMIT),
+        )
+        network.note_time(days_seen * DAY)
+        init_store(store, network)
+        return store
+
+    @staticmethod
+    def _send(service):
+        return service.gateways[0].submit_outbound(
+            1, Address(1, 2), _message()
+        )
+
+    def test_limit_resets_after_midnight_and_across_restart(self, tmp_path):
+        store = self._store(tmp_path)
+        first = ZmailService(store)
+        assert [self._send(first) for _ in range(self.LIMIT)] == [
+            SendStatus.SENT_PAID
+        ] * self.LIMIT
+        assert self._send(first) is SendStatus.BLOCKED_LIMIT
+        first.tick(DAY + 60.0)
+        assert first.network._last_day_seen == 1
+        assert self._send(first) is SendStatus.SENT_PAID
+        first.commit()
+
+        # A restart replays no midnight: the day's one send still counts.
+        second = ZmailService(store)
+        assert second.now == DAY + 60.0
+        assert second.network._last_day_seen == 1
+        statuses = [self._send(second) for _ in range(self.LIMIT)]
+        assert statuses == [SendStatus.SENT_PAID] * (self.LIMIT - 1) + [
+            SendStatus.BLOCKED_LIMIT
+        ]
+        # ... and skips none: the next midnight is applied exactly once.
+        second.tick(DAY)
+        assert second.network._last_day_seen == 2
+        assert self._send(second) is SendStatus.SENT_PAID
+        assert second.stats()["conserved"]
+        store.close()
+
+    def test_store_without_clock_resumes_at_last_midnight(self, tmp_path):
+        store = self._store(tmp_path, days_seen=3)
+        service = ZmailService(store)
+        assert service.now == 3 * DAY
+        service.tick(DAY)
+        assert service.network._last_day_seen == 4
+        store.close()
 
 
 class TestOverloadRecord:
