@@ -194,9 +194,7 @@ class ZmailNetwork:
                 self.bank.register_isp(
                     isp_id, initial_account=self.config.initial_bank_account
                 )
-                self._nonce_sources[isp_id] = NonceSource(
-                    seed ^ 0x5EED, owner=f"isp{isp_id}"
-                )
+                self._nonce_sources[isp_id] = self._nonce_source(isp_id)
             else:
                 self.isps[isp_id] = NonCompliantISP(isp_id, users_per_isp)
         self._push_directory()
@@ -319,8 +317,13 @@ class ZmailNetwork:
         self.bank.register_isp(
             isp_id, initial_account=self.config.initial_bank_account
         )
-        self._nonce_sources[isp_id] = NonceSource(0x5EED ^ isp_id, owner=f"isp{isp_id}")
+        self._nonce_sources[isp_id] = self._nonce_source(isp_id)
         self._push_directory()
+
+    def _nonce_source(self, isp_id: int) -> NonceSource:
+        """The bank-trade nonce source of a compliant ISP: one stream per
+        ISP from the network seed, whenever the ISP became compliant."""
+        return NonceSource(self.seed ^ 0x5EED, owner=f"isp{isp_id}")
 
     def set_touch_hook(
         self, touch: Callable[[int, int], None] | None

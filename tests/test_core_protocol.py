@@ -75,6 +75,19 @@ class TestDirectMode:
         receipt = net.send(Address(0, 0), Address(2, 0))
         assert receipt.status is SendStatus.SENT_PAID
 
+    def test_converted_isp_draws_nonces_from_the_network_seed(self):
+        def first_nonces(seed, compliant):
+            net = make_net(seed=seed, compliant=compliant)
+            net.make_compliant(1)
+            source = net._nonce_sources[1]
+            return [source.next() for _ in range(3)]
+
+        converted = first_nonces(1, [True, False, True])
+        # The nonces of an ISP compliant from genesis ...
+        assert converted == first_nonces(1, [True, True, True])
+        # ... and they follow the deployment seed.
+        assert converted != first_nonces(2, [True, False, True])
+
     def test_run_workload_direct(self):
         net = make_net()
         streams = SeededStreams(3)
