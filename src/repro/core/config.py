@@ -41,16 +41,19 @@ class ZmailConfig:
         snapshot_quiesce_seconds: The §4.4 stop-sending window ("say 10
             minutes") used by the timeout snapshot method.
         reconciliation_period: How often the bank gathers credit arrays
-            ("once a week or once a month").
+            ("once a week or once a month"). Recorded, not read: the
+            drives take their cadence from the scenario's
+            ``reconcile.every``, and the scenario schema accepts only
+            this default.
         noncompliant_policy: Default handling of non-compliant mail.
         auto_topup_amount: When a send is blocked on an empty e-penny
             balance, the ISP automatically sells the user this many
             e-pennies from its pool against their real-penny deposit
             (0 disables). This is the paper's "normal user ... can easily
             solve this problem" convenience made concrete.
-        use_crypto: Encrypt bank traffic with the toy RSA substrate. Off by
-            default so million-message economics runs stay fast; protocol
-            fidelity tests switch it on.
+        use_crypto: Recorded, not read: no drive encrypts bank traffic
+            (the bank's encrypted §4.3 calls are separate methods), and
+            the scenario schema accepts only ``False``.
     """
 
     default_daily_limit: int = 200

@@ -114,6 +114,22 @@ def _bool(value):
     return value
 
 
+def _only(check, allowed):
+    """``check``, then refuse every value but ``allowed``: for keys the
+    config records but no code reads, so no other value can select
+    anything."""
+
+    def only(value):
+        value = check(value)
+        if value != allowed:
+            raise ValueError(
+                f"must be {allowed!r} (recorded, not read), got {value!r}"
+            )
+        return value
+
+    return only
+
+
 def _int_list(value):
     if not isinstance(value, list) or any(
         isinstance(item, bool) or not isinstance(item, int) for item in value
@@ -141,10 +157,15 @@ _SECTIONS: dict[str, dict[str, tuple[Any, Any]]] = {
         "maxavail": (50_000, _int(0)),
         "initial_bank_account": (1_000_000, _int(0)),
         "snapshot_quiesce_seconds": (600.0, _number(0.0)),
-        "reconciliation_period": (30 * DAY, _number(0.0, exclusive=True)),
+        # Recorded in ZmailConfig but read by no code (the cadence is
+        # ``reconcile.every``), so only the default is accepted; the key
+        # stays because every canonical document carries it.
+        "reconciliation_period": (
+            30 * DAY, _only(_number(0.0, exclusive=True), 30 * DAY)
+        ),
         "noncompliant_policy": ("deliver", _string(_POLICIES)),
         "auto_topup_amount": (50, _int(0)),
-        "use_crypto": (False, _bool),
+        "use_crypto": (False, _only(_bool, False)),
     },
     "traffic": {
         "duration": (5 * DAY, _number(0.0, exclusive=True)),

@@ -204,6 +204,25 @@ def test_cluster_lag_must_be_zero():
         validate(doc)
 
 
+def test_economics_use_crypto_must_be_false():
+    # Recorded in ZmailConfig, read by no code: only the default passes.
+    assert validate(base_doc(economics={"use_crypto": False}))
+    doc = base_doc(economics={"use_crypto": True})
+    with pytest.raises(SimulationError, match=r"economics\.use_crypto"):
+        validate(doc)
+
+
+def test_economics_reconciliation_period_must_be_default():
+    # The reconciliation cadence is ``reconcile.every``; this key is
+    # recorded, not read, so only the default (30 days) passes.
+    assert validate(base_doc(economics={"reconciliation_period": 30 * DAY}))
+    doc = base_doc(economics={"reconciliation_period": 7 * DAY})
+    with pytest.raises(
+        SimulationError, match=r"economics\.reconciliation_period"
+    ):
+        validate(doc)
+
+
 # -- the v2 ``strategies`` term ----------------------------------------------
 
 
