@@ -115,6 +115,16 @@ class TestExtendedCommands:
         out = capsys.readouterr().out
         assert "all clear" in out
 
+    def test_serve_then_selftest(self, tmp_path, capsys):
+        store = str(tmp_path / "serve.db")
+        assert main(["serve", "--store", store, "--overload",
+                     "--duration", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "created store" in out
+        assert "conserved=True" in out
+        assert main(["selftest", "--store", store]) == 0
+        assert "passed           True" in capsys.readouterr().out
+
 
 #: sha256 of the canonical document's ``--trace`` file per executor: the
 #: regression pins of the trace format. Direct and columnar emit the same

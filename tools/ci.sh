@@ -12,9 +12,11 @@
 #    must the overload sweep's fresh BENCH_overload.json (E20).
 # 2. Re-runs the suite under tools/coverage_gate.py: overall line
 #    coverage must stay at or above the pinned floor (CI_COVERAGE_FLOOR,
-#    default 94 — measured 94.9% when the gate was introduced) and the
-#    observability package src/repro/obs must be 100% covered. Set
-#    CI_COVERAGE=0 to skip the traced re-run on slow machines.
+#    default 94 — measured 94.9% when the gate was introduced), the
+#    observability package src/repro/obs must be 100% covered, and each
+#    of core, sim, smtp, cluster, columnar, store, scenario, arena and
+#    chaos at least 90%. Set CI_COVERAGE=0 to skip the traced re-run on
+#    slow machines.
 # 3. Runs the benchmark (perfbench/run.py) for 5 s at seed 1 on two
 #    workloads: macro-columnar (the columnar executor) and fuzz-campaign
 #    (the direct executor, columnar and the inline cluster). Each run
@@ -48,6 +50,9 @@
 #    byte-comparing the two canonical reports (cmp) and requiring every
 #    cell to pass conservation/consistency. The full 100-world phase
 #    diagram runs via benchmarks/bench_arena.py (see the workflow).
+# 9. Runs the service smoke: `repro serve --overload` for 2 s on a fresh
+#    store, then `repro selftest` on that store must pass (checksums,
+#    anti-symmetry, conservation and one live SMTP round trip).
 #
 # The baseline was measured on a 2-core host; raw msgs/sec on other
 # hardware differ, so the default tolerance is loose (it catches
@@ -101,11 +106,14 @@ cmp /tmp/bench_overload.json BENCH_overload.json \
 
 if [ "${CI_COVERAGE:-1}" != "0" ]; then
     COVERAGE_FLOOR="${CI_COVERAGE_FLOOR:-94}"
-    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, cluster/columnar/store/scenario/arena/chaos at 90%) =="
+    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, core/sim/smtp/cluster/columnar/store/scenario/arena/chaos at 90%) =="
     PYTHONPATH=src python tools/coverage_gate.py \
         --target src/repro \
         --floor "${COVERAGE_FLOOR}" \
         --require-100 obs \
+        --require core=90 \
+        --require sim=90 \
+        --require smtp=90 \
         --require cluster=90 \
         --require columnar=90 \
         --require store=90 \
@@ -219,5 +227,18 @@ PYTHONPATH=src python -m repro arena --seed "${ARENA_SEED}" \
 cmp /tmp/arena_report_1.json /tmp/arena_report_2.json \
     || { echo "arena tournament is not reproducible"; exit 1; }
 echo "arena reports byte-identical"
+
+SERVE_STORE=/tmp/serve.db
+echo "== service smoke (serve 2 s on a fresh store, then selftest) =="
+# `repro serve` creates the store, serves every compliant ISP with
+# admission control on and commits on stop; the read-only selftest then
+# verifies that store end to end.
+rm -f "${SERVE_STORE}" "${SERVE_STORE}-wal" "${SERVE_STORE}-shm"
+PYTHONPATH=src python -m repro serve --store "${SERVE_STORE}" --overload \
+    --duration 2
+PYTHONPATH=src python -m repro selftest --store "${SERVE_STORE}" \
+    || { echo "selftest failed on the served store"; exit 1; }
+rm -f "${SERVE_STORE}" "${SERVE_STORE}-wal" "${SERVE_STORE}-shm"
+echo "served store passes selftest"
 
 echo "== CI gate passed =="
