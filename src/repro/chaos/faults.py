@@ -4,11 +4,11 @@
 the four classic message faults — drop, duplicate, reorder, delay — plus
 node down/up state for the crash model. (Overload, the fifth fault
 family, is not a wire fault: a document's floods are ordinary traffic,
-:class:`~repro.sim.workload.FloodSpec`.) Faults are applied per directed
-link and each fault type draws from its own named RNG stream
-(``chaos:drop:a->b``, ``chaos:dup:a->b``, …), so changing one fault rate
-never perturbs the random decisions of another: campaigns stay
-bit-reproducible and *comparable* across fault mixes.
+:class:`~repro.sim.workload.FloodSpec`.) One fault mix applies to every
+directed link, and each fault type on each link draws from its own named
+RNG stream (``chaos:drop:a->b``, ``chaos:dup:a->b``, …), so changing one
+fault rate never perturbs the random decisions of another: campaigns
+stay bit-reproducible and *comparable* across fault mixes.
 
 Reordering uses the network's ``fifo=False`` scheduling escape hatch: a
 reordered message is delayed past later traffic without moving the link's
@@ -83,7 +83,7 @@ class FaultyNetwork(Network):
 
     Args:
         default_faults: Fault mix applied to every link. Each directed
-            link still draws its faults from its own RNG streams.
+            link draws its faults from its own RNG streams.
 
     Down nodes model fail-stop crashes: a down source sends nothing and a
     message arriving at a down endpoint is dropped on the wire (in-flight

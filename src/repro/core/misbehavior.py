@@ -90,8 +90,9 @@ def infer_suspects(inconsistent: list[InconsistentPair]) -> list[int]:
 
     An ISP misreporting its traffic is inconsistent with *every* honest
     peer it exchanged mail with, so ISPs appearing in
-    :data:`MIN_PAIR_COUNT` or more bad pairs are prime suspects. With a single bad pair the
-    evidence cannot separate the two parties, so both are returned.
+    :data:`MIN_PAIR_COUNT` or more bad pairs are prime suspects. With a
+    single bad pair the evidence cannot separate the two parties, so
+    both are returned.
 
     Returns:
         Suspect ISP ids, most-implicated first.

@@ -12,8 +12,8 @@ with arbitrary loss (< 1.0).
 
 Failure-injection tests use it both ways: demonstrating that loss breaks
 reconciliation on raw links, and that :class:`ReliableEndpoint` restores
-the paper's assumption. The chaos harness (:mod:`repro.chaos`) additionally
-crashes endpoints mid-run: :meth:`ReliableEndpoint.close` cancels the
+the paper's assumption. The chaos harness (:mod:`repro.chaos`)
+additionally crashes endpoints mid-run: :meth:`ReliableEndpoint.close` cancels the
 outstanding retransmission timers (so none fires into a dead endpoint)
 and :meth:`ReliableEndpoint.reopen` re-arms them from the durable
 sequence state, modelling a mail queue that survives a restart.

@@ -18,8 +18,9 @@ envisions: one :class:`ZmailGateway` per compliant ISP that
 With an :class:`~repro.core.overload.OverloadConfig` the gateway also
 applies admission control to outbound submissions: saturation defers
 (bounded queue, exponential-backoff retries via :meth:`ZmailGateway.pump`,
-timed by the gateway's ``clock``) or sheds, and a deferred message that exhausts its retries is terminally
-bounced with a DSN-style notice filed into the sender's own mailbox.
+timed by the gateway's ``clock``) or sheds, and a deferred message that
+exhausts its retries is terminally bounced with a DSN-style notice filed
+into the sender's own mailbox.
 All gateway counters are exported through the shared network's
 :class:`~repro.sim.metrics.MetricsRegistry` under ``gateway.*`` names.
 """

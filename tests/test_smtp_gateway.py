@@ -178,15 +178,6 @@ class TestMailingListAcks:
         with pytest.raises(ValueError, match="not compliant"):
             ZmailGateway(net, 1, InMemoryTransport())
 
-    def test_overload_without_clock_is_refused(self):
-        from repro.core.overload import OverloadConfig
-
-        net = ZmailNetwork(n_isps=2, users_per_isp=3, seed=1)
-        with pytest.raises(ValueError, match="needs a clock"):
-            ZmailGateway(
-                net, 0, InMemoryTransport(), overload=OverloadConfig()
-            )
-
 
 class TestGatewayBackpressure:
     def _overloaded_deployment(self, **overrides):
@@ -210,6 +201,15 @@ class TestGatewayBackpressure:
             transport.register_domain(gateway.domain, gateway.handle_inbound)
             gateways[isp_id] = gateway
         return net, now, gateways
+
+    def test_overload_without_clock_is_refused(self):
+        from repro.core.overload import OverloadConfig
+
+        net = ZmailNetwork(n_isps=2, users_per_isp=3, seed=1)
+        with pytest.raises(ValueError, match="needs a clock"):
+            ZmailGateway(
+                net, 0, InMemoryTransport(), overload=OverloadConfig()
+            )
 
     def test_saturation_defers_then_sheds(self):
         net, _, gateways = self._overloaded_deployment()
