@@ -4,9 +4,10 @@ A process bundles constants, inputs, variables and actions (Section 3):
 
 * **constants** — fixed values shared by every process in the protocol;
 * **inputs** — readable but never written by the process's own actions;
-* **variables** — read/write local state;
-* **parameters** — a declared parameter over a finite domain expands one
-  parameterised action into one concrete action per domain value.
+* **variables** — read/write local state.
+
+The paper's parameterised actions (``par``) are written as a Python
+loop that adds one concrete action per domain value.
 
 The engine does not try to parse the paper's concrete syntax; protocol
 authors construct processes programmatically (see
@@ -15,7 +16,7 @@ authors construct processes programmatically (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..errors import APNError
 from .action import Action, BooleanGuard, ReceiveGuard, TimeoutGuard
@@ -111,25 +112,6 @@ class Process:
         """Register a timeout-guarded action (global-state predicate)."""
         guard = TimeoutGuard(predicate, description or name)
         return self.add_action(Action(name, guard, statement, weight))
-
-    def add_parameterised_action(
-        self,
-        name: str,
-        domain: Iterable[Any],
-        make_action: Callable[[Any], Action],
-    ) -> list[Action]:
-        """Expand a parameterised action over a finite ``domain``.
-
-        This is the paper's ``par`` construct: "A parameter declared in a
-        process is used to write a finite set of actions as one action,
-        with one action for each possible value of the parameter."
-        """
-        expanded = []
-        for value in domain:
-            action = make_action(value)
-            action.name = f"{name}[{value}]"
-            expanded.append(self.add_action(action))
-        return expanded
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Process({self.name!r}, actions={len(self.actions)})"

@@ -1,10 +1,11 @@
 """Cross-approach comparison harness (the paper's §2 as one table).
 
-Runs every reviewed approach — do-nothing, blacklist, whitelist, naive
-Bayes, challenge–response, hashcash, SHRED — plus Zmail itself over a
-common synthetic scenario and produces one
+Runs the status quo (do nothing), a blacklist, naive Bayes (plain and
+against misspelling evasion), challenge–response, hashcash and SHRED,
+plus Zmail itself, over a common synthetic scenario and produces one
 :class:`~repro.baselines.base.EvaluationResult` per approach. This is the
-engine behind experiment E10's summary table.
+engine behind experiment E10's summary table. The §2 whitelist baseline
+(:mod:`repro.baselines.whitelist`) has no row here.
 """
 
 from __future__ import annotations

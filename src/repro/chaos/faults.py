@@ -155,8 +155,6 @@ class FaultyNetwork(Network):
         spec, stream, label, endpoint = cached
         self.messages_sent += 1
         self.bytes_sent += size
-        for tap in self._taps:
-            tap(src, dst, payload)
         tracer = self.tracer
 
         if src in self._down:

@@ -8,8 +8,9 @@ let each compliant ISP manage e-pennies for its own users."
 Responsibilities:
 
 * hold each compliant ISP's real-penny account;
-* sell/buy e-pennies to/from ISP pools (with nonce replay protection and
-  optionally the toy encryption, mirroring §4.3);
+* sell/buy e-pennies to/from ISP pools with nonce replay protection
+  (§4.3; the NCR/DCR encryption of those messages is modelled once, in
+  :mod:`repro.apn.zmail_spec`);
 * publish the ``compliant`` directory;
 * run reconciliation rounds: collect credit arrays, verify anti-symmetry,
   flag misbehaving ISPs (§4.4).
@@ -18,15 +19,8 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from ..crypto import (
-    KeyPair,
-    NonceRegistry,
-    dcr_object,
-    generate_keypair,
-    ncr_object,
-)
+from ..crypto import NonceRegistry
 from ..errors import InsufficientFunds, NotCompliant, UnknownISP
 from .misbehavior import (
     ReconciliationReport,
@@ -35,9 +29,6 @@ from .misbehavior import (
 )
 
 __all__ = ["BuyResult", "Bank"]
-
-#: RSA modulus size of the bank's key pair.
-KEY_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -61,25 +52,14 @@ class Bank:
         700
     """
 
-    def __init__(self, *, seed: int = 0) -> None:
+    def __init__(self) -> None:
         self._accounts: dict[int, int] = {}
         self._compliant: dict[int, bool] = {}
         self._nonces: dict[int, NonceRegistry] = {}
         self._seq = 0
         self.reports: list[ReconciliationReport] = []
-        self._key_seed = seed
         self.buy_requests = 0
         self.sell_requests = 0
-
-    @cached_property
-    def keys(self) -> KeyPair:
-        """The bank's RSA key pair, generated on first read.
-
-        Only the encrypted §4.3 message path reads it. Key generation
-        draws from its own ``random.Random(seed)``, so a lazy pair equals
-        an eager one and no shared random stream moves.
-        """
-        return generate_keypair(KEY_BITS, seed=self._key_seed)
 
     # -- registry -----------------------------------------------------------------
 
@@ -140,16 +120,25 @@ class Bank:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore durable state written by :meth:`state_dict`, in place."""
-        self._accounts = {int(k): int(v) for k, v in state["accounts"].items()}
-        self._compliant = {int(k): bool(v) for k, v in state["compliant"].items()}
-        self._seq = int(state["seq"])
-        self._nonces = {}
+        """Restore durable state written by :meth:`state_dict`, in place.
+
+        Each ISP's nonces must be a list of distinct ints: anything else
+        raises ``TypeError`` or ``ValueError`` before the bank changes.
+        """
+        accounts = {int(k): int(v) for k, v in state["accounts"].items()}
+        compliant = {int(k): bool(v) for k, v in state["compliant"].items()}
+        seq = int(state["seq"])
+        nonces = {}
         for key, seen in state["nonces"].items():
+            if type(seen) is not list or any(type(n) is not int for n in seen):
+                raise TypeError(f"isp {key}: nonces must be a list of ints")
             registry = NonceRegistry()
-            for nonce in seen:
-                registry.check_and_record(int(nonce))
-            self._nonces[int(key)] = registry
+            registry._seen = set(seen)
+            if len(registry) != len(seen):
+                raise ValueError(f"isp {key}: nonces repeat")
+            nonces[int(key)] = registry
+        self._accounts, self._compliant = accounts, compliant
+        self._seq, self._nonces = seq, nonces
 
     # -- §4.3 buy / sell -------------------------------------------------------------
 
@@ -188,20 +177,6 @@ class Bank:
         self.sell_requests += 1
         self._accounts[isp_id] += value
         return nonce
-
-    # -- encrypted message forms (protocol fidelity path) ------------------------------
-
-    def handle_buy_message(self, isp_id: int, ciphertext: bytes) -> bytes:
-        """Process an encrypted §4.3 ``buy`` message; returns ``buyreply``."""
-        value, nonce = dcr_object(self.keys.private, ciphertext)
-        result = self.buy_epennies(isp_id, value=value, nonce=nonce)
-        return ncr_object(self.keys.private, [result.nonce, result.accepted])
-
-    def handle_sell_message(self, isp_id: int, ciphertext: bytes) -> bytes:
-        """Process an encrypted §4.3 ``sell`` message; returns ``sellreply``."""
-        value, nonce = dcr_object(self.keys.private, ciphertext)
-        echoed = self.sell_epennies(isp_id, value=value, nonce=nonce)
-        return ncr_object(self.keys.private, echoed)
 
     # -- §4.4 reconciliation --------------------------------------------------------------
 

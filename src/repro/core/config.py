@@ -52,8 +52,9 @@ class ZmailConfig:
             (0 disables). This is the paper's "normal user ... can easily
             solve this problem" convenience made concrete.
         use_crypto: Recorded, not read: no drive encrypts bank traffic
-            (the bank's encrypted §4.3 calls are separate methods), and
-            the scenario schema accepts only ``False``.
+            (the §4.3 encryption is modelled only in
+            :mod:`repro.apn.zmail_spec`), and the scenario schema
+            accepts only ``False``.
     """
 
     default_daily_limit: int = 200

@@ -147,57 +147,47 @@ class CompliantISP:
         kind: TrafficKind,
         content: tuple[str, ...] | None = None,
     ) -> SendReceipt:
-        # Hot path: the limit/balance guards mirror
-        # UserAccount.check_send_allowed / debit_epennies but without
-        # raising — a blocked send is an ordinary outcome here, and at
-        # campaign scale (millions of blocked spam sends) the exception
-        # machinery dominated the profile.
+        # Hot path: a blocked send is an ordinary outcome, reported in the
+        # receipt rather than raised — at campaign scale (millions of
+        # blocked spam sends) the exception machinery dominated the profile.
         user = self.ledger.user(sender_user)
-        if recipient.isp == self.isp_id:
-            # Local delivery: e-penny moves between two local balances.
-            if user.sent_today >= user.daily_limit:
-                user.limit_warnings += 1
-                self.stats.blocked_limit += 1
-                self._note_limit_hit(user.user_id, user.sent_today)
-                return RECEIPT_BLOCKED_LIMIT
-            if user.balance < 1:
-                self.stats.blocked_balance += 1
-                return RECEIPT_BLOCKED_BALANCE
-            user.balance -= 1
-            user.note_sent()
+        dst = recipient.isp
+        local = dst == self.isp_id
+        if not local and not self._is_compliant(dst):
+            # Non-compliant destination: no payment, no limit charge in
+            # the paper's pseudocode (the compliant branch guards both).
+            self.stats.sent_unpaid += 1
+            letter = Letter(
+                Address(self.isp_id, sender_user), recipient, kind,
+                paid=False, content=content,
+            )
+            return SendReceipt(SendStatus.SENT_UNPAID, letter)
+
+        # §4.1 guard, once for local and paid remote mail alike.
+        if user.sent_today >= user.daily_limit:
+            user.limit_warnings += 1
+            self.stats.blocked_limit += 1
+            self._note_limit_hit(user.user_id, user.sent_today)
+            return RECEIPT_BLOCKED_LIMIT
+        if user.balance < 1:
+            self.stats.blocked_balance += 1
+            return RECEIPT_BLOCKED_BALANCE
+        user.balance -= 1
+        user.note_sent()
+        if local:
+            # The e-penny moves between two local balances.
             receiver = self.ledger.user(recipient.user)
             receiver.balance += 1
             receiver.note_received()
             self.stats.delivered_local += 1
             return RECEIPT_DELIVERED_LOCAL
-
-        if self._is_compliant(recipient.isp):
-            if user.sent_today >= user.daily_limit:
-                user.limit_warnings += 1
-                self.stats.blocked_limit += 1
-                self._note_limit_hit(user.user_id, user.sent_today)
-                return RECEIPT_BLOCKED_LIMIT
-            if user.balance < 1:
-                self.stats.blocked_balance += 1
-                return RECEIPT_BLOCKED_BALANCE
-            user.balance -= 1
-            user.note_sent()
-            self.credit[recipient.isp] = self.credit.get(recipient.isp, 0) + 1
-            self.stats.sent_paid += 1
-            letter = Letter(
-                Address(self.isp_id, sender_user), recipient, kind,
-                paid=True, content=content,
-            )
-            return SendReceipt(SendStatus.SENT_PAID, letter)
-
-        # Non-compliant destination: no payment, no limit charge in the
-        # paper's pseudocode (the compliant branch guards both).
-        self.stats.sent_unpaid += 1
+        self.credit[dst] = self.credit.get(dst, 0) + 1
+        self.stats.sent_paid += 1
         letter = Letter(
             Address(self.isp_id, sender_user), recipient, kind,
-            paid=False, content=content,
+            paid=True, content=content,
         )
-        return SendReceipt(SendStatus.SENT_UNPAID, letter)
+        return SendReceipt(SendStatus.SENT_PAID, letter)
 
     def _note_limit_hit(self, user_id: int, sent_today: int) -> None:
         self.limit_hits[user_id] = self.limit_hits.get(user_id, 0) + 1

@@ -103,7 +103,7 @@ class BankFederation:
         self._home: dict[int, int] = {}
         self.banks: list[Bank] = []
         for region_index, members in enumerate(self.regions):
-            bank = Bank(seed=region_index)
+            bank = Bank()
             for isp_id in members:
                 bank.register_isp(isp_id, initial_account=initial_account)
                 self._home[isp_id] = region_index

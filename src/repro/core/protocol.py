@@ -181,7 +181,7 @@ class ZmailNetwork:
             raise ValueError("overload admission needs an engine for its retries")
         self.local_isps = frozenset(local)
 
-        self.bank = Bank(seed=seed)
+        self.bank = Bank()
         self.isps: dict[int, CompliantISP | NonCompliantISP | RemoteISP] = {}
         self._nonce_sources: dict[int, NonceSource] = {}
         for isp_id, is_compliant in enumerate(flags):

@@ -1,15 +1,16 @@
 """Per-user state held by a compliant ISP.
 
 Each user has two purses — real pennies on deposit (``account``) and
-e-pennies (``balance``) — plus the daily-limit machinery of §4.1/§5 that
-bounds the damage a zombie infection can do.
+e-pennies (``balance``) — plus the daily-limit counters of §4.1/§5 that
+bound the damage a zombie infection can do. The limit itself is applied
+in one place, :meth:`repro.core.isp.CompliantISP.submit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DailyLimitExceeded, InsufficientBalance, InsufficientFunds
+from ..errors import InsufficientBalance, InsufficientFunds
 
 __all__ = ["UserAccount"]
 
@@ -69,21 +70,7 @@ class UserAccount:
             raise ValueError(f"negative credit {amount}")
         self.account += amount
 
-    # -- daily limit -----------------------------------------------------------
-
-    def check_send_allowed(self) -> None:
-        """Raise :class:`DailyLimitExceeded` if today's quota is exhausted.
-
-        Exceeding the limit is the zombie signal of §5: "Exceeding this
-        limit blocks further outgoing mail (for that day), and the user is
-        sent a warning message to check for viruses."
-        """
-        if self.sent_today >= self.daily_limit:
-            self.limit_warnings += 1
-            raise DailyLimitExceeded(
-                f"user {self.user_id}: sent {self.sent_today} >= "
-                f"limit {self.daily_limit}"
-            )
+    # -- daily-limit counters --------------------------------------------------
 
     def note_sent(self) -> None:
         """Record one successful outgoing message."""

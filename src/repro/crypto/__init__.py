@@ -10,6 +10,11 @@ Everything is built from scratch (Miller–Rabin, modular arithmetic,
 schoolbook RSA with light padding). It is **simulation-grade**: adequate to
 exercise the protocol's confidentiality and replay-protection logic, and
 explicitly not suitable for protecting real data.
+
+The encryption has one user, the model-checked AP spec
+(:mod:`repro.apn.zmail_spec`). The executable bank
+(:class:`repro.core.bank.Bank`) takes plaintext buy/sell requests and
+uses only :class:`NonceRegistry` for replay protection.
 """
 
 from .keys import KeyPair, PrivateKey, PublicKey

@@ -55,30 +55,20 @@ class NonceSource:
 
 
 class NonceRegistry:
-    """Receiver-side replay detection over a window of seen nonces.
+    """Receiver-side replay detection: remembers every nonce it has seen.
 
     The Zmail bank keeps one registry per peer ISP; a repeated nonce on a
     buy/sell request is the signature of a replay attack.
     """
 
-    def __init__(self, *, max_remembered: int | None = None) -> None:
+    def __init__(self) -> None:
         self._seen: set[int] = set()
-        self._order: list[int] = []
-        self._max = max_remembered
 
     def check_and_record(self, nonce: int) -> None:
         """Record ``nonce``; raise :class:`ReplayDetected` if already seen."""
         if nonce in self._seen:
             raise ReplayDetected(f"nonce {nonce} was already used")
         self._seen.add(nonce)
-        self._order.append(nonce)
-        if self._max is not None and len(self._order) > self._max:
-            oldest = self._order.pop(0)
-            self._seen.discard(oldest)
-
-    def has_seen(self, nonce: int) -> bool:
-        """Whether ``nonce`` is in the remembered window."""
-        return nonce in self._seen
 
     def __len__(self) -> int:
         return len(self._seen)

@@ -15,7 +15,6 @@ __all__ = [
     "InsufficientFunds",
     "UnknownUser",
     "UnknownISP",
-    "DailyLimitExceeded",
     "ProtocolError",
     "ReplayDetected",
     "SnapshotInProgress",
@@ -65,10 +64,6 @@ class UnknownUser(LedgerError):
 
 class UnknownISP(LedgerError):
     """An operation referenced an ISP id outside the configured universe."""
-
-
-class DailyLimitExceeded(LedgerError):
-    """A user hit their daily outgoing-mail limit (zombie containment)."""
 
 
 # --------------------------------------------------------------------------

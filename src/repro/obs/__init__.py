@@ -25,7 +25,6 @@ from .manifest import (
     MANIFEST_FORMAT_VERSION,
     RunManifest,
     accounting_digest,
-    build_manifest,
     config_digest,
 )
 from .metrics_export import (
@@ -48,10 +47,8 @@ from .trace import (
     DigestSink,
     JsonlSink,
     ListSink,
-    RingSink,
     TraceRecorder,
     canonical_line,
-    recover_jsonl_tail,
 )
 
 __all__ = [
@@ -59,10 +56,8 @@ __all__ = [
     "METRICS_FORMAT_VERSION",
     "MANIFEST_FORMAT_VERSION",
     "TraceRecorder",
-    "RingSink",
     "ListSink",
     "JsonlSink",
-    "recover_jsonl_tail",
     "DigestSink",
     "NULL_TRACER",
     "canonical_line",
@@ -71,7 +66,6 @@ __all__ = [
     "export_network",
     "export_deployment",
     "RunManifest",
-    "build_manifest",
     "config_digest",
     "accounting_digest",
     "EVENT_TYPES",

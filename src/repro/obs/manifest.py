@@ -31,7 +31,6 @@ __all__ = [
     "invariant_accounting",
     "invariant_accounting_digest",
     "config_digest",
-    "build_manifest",
 ]
 
 #: Bumped when manifest fields or their digest definition change.
@@ -167,38 +166,3 @@ class RunManifest:
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        """Parse :meth:`to_json` output back into a manifest."""
-        doc = json.loads(text)
-        extra = {
-            name.removeprefix("extra."): value
-            for name, value in doc.items()
-            if name.startswith("extra.")
-        }
-        return cls(
-            seed=doc["seed"],
-            config_digest=doc["config_digest"],
-            event_count=doc["event_count"],
-            event_digest=doc["event_digest"],
-            metrics_digest=doc["metrics_digest"],
-            trace_format_version=doc["trace_format_version"],
-            metrics_format_version=doc["metrics_format_version"],
-            manifest_format_version=doc["manifest_format_version"],
-            extra=extra,
-        )
-
-
-def build_manifest(
-    *, seed: int, config, recorder, exporter, extra: dict[str, object] | None = None
-) -> RunManifest:
-    """Assemble a manifest from a finished run's recorder and exporter."""
-    return RunManifest(
-        seed=seed,
-        config_digest=config_digest(config),
-        event_count=recorder.events_emitted,
-        event_digest=recorder.digest(),
-        metrics_digest=exporter.digest(),
-        extra=dict(extra) if extra else {},
-    )

@@ -35,7 +35,6 @@ import io
 import json
 import os
 import re
-from collections import deque
 from typing import Callable, Iterable
 
 from ..errors import SimulationError
@@ -43,10 +42,8 @@ from ..errors import SimulationError
 __all__ = [
     "TRACE_FORMAT_VERSION",
     "TraceRecorder",
-    "RingSink",
     "ListSink",
     "JsonlSink",
-    "recover_jsonl_tail",
     "NULL_TRACER",
     "DigestSink",
     "canonical_line",
@@ -72,48 +69,9 @@ def canonical_line(event: dict) -> str:
     return _encode(event)
 
 
-class RingSink:
-    """Bounded in-memory retention: keeps the newest ``bound`` lines.
-
-    The ring never exceeds its bound (property-tested); older lines fall
-    off the front. The recorder's digest still covers *every* emitted
-    event — the ring bounds memory, not the oracle.
-    """
-
-    __slots__ = ("_lines",)
-
-    def __init__(self, bound: int = 4096) -> None:
-        if bound <= 0:
-            raise ValueError(f"ring bound must be positive, got {bound}")
-        self._lines: deque[str] = deque(maxlen=bound)
-
-    @property
-    def bound(self) -> int:
-        """The retention limit this ring was created with."""
-        return self._lines.maxlen  # type: ignore[return-value]
-
-    def accept(self, event: dict, line: str) -> None:
-        """Retain one canonical line (evicting the oldest at the bound)."""
-        self._lines.append(line)
-
-    def lines(self) -> list[str]:
-        """The retained lines, oldest first."""
-        return list(self._lines)
-
-    def events(self) -> list[dict]:
-        """The retained lines parsed back into event dicts."""
-        return [json.loads(line) for line in self._lines]
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-
 class ListSink:
-    """Unbounded in-memory retention, for tests and the CLI.
-
-    Use :class:`RingSink` anywhere memory must stay bounded; this sink
-    exists for short runs whose full trace is wanted afterwards.
-    """
+    """Unbounded in-memory retention, for runs whose full trace is
+    wanted afterwards (tests and the CLI)."""
 
     __slots__ = ("_lines",)
 
@@ -161,23 +119,19 @@ class JsonlSink:
     writing immediately and closed by :meth:`close`; caller-supplied
     file objects are flushed but never closed.
 
-    Crash safety for path-backed sinks: ``resume=True`` appends instead
-    of truncating (a restarted service continues its trace), every line
-    is written in one ``write`` call (a kill can only truncate the tail,
-    not interleave), :meth:`sync` / :meth:`close` flush and ``fsync`` so
-    acknowledged events survive power loss, and
-    :func:`recover_jsonl_tail` trims a torn final line so the file stays
-    parseable.
+    Every line is written in one ``write`` call, so a kill can only
+    truncate the tail, never interleave two events. :meth:`close`
+    flushes and fsyncs the file.
     """
 
     __slots__ = ("_file", "_owns")
 
-    def __init__(self, target, *, resume: bool = False) -> None:
+    def __init__(self, target) -> None:
         if hasattr(target, "write"):
             self._file = target
             self._owns = False
         else:
-            self._file = open(target, "a" if resume else "w", encoding="utf-8")
+            self._file = open(target, "w", encoding="utf-8")
             self._owns = True
 
     def accept(self, event: dict, line: str) -> None:
@@ -186,9 +140,10 @@ class JsonlSink:
     def sync(self) -> None:
         """Flush and fsync without closing — a durability barrier.
 
-        The soak driver calls this at every store commit so the trace on
-        disk is never behind the ledger it explains. No-op fsync for
-        caller-supplied objects without a real file descriptor.
+        :meth:`close` calls it; a caller streaming a long trace may call
+        it to bound what a crash can lose. (The soak does not: it traces
+        into a :class:`DigestSink`.) No-op fsync for caller-supplied
+        objects without a real file descriptor.
         """
         self._file.flush()
         try:
@@ -209,51 +164,11 @@ class JsonlSink:
         self.close()
 
 
-def recover_jsonl_tail(path) -> int:
-    """Trim a torn trailing line from a killed run's JSONL trace.
-
-    A fail-stop kill can leave the final line half-written (no trailing
-    newline, or a newline-terminated line that is not valid JSON — the
-    page holding the tail was only partially flushed). Everything before
-    it is intact because each event was a single ``write``. This scans
-    the complete, newline-terminated prefix, validates the last line,
-    and truncates anything torn; returns the number of bytes dropped
-    (0 when the file was already clean).
-
-    Raises:
-        SimulationError: if the file cannot be read.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise SimulationError(f"cannot recover trace {path!r}: {exc}") from exc
-    keep = len(data)
-    # Drop a tail with no terminating newline outright.
-    if keep and not data.endswith(b"\n"):
-        keep = data.rfind(b"\n") + 1
-    # The last newline-terminated line can still be torn mid-page:
-    # validate it and drop it if unparseable.
-    while keep:
-        start = data.rfind(b"\n", 0, keep - 1) + 1
-        try:
-            json.loads(data[start : keep - 1])
-            break
-        except json.JSONDecodeError:
-            keep = start
-    dropped = len(data) - keep
-    if dropped:
-        with open(path, "r+b") as handle:
-            handle.truncate(keep)
-    return dropped
-
-
 class TraceRecorder:
     """The event bus: timestamps, sequences, digests and fans out events.
 
     Args:
-        sink: Optional retention (:class:`RingSink`, :class:`ListSink`,
-            :class:`JsonlSink`, :class:`DigestSink`, or anything with
+        sink: Optional retention (:class:`ListSink`, :class:`JsonlSink`, :class:`DigestSink`, or anything with
             ``accept(event, line)``; the event dict is shared, so sinks
             must not mutate it). The sink type, read once here, decides
             what each event costs: with a :class:`DigestSink` the
@@ -296,8 +211,11 @@ class TraceRecorder:
     def emit_at(self, t: float, etype: str, **fields) -> None:
         """Record one event with an explicit timestamp.
 
-        For layers with no virtual clock of their own (the asyncio SMTP
-        server) — the caller supplies whatever deterministic time it has.
+        No program path calls it: every emit site in ``src/`` uses
+        :meth:`emit` and its clock. It stays because
+        ``perfbench/layers.py`` wraps ``TraceRecorder.emit_at`` by name
+        (``BOUNDARIES``) for the ``trace.emit`` layer, and a missing
+        boundary fails the harness.
         """
         if not self.enabled:
             return

@@ -5,14 +5,13 @@ FIFO network model, metrics instruments and email workload generators on
 which all Zmail experiments run.
 """
 
-from .clock import DAY, HOUR, MINUTE, MONTH, SECOND, WEEK, Clock, format_time
+from .clock import DAY, HOUR, MINUTE, MONTH, SECOND, WEEK, Clock
 from .engine import Engine
 from .events import Event, EventHandle
 from .metrics import Counter, MetricsRegistry, summary_stats
 from .network import LinkSpec, Network
 from .reliable import ReliableAck, ReliableEndpoint, ReliablePayload
 from .rng import SeededStreams, derive_seed
-from .traffic import TrafficMatrix
 from .workload import (
     Address,
     NormalUserWorkload,
@@ -31,7 +30,6 @@ __all__ = [
     "WEEK",
     "MONTH",
     "Clock",
-    "format_time",
     "Engine",
     "Event",
     "EventHandle",
@@ -43,7 +41,6 @@ __all__ = [
     "ReliableEndpoint",
     "ReliablePayload",
     "ReliableAck",
-    "TrafficMatrix",
     "SeededStreams",
     "derive_seed",
     "Address",

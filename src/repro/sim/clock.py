@@ -26,7 +26,6 @@ __all__ = [
     "WEEK",
     "MONTH",
     "Clock",
-    "format_time",
 ]
 
 
@@ -46,29 +45,7 @@ class Clock:
             raise ValueError(f"clock cannot move backwards: {t} < {self.now}")
         self.now = t
 
-    def advance_by(self, dt: float) -> None:
-        """Advance the clock by a non-negative delta ``dt``."""
-        if dt < 0:
-            raise ValueError(f"negative clock delta: {dt}")
-        self.now += dt
-
     @property
     def day(self) -> int:
         """The zero-based day index of the current time."""
         return int(self.now // DAY)
-
-    @property
-    def seconds_into_day(self) -> float:
-        """Seconds elapsed since the most recent midnight."""
-        return self.now - self.day * DAY
-
-
-def format_time(t: float) -> str:
-    """Render an absolute simulation time as ``DdHH:MM:SS.mmm``."""
-    days = int(t // DAY)
-    rem = t - days * DAY
-    hours = int(rem // HOUR)
-    rem -= hours * HOUR
-    minutes = int(rem // MINUTE)
-    rem -= minutes * MINUTE
-    return f"{days}d{hours:02d}:{minutes:02d}:{rem:06.3f}"

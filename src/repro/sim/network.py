@@ -17,7 +17,7 @@ zero-delay send falls back to the heap behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 from ..errors import SimulationError
 from ..obs.trace import NULL_TRACER, TraceRecorder
@@ -106,7 +106,6 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
-        self._taps: list[Callable[[str, str, object], None]] = []
 
     # -- topology --------------------------------------------------------------
 
@@ -124,10 +123,6 @@ class Network:
     def link(self, src: str, dst: str) -> LinkSpec:
         """The effective spec for the directed link src→dst."""
         return self._links.get((src, dst), self._default_link)
-
-    def add_tap(self, tap: Callable[[str, str, object], None]) -> None:
-        """Register an observer called as ``tap(src, dst, payload)`` per send."""
-        self._taps.append(tap)
 
     # -- transmission ------------------------------------------------------------
 
@@ -164,8 +159,6 @@ class Network:
         spec, stream, label, endpoint = cached
         self.messages_sent += 1
         self.bytes_sent += size
-        for tap in self._taps:
-            tap(src, dst, payload)
 
         if spec.loss_rate > 0 and stream.random() < spec.loss_rate:
             self.messages_dropped += 1

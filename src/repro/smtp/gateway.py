@@ -322,12 +322,6 @@ class ZmailGateway:
         """Deferred submissions currently awaiting retry."""
         return self._admission.pending if self._admission is not None else 0
 
-    def next_retry_due(self) -> float | None:
-        """Earliest deferred retry time, or ``None`` (for pump scheduling)."""
-        return (
-            self._admission.next_due() if self._admission is not None else None
-        )
-
     def pending_state(self) -> dict[str, object] | None:
         """The deferred outbound queue as a durable journal (or ``None``).
 
@@ -383,24 +377,6 @@ class ZmailGateway:
                 ) from exc
 
         self._admission.load_state(state, dec)
-
-    def admission_stats(self) -> dict[str, int]:
-        """The admission controller's counters (zeros when overload is off)."""
-        if self._admission is None:
-            return {
-                "attempts": 0, "accepted": 0, "shed": 0,
-                "bounced": 0, "evicted": 0, "pending": 0, "peak_pending": 0,
-            }
-        a = self._admission
-        return {
-            "attempts": a.attempts,
-            "accepted": a.accepted,
-            "shed": a.shed,
-            "bounced": a.bounced,
-            "evicted": a.evicted,
-            "pending": a.pending,
-            "peak_pending": a.peak_pending,
-        }
 
     # -- inbound --------------------------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apn.action import Action, BooleanGuard
 from repro.apn.channel import Channel, Message
 from repro.apn.process import Process
 from repro.apn.scheduler import InvariantViolation, ProtocolState, Scheduler
@@ -87,19 +86,14 @@ class TestProcess:
         assert proc["fresh"] == 1
 
     def test_parameterised_action_expansion(self):
-        """The paper's `par` construct: one action per domain value."""
-        proc = Process("p", variables={"hits": []})
+        """The paper's `par` construct: one action per domain value,
+        written as a loop (here the spec's ``rcv email from isp[g]``)."""
+        from repro.apn.zmail_spec import ZmailSpecConfig, build_zmail_protocol
 
-        def make(g):
-            return Action(
-                "probe",
-                BooleanGuard(lambda pr: False),
-                lambda pr: pr["hits"].append(g),
-            )
-
-        actions = proc.add_parameterised_action("probe", range(3), make)
-        assert [a.name for a in actions] == ["probe[0]", "probe[1]", "probe[2]"]
-        assert len(proc.actions) == 3
+        config = ZmailSpecConfig(n=3, m=2, seed=7, key_bits=128)
+        isp0 = build_zmail_protocol(config).isps[0]
+        names = [a.name for a in isp0.actions if a.name.startswith("rcv-email")]
+        assert names == ["rcv-email[1]", "rcv-email[2]"]
 
 
 class TestProtocolState:

@@ -145,7 +145,6 @@ class TestTraceCommand:
         assert "conserved:       True" in out
 
     def test_trace_writes_schema_valid_jsonl_and_manifest(self, tmp_path, capsys):
-        from repro.obs.manifest import RunManifest
         from repro.obs.schema import validate_trace_lines
 
         out_path = tmp_path / "trace.jsonl"
@@ -156,8 +155,8 @@ class TestTraceCommand:
         lines = out_path.read_text().splitlines()
         assert validate_trace_lines(lines) == len(lines) > 0
         assert f"trace events:    {len(lines)}" in out
-        manifest = RunManifest.from_json(manifest_path.read_text())
-        assert 0 < manifest.event_count < len(lines)
+        manifest = json.loads(manifest_path.read_text())
+        assert 0 < manifest["event_count"] < len(lines)
 
     def test_trace_same_seed_byte_identical_files(self, tmp_path, capsys):
         runs = [(tmp_path / f"{n}.jsonl", tmp_path / f"{n}.json")

@@ -88,72 +88,6 @@ class TestBuySell:
             bank.sell_epennies(0, value=-5, nonce=2)
 
 
-class TestEncryptedForms:
-    def test_buy_message_round_trip(self):
-        from repro.crypto import dcr_object, ncr_object
-
-        bank = make_bank()
-        request = ncr_object(bank.keys.public, [250, 12345])
-        reply = bank.handle_buy_message(0, request)
-        nonce, accepted = dcr_object(bank.keys.public, reply)
-        assert nonce == 12345 and accepted is True
-        assert bank.account_balance(0) == 750
-
-    def test_sell_message_round_trip(self):
-        from repro.crypto import dcr_object, ncr_object
-
-        bank = make_bank()
-        request = ncr_object(bank.keys.public, [100, 777])
-        reply = bank.handle_sell_message(0, request)
-        assert dcr_object(bank.keys.public, reply) == 777
-        assert bank.account_balance(0) == 1100
-
-    def test_replayed_ciphertext_rejected(self):
-        from repro.crypto import ncr_object
-
-        bank = make_bank()
-        request = ncr_object(bank.keys.public, [250, 999])
-        bank.handle_buy_message(0, request)
-        with pytest.raises(ReplayDetected):
-            bank.handle_buy_message(0, request)
-
-
-class TestLazyKeys:
-    """The key pair is generated on first read, and only then."""
-
-    @pytest.mark.parametrize("seed", [0, 7, 12345])
-    def test_lazy_keys_equal_eager_generation(self, seed):
-        from repro.crypto import generate_keypair
-
-        bank = Bank(seed=seed)
-        assert bank.keys == generate_keypair(256, seed=seed)
-        assert bank.keys is bank.keys  # generated once, then cached
-
-    def test_plain_network_never_generates_keys(self, monkeypatch):
-        from repro.core import bank as bank_module
-        from repro.core.config import ZmailConfig
-        from repro.core.protocol import ZmailNetwork
-        from repro.sim.workload import Address
-
-        calls = []
-        real = bank_module.generate_keypair
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(bank_module, "generate_keypair", counting)
-        network = ZmailNetwork(
-            n_isps=3, users_per_isp=4,
-            config=ZmailConfig(use_crypto=False), seed=5,
-        )
-        network.send(Address(0, 0), Address(1, 0))
-        network.reconcile()
-        assert calls == []
-        network.bank.keys
-        assert len(calls) == 1
-
-
 class TestReconciliation:
     def test_consistent_round(self):
         bank = make_bank()

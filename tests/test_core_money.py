@@ -2,20 +2,23 @@
 
 import pytest
 
+from repro.core.config import ZmailConfig
 from repro.core.epenny import (
     EPENNY_PRICE_DOLLARS,
     Money,
     dollars_to_epennies,
     epennies_to_dollars,
 )
+from repro.core.isp import CompliantISP
 from repro.core.ledger import Ledger
+from repro.core.transfer import RECEIPT_BLOCKED_LIMIT, SendStatus
 from repro.core.user import UserAccount
 from repro.errors import (
-    DailyLimitExceeded,
     InsufficientBalance,
     InsufficientFunds,
     UnknownUser,
 )
+from repro.sim.workload import Address, TrafficKind
 
 
 class TestEPenny:
@@ -77,21 +80,42 @@ class TestUserAccount:
             with pytest.raises(ValueError):
                 op(-1)
 
+    # The daily limit is a user's counters applied by one guard, in
+    # CompliantISP.submit; these drive it through that send path, for
+    # local and paid remote mail alike.
+    @staticmethod
+    def make_isp(daily_limit):
+        isp = CompliantISP(0, 4, ZmailConfig(default_daily_limit=daily_limit))
+        isp.update_compliance({0: True, 1: True})
+        return isp
+
     def test_daily_limit_blocks(self):
-        user = self.make(daily_limit=2)
-        for _ in range(2):
-            user.check_send_allowed()
-            user.note_sent()
-        with pytest.raises(DailyLimitExceeded):
-            user.check_send_allowed()
-        assert user.limit_warnings == 1
+        for dst_isp, sent in ((0, SendStatus.DELIVERED_LOCAL),
+                              (1, SendStatus.SENT_PAID)):
+            isp = self.make_isp(daily_limit=2)
+            for _ in range(2):
+                receipt = isp.submit(0, Address(dst_isp, 1), TrafficKind.NORMAL)
+                assert receipt.status is sent
+            receipt = isp.submit(0, Address(dst_isp, 1), TrafficKind.NORMAL)
+            assert receipt is RECEIPT_BLOCKED_LIMIT
+            user = isp.ledger.user(0)
+            assert (user.sent_today, user.balance) == (2, 98)
+            assert user.limit_warnings == 1
+            assert isp.stats.blocked_limit == 1
+            assert isp.limit_hits == {0: 1}
 
     def test_reset_daily_restores_quota(self):
-        user = self.make(daily_limit=1)
-        user.check_send_allowed()
-        user.note_sent()
-        user.reset_daily()
-        user.check_send_allowed()  # does not raise
+        isp = self.make_isp(daily_limit=1)
+        assert isp.submit(0, Address(1, 0), TrafficKind.NORMAL).status is (
+            SendStatus.SENT_PAID
+        )
+        assert isp.submit(0, Address(1, 0), TrafficKind.NORMAL) is (
+            RECEIPT_BLOCKED_LIMIT
+        )
+        assert isp.midnight() == [0]
+        receipt = isp.submit(0, Address(0, 1), TrafficKind.NORMAL)
+        assert receipt.status is SendStatus.DELIVERED_LOCAL
+        assert isp.ledger.user(0).limit_warnings == 1
 
     def test_net_flow(self):
         user = self.make()

@@ -233,6 +233,20 @@ class TestPerNodeJournals:
         with pytest.raises(SimulationError, match="malformed bank journal"):
             load_bank_state(net.bank, journal)
 
+    @pytest.mark.parametrize(
+        "nonces",
+        [[5, 5], "12", [1, "2"], [True], {"1": 2}],
+        ids=["repeated", "string", "str-item", "bool-item", "dict"],
+    )
+    def test_bank_journal_bad_nonces_raise_simulation_error(self, nonces):
+        net, _, _ = busy_network(messages=5)
+        journal = bank_state(net.bank)
+        journal["nonces"]["0"] = nonces
+        before = bank_state(net.bank)
+        with pytest.raises(SimulationError, match="malformed bank journal"):
+            load_bank_state(net.bank, journal)
+        assert bank_state(net.bank) == before  # nothing half-loaded
+
     def test_aggregate_stats_match_asdict_and_do_not_alias(self):
         net, _, _ = busy_network(seed=9)
         isp = net.isps[1]

@@ -53,21 +53,6 @@ class TestNonceRegistry:
             registry.check_and_record(n)
         assert len(registry) == 100
 
-    def test_has_seen(self):
-        registry = NonceRegistry()
-        registry.check_and_record(7)
-        assert registry.has_seen(7)
-        assert not registry.has_seen(8)
-
-    def test_window_eviction(self):
-        registry = NonceRegistry(max_remembered=3)
-        for n in (1, 2, 3, 4):
-            registry.check_and_record(n)
-        assert not registry.has_seen(1)  # evicted
-        assert registry.has_seen(4)
-        registry.check_and_record(1)  # allowed again post-eviction
-        assert len(registry) == 3
-
     def test_end_to_end_with_source(self):
         """A source's stream passes a registry; replaying any one fails."""
         source = NonceSource(seed=9)

@@ -17,7 +17,7 @@ class TestErrorHierarchy:
 
     def test_subsystem_groupings(self):
         assert issubclass(errors.InsufficientBalance, errors.LedgerError)
-        assert issubclass(errors.DailyLimitExceeded, errors.LedgerError)
+        assert issubclass(errors.UnknownISP, errors.LedgerError)
         assert issubclass(errors.ReplayDetected, errors.ProtocolError)
         assert issubclass(errors.DecryptionError, errors.CryptoError)
         assert issubclass(errors.SMTPTemporaryError, errors.SMTPError)

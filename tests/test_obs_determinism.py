@@ -14,10 +14,10 @@ import pytest
 from conftest import load_plan
 from repro.chaos import ChaosDeployment, FaultSpec
 from repro.core import ZmailConfig
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import RunManifest, config_digest
 from repro.obs.metrics_export import export_network
 from repro.obs.schema import EVENT_TYPES, validate_trace_lines
-from repro.obs.trace import JsonlSink, ListSink, RingSink, TraceRecorder
+from repro.obs.trace import JsonlSink, ListSink, TraceRecorder
 from repro.sim import SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
@@ -35,8 +35,13 @@ def run_canonical(*, seed=None, sink=None):
     scenario = canonical_world(seed=seed, tracer=recorder)
     result = scenario.run()
     exporter = export_network(result.network)
-    manifest = build_manifest(seed=scenario.seed, config=scenario.config,
-                              recorder=recorder, exporter=exporter)
+    manifest = RunManifest(
+        seed=scenario.seed,
+        config_digest=config_digest(scenario.config),
+        event_count=recorder.events_emitted,
+        event_digest=recorder.digest(),
+        metrics_digest=exporter.digest(),
+    )
     return result, recorder, exporter, manifest
 
 
@@ -94,16 +99,19 @@ class TestObserverEffect:
         assert rec_sinkless.digest() == rec_sink.digest()
         assert man_sinkless.to_json() == man_sink.to_json()
 
-    def test_ring_and_jsonl_sinks_record_the_same_trace(self, tmp_path):
+    def test_list_and_jsonl_sinks_record_the_same_trace(self, tmp_path):
         # The recorder digests the canonical line stream before any sink
         # sees it, so the sink that stores the lines cannot change them.
         untraced = canonical_world().run()
-        ring, ring_rec, _, ring_man = run_canonical(sink=RingSink())
-        with JsonlSink(str(tmp_path / "trace.jsonl")) as sink:
+        retained = ListSink()
+        listed, list_rec, _, list_man = run_canonical(sink=retained)
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(str(path)) as sink:
             jsonl, jsonl_rec, _, jsonl_man = run_canonical(sink=sink)
-        assert ring.summary() == jsonl.summary() == untraced.summary()
-        assert ring_rec.digest() == jsonl_rec.digest()
-        assert ring_man.to_json() == jsonl_man.to_json()
+        assert listed.summary() == jsonl.summary() == untraced.summary()
+        assert list_rec.digest() == jsonl_rec.digest()
+        assert list_man.to_json() == jsonl_man.to_json()
+        assert retained.lines() == path.read_text().splitlines()
 
 
 class TestChaosObserverEffect:

@@ -1,6 +1,5 @@
 """Hypothesis properties pinning the observability layer's contracts.
 
-* the ring sink never exceeds its bound, for any emission count;
 * counters are monotone: any sequence of valid increments never
   decreases the value, and invalid ones change nothing;
 * every event type round-trips JSONL bit-exactly (emit → serialize →
@@ -31,7 +30,6 @@ from repro.obs.schema import EVENT_TYPES, validate_event
 from repro.obs.trace import (
     AdditiveMultisetDigest,
     JsonlSink,
-    RingSink,
     TraceRecorder,
     canonical_line,
 )
@@ -75,18 +73,6 @@ def test_canonical_line_matches_json_dumps(event):
     assert canonical_line(event) == json.dumps(
         event, sort_keys=True, separators=(",", ":")
     )
-
-
-@OBS_SETTINGS
-@given(bound=st.integers(1, 50), emissions=st.integers(0, 200))
-def test_ring_sink_never_exceeds_bound(bound, emissions):
-    ring = RingSink(bound=bound)
-    recorder = TraceRecorder(sink=ring)
-    for i in range(emissions):
-        recorder.emit("crash", node=f"isp{i}")
-        assert len(ring) <= bound
-    assert len(ring) == min(emissions, bound)
-    assert recorder.events_emitted == emissions
 
 
 @OBS_SETTINGS
@@ -157,10 +143,8 @@ def test_manifest_digest_is_order_insensitive(extra):
     backward = manifest(dict(reversed(list(extra.items()))))
     assert forward.digest() == backward.digest()
     assert forward.to_json() == backward.to_json()
-    # And the round trip preserves everything the digest covers.
-    parsed = RunManifest.from_json(forward.to_json())
-    assert parsed.digest() == forward.digest()
-    assert parsed.extra == extra
+    # And the written bytes carry everything the digest covers.
+    assert json.loads(forward.to_json()) == forward.to_dict()
 
 
 @OBS_SETTINGS

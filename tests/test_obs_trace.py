@@ -20,7 +20,6 @@ from repro.obs.trace import (
     DigestSink,
     JsonlSink,
     ListSink,
-    RingSink,
     TraceRecorder,
     canonical_line,
 )
@@ -88,28 +87,6 @@ class TestTraceRecorder:
 
 
 class TestSinks:
-    def test_ring_keeps_newest(self):
-        ring = RingSink(bound=3)
-        recorder = TraceRecorder(sink=ring)
-        for node in "abcde":
-            recorder.emit("crash", node=node)
-        assert len(ring) == 3
-        assert [e["node"] for e in ring.events()] == ["c", "d", "e"]
-        assert [json.loads(line)["node"] for line in ring.lines()] == ["c", "d", "e"]
-        assert ring.bound == 3
-
-    def test_ring_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            RingSink(bound=0)
-
-    def test_ring_eviction_does_not_change_digest(self):
-        bounded = TraceRecorder(sink=RingSink(bound=2))
-        unbounded = TraceRecorder(sink=ListSink())
-        for recorder in (bounded, unbounded):
-            for node in "abcd":
-                recorder.emit("crash", node=node)
-        assert bounded.digest() == unbounded.digest()
-
     def test_jsonl_sink_writes_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlSink(str(path)) as sink:

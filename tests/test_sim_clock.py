@@ -1,8 +1,8 @@
-"""Tests for the virtual clock and time helpers."""
+"""Tests for the virtual clock and its time units."""
 
 import pytest
 
-from repro.sim.clock import DAY, HOUR, MINUTE, MONTH, SECOND, WEEK, Clock, format_time
+from repro.sim.clock import DAY, HOUR, MINUTE, MONTH, SECOND, WEEK, Clock
 
 
 class TestConstants:
@@ -35,35 +35,8 @@ class TestClock:
         with pytest.raises(ValueError, match="backwards"):
             clock.advance_to(9.0)
 
-    def test_advance_by(self):
-        clock = Clock()
-        clock.advance_by(3.5)
-        clock.advance_by(1.5)
-        assert clock.now == 5.0
-
-    def test_advance_by_negative_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            Clock().advance_by(-1.0)
-
     def test_day_index(self):
         clock = Clock()
         assert clock.day == 0
         clock.advance_to(DAY * 2 + HOUR)
         assert clock.day == 2
-
-    def test_seconds_into_day(self):
-        clock = Clock()
-        clock.advance_to(DAY + 90.0)
-        assert clock.seconds_into_day == pytest.approx(90.0)
-
-
-class TestFormatTime:
-    def test_zero(self):
-        assert format_time(0.0) == "0d00:00:00.000"
-
-    def test_composite(self):
-        t = 2 * DAY + 3 * HOUR + 4 * MINUTE + 5.25
-        assert format_time(t) == "2d03:04:05.250"
-
-    def test_subsecond(self):
-        assert format_time(0.5) == "0d00:00:00.500"

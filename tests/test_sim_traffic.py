@@ -1,79 +1,44 @@
-"""Tests for the traffic-matrix oracle, including the credit cross-check."""
+"""The auditor's view: credit arrays equal ground-truth traffic imbalances."""
 
 import random
-
-import pytest
+from collections import Counter
 
 from repro.core import ZmailNetwork
-from repro.sim.traffic import TrafficMatrix
 from repro.sim.workload import Address, TrafficKind
 
 
-class TestTrafficMatrix:
-    def test_record_and_sent(self):
-        matrix = TrafficMatrix()
-        matrix.record(0, 1)
-        matrix.record(0, 1, 3)
-        assert matrix.sent(0, 1) == 4
-        assert matrix.sent(1, 0) == 0
-
-    def test_imbalance_antisymmetric(self):
-        matrix = TrafficMatrix()
-        matrix.record(0, 1, 7)
-        matrix.record(1, 0, 3)
-        assert matrix.imbalance(0, 1) == 4
-        assert matrix.imbalance(1, 0) == -4
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TrafficMatrix().record(0, 1, -1)
-
-    def test_expected_credit_array_omits_zero_and_self(self):
-        matrix = TrafficMatrix()
-        matrix.record(0, 1, 5)
-        matrix.record(1, 0, 5)  # balanced: omitted
-        matrix.record(0, 2, 2)
-        assert matrix.expected_credit_array(0, n_isps=3) == {2: 2}
-
-    def test_totals_and_topology(self):
-        matrix = TrafficMatrix()
-        matrix.record(0, 1, 2)
-        matrix.record(2, 0, 1)
-        assert matrix.total_messages() == 3
-        assert matrix.isps_seen() == {0, 1, 2}
-
-    def test_busiest_pairs(self):
-        matrix = TrafficMatrix()
-        matrix.record(0, 1, 10)
-        matrix.record(1, 2, 5)
-        matrix.record(2, 0, 1)
-        assert matrix.busiest_pairs(2) == [((0, 1), 10), ((1, 2), 5)]
+def expected_credit_array(sent: Counter, isp_id: int, n_isps: int) -> dict:
+    """Paid mail ``isp_id`` sent to each peer minus what it received,
+    omitting balanced pairs."""
+    imbalance = {
+        peer: sent[isp_id, peer] - sent[peer, isp_id]
+        for peer in range(n_isps) if peer != isp_id
+    }
+    return {peer: value for peer, value in imbalance.items() if value}
 
 
 class TestCreditOracle:
-    """The auditor's view: credit arrays must equal traffic imbalances."""
-
     def drive(self, seed=70, messages=1500, n_isps=4):
         net = ZmailNetwork(n_isps=n_isps, users_per_isp=5, seed=seed)
-        matrix = TrafficMatrix()
+        sent = Counter()
         rng = random.Random(seed)
         for _ in range(messages):
             src = Address(rng.randrange(n_isps), rng.randrange(5))
             dst = Address(rng.randrange(n_isps), rng.randrange(5))
             receipt = net.send(src, dst, TrafficKind.NORMAL)
             if receipt.status.value == "sent_paid":
-                matrix.record(src.isp, dst.isp)
-        return net, matrix
+                sent[src.isp, dst.isp] += 1
+        return net, sent
 
     def test_credit_arrays_match_ground_truth(self):
-        net, matrix = self.drive()
+        net, sent = self.drive()
         for isp_id, isp in net.compliant_isps().items():
-            expected = matrix.expected_credit_array(isp_id, net.n_isps)
+            expected = expected_credit_array(sent, isp_id, net.n_isps)
             actual = {k: v for k, v in isp.credit.items() if v}
             assert actual == expected, f"isp {isp_id}"
 
     def test_snapshot_reply_matches_ground_truth(self):
-        net, matrix = self.drive(seed=71)
+        net, sent = self.drive(seed=71)
         isps = net.compliant_isps()
         for isp in isps.values():
             isp.begin_snapshot(0)
@@ -81,4 +46,4 @@ class TestCreditOracle:
             reply = isp.snapshot_reply()
             isp.resume_sending()
             nonzero = {k: v for k, v in reply.items() if v}
-            assert nonzero == matrix.expected_credit_array(isp_id, net.n_isps)
+            assert nonzero == expected_credit_array(sent, isp_id, net.n_isps)

@@ -297,7 +297,9 @@ class TestGatewayBackpressure:
         now[0] = 10.0  # tokens refill through the external clock
         gateway.pump()
         assert gateway.pending_sends == 0
-        assert gateway.admission_stats()["accepted"] == 2
+        counters = net.metrics.snapshot()["counters"]
+        assert counters["gateway.deferred"] == 1
+        assert counters["gateway.submitted"] == 2
 
     def test_counters_exported_via_metrics(self):
         net, _, gateways = self._overloaded_deployment()
@@ -315,5 +317,11 @@ class TestGatewayBackpressure:
         net, _, gateways = build_deployment()
         assert gateways[0].pending_sends == 0
         assert gateways[0].pump() == 0
-        assert gateways[0].admission_stats()["attempts"] == 0
-        assert gateways[0].next_retry_due() is None
+        recipient = Address(1, 2)
+        for _ in range(7):
+            gateways[0].submit_outbound(1, recipient,
+                                        plain_message(Address(0, 1), recipient))
+        counters = net.metrics.snapshot()["counters"]
+        assert counters["gateway.submitted"] == 7
+        assert counters["gateway.deferred"] == counters["gateway.shed"] == 0
+        assert gateways[0].pending_sends == 0

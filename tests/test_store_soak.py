@@ -7,6 +7,7 @@ produce byte-identical run manifests.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.chaos.crash import CrashController
 from repro.chaos.deployment import ChaosDeployment
 from repro.cli import main
 from repro.errors import SimulationError
-from repro.obs.manifest import RunManifest
 from repro.obs.schema import EVENT_TYPES
 from repro.store import DurableStore
 from repro.store.soak import STORE_EVENT_TYPES, run_soak
@@ -134,7 +134,8 @@ class TestRecoveryEquivalence:
 
     def test_manifest_is_valid_document(self, pair):
         durable, _ = pair
-        manifest = RunManifest.from_json(durable["manifest"].to_json())
+        manifest = durable["manifest"]
+        assert json.loads(manifest.to_json()) == manifest.to_dict()
         assert manifest.seed == FAST["seed"]
         assert manifest.extra["scenario"] == "store-soak"
         assert manifest.extra["converged"] is True

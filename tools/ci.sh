@@ -13,10 +13,11 @@
 # 2. Re-runs the suite under tools/coverage_gate.py: overall line
 #    coverage must stay at or above the pinned floor (CI_COVERAGE_FLOOR,
 #    default 94 — measured 94.9% when the gate was introduced), the
-#    observability package src/repro/obs must be 100% covered, and each
-#    of core, sim, smtp, cluster, columnar, store, scenario, arena and
-#    chaos at least 90%. Set CI_COVERAGE=0 to skip the traced re-run on
-#    slow machines.
+#    observability package src/repro/obs must be 100% covered, each of
+#    core, sim, smtp, cluster, columnar, store, scenario, arena and chaos
+#    at least 90%, and apn, crypto, economics, baselines and spamcorpus
+#    at their measured figures rounded down (97, 96, 98, 98 and 95%).
+#    Set CI_COVERAGE=0 to skip the traced re-run on slow machines.
 # 3. Runs the benchmark (perfbench/run.py) for 5 s at seed 1 on two
 #    workloads: macro-columnar (the columnar executor) and fuzz-campaign
 #    (the direct executor, columnar and the inline cluster). Each run
@@ -106,7 +107,7 @@ cmp /tmp/bench_overload.json BENCH_overload.json \
 
 if [ "${CI_COVERAGE:-1}" != "0" ]; then
     COVERAGE_FLOOR="${CI_COVERAGE_FLOOR:-94}"
-    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, core/sim/smtp/cluster/columnar/store/scenario/arena/chaos at 90%) =="
+    echo "== coverage gate (floor ${COVERAGE_FLOOR}%, obs at 100%, core/sim/smtp/cluster/columnar/store/scenario/arena/chaos at 90%, apn 97%, crypto 96%, economics 98%, baselines 98%, spamcorpus 95%) =="
     PYTHONPATH=src python tools/coverage_gate.py \
         --target src/repro \
         --floor "${COVERAGE_FLOOR}" \
@@ -120,6 +121,11 @@ if [ "${CI_COVERAGE:-1}" != "0" ]; then
         --require scenario=90 \
         --require arena=90 \
         --require chaos=90 \
+        --require apn=97 \
+        --require crypto=96 \
+        --require economics=98 \
+        --require baselines=98 \
+        --require spamcorpus=95 \
         -- -q -p no:cacheprovider
 else
     echo "== coverage gate skipped (CI_COVERAGE=0) =="
