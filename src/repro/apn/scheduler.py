@@ -216,11 +216,3 @@ class Scheduler:
                 break
             executed += 1
         return executed
-
-    def fire_counts(self) -> dict[str, int]:
-        """``{"proc.action": times_fired}`` over the whole run."""
-        counts: dict[str, int] = {}
-        for proc in self.state.processes.values():
-            for action in proc.actions:
-                counts[f"{proc.name}.{action.name}"] = action.fired
-        return counts

@@ -100,16 +100,6 @@ class ChallengeResponseSystem:
     # -- reporting -----------------------------------------------------------------
 
     @property
-    def legitimate_loss_rate(self) -> float:
-        """Fraction of all processed messages that were abandoned.
-
-        Callers separating ham/spam should track outcomes themselves;
-        this aggregate matches how the paper criticises the approach.
-        """
-        total = self.delivered + self.abandoned
-        return self.abandoned / total if total else 0.0
-
-    @property
     def mean_delivery_delay(self) -> float:
         """Average extra latency on challenged-and-answered messages."""
         answered = self.human_actions

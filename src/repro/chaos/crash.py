@@ -100,14 +100,14 @@ class CrashController:
 
     def crash(self, node: str) -> None:
         """Fail-stop ``node`` now: commit durable state, drop the rest."""
-        from ..store.wire import encode_send, encode_wire
+        from ..store.wire import SEND, WIRE
 
         deployment = self.deployment
         if deployment.net.is_down(node):
             raise SimulationError(f"{node!r} is already down")
         admission = None
         if node == "bank":
-            state = persistence.bank_state(deployment.network.bank)
+            state = deployment.network.bank.state_dict()
             deployment.coordinator.on_bank_crash()
         else:
             isp_id = self._isp_id(node)
@@ -121,11 +121,11 @@ class CrashController:
         endpoint.close()
         puts: list[tuple[str, str, Any]] = [
             (_NODE_KIND, node, state),
-            (_ENDPOINT_KIND, node, endpoint.state_dict(encode_wire)),
+            (_ENDPOINT_KIND, node, endpoint.state_dict(WIRE)),
         ]
         if admission is not None:
             puts.append(
-                (_ADMISSION_KIND, node, admission.state_dict(encode_send))
+                (_ADMISSION_KIND, node, admission.state_dict(SEND))
             )
         self.store.commit(puts, barrier=self.store.barrier)
         self.crashes += 1
@@ -137,7 +137,7 @@ class CrashController:
 
     def restart(self, node: str) -> None:
         """Bring ``node`` back from the store and resume its mail queue."""
-        from ..store.wire import decode_send, decode_wire
+        from ..store.wire import SEND, WIRE
 
         deployment = self.deployment
         if not deployment.net.is_down(node):
@@ -150,15 +150,15 @@ class CrashController:
             raise SimulationError(
                 f"store holds no endpoint state for {node!r}"
             )
-        deployment.endpoints[node].load_state(endpoint_state, decode_wire)
+        deployment.endpoints[node].load_state(endpoint_state, WIRE)
         if node == "bank":
-            persistence.load_bank_state(deployment.network.bank, state)
+            deployment.network.bank.load_state(state)
         else:
             isp_id = self._isp_id(node)
             admission_state = self.store.get(_ADMISSION_KIND, node)
             if admission_state is not None:
                 deployment.network.overload_controllers()[isp_id].load_state(
-                    admission_state, decode_send
+                    admission_state, SEND
                 )
             fresh = CompliantISP(
                 isp_id,

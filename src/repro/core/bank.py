@@ -20,15 +20,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import records
 from ..crypto import NonceRegistry
 from ..errors import InsufficientFunds, NotCompliant, UnknownISP
+from ..records import Codec, Field, List, Map, Record
 from .misbehavior import (
     ReconciliationReport,
     infer_suspects,
     verify_credit_matrix,
 )
 
-__all__ = ["BuyResult", "Bank"]
+__all__ = ["BuyResult", "Bank", "BANK"]
+
+
+def _nonce_registry(seen: list[int]) -> NonceRegistry:
+    registry = NonceRegistry()
+    registry._seen = set(seen)
+    if len(registry) != len(seen):
+        raise ValueError("nonces repeat")
+    return registry
+
+
+#: The bank journal: real-penny accounts, the compliance directory, the
+#: reconciliation sequence number and each ISP's seen nonces (a list of
+#: distinct ints) — what a restarted bank needs to keep the money exact
+#: and keep rejecting replays. Reports and request counters are volatile.
+BANK = Record(
+    Field("accounts", Map(int), 0, attr="_accounts"),
+    Field("compliant", Map(bool), attr="_compliant"),
+    Field("seq", int, 0, attr="_seq"),
+    Field("nonces", Map(Codec(
+        List(int), lambda registry: sorted(registry._seen), _nonce_registry
+    )), attr="_nonces"),
+)
 
 
 @dataclass(frozen=True)
@@ -73,12 +97,6 @@ class Bank:
         self._compliant[isp_id] = True
         self._nonces[isp_id] = NonceRegistry()
 
-    def set_compliant(self, isp_id: int, compliant: bool) -> None:
-        """Flip an ISP's compliance flag (incremental deployment)."""
-        if isp_id not in self._accounts:
-            raise UnknownISP(f"isp {isp_id} is not registered")
-        self._compliant[isp_id] = compliant
-
     def compliance_directory(self) -> dict[int, bool]:
         """The published ``compliant`` array (§4): broadcast to all ISPs."""
         return dict(self._compliant)
@@ -101,44 +119,13 @@ class Bank:
     # -- durable state (crash recovery) ------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The bank's durable state as a JSON-compatible dict.
-
-        Covers accounts, the compliance directory, the reconciliation
-        sequence number and the replay-protection nonce sets — everything
-        a restarted bank needs to keep the money exact and keep rejecting
-        replays. Volatile state (reports history, request counters) is
-        deliberately excluded: a crash loses it.
-        """
-        return {
-            "accounts": {str(k): v for k, v in sorted(self._accounts.items())},
-            "compliant": {str(k): v for k, v in sorted(self._compliant.items())},
-            "seq": self._seq,
-            "nonces": {
-                str(k): sorted(reg._seen)
-                for k, reg in sorted(self._nonces.items())
-            },
-        }
+        """The bank's durable state, a :data:`BANK` record."""
+        return records.dump(BANK, self)
 
     def load_state(self, state: dict) -> None:
-        """Restore durable state written by :meth:`state_dict`, in place.
-
-        Each ISP's nonces must be a list of distinct ints: anything else
-        raises ``TypeError`` or ``ValueError`` before the bank changes.
-        """
-        accounts = {int(k): int(v) for k, v in state["accounts"].items()}
-        compliant = {int(k): bool(v) for k, v in state["compliant"].items()}
-        seq = int(state["seq"])
-        nonces = {}
-        for key, seen in state["nonces"].items():
-            if type(seen) is not list or any(type(n) is not int for n in seen):
-                raise TypeError(f"isp {key}: nonces must be a list of ints")
-            registry = NonceRegistry()
-            registry._seen = set(seen)
-            if len(registry) != len(seen):
-                raise ValueError(f"isp {key}: nonces repeat")
-            nonces[int(key)] = registry
-        self._accounts, self._compliant = accounts, compliant
-        self._seq, self._nonces = seq, nonces
+        """Restore a :meth:`state_dict` journal in place; a malformed one
+        raises ``SimulationError`` naming the field, before any change."""
+        records.load_into(BANK, self, state, "bank journal", "bank")
 
     # -- §4.3 buy / sell -------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Holds every user's purses plus the ISP's own sellable e-penny pool
 (the paper's ``avail``), and implements the §4.2 user-facing exchange:
-users buy e-pennies from the pool with real pennies and sell them back,
-always 1:1 at the fixed e-penny price.
+users buy e-pennies from the pool with real pennies, 1:1 at the fixed
+e-penny price.
 
 Every mutation preserves the ledger-local conservation law::
 
@@ -88,21 +88,6 @@ class Ledger:
         self._users[user_id] = user
         return user
 
-    def add_user(
-        self, user_id: int, *, account: int, balance: int, daily_limit: int
-    ) -> UserAccount:
-        """Create a user with initial purses; duplicate ids are rejected."""
-        if user_id in self:
-            raise ValueError(f"user {user_id} already exists")
-        user = UserAccount(
-            user_id=user_id,
-            account=account,
-            balance=balance,
-            daily_limit=daily_limit,
-        )
-        self._users[user_id] = user
-        return user
-
     def user(self, user_id: int) -> UserAccount:
         """Look up a user, raising :class:`UnknownUser` if absent."""
         try:
@@ -119,6 +104,12 @@ class Ledger:
                 if user_id not in self._users:
                     self._materialize(user_id)
         return [self._users[k] for k in sorted(self._users)]
+
+    def items(self) -> list[tuple[int, UserAccount]]:
+        """``(user_id, user)`` for every user: the ISP journal's users."""
+        return [(user.user_id, user) for user in self.users()]
+
+    __getitem__ = user
 
     def materialized_count(self) -> int:
         """How many accounts actually exist in memory (the hot set)."""
@@ -154,16 +145,6 @@ class Ledger:
         self.cash += amount
         user.credit_epennies(amount)
         self.pool -= amount
-
-    def user_sells_epennies(self, user_id: int, amount: int) -> None:
-        """User converts e-pennies back to real pennies; pool absorbs them."""
-        if amount <= 0:
-            raise ValueError(f"sale amount must be positive, got {amount}")
-        user = self.user(user_id)
-        user.debit_epennies(amount)
-        user.credit_pennies(amount)
-        self.cash -= amount
-        self.pool += amount
 
     # -- external transfers (email and bank) ------------------------------------
 

@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Iterator
 
-from ..errors import ConfigError, SimulationError
+from .. import records
+from ..errors import ConfigError
+from ..records import PAYLOAD, Field, List, Record
 from ..sim.workload import TrafficKind
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "DeferredQueue",
     "ShedRecord",
     "ShedAudit",
+    "ADMISSION",
     "AdmissionController",
     "CircuitBreaker",
 ]
@@ -266,6 +269,19 @@ class DeferredQueue:
             self._live -= 1
         return victim
 
+    @property
+    def items(self) -> list[DeferredItem]:
+        """The live items in retry order: the queue's durable form."""
+        live = [entry for entry in self._heap if not entry[2].cancelled]
+        live.sort(key=lambda entry: entry[:2])
+        return [item for _, _, item in live]
+
+    @items.setter
+    def items(self, items: list[DeferredItem]) -> None:
+        self._heap = [(item.due, item.seq, item) for item in items]
+        heapq.heapify(self._heap)
+        self._live = len(items)
+
     def next_due(self) -> float | None:
         """Earliest live retry time, or ``None`` if the queue is empty."""
         heap = self._heap
@@ -307,6 +323,36 @@ class ShedAudit:
         self.records.append(ShedRecord(time, action, shed_class, detail))
         if len(self.records) > self.cap:
             del self.records[0]
+
+
+#: An admission controller's journal. The deferred queue *is*
+#: accepted-but-undelivered mail and the counters are the other side of
+#: the no-lost-accounting identity, so both survive a restart; the audit
+#: ring is volatile. ``counters`` groups the controller's own attributes.
+ADMISSION = Record(
+    Field("bucket", Record(
+        Field("tokens", float), Field("last", float, attr="_last")
+    )),
+    Field("queue", Record(
+        Field("seq", int, 0, attr="_seq"),
+        Field("peak_size", int, 0),
+        Field("items", List(Record(
+            Field("payload", PAYLOAD),
+            Field("shed_class", ShedClass),
+            Field("due", float),
+            Field("seq", int, 0),
+            Field("attempts", int, 0),
+            Field("enqueued_at", float),
+            cls=DeferredItem,
+        ))),
+    )),
+    Field("counters", Record(*(
+        Field(name, int, 0) for name in (
+            "attempts", "accepted", "accepted_after_defer", "shed",
+            "bounced", "evicted", "retries",
+        )
+    )), attr=""),
+)
 
 
 class AdmissionController:
@@ -434,102 +480,24 @@ class AdmissionController:
 
     # -- durable state (crash/restart with a persistent store) -------------------
 
-    def state_dict(
-        self, encode: Callable[[object], object] | None = None
-    ) -> dict[str, object]:
-        """The controller's durable state: queue, bucket, and counters.
+    def state_dict(self, payload: object = None) -> dict[str, object]:
+        """The controller's :data:`ADMISSION` journal; ``payload`` is the
+        :mod:`repro.records` shape of the queued payloads (kept as is if
+        ``None``)."""
+        return records.dump(ADMISSION, self, payload)
 
-        The deferred queue *is* accepted-but-undelivered mail, so it must
-        survive a restart for the no-lost-accounting identity to keep
-        holding; the counters are the other side of that identity. The
-        audit ring is volatile diagnostics and is not persisted.
-        ``encode`` maps queued payloads to JSON-compatible values.
-        """
-        enc = encode if encode is not None else (lambda payload: payload)
-        items = sorted(
-            (entry for entry in self.queue._heap if not entry[2].cancelled),
-            key=lambda entry: (entry[0], entry[1]),
-        )
-        return {
-            "bucket": {"tokens": self.bucket.tokens, "last": self.bucket._last},
-            "queue": {
-                "seq": self.queue._seq,
-                "peak_size": self.queue.peak_size,
-                "items": [
-                    {
-                        "payload": enc(item.payload),
-                        "shed_class": int(item.shed_class),
-                        "due": item.due,
-                        "seq": item.seq,
-                        "attempts": item.attempts,
-                        "enqueued_at": item.enqueued_at,
-                    }
-                    for _, _, item in items
-                ],
-            },
-            "counters": {
-                "attempts": self.attempts,
-                "accepted": self.accepted,
-                "accepted_after_defer": self.accepted_after_defer,
-                "shed": self.shed,
-                "bounced": self.bounced,
-                "evicted": self.evicted,
-                "retries": self.retries,
-            },
-        }
-
-    def load_state(
-        self,
-        state: dict[str, object],
-        decode: Callable[[object], object] | None = None,
-    ) -> None:
+    def load_state(self, state: dict[str, object], payload: object = None) -> None:
         """Replace queue/bucket/counters with a :meth:`state_dict` journal.
 
         Items are rebuilt with their original sequence numbers (bypassing
         :meth:`DeferredQueue.push`, which would renumber them) so retry
-        order after a restart matches the uninterrupted run exactly.
-
-        Raises:
-            SimulationError: if the journal is malformed.
+        order after a restart matches the uninterrupted run exactly. A
+        malformed journal raises ``SimulationError`` naming the field,
+        before any change.
         """
-        dec = decode if decode is not None else (lambda payload: payload)
-        try:
-            queue = DeferredQueue(self.config.queue_capacity)
-            entries = []
-            max_seq = int(state["queue"]["seq"])
-            for blob in state["queue"]["items"]:
-                item = DeferredItem(
-                    payload=dec(blob["payload"]),
-                    shed_class=ShedClass(int(blob["shed_class"])),
-                    due=float(blob["due"]),
-                    seq=int(blob["seq"]),
-                    attempts=int(blob["attempts"]),
-                    enqueued_at=float(blob["enqueued_at"]),
-                )
-                entries.append((item.due, item.seq, item))
-            heapq.heapify(entries)
-            queue._heap = entries
-            queue._seq = max_seq
-            queue._live = len(entries)
-            queue.peak_size = int(state["queue"]["peak_size"])
-            bucket = TokenBucket(self.config.admit_rate, self.config.admit_burst)
-            bucket.tokens = float(state["bucket"]["tokens"])
-            bucket._last = float(state["bucket"]["last"])
-            counters = state["counters"]
-            self.attempts = int(counters["attempts"])
-            self.accepted = int(counters["accepted"])
-            self.accepted_after_defer = int(counters["accepted_after_defer"])
-            self.shed = int(counters["shed"])
-            self.bounced = int(counters["bounced"])
-            self.evicted = int(counters["evicted"])
-            self.retries = int(counters["retries"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise SimulationError(
-                f"{self.owner}: malformed admission journal: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        self.queue = queue
-        self.bucket = bucket
+        records.load_into(
+            ADMISSION, self, state, "admission journal", self.owner, payload
+        )
 
     # -- introspection ----------------------------------------------------------
 

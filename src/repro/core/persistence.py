@@ -1,40 +1,39 @@
 """Per-record state codecs for Zmail deployments.
 
-An ISP's ledger and credit arrays, the bank's accounts and the users'
-purses *are* the money. This module maps each piece of durable state to
-a plain JSON-compatible dict and back, preserving every balance,
-counter and compliance flag:
-
-* :func:`user_state` / :func:`load_user_state` — one user's purse;
-* :func:`isp_aggregate_state` / :func:`load_isp_aggregate_state` — an
-  ISP's per-user-independent state, and :func:`isp_state` /
-  :func:`load_isp_state` — the aggregate plus every user;
-* :func:`bank_state` / :func:`load_bank_state` — the bank ledger;
-* :func:`config_state` / :func:`config_from_state` — the config.
+An ISP's ledger and credit arrays and the users' purses *are* the
+money. This module declares each record kind of an ISP's durable state
+once, as a :mod:`repro.records` table that its dumper and its loader
+both walk: :data:`USER` (one purse), :data:`ISP_AGGREGATE` (the
+per-user-independent state), :data:`ISP_JOURNAL` (the aggregate plus
+every user) and :data:`CONFIG`. The bank's table sits beside
+:meth:`~repro.core.bank.Bank.state_dict`.
 
 The durable store (:mod:`repro.store`) is the only writer and reader of
-these fragments: its service barriers, a crashed chaos node's state and
-a cluster shard's barrier record are all store rows. A crash loses
-everything volatile (open snapshot pauses, buffered outboxes, in-flight
-wire frames) and a restart rebuilds the node from exactly this state.
-
-All loaders reject malformed input with
-:class:`~repro.errors.SimulationError` — a truncated or corrupted
-fragment must fail loudly and descriptively, never with a raw
-``KeyError``.
+these records. A crash loses everything volatile (open snapshot pauses,
+buffered outboxes, in-flight wire frames) and a restart rebuilds the
+node from exactly this state. Every loader checks every value of a
+record before it assigns any: a missing or extra key, a ``bool``, float
+or string where an int belongs, or a negative counter, pool, balance
+or account raises :class:`~repro.errors.SimulationError` naming the
+record kind, its key and the field.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any
 
+from .. import records
 from ..errors import SimulationError
-from .bank import Bank
-from .config import NonCompliantMailPolicy, ZmailConfig
+from ..records import Field, Map, Record
+from .config import ZmailConfig
 from .isp import CompliantISP, DeliveryStats
+from .user import UserAccount
 
 __all__ = [
+    "USER",
+    "ISP_AGGREGATE",
+    "ISP_JOURNAL",
+    "CONFIG",
     "config_state",
     "config_from_state",
     "user_state",
@@ -43,8 +42,6 @@ __all__ = [
     "load_isp_state",
     "isp_aggregate_state",
     "load_isp_aggregate_state",
-    "bank_state",
-    "load_bank_state",
     "FORMAT_VERSION",
 ]
 
@@ -57,165 +54,92 @@ __all__ = [
 #     each ISP's bank-trade nonce counter.
 FORMAT_VERSION = 4
 
-# Field names copied explicitly on every barrier commit: ``asdict``
-# recurses and deep-copies, ten times the cost for flat int fields.
-_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(DeliveryStats))
+#: Purses, limit and counters: every field an int >= 0. Dumped with a
+#: ``getattr`` per field on every barrier commit (``asdict`` recurses
+#: and deep-copies, ten times the cost for flat int fields).
+USER = Record(*records.dataclass_fields(UserAccount, low=0, skip=("user_id",)))
+
+#: Pool, cash, credit array, compliance directory, delivery stats and
+#: the per-user limit-hit counters (small: only zombies collect any).
+ISP_AGGREGATE = Record(
+    Field("isp_id", int, 0),
+    Field("pool", int, 0, attr="ledger.pool"),
+    Field("cash", int, attr="ledger.cash"),
+    Field("credit", Map(int)),
+    Field("compliance_view", Map(bool)),
+    Field("stats", Record(
+        *records.dataclass_fields(DeliveryStats, low=0), cls=DeliveryStats
+    )),
+    Field("limit_hits", Map(int), 0),
+)
+
+#: The crash journal of a compliant ISP: the aggregate plus every user
+#: (``users`` iterates the ledger, materialising pristine users).
+ISP_JOURNAL = Record(
+    *ISP_AGGREGATE.fields, Field("users", Map(USER), attr="ledger")
+)
+
+CONFIG = Record(*records.dataclass_fields(ZmailConfig), cls=ZmailConfig)
 
 
-def user_state(user) -> dict[str, Any]:
+def user_state(user: UserAccount) -> dict[str, Any]:
     """One user's durable state (purse, limits, counters, mailboxes)."""
-    return {
-        "account": user.account,
-        "balance": user.balance,
-        "daily_limit": user.daily_limit,
-        "sent_today": user.sent_today,
-        "lifetime_sent": user.lifetime_sent,
-        "lifetime_received": user.lifetime_received,
-        "lifetime_received_paid": user.lifetime_received_paid,
-        "limit_warnings": user.limit_warnings,
-        "inbox": user.inbox,
-        "junk_folder": user.junk_folder,
-    }
+    return records.dump(USER, user)
 
 
-def load_user_state(user, state: dict[str, Any]) -> None:
-    """Restore a :func:`user_state` fragment onto ``user`` in place.
+def load_user_state(isp: CompliantISP, user_id: int, state: Any) -> None:
+    """Restore a :func:`user_state` record onto ``isp``'s user in place.
 
     Raises:
-        SimulationError: if the fragment is malformed.
+        SimulationError: if the record is malformed or names no user.
     """
-    try:
-        user.account = state["account"]
-        user.balance = state["balance"]
-        user.daily_limit = state["daily_limit"]
-        user.sent_today = state["sent_today"]
-        user.lifetime_sent = state["lifetime_sent"]
-        user.lifetime_received = state["lifetime_received"]
-        user.lifetime_received_paid = state["lifetime_received_paid"]
-        user.limit_warnings = state["limit_warnings"]
-        user.inbox = state["inbox"]
-        user.junk_folder = state["junk_folder"]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SimulationError(
-            f"malformed user state: {type(exc).__name__}: {exc}"
-        ) from exc
+    key = f"{isp.isp_id}:{user_id}"
+    if user_id not in isp.ledger:
+        raise SimulationError(f"malformed user state {key!r}: no such user")
+    records.load_into(USER, isp.ledger.user(user_id), state, "user state", key)
 
 
 def config_state(config: ZmailConfig) -> dict[str, Any]:
     """Serialise a :class:`ZmailConfig` to a JSON-compatible dict."""
-    return {
-        "default_daily_limit": config.default_daily_limit,
-        "default_user_balance": config.default_user_balance,
-        "default_user_account": config.default_user_account,
-        "initial_pool": config.initial_pool,
-        "minavail": config.minavail,
-        "maxavail": config.maxavail,
-        "initial_bank_account": config.initial_bank_account,
-        "snapshot_quiesce_seconds": config.snapshot_quiesce_seconds,
-        "reconciliation_period": config.reconciliation_period,
-        "noncompliant_policy": config.noncompliant_policy.value,
-        "auto_topup_amount": config.auto_topup_amount,
-        "use_crypto": config.use_crypto,
-    }
+    return records.dump(CONFIG, config)
 
 
-def config_from_state(state: dict[str, Any]) -> ZmailConfig:
+def config_from_state(state: Any) -> ZmailConfig:
     """Rebuild a :class:`ZmailConfig` from :func:`config_state` output.
 
     Raises:
         SimulationError: if the state is malformed.
     """
-    try:
-        return ZmailConfig(
-            default_daily_limit=state["default_daily_limit"],
-            default_user_balance=state["default_user_balance"],
-            default_user_account=state["default_user_account"],
-            initial_pool=state["initial_pool"],
-            minavail=state["minavail"],
-            maxavail=state["maxavail"],
-            initial_bank_account=state["initial_bank_account"],
-            snapshot_quiesce_seconds=state["snapshot_quiesce_seconds"],
-            reconciliation_period=state["reconciliation_period"],
-            noncompliant_policy=NonCompliantMailPolicy(
-                state["noncompliant_policy"]
-            ),
-            auto_topup_amount=state["auto_topup_amount"],
-            use_crypto=state["use_crypto"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(
-            f"malformed config state: {type(exc).__name__}: {exc}"
-        ) from exc
+    return records.load(CONFIG, state, "config state", "config")
 
 
 # -- per-node journals (crash/restart) -----------------------------------------------
 
 
 def isp_aggregate_state(isp: CompliantISP) -> dict[str, Any]:
-    """The per-user-independent slice of an ISP's durable state.
-
-    Everything in :func:`isp_state` except the ``users`` map: pool, cash,
-    credit array, compliance directory, delivery stats and the per-user
-    limit-hit counters (small — only zombies accumulate entries). The
-    durable store persists this fragment every barrier (O(n_isps)) and
-    per-user fragments only when dirty.
-    """
-    return {
-        "isp_id": isp.isp_id,
-        "pool": isp.ledger.pool,
-        "cash": isp.ledger.cash,
-        "credit": {str(k): v for k, v in sorted(isp.credit.items())},
-        "compliance_view": {
-            str(k): v for k, v in sorted(isp.compliance_view.items())
-        },
-        "stats": {name: getattr(isp.stats, name) for name in _STATS_FIELDS},
-        "limit_hits": {
-            str(user_id): count
-            for user_id, count in sorted(isp.limit_hits.items())
-        },
-    }
+    """The per-user-independent slice of an ISP's durable state, which
+    the store persists every barrier (O(n_isps)); user records are
+    persisted only when dirty."""
+    return records.dump(ISP_AGGREGATE, isp)
 
 
-def load_isp_aggregate_state(isp: CompliantISP, state: dict[str, Any]) -> None:
-    """Restore an :func:`isp_aggregate_state` fragment onto ``isp`` in place.
+def load_isp_aggregate_state(isp: CompliantISP, state: Any) -> None:
+    """Restore an :func:`isp_aggregate_state` record onto ``isp`` in place.
 
     Raises:
-        SimulationError: if the fragment is malformed.
+        SimulationError: if the record is malformed or belongs to
+            another ISP.
     """
-    try:
-        isp.ledger.pool = state["pool"]
-        isp.ledger.cash = state["cash"]
-        isp.credit = {int(k): v for k, v in state["credit"].items()}
-        isp.compliance_view = {
-            int(k): bool(v) for k, v in state["compliance_view"].items()
-        }
-        isp.stats = DeliveryStats(**state["stats"])
-        isp.limit_hits = {
-            int(user_id): int(count)
-            for user_id, count in state["limit_hits"].items()
-        }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SimulationError(
-            f"malformed ISP journal aggregate: {type(exc).__name__}: {exc}"
-        ) from exc
+    _load_isp(ISP_AGGREGATE, isp, state, "ISP journal aggregate", str(isp.isp_id))
 
 
 def isp_state(isp: CompliantISP) -> dict[str, Any]:
-    """One compliant ISP's durable state (its write-ahead journal).
-
-    Covers the ledger (pool, cash, every user purse), the inter-ISP
-    credit array, the installed compliance directory, delivery stats and
-    the zombie-detection per-user limit-hit counters. Volatile state — an open snapshot
-    pause, the buffered outbox — is deliberately absent: a crash loses it.
-    """
-    state = isp_aggregate_state(isp)
-    state["users"] = {
-        str(user.user_id): user_state(user) for user in isp.ledger.users()
-    }
-    return state
+    """One compliant ISP's write-ahead journal. Volatile state (an open
+    snapshot pause, the buffered outbox) is absent: a crash loses it."""
+    return records.dump(ISP_JOURNAL, isp)
 
 
-def load_isp_state(isp: CompliantISP, state: dict[str, Any]) -> None:
+def load_isp_state(isp: CompliantISP, state: Any) -> None:
     """Restore a journal written by :func:`isp_state` onto ``isp`` in place.
 
     The target is typically a freshly constructed :class:`CompliantISP`
@@ -225,30 +149,16 @@ def load_isp_state(isp: CompliantISP, state: dict[str, Any]) -> None:
     Raises:
         SimulationError: if the journal is malformed.
     """
-    load_isp_aggregate_state(isp, state)
-    try:
-        for user_key, fragment in state["users"].items():
-            load_user_state(isp.ledger.user(int(user_key)), fragment)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    _load_isp(ISP_JOURNAL, isp, state, "ISP journal", f"isp{isp.isp_id}")
+
+
+def _load_isp(
+    record: Record, isp: CompliantISP, state: Any, kind: str, key: str
+) -> None:
+    values = records.load(record, state, kind, key)
+    if values["isp_id"] != isp.isp_id:
         raise SimulationError(
-            f"malformed ISP journal: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
-def bank_state(bank: Bank) -> dict[str, Any]:
-    """The bank's durable state (see :meth:`~repro.core.bank.Bank.state_dict`)."""
-    return bank.state_dict()
-
-
-def load_bank_state(bank: Bank, state: dict[str, Any]) -> None:
-    """Restore a journal written by :func:`bank_state` onto ``bank`` in place.
-
-    Raises:
-        SimulationError: if the journal is malformed.
-    """
-    try:
-        bank.load_state(state)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SimulationError(
-            f"malformed bank journal: {type(exc).__name__}: {exc}"
-        ) from exc
+            f"malformed {kind} {key!r}: field 'isp_id': belongs to "
+            f"isp{values['isp_id']}"
+        )
+    records.assign(record, isp, values, kind, key)

@@ -325,6 +325,17 @@ class ZmailNetwork:
         ISP from the network seed, whenever the ISP became compliant."""
         return NonceSource(self.seed ^ 0x5EED, owner=f"isp{isp_id}")
 
+    @property
+    def nonce_counters(self) -> dict[int, int]:
+        """Each compliant ISP's bank-trade nonce counter; a restart that
+        rewound one would replay a nonce the bank has already seen."""
+        return {i: source._counter for i, source in self._nonce_sources.items()}
+
+    @nonce_counters.setter
+    def nonce_counters(self, counters: dict[int, int]) -> None:
+        for isp_id, counter in counters.items():
+            self._nonce_sources[isp_id]._counter = counter
+
     def set_touch_hook(
         self, touch: Callable[[int, int], None] | None
     ) -> None:

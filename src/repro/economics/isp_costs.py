@@ -98,20 +98,6 @@ class ISPCostModel:
         without = self.annual_cost(0.0, filtering_enabled=False).total
         return with_spam - without
 
-    def saving_from_reduction(
-        self, spam_share_before: float, spam_share_after: float,
-        *, filter_retired: bool = True,
-    ) -> float:
-        """Annual dollars saved when spam falls (Zmail's claim 3).
-
-        ``filter_retired`` models Zmail making content filters unnecessary
-        for compliant traffic.
-        """
-        before = self.annual_cost(spam_share_before).total
-        after = self.annual_cost(
-            spam_share_after, filtering_enabled=not filter_retired
-        ).total
-        return before - after
 
 
 def productivity_loss_annual(

@@ -59,12 +59,6 @@ class SpamShareTimeline:
         """Projected spam share of all email traffic in ``year``."""
         return 1.0 / (1.0 + math.exp(-self.k * (year - self.t0)))
 
-    def year_reaching(self, share: float) -> float:
-        """The year the unchecked trend reaches ``share``."""
-        if not 0.0 < share < 1.0:
-            raise ValueError("share must be in (0, 1)")
-        return self.t0 + math.log(share / (1.0 - share)) / self.k
-
     def with_zmail(
         self, year: float, *, adopted_at: float, residual_share: float = 0.1
     ) -> float:

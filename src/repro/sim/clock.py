@@ -44,8 +44,3 @@ class Clock:
         if t < self.now:
             raise ValueError(f"clock cannot move backwards: {t} < {self.now}")
         self.now = t
-
-    @property
-    def day(self) -> int:
-        """The zero-based day index of the current time."""
-        return int(self.now // DAY)

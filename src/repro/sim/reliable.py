@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .. import records
 from ..errors import SimulationError
+from ..records import PAYLOAD, Field, Map, Record
 from .engine import Engine
 from .events import EventHandle
 from .network import Network
@@ -69,6 +71,21 @@ class _InboundState:
 
     next_expected: int = 0
     buffer: dict[int, Any] = field(default_factory=dict)
+
+
+#: A reliable endpoint's journal (its mail queue), per peer node name:
+#: send sequence numbers and unacked frames, receive cursors and reorder
+#: buffers. Timers, retry counters and wire statistics are volatile.
+ENDPOINT = Record(
+    Field("outbound", Map(Record(
+        Field("next_seq", int, 0), Field("unacked", Map(PAYLOAD)),
+        cls=_OutboundState,
+    ), keys=str), attr="_outbound"),
+    Field("inbound", Map(Record(
+        Field("next_expected", int, 0), Field("buffer", Map(PAYLOAD)),
+        cls=_InboundState,
+    ), keys=str), attr="_inbound"),
+)
 
 
 class ReliableEndpoint:
@@ -218,89 +235,28 @@ class ReliableEndpoint:
 
     # -- durable state (crash/restart with a persistent store) -------------------------
 
-    def state_dict(
-        self, encode: Callable[[Any], Any] | None = None
-    ) -> dict[str, Any]:
-        """The endpoint's durable sequence state (its mail-queue journal).
+    def state_dict(self, payload: Any = None) -> dict[str, Any]:
+        """The endpoint's :data:`ENDPOINT` journal; ``payload`` is the
+        :mod:`repro.records` shape of the frames (kept as is if ``None``)."""
+        return records.dump(ENDPOINT, self, payload)
 
-        Covers per-destination send sequence numbers and unacked frames,
-        and per-source receive cursors and reorder buffers — everything a
-        restarted process needs to resume exactly-once delivery. Timers,
-        retry counters and wire statistics are volatile. ``encode`` maps
-        application payloads to JSON-compatible values (identity when
-        they already are).
-        """
-        enc = encode if encode is not None else (lambda payload: payload)
-        return {
-            "outbound": {
-                dst: {
-                    "next_seq": state.next_seq,
-                    "unacked": {
-                        str(seq): enc(payload)
-                        for seq, payload in sorted(state.unacked.items())
-                    },
-                }
-                for dst, state in sorted(self._outbound.items())
-            },
-            "inbound": {
-                src: {
-                    "next_expected": state.next_expected,
-                    "buffer": {
-                        str(seq): enc(payload)
-                        for seq, payload in sorted(state.buffer.items())
-                    },
-                }
-                for src, state in sorted(self._inbound.items())
-            },
-        }
-
-    def load_state(
-        self,
-        state: dict[str, Any],
-        decode: Callable[[Any], Any] | None = None,
-    ) -> None:
+    def load_state(self, state: dict[str, Any], payload: Any = None) -> None:
         """Replace the sequence state with a :meth:`state_dict` journal.
 
         Disk is authoritative: existing in-memory queues are discarded
         wholesale. Call on a closed endpoint, then :meth:`reopen` to
-        re-arm retransmission of the rehydrated unacked frames.
-
-        Raises:
-            SimulationError: if the journal is malformed.
+        re-arm retransmission of the rehydrated unacked frames. A
+        malformed journal raises ``SimulationError`` naming the field,
+        before any change.
         """
-        dec = decode if decode is not None else (lambda payload: payload)
-        try:
-            outbound = {
-                dst: _OutboundState(
-                    next_seq=int(blob["next_seq"]),
-                    unacked={
-                        int(seq): dec(payload)
-                        for seq, payload in blob["unacked"].items()
-                    },
-                )
-                for dst, blob in state["outbound"].items()
-            }
-            inbound = {
-                src: _InboundState(
-                    next_expected=int(blob["next_expected"]),
-                    buffer={
-                        int(seq): dec(payload)
-                        for seq, payload in blob["buffer"].items()
-                    },
-                )
-                for src, blob in state["inbound"].items()
-            }
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise SimulationError(
-                f"{self.name}: malformed endpoint journal: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+        values = records.load(
+            ENDPOINT, state, "endpoint journal", self.name, payload
+        )
         for old in self._outbound.values():
             if old.timer is not None:
                 old.timer.cancel()
                 old.timer = None
-        self._outbound = outbound
-        self._inbound = inbound
+        records.assign(ENDPOINT, self, values, "endpoint journal", self.name)
 
     # -- receiving -------------------------------------------------------------------
 

@@ -30,12 +30,14 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import SimulationError
+from ..records import Codec, List
 from .clock import DAY
 from .rng import SeededStreams
 
 __all__ = [
     "TrafficKind",
     "Address",
+    "ADDRESS",
     "SendRequest",
     "NormalUserWorkload",
     "SpamCampaignWorkload",
@@ -71,6 +73,13 @@ class Address:
 
     def __str__(self) -> str:
         return f"user{self.user}@isp{self.isp}"
+
+
+#: An :class:`Address` in a durable record: ``[isp, user]``.
+ADDRESS = Codec(
+    List(int), lambda address: [address.isp, address.user],
+    lambda pair: Address(*pair),
+)
 
 
 @dataclass(frozen=True, slots=True)

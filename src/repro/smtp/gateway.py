@@ -34,7 +34,8 @@ from ..core.overload import AdmissionController, DeferredItem, OverloadConfig, s
 from ..core.protocol import ZmailNetwork
 from ..core.transfer import SendStatus
 from ..errors import SimulationError, SMTPPermanentError
-from ..sim.workload import Address, TrafficKind
+from ..records import Codec, Field, Nullable, Record
+from ..sim.workload import ADDRESS, Address, TrafficKind
 from .address import from_sim_address, to_sim_address
 from .message import MailMessage
 from .transport import Envelope, MailTransport
@@ -48,7 +49,17 @@ from .zmail_headers import (
     stamp_message,
 )
 
-__all__ = ["Mailbox", "DeliveryRecord", "ZmailGateway"]
+__all__ = ["Mailbox", "DeliveryRecord", "ZmailGateway", "PENDING"]
+
+#: A deferred submission ``(sender_user, recipient, message, list_token)``
+#: in the gateway's pending journal.
+PENDING = Record(
+    Field("sender_user", int, 0),
+    Field("recipient", ADDRESS, 0),
+    Field("message", Codec(str, MailMessage.serialize, MailMessage.parse)),
+    Field("list_token", Nullable(str)),
+    cls=tuple,
+)
 
 
 @dataclass
@@ -333,17 +344,7 @@ class ZmailGateway:
         """
         if self._admission is None:
             return None
-
-        def enc(payload: object) -> object:
-            sender_user, recipient, message, list_token = payload  # type: ignore[misc]
-            return {
-                "sender_user": sender_user,
-                "recipient": [recipient.isp, recipient.user],
-                "message": message.serialize(),
-                "list_token": list_token,
-            }
-
-        return self._admission.state_dict(enc)
+        return self._admission.state_dict(PENDING)
 
     def load_pending_state(self, state: dict[str, object] | None) -> None:
         """Rehydrate the deferred outbound queue from :meth:`pending_state`.
@@ -359,24 +360,7 @@ class ZmailGateway:
                 f"gateway{self.isp_id}: pending journal present but "
                 "overload admission is disabled"
             )
-
-        def dec(blob: object) -> object:
-            try:
-                return (
-                    int(blob["sender_user"]),  # type: ignore[index]
-                    Address(
-                        int(blob["recipient"][0]),  # type: ignore[index]
-                        int(blob["recipient"][1]),  # type: ignore[index]
-                    ),
-                    MailMessage.parse(blob["message"]),  # type: ignore[index]
-                    blob["list_token"],  # type: ignore[index]
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise SimulationError(
-                    f"gateway{self.isp_id}: malformed deferred payload: {exc}"
-                ) from exc
-
-        self._admission.load_state(state, dec)
+        self._admission.load_state(state, PENDING)
 
     # -- inbound --------------------------------------------------------------------
 

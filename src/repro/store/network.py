@@ -33,9 +33,11 @@ import hashlib
 import json
 from typing import Any
 
+from .. import records
 from ..core import persistence
 from ..core.protocol import ZmailNetwork
 from ..errors import SimulationError
+from ..records import Field, List, Map, Record
 from .backend import DurableStore
 
 __all__ = [
@@ -52,6 +54,23 @@ _USER_KIND = "user"
 _ISP_KIND = "isp"
 _BANK_KIND = "bank"
 _NET_KIND = "net"
+
+#: The genesis parameters in the store's meta table, one JSON value per
+#: key, passed back to :class:`ZmailNetwork` on restore.
+META = Record(
+    Field("n_isps", int, 0),
+    Field("users_per_isp", int, 0),
+    Field("seed", int),
+    Field("compliant", List(bool)),
+)
+
+#: The network counters: money deposited from outside the ledger, the
+#: last midnight applied and each ISP's bank-trade nonce counter.
+NET = Record(
+    Field("external_deposit", int, 0, attr="_external_deposit"),
+    Field("last_day_seen", int, 0, attr="_last_day_seen"),
+    Field("nonces", Map(int), 0, attr="nonce_counters"),
+)
 
 
 def _user_key(isp_id: int, user_id: int) -> str:
@@ -94,15 +113,15 @@ def init_store(store: DurableStore, network: ZmailNetwork) -> None:
     compliant = [
         isp_id in network.compliant_isps() for isp_id in range(network.n_isps)
     ]
+    genesis = records.dump(
+        META, (network.n_isps, network.users_per_isp, network.seed, compliant)
+    )
     store.commit(
         _aggregate_puts(network),
         barrier=0,
         meta={
             "journal_format_version": str(persistence.FORMAT_VERSION),
-            "n_isps": str(network.n_isps),
-            "users_per_isp": str(network.users_per_isp),
-            "seed": str(network.seed),
-            "compliant": json.dumps(compliant),
+            **{name: json.dumps(value) for name, value in genesis.items()},
             "config": json.dumps(
                 persistence.config_state(network.config), sort_keys=True
             ),
@@ -115,22 +134,9 @@ def _aggregate_puts(network: ZmailNetwork) -> list[tuple[str, str, Any]]:
         (_ISP_KIND, str(isp_id), persistence.isp_aggregate_state(isp))
         for isp_id, isp in sorted(network.compliant_isps().items())
     ]
-    puts.append((_BANK_KIND, "bank", persistence.bank_state(network.bank)))
-    puts.append((_NET_KIND, "net", _net_state(network)))
+    puts.append((_BANK_KIND, "bank", network.bank.state_dict()))
+    puts.append((_NET_KIND, "net", records.dump(NET, network)))
     return puts
-
-
-def _net_state(network: ZmailNetwork) -> dict[str, Any]:
-    # A restart that rewound a nonce counter would replay a nonce the
-    # bank has already seen.
-    return {
-        "external_deposit": network._external_deposit,
-        "last_day_seen": network._last_day_seen,
-        "nonces": {
-            str(isp_id): source._counter
-            for isp_id, source in sorted(network._nonce_sources.items())
-        },
-    }
 
 
 def commit_network(
@@ -180,22 +186,16 @@ def restore_network(store: DurableStore, *, tracer=None) -> ZmailNetwork:
     meta pins, then :func:`load_network`. Cost is
     O(n_isps + ever-dirty-users)."""
     try:
-        n_isps = int(store.meta_require("n_isps"))
-        users_per_isp = int(store.meta_require("users_per_isp"))
-        seed = int(store.meta_require("seed"))
-        compliant = json.loads(store.meta_require("compliant"))
+        raw = {f.name: json.loads(store.meta_require(f.name)) for f in META.fields}
         config_blob = json.loads(store.meta_require("config"))
-    except (ValueError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise SimulationError(f"corrupted store metadata: {exc}") from exc
+    genesis = records.load(META, raw, "store metadata", "meta")
     config = persistence.config_from_state(config_blob)
-    network = ZmailNetwork(
-        n_isps=n_isps,
-        users_per_isp=users_per_isp,
-        compliant=compliant,
-        config=config,
-        seed=seed,
-        tracer=tracer,
-    )
+    try:
+        network = ZmailNetwork(**genesis, config=config, tracer=tracer)
+    except ValueError as exc:
+        raise SimulationError(f"malformed store metadata: {exc}") from exc
     load_network(store, network)
     return network
 
@@ -213,29 +213,21 @@ def load_network(store: DurableStore, network: ZmailNetwork) -> None:
     applied = 0
     compliant_map = network.compliant_isps()
     for key, state in store.iter_kind(_ISP_KIND):
-        isp = compliant_map.get(int(key))
+        isp = compliant_map.get(int(key)) if key.isdecimal() else None
         if isp is None:
             raise SimulationError(
-                f"store holds an aggregate for non-compliant isp{key}"
+                f"store holds an aggregate for non-compliant isp {key!r}"
             )
         persistence.load_isp_aggregate_state(isp, state)
         applied += 1
     bank_blob = store.get(_BANK_KIND, "bank")
     if bank_blob is None:
         raise SimulationError("store holds no bank ledger")
-    persistence.load_bank_state(network.bank, bank_blob)
+    network.bank.load_state(bank_blob)
     net_blob = store.get(_NET_KIND, "net")
     if net_blob is None:
         raise SimulationError("store holds no network counters")
-    try:
-        network._external_deposit = int(net_blob["external_deposit"])
-        network._last_day_seen = int(net_blob["last_day_seen"])
-        for isp_key, counter in net_blob["nonces"].items():
-            network._nonce_sources[int(isp_key)]._counter = int(counter)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SimulationError(
-            f"malformed network counters in store: {exc}"
-        ) from exc
+    records.load_into(NET, network, net_blob, "network counters", "net")
     for key, state in store.iter_kind(_USER_KIND):
         try:
             isp_part, user_part = key.split(":")
@@ -247,7 +239,7 @@ def load_network(store: DurableStore, network: ZmailNetwork) -> None:
             raise SimulationError(
                 f"store holds a user record for non-compliant isp{isp_id}"
             )
-        persistence.load_user_state(isp.ledger.user(user_id), state)
+        persistence.load_user_state(isp, user_id, state)
         applied += 1
     if network.tracer.enabled:
         network.tracer.emit(
@@ -268,8 +260,8 @@ def durable_digest(network: ZmailNetwork) -> str:
     zeroes.
     """
     state = {
-        **_net_state(network),
-        "bank": persistence.bank_state(network.bank),
+        **records.dump(NET, network),
+        "bank": network.bank.state_dict(),
         "isps": {
             str(isp_id): persistence.isp_state(isp)
             for isp_id, isp in sorted(network.compliant_isps().items())

@@ -21,11 +21,12 @@ conserved, then push one message through a live SMTP round trip
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 from typing import Any
 
+from .. import records
 from ..core.overload import OverloadConfig
 from ..errors import SimulationError, SMTPProtocolError
+from ..records import Field, Record
 from ..smtp.gateway import ZmailGateway
 from ..smtp.message import MailMessage
 from ..smtp.server import SMTPServer
@@ -41,8 +42,9 @@ from .network import attach_tracker, commit_network, restore_network
 __all__ = ["ZmailService", "run_selftest"]
 
 _SERVICE_KIND = "svc"
-# Copied field by field on every commit (``asdict`` is ten times slower).
-_OVERLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(OverloadConfig))
+#: The ``svc`` records besides each gateway's pending journal.
+CLOCK = Record(Field("now", float))
+OVERLOAD = Record(*records.dataclass_fields(OverloadConfig), cls=OverloadConfig)
 
 
 class ZmailService:
@@ -85,14 +87,12 @@ class ZmailService:
         self.transport = InMemoryTransport()
         self.overload = overload
         self.commit_interval = commit_interval
+        # A store fresh from ``init_store`` (``repro serve`` on a new
+        # path) has no clock record yet: it starts at its last midnight.
+        self.now = float(self.network._last_day_seen * DAY)
         clock = store.get(_SERVICE_KIND, "clock")
-        # A store written before the clock record resumes at its last
-        # midnight.
-        self.now = (
-            float(clock["now"])
-            if clock is not None
-            else float(self.network._last_day_seen * DAY)
-        )
+        if clock is not None:
+            records.load_into(CLOCK, self, clock, "svc record", "clock")
         self.barrier = store.barrier
         self.messages_handled = 0
         self.unroutable = 0
@@ -134,13 +134,11 @@ class ZmailService:
                 # incarnation's clock; resume past every one of them so
                 # token-refill and backoff arithmetic never see time
                 # run backwards.
+                admission = gateway._admission
                 self.now = max(
                     self.now,
-                    float(state["bucket"]["last"]),
-                    *(
-                        float(item["due"])
-                        for item in state["queue"]["items"]
-                    ),
+                    admission.bucket._last,
+                    *(item.due for item in admission.queue.items),
                 )
 
     def _pending_puts(self) -> list[tuple[str, str, Any]]:
@@ -149,10 +147,9 @@ class ZmailService:
             # The admission parameters ride along so a later incarnation
             # (or the selftest) can rebuild a compatible gateway layer
             # without out-of-band configuration.
-            overload = self.overload
-            puts.append((_SERVICE_KIND, "overload", {
-                name: getattr(overload, name) for name in _OVERLOAD_FIELDS
-            }))
+            puts.append((
+                _SERVICE_KIND, "overload", records.dump(OVERLOAD, self.overload)
+            ))
         for isp_id, gateway in sorted(self.gateways.items()):
             state = gateway.pending_state()
             if state is not None:
@@ -240,7 +237,7 @@ class ZmailService:
             self.network,
             self.tracker,
             barrier=self.barrier,
-            extra=[(_SERVICE_KIND, "clock", {"now": self.now}),
+            extra=[(_SERVICE_KIND, "clock", records.dump(CLOCK, self)),
                    *self._pending_puts()],
         )
 
@@ -275,11 +272,11 @@ def run_selftest(store_path: str) -> dict[str, Any]:
             else).
     """
     with DurableStore.open(store_path) as store:
-        records = store.verify()
+        checked = store.verify()
         barrier = store.barrier
         overload_blob = store.get(_SERVICE_KIND, "overload")
         overload = (
-            OverloadConfig(**overload_blob)
+            records.load(OVERLOAD, overload_blob, "svc record", "overload")
             if overload_blob is not None
             else None
         )
@@ -292,7 +289,7 @@ def run_selftest(store_path: str) -> dict[str, Any]:
     passed = bool(reconciliation.consistent and conserved and roundtrip)
     return {
         "passed": passed,
-        "records": records,
+        "records": checked,
         "barrier": barrier,
         "isps": sorted(service.gateways),
         "anti_symmetric": reconciliation.consistent,

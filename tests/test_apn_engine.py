@@ -248,4 +248,4 @@ class TestScheduler:
         )
         sched = Scheduler([proc], seed=0)
         sched.run(100)
-        assert sched.fire_counts()["p.inc"] == 4
+        assert proc.actions[0].fired == 4

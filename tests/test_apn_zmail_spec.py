@@ -69,9 +69,13 @@ class TestHonestExecution:
             initial_avail=60, minavail=50, maxavail=80,
         )
         protocol, _ = run_protocol(config, 4000)
-        counts = protocol.scheduler.fire_counts()
-        buys = sum(v for k, v in counts.items() if k.endswith(".buy"))
-        sells = sum(v for k, v in counts.items() if k.endswith(".sell"))
+        actions = [
+            action
+            for proc in protocol.scheduler.state.processes.values()
+            for action in proc.actions
+        ]
+        buys = sum(a.fired for a in actions if a.name == "buy")
+        sells = sum(a.fired for a in actions if a.name == "sell")
         assert buys + sells > 0
 
 

@@ -215,7 +215,7 @@ class TestChallengeResponse:
         rng = random.Random(0)
         outcome = system.submit("alice", "bob", now=0.0, is_spam=False, rng=rng)
         assert outcome is ChallengeOutcome.ABANDONED
-        assert system.legitimate_loss_rate == 1.0
+        assert (system.abandoned, system.delivered) == (1, 0)
 
     def test_spam_bots_blocked(self):
         system = ChallengeResponseSystem(bot_solver_rate=0.0)

@@ -14,6 +14,13 @@ def make_bank(n=3, account=1000):
     return bank
 
 
+def flag_noncompliant(bank, isp_id):
+    """Mark ``isp_id`` non-compliant the way a restored journal does."""
+    state = bank.state_dict()
+    state["compliant"][str(isp_id)] = False
+    bank.load_state(state)
+
+
 class TestRegistry:
     def test_register_and_balance(self):
         bank = make_bank()
@@ -31,7 +38,7 @@ class TestRegistry:
 
     def test_compliance_directory(self):
         bank = make_bank()
-        bank.set_compliant(1, False)
+        flag_noncompliant(bank, 1)
         directory = bank.compliance_directory()
         assert directory == {0: True, 1: False, 2: True}
 
@@ -76,7 +83,7 @@ class TestBuySell:
 
     def test_noncompliant_blocked(self):
         bank = make_bank()
-        bank.set_compliant(0, False)
+        flag_noncompliant(bank, 0)
         with pytest.raises(NotCompliant):
             bank.buy_epennies(0, value=10, nonce=1)
 

@@ -138,8 +138,7 @@ class TestUserAccount:
 class TestLedger:
     def make(self, pool=1000, users=3):
         ledger = Ledger(initial_pool=pool)
-        for i in range(users):
-            ledger.add_user(i, account=100, balance=50, daily_limit=10)
+        ledger.genesis_users(users, account=100, balance=50, daily_limit=10)
         return ledger
 
     def test_add_and_lookup(self):
@@ -150,8 +149,8 @@ class TestLedger:
 
     def test_duplicate_user_rejected(self):
         ledger = self.make()
-        with pytest.raises(ValueError, match="exists"):
-            ledger.add_user(0, account=0, balance=0, daily_limit=1)
+        with pytest.raises(ValueError, match="empty ledger"):
+            ledger.genesis_users(1, account=0, balance=0, daily_limit=1)
 
     def test_unknown_user(self):
         with pytest.raises(UnknownUser):
@@ -175,31 +174,17 @@ class TestLedger:
         with pytest.raises(InsufficientFunds):
             ledger.user_buys_epennies(0, 500)
 
-    def test_user_sells_epennies(self):
-        ledger = self.make()
-        ledger.user_sells_epennies(0, 20)
-        user = ledger.user(0)
-        assert user.account == 120
-        assert user.balance == 30
-        assert ledger.pool == 1020
-
-    def test_sell_limited_by_balance(self):
-        ledger = self.make()
-        with pytest.raises(InsufficientBalance):
-            ledger.user_sells_epennies(0, 51)
-
     def test_nonpositive_amounts_rejected(self):
         ledger = self.make()
         with pytest.raises(ValueError):
             ledger.user_buys_epennies(0, 0)
         with pytest.raises(ValueError):
-            ledger.user_sells_epennies(0, -5)
+            ledger.user_buys_epennies(0, -5)
 
     def test_exchange_conserves_ledger_value(self):
         ledger = self.make()
         before = ledger.totals().total_value
         ledger.user_buys_epennies(0, 30)
-        ledger.user_sells_epennies(1, 10)
         ledger.user_buys_epennies(2, 5)
         assert ledger.totals().total_value == before
 
@@ -234,7 +219,7 @@ class TestLedger:
         assert all(u.sent_today == 0 for u in ledger.users())
 
     def test_users_sorted(self):
-        ledger = Ledger(initial_pool=0)
-        for i in (3, 1, 2):
-            ledger.add_user(i, account=0, balance=0, daily_limit=1)
-        assert [u.user_id for u in ledger.users()] == [1, 2, 3]
+        ledger = self.make()
+        for i in (2, 0):
+            ledger.user(i)  # materialise out of order
+        assert [u.user_id for u in ledger.users()] == [0, 1, 2]

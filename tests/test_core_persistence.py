@@ -11,12 +11,10 @@ from repro.core import ZmailConfig, ZmailNetwork
 from repro.core.isp import CompliantISP
 from repro.core.persistence import (
     FORMAT_VERSION,
-    bank_state,
     config_from_state,
     config_state,
     isp_aggregate_state,
     isp_state,
-    load_bank_state,
     load_isp_aggregate_state,
     load_isp_state,
     load_user_state,
@@ -141,12 +139,41 @@ class TestMalformedState:
         state = user_state(net.isps[0].ledger.user(0))
         del state["balance"]
         with pytest.raises(SimulationError, match="malformed user state"):
-            load_user_state(net.isps[0].ledger.user(0), state)
+            load_user_state(net.isps[0], 0, state)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("balance", "7"), ("account", 2.9), ("sent_today", -4),
+         ("daily_limit", True), ("surplus", 1)],
+        ids=["str-balance", "float-account", "negative-counter",
+             "bool-limit", "extra-key"],
+    )
+    def test_bad_user_field_raises_naming_it(self, field, value):
+        net, _, _ = busy_network(messages=10)
+        user = net.isps[0].ledger.user(0)
+        before = user_state(user)
+        state = {**before, field: value}
+        with pytest.raises(
+            SimulationError,
+            match=f"malformed user state '0:0': field '{field}'",
+        ):
+            load_user_state(net.isps[0], 0, state)
+        assert user_state(user) == before  # nothing half-loaded
 
     def test_missing_config_field_raises_simulation_error(self):
         state = config_state(ZmailConfig())
         del state["minavail"]
         with pytest.raises(SimulationError, match="malformed config state"):
+            config_from_state(state)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("use_crypto", "no"), ("default_daily_limit", 2.5)],
+        ids=["str-flag", "float-limit"],
+    )
+    def test_bad_config_field_raises_naming_it(self, field, value):
+        state = {**config_state(ZmailConfig()), field: value}
+        with pytest.raises(SimulationError, match=f"field '{field}'"):
             config_from_state(state)
 
     def test_wrong_type_raises_simulation_error(self):
@@ -155,6 +182,26 @@ class TestMalformedState:
         state["credit"] = 17
         with pytest.raises(SimulationError, match="malformed ISP journal"):
             load_isp_aggregate_state(net.isps[0], state)
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [("pool", "5", "pool"),
+         ("compliance_view", {"1": "false"}, "compliance_view.1"),
+         ("limit_hits", {"0": "3"}, "limit_hits.0"),
+         ("isp_id", 2, "isp_id")],
+        ids=["str-pool", "str-flag", "str-hits", "other-isp"],
+    )
+    def test_bad_isp_field_raises_naming_it(self, field, value, path):
+        net, _, _ = busy_network(messages=10)
+        isp = net.isps[0]
+        before = isp_aggregate_state(isp)
+        state = {**before, field: value}
+        with pytest.raises(
+            SimulationError,
+            match=f"malformed ISP journal aggregate '0': field '{path}'",
+        ):
+            load_isp_aggregate_state(isp, state)
+        assert isp_aggregate_state(isp) == before
 
     def test_version_error_stays_specific(self):
         # The version check must not be swallowed into "malformed".
@@ -167,7 +214,7 @@ class TestMalformedState:
     def test_non_dict_state_raises_simulation_error(self):
         net, _, _ = busy_network(messages=5)
         with pytest.raises(SimulationError, match="malformed bank journal"):
-            load_bank_state(net.bank, ["not", "a", "dict"])
+            net.bank.load_state(["not", "a", "dict"])
 
 
 class TestRestoreResumeEquivalence:
@@ -182,7 +229,7 @@ class TestRestoreResumeEquivalence:
 
 
 class TestPerNodeJournals:
-    """isp_state/bank_state: the crash/restart write-ahead journals."""
+    """isp_state/Bank.state_dict: the crash/restart write-ahead journals."""
 
     def test_isp_journal_round_trip(self):
         net, _, _ = busy_network(seed=9)
@@ -214,11 +261,11 @@ class TestPerNodeJournals:
         net, _, _ = busy_network(messages=10)
         net.bank.buy_epennies(0, value=10, nonce=12345)
         net.reconcile("direct")
-        journal = json.loads(json.dumps(bank_state(net.bank), sort_keys=True))
+        journal = json.loads(json.dumps(net.bank.state_dict(), sort_keys=True))
         accounts_before = {i: net.bank.account_balance(i) for i in (0, 1, 2)}
         seq_before = net.bank.next_seq
 
-        load_bank_state(net.bank, journal)
+        net.bank.load_state(journal)
         assert net.bank.next_seq == seq_before
         for isp_id, balance in accounts_before.items():
             assert net.bank.account_balance(isp_id) == balance
@@ -228,10 +275,10 @@ class TestPerNodeJournals:
 
     def test_bank_journal_malformed_raises_simulation_error(self):
         net, _, _ = busy_network(messages=5)
-        journal = bank_state(net.bank)
+        journal = net.bank.state_dict()
         del journal["nonces"]
         with pytest.raises(SimulationError, match="malformed bank journal"):
-            load_bank_state(net.bank, journal)
+            net.bank.load_state(journal)
 
     @pytest.mark.parametrize(
         "nonces",
@@ -240,12 +287,34 @@ class TestPerNodeJournals:
     )
     def test_bank_journal_bad_nonces_raise_simulation_error(self, nonces):
         net, _, _ = busy_network(messages=5)
-        journal = bank_state(net.bank)
+        journal = net.bank.state_dict()
         journal["nonces"]["0"] = nonces
-        before = bank_state(net.bank)
+        before = net.bank.state_dict()
         with pytest.raises(SimulationError, match="malformed bank journal"):
-            load_bank_state(net.bank, journal)
-        assert bank_state(net.bank) == before  # nothing half-loaded
+            net.bank.load_state(journal)
+        assert net.bank.state_dict() == before  # nothing half-loaded
+
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [("compliant", "0", "false"), ("accounts", "0", 2.9),
+         ("seq", None, "3"), ("seq", None, -1)],
+        ids=["str-compliant", "float-account", "str-seq", "negative-seq"],
+    )
+    def test_bank_journal_bad_field_raises_naming_it(self, field, key, value):
+        net, _, _ = busy_network(messages=5)
+        journal = net.bank.state_dict()
+        if key is None:
+            journal[field] = value
+        else:
+            journal[field][key] = value
+        before = net.bank.state_dict()
+        path = field if key is None else f"{field}.{key}"
+        with pytest.raises(
+            SimulationError,
+            match=f"malformed bank journal 'bank': field '{path}'",
+        ):
+            net.bank.load_state(journal)
+        assert net.bank.state_dict() == before
 
     def test_aggregate_stats_match_asdict_and_do_not_alias(self):
         net, _, _ = busy_network(seed=9)

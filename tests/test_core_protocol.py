@@ -151,7 +151,9 @@ class TestPoolRebalancing:
         was debited before the bank raised — destroying the surplus."""
         config = ZmailConfig(initial_pool=5000, minavail=200, maxavail=1000)
         net = make_net(config=config)
-        net.bank.set_compliant(1, False)
+        state = net.bank.state_dict()  # flagged, as a restored journal
+        state["compliant"]["1"] = False
+        net.bank.load_state(state)
         net.rebalance_pools(isp_ids=[0, 1, 2])
         assert net.isps[0].ledger.pool == 600
         assert net.isps[1].ledger.pool == 5000  # skipped, value intact

@@ -107,14 +107,6 @@ class TestISPCosts:
     def test_spam_attributable_cost_positive(self):
         assert ISPCostModel().spam_attributable_cost(0.6) > 0
 
-    def test_saving_from_reduction(self):
-        model = ISPCostModel()
-        saving = model.saving_from_reduction(0.6, 0.05)
-        assert saving > 0
-        # Retiring the filter saves more than keeping it.
-        keep = model.saving_from_reduction(0.6, 0.05, filter_retired=False)
-        assert saving > keep
-
     def test_invalid_share(self):
         with pytest.raises(ValueError):
             ISPCostModel().message_volume(1.0)
@@ -196,11 +188,6 @@ class TestSpamShareTimeline:
         assert timeline.share(2006.0) > 0.8
         assert timeline.share(2010.0) > 0.95
 
-    def test_year_reaching_inverts_share(self):
-        timeline = self.make()
-        year = timeline.year_reaching(0.9)
-        assert timeline.share(year) == pytest.approx(0.9, abs=1e-9)
-
     def test_zmail_bends_the_curve(self):
         timeline = self.make()
         unchecked = timeline.share(2007.0)
@@ -224,5 +211,3 @@ class TestSpamShareTimeline:
             SpamShareTimeline.fit(share_a=0.0)
         with pytest.raises(ValueError):
             SpamShareTimeline.fit(year_b=2000.0)
-        with pytest.raises(ValueError):
-            self.make().year_reaching(1.5)

@@ -34,9 +34,3 @@ class TestClock:
         clock.advance_to(10.0)
         with pytest.raises(ValueError, match="backwards"):
             clock.advance_to(9.0)
-
-    def test_day_index(self):
-        clock = Clock()
-        assert clock.day == 0
-        clock.advance_to(DAY * 2 + HOUR)
-        assert clock.day == 2

@@ -172,6 +172,12 @@ class TestRestoreRefusals:
         with pytest.raises(SimulationError, match="non-compliant"):
             restore_network(store)
 
+    def test_aggregate_record_bad_key(self, store):
+        init_store(store, _fresh())
+        store.commit([("isp", "x", store.get("isp", "0"))], barrier=1)
+        with pytest.raises(SimulationError, match="non-compliant isp 'x'"):
+            restore_network(store)
+
     def test_user_record_bad_key(self, store):
         init_store(store, _fresh())
         store.commit([("user", "mangled", {"user_id": 0})], barrier=1)

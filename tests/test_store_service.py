@@ -280,6 +280,29 @@ class TestPendingRehydration:
         assert second.now > 0.0
         store.close()
 
+    @pytest.mark.parametrize("largest", ["clock", "bucket", "due"])
+    def test_clock_resumes_past_every_persisted_timestamp(
+        self, tmp_path, largest
+    ):
+        _, store = _make_store(tmp_path)
+        self._run_phase1(store)
+        clock = store.get("svc", "clock")
+        pending = store.get("svc", "gateway0")
+        assert pending["queue"]["items"], "test needs deferred items"
+        future = clock["now"] + 1000.0
+        if largest == "clock":
+            clock["now"] = future
+        elif largest == "bucket":
+            pending["bucket"]["last"] = future
+        else:
+            pending["queue"]["items"][-1]["due"] = future
+        store.commit(
+            [("svc", "clock", clock), ("svc", "gateway0", pending)],
+            barrier=store.barrier,
+        )
+        assert ZmailService(store, overload=OVERLOAD).now == future
+        store.close()
+
     def test_restart_without_overload_refuses(self, tmp_path):
         _, store = _make_store(tmp_path)
         self._run_phase1(store)
@@ -345,6 +368,25 @@ class TestSelftest:
         store._conn.execute("UPDATE records SET payload='{}' WHERE kind='bank'")
         store.close()
         with pytest.raises(SimulationError):
+            run_selftest(path)
+
+    @pytest.mark.parametrize("mutation", ["unknown-key", "missing-key"])
+    def test_bad_overload_record_fails_loudly(self, tmp_path, mutation):
+        path, store = _make_store(tmp_path)
+        ZmailService(store, overload=OVERLOAD).commit()
+        record = store.get("svc", "overload")
+        if mutation == "unknown-key":
+            record["surge_rate"] = 3.0
+            field = "surge_rate"
+        else:
+            del record["max_retries"]
+            field = "max_retries"
+        store.commit([("svc", "overload", record)], barrier=store.barrier)
+        store.close()
+        with pytest.raises(
+            SimulationError,
+            match=f"malformed svc record 'overload': field '{field}'",
+        ):
             run_selftest(path)
 
     def test_selftest_does_not_write(self, tmp_path):

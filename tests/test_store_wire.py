@@ -1,7 +1,10 @@
-"""Round-trip tests for the in-flight payload codecs the store persists."""
+"""Round-trip tests for the in-flight payload shapes the store persists."""
+
+import json
 
 import pytest
 
+from repro import records
 from repro.chaos.snapshot import (
     ChaosSnapshotReply,
     ChaosSnapshotRequest,
@@ -9,8 +12,20 @@ from repro.chaos.snapshot import (
 )
 from repro.core.transfer import Letter
 from repro.errors import SimulationError
+from repro.records import Field, Record
 from repro.sim.workload import Address, TrafficKind
-from repro.store.wire import decode_send, decode_wire, encode_send, encode_wire
+from repro.store.wire import SEND, WIRE
+
+
+def encode(shape, payload):
+    """``payload`` as the JSON a journal stores under ``shape``."""
+    return records.dump(Record(Field("p", shape), cls=tuple), (payload,))["p"]
+
+
+def decode(shape, blob):
+    """Check and decode one stored payload (through a JSON round trip)."""
+    state = json.loads(json.dumps({"p": blob}))
+    return records.load(Record(Field("p", shape), cls=tuple), state, "test", "p")[0]
 
 
 class TestWireRoundTrip:
@@ -22,7 +37,7 @@ class TestWireRoundTrip:
             paid=True,
             content=("subject", "body"),
         )
-        assert decode_wire(encode_wire(letter)) == letter
+        assert decode(WIRE, encode(WIRE, letter)) == letter
 
     def test_letter_without_content(self):
         letter = Letter(
@@ -32,33 +47,33 @@ class TestWireRoundTrip:
             paid=False,
             content=None,
         )
-        assert decode_wire(encode_wire(letter)) == letter
+        assert decode(WIRE, encode(WIRE, letter)) == letter
 
     def test_snapshot_request(self):
         message = ChaosSnapshotRequest(token=4, quiesce=1.5)
-        assert decode_wire(encode_wire(message)) == message
+        assert decode(WIRE, encode(WIRE, message)) == message
 
     def test_snapshot_reply(self):
         message = ChaosSnapshotReply(
             token=2, isp_id=1, credit={0: 3, 2: -3}
         )
-        assert decode_wire(encode_wire(message)) == message
+        assert decode(WIRE, encode(WIRE, message)) == message
 
     def test_snapshot_abort(self):
         message = SnapshotAbort(token=9)
-        assert decode_wire(encode_wire(message)) == message
+        assert decode(WIRE, encode(WIRE, message)) == message
 
     def test_unsupported_payload_type_raises(self):
         with pytest.raises(SimulationError, match="cannot persist"):
-            encode_wire(object())
+            encode(WIRE, object())
 
     def test_unknown_tag_raises(self):
-        with pytest.raises(SimulationError, match="unknown wire payload"):
-            decode_wire({"t": "mystery"})
+        with pytest.raises(SimulationError, match="field 'p.t': unknown tag"):
+            decode(WIRE, {"t": "mystery"})
 
     def test_malformed_blob_raises(self):
-        with pytest.raises(SimulationError, match="malformed wire payload"):
-            decode_wire({"t": "letter", "sender": [0]})
+        with pytest.raises(SimulationError, match="'p.recipient': missing"):
+            decode(WIRE, {"t": "letter", "sender": [0]})
 
 
 class TestSendRoundTrip:
@@ -69,16 +84,18 @@ class TestSendRoundTrip:
             TrafficKind.NORMAL,
             ("hello",),
         )
-        assert decode_send(encode_send(payload)) == payload
+        assert decode(SEND, encode(SEND, payload)) == payload
 
     def test_deferred_send_without_content(self):
         payload = (Address(2, 0), Address(0, 0), TrafficKind.SPAM, None)
-        assert decode_send(encode_send(payload)) == payload
+        assert decode(SEND, encode(SEND, payload)) == payload
 
     def test_not_a_tuple_raises(self):
-        with pytest.raises(SimulationError, match="deferred send"):
-            encode_send("not a tuple")
+        with pytest.raises(SimulationError, match="cannot persist"):
+            encode(SEND, "not a tuple")
+        with pytest.raises(SimulationError, match="cannot persist"):
+            encode(SEND, (Address(0, 0), Address(0, 1), TrafficKind.SPAM))
 
     def test_malformed_blob_raises(self):
-        with pytest.raises(SimulationError, match="malformed deferred send"):
-            decode_send({"sender": [0, 0]})
+        with pytest.raises(SimulationError, match="'p.recipient': missing"):
+            decode(SEND, {"sender": [0, 0]})

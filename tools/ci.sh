@@ -52,8 +52,11 @@
 #    cell to pass conservation/consistency. The full 100-world phase
 #    diagram runs via benchmarks/bench_arena.py (see the workflow).
 # 9. Runs the service smoke: `repro serve --overload` for 2 s on a fresh
-#    store, then `repro selftest` on that store must pass (checksums,
-#    anti-symmetry, conservation and one live SMTP round trip).
+#    store, then again for 2 s on the store the first run wrote (the
+#    reopen loads the svc clock, overload and gateway records and every
+#    committed ISP and user record through their checked loaders), then
+#    `repro selftest` on that store must pass (checksums, anti-symmetry,
+#    conservation and one live SMTP round trip).
 #
 # The baseline was measured on a 2-core host; raw msgs/sec on other
 # hardware differ, so the default tolerance is loose (it catches
@@ -235,13 +238,16 @@ cmp /tmp/arena_report_1.json /tmp/arena_report_2.json \
 echo "arena reports byte-identical"
 
 SERVE_STORE=/tmp/serve.db
-echo "== service smoke (serve 2 s on a fresh store, then selftest) =="
+echo "== service smoke (serve 2 s on a fresh store, serve it again, then selftest) =="
 # `repro serve` creates the store, serves every compliant ISP with
-# admission control on and commits on stop; the read-only selftest then
-# verifies that store end to end.
+# admission control on and commits on stop; the second run reopens that
+# store and restores every record it wrote, and the read-only selftest
+# then verifies the store end to end.
 rm -f "${SERVE_STORE}" "${SERVE_STORE}-wal" "${SERVE_STORE}-shm"
-PYTHONPATH=src python -m repro serve --store "${SERVE_STORE}" --overload \
-    --duration 2
+for pass in 1 2; do
+    PYTHONPATH=src python -m repro serve --store "${SERVE_STORE}" \
+        --overload --duration 2
+done
 PYTHONPATH=src python -m repro selftest --store "${SERVE_STORE}" \
     || { echo "selftest failed on the served store"; exit 1; }
 rm -f "${SERVE_STORE}" "${SERVE_STORE}-wal" "${SERVE_STORE}-shm"
