@@ -9,54 +9,13 @@ small frauds stay under the ceiling until the ISP cashes out; cashing out
 is exactly what makes minting profitable, so profit implies detection.
 """
 
-import random
-
 from conftest import report
 
-from repro.core import ZmailConfig, ZmailNetwork
-from repro.core.audit import EconomicAuditor
-from repro.sim import Address, TrafficKind
+from repro.core.audit import minting_audit
 
 
-def run_audit(mint: int, days: int = 15, seed: int = 18):
-    config = ZmailConfig(
-        initial_pool=500, minavail=200, maxavail=900,
-        default_user_balance=50, auto_topup_amount=10,
-    )
-    net = ZmailNetwork(n_isps=3, users_per_isp=8, config=config, seed=seed)
-    auditor = EconomicAuditor()
-    endowment = config.initial_pool + 8 * config.default_user_balance
-    for isp_id in net.compliant_isps():
-        auditor.register_isp(isp_id, initial_endowment=endowment)
-    if mint:
-        net.isps[1].ledger.pool += mint  # off-the-books creation
-
-    rng = random.Random(seed)
-    for day in range(1, days):
-        for _ in range(300):
-            net.send(
-                Address(rng.randrange(3), rng.randrange(8)),
-                Address(rng.randrange(3), rng.randrange(8)),
-                TrafficKind.NORMAL,
-            )
-        isps = net.compliant_isps()
-        for isp in isps.values():
-            isp.begin_snapshot(net.bank.next_seq)
-        reports = {}
-        for isp_id, isp in sorted(isps.items()):
-            reports[isp_id] = isp.snapshot_reply()
-            isp.resume_sending()
-        net.bank.reconcile(reports)
-        auditor.ingest_credit_reports(reports)
-        before = {i: net.bank.account_balance(i) for i in isps}
-        net.advance_day_to(day)
-        for isp_id in isps:
-            delta = net.bank.account_balance(isp_id) - before[isp_id]
-            if delta < 0:
-                auditor.note_purchase(isp_id, -delta)
-            elif delta > 0:
-                auditor.note_sale(isp_id, delta)
-    alerts = auditor.check()
+def run_audit(mint: int):
+    alerts = minting_audit(mint, seed=18)
     return {
         "minted": mint,
         "flagged_isps": [a.isp_id for a in alerts],

@@ -83,10 +83,6 @@ class ProtocolState:
         """Total messages currently residing in all channels."""
         return sum(len(c) for c in self._channels.values())
 
-    def channels_from(self, src: str) -> list[Channel]:
-        """All channels whose source is ``src``."""
-        return [c for (s, _), c in self._channels.items() if s == src]
-
 
 class Scheduler:
     """Randomized weakly-fair executor with invariant checking.

@@ -66,9 +66,3 @@ class Whitelist:
             return WhitelistDecision.ACCEPT
         self.fell_through += 1
         return WhitelistDecision.FALLTHROUGH
-
-    def forge_target(self) -> str | None:
-        """A listed address a forging spammer would claim (if any)."""
-        if not self.forgeable or not self._listed:
-            return None
-        return min(self._listed)  # deterministic pick

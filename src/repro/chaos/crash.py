@@ -2,19 +2,25 @@
 
 The crash model is fail-stop with durable storage:
 
-* **Crash** — the node's durable state (ledger, credit arrays, bank
-  accounts), its reliable endpoint's sequence state (the mail-queue
-  journal) and any admission deferred queue are committed to a
-  :class:`~repro.store.backend.DurableStore` at the crash instant.
-  Everything volatile is lost: frames in flight, an open snapshot
-  pause, the buffered outbox; the endpoint is torn down (cancelling its
-  retransmission timers).
-* **Restart** — reads *only* the store: a *fresh* node object is built
-  and the state loaded into it (for ISPs; the bank restores in place),
-  the queues are reloaded, the endpoint reopens and resumes
+* **Crash** — the node's durable state is committed to a
+  :class:`~repro.store.backend.DurableStore` at the crash instant as the
+  rows :func:`~repro.store.network.commit_network` writes for it: a
+  compliant ISP's ``isp`` aggregate plus one ``user`` row per user
+  (:func:`~repro.store.network.isp_puts`), or the bank's ``bank`` row.
+  Beside them go the node's reliable-endpoint sequence state (the
+  mail-queue journal) and any admission deferred queue, which only a
+  crash writes. Everything volatile is lost: frames in flight, an open
+  snapshot pause, the buffered outbox; the endpoint is torn down
+  (cancelling its retransmission timers).
+* **Restart** — reads *only* the store: a *fresh* ISP is rebuilt from
+  its rows by :func:`~repro.store.network.load_isps`, the loader every
+  network restore uses (the bank restores in place), the queues are
+  reloaded and their rows deleted, the endpoint reopens and resumes
   retransmitting unacked mail, and any user submissions that arrived
   while the node was down (queued client-side by the deployment) are
-  flushed.
+  flushed. The ``isp``, ``user`` and ``bank`` rows stay: in the durable
+  soak they are the network's own rows, and a down node skips midnight,
+  retries and deliveries, so they still hold its crash-time state.
 
 Store rows are checksummed, so a corrupted record raises
 :class:`~repro.errors.SimulationError` instead of restoring a wrong
@@ -27,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..core import persistence
 from ..core.isp import CompliantISP
 from ..errors import SimulationError
 from ..store.backend import DurableStore
@@ -37,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["CrashEvent", "CrashController"]
 
-_NODE_KIND = "journal"
+_BANK_KIND = "bank"
 _ENDPOINT_KIND = "endpoint"
 _ADMISSION_KIND = "admission"
 
@@ -100,6 +105,7 @@ class CrashController:
 
     def crash(self, node: str) -> None:
         """Fail-stop ``node`` now: commit durable state, drop the rest."""
+        from ..store.network import isp_puts
         from ..store.wire import SEND, WIRE
 
         deployment = self.deployment
@@ -107,22 +113,21 @@ class CrashController:
             raise SimulationError(f"{node!r} is already down")
         admission = None
         if node == "bank":
-            state = deployment.network.bank.state_dict()
+            puts: list[tuple[str, str, Any]] = [
+                (_BANK_KIND, "bank", deployment.network.bank.state_dict())
+            ]
             deployment.coordinator.on_bank_crash()
         else:
             isp_id = self._isp_id(node)
             isp = deployment.network.isps[isp_id]
             assert isinstance(isp, CompliantISP)
-            state = persistence.isp_state(isp)
+            puts = isp_puts(isp)
             deployment.coordinator.on_isp_crash(isp_id)
             admission = deployment.network.overload_controllers().get(isp_id)
         deployment.net.set_down(node)
         endpoint = deployment.endpoints[node]
         endpoint.close()
-        puts: list[tuple[str, str, Any]] = [
-            (_NODE_KIND, node, state),
-            (_ENDPOINT_KIND, node, endpoint.state_dict(WIRE)),
-        ]
+        puts.append((_ENDPOINT_KIND, node, endpoint.state_dict(WIRE)))
         if admission is not None:
             puts.append(
                 (_ADMISSION_KIND, node, admission.state_dict(SEND))
@@ -137,44 +142,38 @@ class CrashController:
 
     def restart(self, node: str) -> None:
         """Bring ``node`` back from the store and resume its mail queue."""
+        from ..store.network import load_isps
         from ..store.wire import SEND, WIRE
 
         deployment = self.deployment
         if not deployment.net.is_down(node):
             raise SimulationError(f"{node!r} is not down")
-        state = self.store.get(_NODE_KIND, node)
-        if state is None:
-            raise SimulationError(f"store holds no crash journal for {node!r}")
         endpoint_state = self.store.get(_ENDPOINT_KIND, node)
         if endpoint_state is None:
             raise SimulationError(
                 f"store holds no endpoint state for {node!r}"
             )
         deployment.endpoints[node].load_state(endpoint_state, WIRE)
+        network = deployment.network
         if node == "bank":
-            deployment.network.bank.load_state(state)
+            state = self.store.get(_BANK_KIND, "bank")
+            if state is None:
+                raise SimulationError("store holds no bank ledger")
+            network.bank.load_state(state)
         else:
             isp_id = self._isp_id(node)
             admission_state = self.store.get(_ADMISSION_KIND, node)
             if admission_state is not None:
-                deployment.network.overload_controllers()[isp_id].load_state(
+                network.overload_controllers()[isp_id].load_state(
                     admission_state, SEND
                 )
-            fresh = CompliantISP(
-                isp_id,
-                deployment.network.users_per_isp,
-                deployment.network.config,
-            )
-            persistence.load_isp_state(fresh, state)
-            deployment.network.isps[isp_id] = fresh
+            fresh = CompliantISP(isp_id, network.users_per_isp, network.config)
+            load_isps(self.store, network, {isp_id: fresh})
+            network.isps[isp_id] = fresh
         self.store.commit(
             [],
             barrier=self.store.barrier,
-            deletes=[
-                (_NODE_KIND, node),
-                (_ENDPOINT_KIND, node),
-                (_ADMISSION_KIND, node),
-            ],
+            deletes=[(_ENDPOINT_KIND, node), (_ADMISSION_KIND, node)],
         )
         deployment.net.set_up(node)
         deployment.endpoints[node].reopen()

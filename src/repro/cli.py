@@ -396,48 +396,10 @@ def cmd_zombie(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    import random
+    from .core.audit import minting_audit
 
-    from .core import ZmailConfig, ZmailNetwork
-    from .core.audit import EconomicAuditor
-    from .sim import Address
-
-    config = ZmailConfig(
-        initial_pool=500, minavail=200, maxavail=900,
-        default_user_balance=50, auto_topup_amount=10,
-    )
-    net = ZmailNetwork(n_isps=3, users_per_isp=8, config=config,
-                       seed=args.seed)
-    auditor = EconomicAuditor()
-    endowment = config.initial_pool + 8 * config.default_user_balance
-    for isp_id in net.compliant_isps():
-        auditor.register_isp(isp_id, initial_endowment=endowment)
-    net.isps[1].ledger.pool += args.mint
     print(f"isp1 secretly minted {args.mint} e-pennies...")
-
-    rng = random.Random(args.seed)
-    for day in range(1, 15):
-        for _ in range(300):
-            net.send(Address(rng.randrange(3), rng.randrange(8)),
-                     Address(rng.randrange(3), rng.randrange(8)))
-        isps = net.compliant_isps()
-        for isp in isps.values():
-            isp.begin_snapshot(net.bank.next_seq)
-        reports = {}
-        for isp_id, isp in sorted(isps.items()):
-            reports[isp_id] = isp.snapshot_reply()
-            isp.resume_sending()
-        net.bank.reconcile(reports)
-        auditor.ingest_credit_reports(reports)
-        before = {i: net.bank.account_balance(i) for i in isps}
-        net.advance_day_to(day)
-        for isp_id in isps:
-            delta = net.bank.account_balance(isp_id) - before[isp_id]
-            if delta < 0:
-                auditor.note_purchase(isp_id, -delta)
-            elif delta > 0:
-                auditor.note_sale(isp_id, delta)
-    alerts = auditor.check()
+    alerts = minting_audit(args.mint, args.seed)
     for alert in alerts:
         print(f"ALERT: isp{alert.isp_id} sold {alert.sold} e-pennies, "
               f"solvency ceiling {alert.ceiling} (excess {alert.excess})")

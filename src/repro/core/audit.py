@@ -19,14 +19,21 @@ mail inflow`` — every e-penny it ever sold had to come from somewhere.
 An ISP exceeding the bound has created e-pennies from nothing.
 :class:`EconomicAuditor` accumulates these flows across reconciliation
 rounds and flags violators, completing the paper's "the bank may make
-further investigation" into an actual algorithm.
+further investigation" into an actual algorithm. :func:`minting_audit`
+wires it to a small deployment with one minting ISP (``repro audit`` and
+experiment E18).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 
-__all__ = ["IspPosition", "MintingAlert", "EconomicAuditor"]
+from ..sim.workload import Address
+from .config import ZmailConfig
+from .protocol import ZmailNetwork
+
+__all__ = ["IspPosition", "MintingAlert", "EconomicAuditor", "minting_audit"]
 
 
 @dataclass
@@ -130,6 +137,47 @@ class EconomicAuditor:
         self.alerts = fresh
         return fresh
 
-    def all_clear(self) -> bool:
-        """Whether no ISP violates the bound."""
-        return not self.check()
+
+def minting_audit(mint: int, seed: int) -> list[MintingAlert]:
+    """Audit a 3-ISP x 8-user deployment in which isp1 secretly adds
+    ``mint`` e-pennies to its pool; returns the alerts after 14 days.
+
+    Each day sends 300 random messages, runs one reconciliation round
+    (whose credit arrays the auditor ingests), then the midnight pool
+    rebalance, whose bank-account movements it records as purchases and
+    sales.
+    """
+    config = ZmailConfig(
+        initial_pool=500, minavail=200, maxavail=900,
+        default_user_balance=50, auto_topup_amount=10,
+    )
+    net = ZmailNetwork(n_isps=3, users_per_isp=8, config=config, seed=seed)
+    auditor = EconomicAuditor()
+    endowment = config.initial_pool + 8 * config.default_user_balance
+    for isp_id in net.compliant_isps():
+        auditor.register_isp(isp_id, initial_endowment=endowment)
+    net.isps[1].ledger.pool += mint  # off-the-books creation
+
+    rng = random.Random(seed)
+    for day in range(1, 15):
+        for _ in range(300):
+            net.send(Address(rng.randrange(3), rng.randrange(8)),
+                     Address(rng.randrange(3), rng.randrange(8)))
+        isps = net.compliant_isps()
+        for isp in isps.values():
+            isp.begin_snapshot(net.bank.next_seq)
+        reports = {}
+        for isp_id, isp in sorted(isps.items()):
+            reports[isp_id] = isp.snapshot_reply()
+            isp.resume_sending()
+        net.bank.reconcile(reports)
+        auditor.ingest_credit_reports(reports)
+        before = {i: net.bank.account_balance(i) for i in isps}
+        net.advance_day_to(day)
+        for isp_id in isps:
+            delta = net.bank.account_balance(isp_id) - before[isp_id]
+            if delta < 0:
+                auditor.note_purchase(isp_id, -delta)
+            elif delta > 0:
+                auditor.note_sale(isp_id, delta)
+    return auditor.check()

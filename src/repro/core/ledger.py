@@ -10,9 +10,10 @@ Every mutation preserves the ledger-local conservation law::
     sum(user accounts) + sum(user balances) + pool  ==  constant
                                             (absent external transfers)
 
-External transfers — e-pennies leaving with an email, arriving with one,
-or moving to/from the bank — go through the explicit ``external_*``
-methods so auditors (and tests) can account for every unit.
+External transfers change the total: e-pennies leaving with an email or
+arriving with one move a user's purse (the ISP's send and delivery
+paths), and e-pennies traded with the bank move the pool through
+:meth:`Ledger.pool_credit` and :meth:`Ledger.pool_debit`.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class Ledger:
                     self._materialize(user_id)
         return [self._users[k] for k in sorted(self._users)]
 
-    def items(self) -> list[tuple[int, UserAccount]]:
-        """``(user_id, user)`` for every user: the ISP journal's users."""
-        return [(user.user_id, user) for user in self.users()]
-
     __getitem__ = user
 
     def materialized_count(self) -> int:
@@ -146,15 +143,7 @@ class Ledger:
         user.credit_epennies(amount)
         self.pool -= amount
 
-    # -- external transfers (email and bank) ------------------------------------
-
-    def external_debit(self, user_id: int, amount: int = 1) -> None:
-        """E-pennies leave the ISP with an outgoing email."""
-        self.user(user_id).debit_epennies(amount)
-
-    def external_credit(self, user_id: int, amount: int = 1) -> None:
-        """E-pennies arrive at the ISP with an incoming email."""
-        self.user(user_id).credit_epennies(amount)
+    # -- bank transfers ---------------------------------------------------------
 
     def pool_credit(self, amount: int) -> None:
         """E-pennies bought from the bank land in the pool."""

@@ -29,11 +29,6 @@ class InconsistentPair:
     credit_ab: int  # what a reported about b
     credit_ba: int  # what b reported about a
 
-    @property
-    def discrepancy(self) -> int:
-        """The nonzero sum — magnitude of the disagreement."""
-        return self.credit_ab + self.credit_ba
-
 
 @dataclass
 class ReconciliationReport:

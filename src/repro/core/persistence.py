@@ -4,9 +4,8 @@ An ISP's ledger and credit arrays and the users' purses *are* the
 money. This module declares each record kind of an ISP's durable state
 once, as a :mod:`repro.records` table that its dumper and its loader
 both walk: :data:`USER` (one purse), :data:`ISP_AGGREGATE` (the
-per-user-independent state), :data:`ISP_JOURNAL` (the aggregate plus
-every user) and :data:`CONFIG`. The bank's table sits beside
-:meth:`~repro.core.bank.Bank.state_dict`.
+per-user-independent state) and :data:`CONFIG`. The bank's table sits
+beside :meth:`~repro.core.bank.Bank.state_dict`.
 
 The durable store (:mod:`repro.store`) is the only writer and reader of
 these records. A crash loses everything volatile (open snapshot pauses,
@@ -32,14 +31,11 @@ from .user import UserAccount
 __all__ = [
     "USER",
     "ISP_AGGREGATE",
-    "ISP_JOURNAL",
     "CONFIG",
     "config_state",
     "config_from_state",
     "user_state",
     "load_user_state",
-    "isp_state",
-    "load_isp_state",
     "isp_aggregate_state",
     "load_isp_aggregate_state",
     "FORMAT_VERSION",
@@ -71,12 +67,6 @@ ISP_AGGREGATE = Record(
         *records.dataclass_fields(DeliveryStats, low=0), cls=DeliveryStats
     )),
     Field("limit_hits", Map(int), 0),
-)
-
-#: The crash journal of a compliant ISP: the aggregate plus every user
-#: (``users`` iterates the ledger, materialising pristine users).
-ISP_JOURNAL = Record(
-    *ISP_AGGREGATE.fields, Field("users", Map(USER), attr="ledger")
 )
 
 CONFIG = Record(*records.dataclass_fields(ZmailConfig), cls=ZmailConfig)
@@ -113,7 +103,7 @@ def config_from_state(state: Any) -> ZmailConfig:
     return records.load(CONFIG, state, "config state", "config")
 
 
-# -- per-node journals (crash/restart) -----------------------------------------------
+# -- ISP aggregates ------------------------------------------------------------------
 
 
 def isp_aggregate_state(isp: CompliantISP) -> dict[str, Any]:
@@ -130,35 +120,11 @@ def load_isp_aggregate_state(isp: CompliantISP, state: Any) -> None:
         SimulationError: if the record is malformed or belongs to
             another ISP.
     """
-    _load_isp(ISP_AGGREGATE, isp, state, "ISP journal aggregate", str(isp.isp_id))
-
-
-def isp_state(isp: CompliantISP) -> dict[str, Any]:
-    """One compliant ISP's write-ahead journal. Volatile state (an open
-    snapshot pause, the buffered outbox) is absent: a crash loses it."""
-    return records.dump(ISP_JOURNAL, isp)
-
-
-def load_isp_state(isp: CompliantISP, state: Any) -> None:
-    """Restore a journal written by :func:`isp_state` onto ``isp`` in place.
-
-    The target is typically a freshly constructed :class:`CompliantISP`
-    (same id / user count / config) standing in for the restarted
-    process; its volatile state starts empty, exactly as after a crash.
-
-    Raises:
-        SimulationError: if the journal is malformed.
-    """
-    _load_isp(ISP_JOURNAL, isp, state, "ISP journal", f"isp{isp.isp_id}")
-
-
-def _load_isp(
-    record: Record, isp: CompliantISP, state: Any, kind: str, key: str
-) -> None:
-    values = records.load(record, state, kind, key)
+    kind, key = "ISP aggregate", str(isp.isp_id)
+    values = records.load(ISP_AGGREGATE, state, kind, key)
     if values["isp_id"] != isp.isp_id:
         raise SimulationError(
             f"malformed {kind} {key!r}: field 'isp_id': belongs to "
             f"isp{values['isp_id']}"
         )
-    records.assign(record, isp, values, kind, key)
+    records.assign(ISP_AGGREGATE, isp, values, kind, key)

@@ -70,10 +70,6 @@ class ZombieMonitor:
         """Whether ``address`` has been flagged at any point."""
         return address in self._seen
 
-    def total_bounded_liability(self) -> int:
-        """Sum of per-detection liability bounds, in e-pennies."""
-        return sum(d.liability_epennies for d in self.detections)
-
 
 def warning_message(detection: ZombieDetection):
     """The §5 warning email: "the user is sent a warning message to

@@ -48,11 +48,6 @@ class NonceSource:
                 self._issued.add(nonce)
                 return nonce
 
-    @property
-    def issued_count(self) -> int:
-        """How many nonces this source has handed out."""
-        return len(self._issued)
-
 
 class NonceRegistry:
     """Receiver-side replay detection: remembers every nonce it has seen.

@@ -146,11 +146,6 @@ class AdaptiveSpammer:
             if Address(isp, user) != self.address
         ]
 
-    @property
-    def current_volume(self) -> int:
-        """The volume the next period will attempt."""
-        return self._learner.volume
-
     def run_period(self) -> PeriodOutcome:
         """Blast one period's volume and adapt."""
         volume = self._learner.volume

@@ -92,12 +92,6 @@ class ISPCostModel:
             filtering = 0.0
         return CostBreakdown(bandwidth, storage, filtering)
 
-    def spam_attributable_cost(self, spam_share: float) -> float:
-        """Extra annual dollars spent because spam exists at this share."""
-        with_spam = self.annual_cost(spam_share).total
-        without = self.annual_cost(0.0, filtering_enabled=False).total
-        return with_spam - without
-
 
 
 def productivity_loss_annual(

@@ -85,7 +85,6 @@ class Engine:
         self._streams: list[_Stream] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         self.events_processed = 0
 
     # -- time ---------------------------------------------------------------
@@ -225,25 +224,7 @@ class Engine:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the single next pending *heap* event.
-
-        Returns:
-            ``True`` if an event was executed, ``False`` if the heap is
-            empty. Streams attached via :meth:`add_stream` are only
-            consumed by :meth:`run`, never by ``step``.
-        """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.time)
-            self.events_processed += 1
-            event.callback()
-            return True
-        return False
-
-    def run(self, until: float | None = None, *, max_events: int | None = None) -> None:
+    def run(self, until: float | None = None) -> None:
         """Run heap events and stream items in time order.
 
         Args:
@@ -253,19 +234,15 @@ class Engine:
                 back-to-back ``run(until=...)`` calls tile time cleanly;
                 an undispatched stream item stays buffered for the next
                 ``run`` call.
-            max_events: Safety valve; raise :class:`SimulationError` if more
-                than this many events execute (runaway-loop detection).
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
-        self._stopped = False
-        executed = 0
         heap = self._heap
         clock = self.clock
         streams = self._streams
         try:
-            while not self._stopped:
+            while True:
                 # Drop cancelled heap heads so time comparisons see the
                 # true next event (cancelled events must not gate streams).
                 while heap and heap[0].cancelled:
@@ -313,19 +290,10 @@ class Engine:
                     event.callback()
                 else:
                     break
-                executed += 1
-                if max_events is not None and executed > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway event loop?"
-                    )
             if until is not None and until > clock.now:
                 clock.advance_to(until)
         finally:
             self._running = False
-
-    def stop(self) -> None:
-        """Request that the current :meth:`run` call return after this event."""
-        self._stopped = True
 
     # -- introspection ---------------------------------------------------------
 
@@ -333,10 +301,6 @@ class Engine:
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled heap events."""
         return sum(1 for e in self._heap if not e.cancelled)
-
-    def pending_labels(self) -> Iterable[str]:
-        """Labels of pending events, in heap (not time) order. Debug aid."""
-        return [e.label for e in self._heap if not e.cancelled]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

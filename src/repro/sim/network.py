@@ -1,7 +1,8 @@
 """A simulated message network between named endpoints.
 
 The network delivers opaque payloads between registered endpoints with
-configurable per-link latency and loss. Delivery order per (src, dst) pair
+configurable latency and loss, one spec for every link, each link
+drawing from its own RNG stream. Delivery order per (src, dst) pair
 is FIFO even under random latency — the Zmail paper's channel model
 (Section 3) requires in-order delivery, so the network enforces it by never
 scheduling a delivery earlier than the previous one on the same link.
@@ -89,7 +90,6 @@ class Network:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._default_link = default_link or LinkSpec()
         self._endpoints: dict[str, Endpoint] = {}
-        self._links: dict[tuple[str, str], LinkSpec] = {}
         # Per-link hot-path cache: (spec, rng stream, delivery label,
         # endpoint). Built lazily on first send over a link so the
         # per-message path does no string formatting or spec resolution.
@@ -115,15 +115,6 @@ class Network:
             raise SimulationError(f"endpoint {name!r} already registered")
         self._endpoints[name] = endpoint
 
-    def set_link(self, src: str, dst: str, spec: LinkSpec) -> None:
-        """Override delivery characteristics for the directed link src→dst."""
-        self._links[(src, dst)] = spec
-        self._link_cache.pop((src, dst), None)
-
-    def link(self, src: str, dst: str) -> LinkSpec:
-        """The effective spec for the directed link src→dst."""
-        return self._links.get((src, dst), self._default_link)
-
     # -- transmission ------------------------------------------------------------
 
     def _resolve(self, key: tuple[str, str]) -> tuple[LinkSpec, object, str, Endpoint]:
@@ -134,7 +125,7 @@ class Network:
         if dst not in self._endpoints:
             raise SimulationError(f"unknown destination endpoint {dst!r}")
         cached = (
-            self.link(src, dst),
+            self._default_link,
             self._streams.get(f"net:{src}->{dst}"),
             f"deliver {src}->{dst}",
             self._endpoints[dst],

@@ -33,11 +33,6 @@ class EmailAddress:
     def __str__(self) -> str:
         return f"{self.local}@{self.domain}"
 
-    @property
-    def domain_lower(self) -> str:
-        """The domain folded to lowercase (domains are case-insensitive)."""
-        return self.domain.lower()
-
 
 def parse_address(raw: str) -> EmailAddress:
     """Parse ``local@domain``, accepting an optional ``<...>`` wrapper.

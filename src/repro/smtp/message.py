@@ -38,11 +38,6 @@ class Headers:
                 return value
         return default
 
-    def get_all(self, name: str) -> list[str]:
-        """All values for ``name`` in order."""
-        lowered = name.lower()
-        return [v for k, v in self._items if k.lower() == lowered]
-
     def replace(self, name: str, value: str) -> None:
         """Remove all fields called ``name`` and append one with ``value``."""
         self.remove(name)
@@ -161,10 +156,6 @@ class MailMessage:
     def recipient(self) -> str:
         """The To header, or the empty string."""
         return self.headers.get("To", "") or ""
-
-    def size_bytes(self) -> int:
-        """Wire size of the serialised message in bytes."""
-        return len(self.serialize().encode("utf-8"))
 
     def copy(self) -> "MailMessage":
         """An independent copy (headers are duplicated)."""

@@ -17,13 +17,6 @@ class Dataset:
     train: list[LabeledMessage]
     test: list[LabeledMessage]
 
-    @property
-    def train_spam_fraction(self) -> float:
-        """Spam share of the training set."""
-        if not self.train:
-            return 0.0
-        return sum(m.is_spam for m in self.train) / len(self.train)
-
 
 def make_dataset(
     *,

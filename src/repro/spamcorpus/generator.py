@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..smtp.message import MailMessage
 from .vocabulary import Vocabulary, misspell
 
 __all__ = ["LabeledMessage", "CorpusGenerator"]
@@ -31,16 +30,6 @@ class LabeledMessage:
     def text(self) -> str:
         """The message body as whitespace-joined tokens."""
         return " ".join(self.tokens)
-
-    def to_mail(self, *, sender: str, recipient: str) -> MailMessage:
-        """Wrap as a :class:`MailMessage` for transport-level tests."""
-        subject_tokens = self.tokens[: min(5, len(self.tokens))]
-        return MailMessage.compose(
-            sender=sender,
-            recipient=recipient,
-            subject=" ".join(subject_tokens),
-            body=self.text,
-        )
 
 
 @dataclass

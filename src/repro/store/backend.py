@@ -6,9 +6,10 @@ The store is a key-value journal with per-record checksums:
   users per ISP, compliant flags, config, seed) and the last committed
   barrier. Small, rewritten in full on every commit.
 * ``records(kind, key, payload, checksum, barrier)`` — checksummed
-  state fragments keyed by ``(kind, key)``: per-ISP aggregates, dirty
-  user purses, the bank ledger, gateway/endpoint retry queues, a
-  crashed chaos node's state, a cluster shard's barrier record.
+  state fragments keyed by ``(kind, key)``: per-ISP aggregates, user
+  purses (the dirty ones at a barrier, every one of a crashed chaos
+  ISP), the bank ledger, gateway/endpoint/admission retry queues, a
+  cluster shard's barrier record.
   ``payload`` is canonical JSON; ``checksum`` binds the
   payload to its (kind, key) identity so any on-disk corruption —
   including a flipped digit that would still parse — raises

@@ -6,10 +6,10 @@ seed), and the records table holds only state that has ever diverged
 from genesis — per-ISP aggregates (pool, cash, credit, compliance view,
 stats; O(n_isps), rewritten every barrier), the bank ledger, the
 network counters (external deposits, last midnight, bank-trade nonce
-counters), and exactly the user purses the dirty tracker saw mutate.
-Restore therefore costs O(n_isps + ever-dirty-users), not O(users): an
-ISP with a million accounts whose hot set is 1% restarts ~100× less
-state.
+counters), and exactly the user purses the dirty tracker saw mutate
+(plus every purse of an ISP a chaos crash committed). Restore therefore
+costs O(n_isps + ever-dirty-users), not O(users): an ISP with a million
+accounts whose hot set is 1% restarts ~100× less state.
 
 Why the dirty superset is sound: every path that mutates a user runs
 through one of the four hooked funnels (``_send_admitted`` touches
@@ -24,7 +24,11 @@ Every restart in the repository reads this format:
 :func:`restore_network` (the service and ``repro selftest``, the soak's
 commit cuts) builds the genesis network and :func:`load_network`
 applies the deltas; a respawned cluster shard rebuilds its own slice and
-calls :func:`load_network` on it directly.
+calls :func:`load_network` on it directly. A chaos crash
+(:mod:`repro.chaos.crash`) commits the crashed ISP's :func:`isp_puts`
+(its aggregate and every user) or the bank's row, and the restart
+rebuilds the fresh ISP with :func:`load_isps`, the loader
+:func:`load_network` applies every compliant ISP's rows with.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Any
 
 from .. import records
 from ..core import persistence
+from ..core.isp import CompliantISP
 from ..core.protocol import ZmailNetwork
 from ..errors import SimulationError
 from ..records import Field, List, Map, Record
@@ -45,8 +50,10 @@ __all__ = [
     "init_store",
     "attach_tracker",
     "commit_network",
+    "isp_puts",
     "restore_network",
     "load_network",
+    "load_isps",
     "durable_digest",
 ]
 
@@ -139,6 +146,20 @@ def _aggregate_puts(network: ZmailNetwork) -> list[tuple[str, str, Any]]:
     return puts
 
 
+def isp_puts(isp: CompliantISP) -> list[tuple[str, str, Any]]:
+    """One compliant ISP's rows: its aggregate and one row per user,
+    pristine users included (a chaos crash commits these)."""
+    isp_id = isp.isp_id
+    puts: list[tuple[str, str, Any]] = [
+        (_ISP_KIND, str(isp_id), persistence.isp_aggregate_state(isp))
+    ]
+    puts.extend(
+        (_USER_KIND, _user_key(isp_id, user.user_id), persistence.user_state(user))
+        for user in isp.ledger.users()
+    )
+    return puts
+
+
 def commit_network(
     store: DurableStore,
     network: ZmailNetwork,
@@ -210,16 +231,6 @@ def load_network(store: DurableStore, network: ZmailNetwork) -> None:
             f"store journal format {journal_version!r} does not match "
             f"persistence.FORMAT_VERSION {persistence.FORMAT_VERSION}"
         )
-    applied = 0
-    compliant_map = network.compliant_isps()
-    for key, state in store.iter_kind(_ISP_KIND):
-        isp = compliant_map.get(int(key)) if key.isdecimal() else None
-        if isp is None:
-            raise SimulationError(
-                f"store holds an aggregate for non-compliant isp {key!r}"
-            )
-        persistence.load_isp_aggregate_state(isp, state)
-        applied += 1
     bank_blob = store.get(_BANK_KIND, "bank")
     if bank_blob is None:
         raise SimulationError("store holds no bank ledger")
@@ -228,25 +239,60 @@ def load_network(store: DurableStore, network: ZmailNetwork) -> None:
     if net_blob is None:
         raise SimulationError("store holds no network counters")
     records.load_into(NET, network, net_blob, "network counters", "net")
-    for key, state in store.iter_kind(_USER_KIND):
-        try:
-            isp_part, user_part = key.split(":")
-            isp_id, user_id = int(isp_part), int(user_part)
-        except ValueError as exc:
-            raise SimulationError(f"malformed user record key {key!r}") from exc
-        isp = compliant_map.get(isp_id)
-        if isp is None:
-            raise SimulationError(
-                f"store holds a user record for non-compliant isp{isp_id}"
-            )
-        persistence.load_user_state(isp, user_id, state)
-        applied += 1
+    applied = load_isps(store, network, network.compliant_isps())
     if network.tracer.enabled:
         network.tracer.emit(
             "store.restore", barrier=store.barrier, records=applied
         )
     network.metrics.counter("store.restores").increment()
     network.metrics.counter("store.records_read").increment(applied)
+
+
+def load_isps(
+    store: DurableStore, network: ZmailNetwork, isps: dict[int, CompliantISP]
+) -> int:
+    """Apply the store's ``isp`` and ``user`` rows of ``isps`` in place
+    and return how many were applied.
+
+    ``isps`` maps ids of ``network``'s compliant ISPs to the objects to
+    load: all of them on a restore, one fresh ISP on a chaos restart.
+    Rows of the network's other compliant ISPs are skipped. Raises
+    ``SimulationError`` on a row naming a non-compliant ISP, a malformed
+    row, or an ISP of ``isps`` with no aggregate row.
+    """
+    compliant = network.compliant_isps()
+    loaded: set[int] = set()
+    for key, state in store.iter_kind(_ISP_KIND):
+        isp_id = int(key) if key.isdecimal() else None
+        isp = isps.get(isp_id)
+        if isp is None:
+            if isp_id not in compliant:
+                raise SimulationError(
+                    f"store holds an aggregate for non-compliant isp {key!r}"
+                )
+            continue
+        persistence.load_isp_aggregate_state(isp, state)
+        loaded.add(isp_id)
+    missing = sorted(isps.keys() - loaded)
+    if missing:
+        raise SimulationError(f"store holds no aggregate for isp{missing[0]}")
+    applied = len(loaded)
+    for key, state in store.iter_kind(_USER_KIND):
+        try:
+            isp_part, user_part = key.split(":")
+            isp_id, user_id = int(isp_part), int(user_part)
+        except ValueError as exc:
+            raise SimulationError(f"malformed user record key {key!r}") from exc
+        isp = isps.get(isp_id)
+        if isp is None:
+            if isp_id not in compliant:
+                raise SimulationError(
+                    f"store holds a user record for non-compliant isp{isp_id}"
+                )
+            continue
+        persistence.load_user_state(isp, user_id, state)
+        applied += 1
+    return applied
 
 
 def durable_digest(network: ZmailNetwork) -> str:
@@ -263,7 +309,13 @@ def durable_digest(network: ZmailNetwork) -> str:
         **records.dump(NET, network),
         "bank": network.bank.state_dict(),
         "isps": {
-            str(isp_id): persistence.isp_state(isp)
+            str(isp_id): {
+                **persistence.isp_aggregate_state(isp),
+                "users": {
+                    str(user.user_id): persistence.user_state(user)
+                    for user in isp.ledger.users()
+                },
+            }
             for isp_id, isp in sorted(network.compliant_isps().items())
         },
     }

@@ -303,14 +303,17 @@ def _smtp_roundtrip(service: ZmailService) -> bool:
 
     With a single compliant ISP the round trip is local (user 0 to user
     1 of the same domain); either way the message must land in the
-    recipient's inbox as paid mail. Read-only with respect to the store:
-    the service is stopped with ``commit=False``.
+    recipient's inbox as paid mail. The probe goes out a day after the
+    store's clock, when every §4.1 daily counter is reset: a store whose
+    users all spent their limit is healthy. Read-only with respect to
+    the store: the service is stopped with ``commit=False``.
     """
     isp_ids = sorted(service.gateways)
     src = isp_ids[0]
     dst = isp_ids[1] if len(isp_ids) > 1 else isp_ids[0]
     sender = str(from_sim_address(Address(src, 0)))
     recipient = str(from_sim_address(Address(dst, 1)))
+    service.tick(DAY)
 
     async def _run() -> bool:
         await service.start()

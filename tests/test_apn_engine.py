@@ -118,13 +118,6 @@ class TestProtocolState:
         state.send("p", "q", Message("m"))
         assert state.in_flight() == 2
 
-    def test_channels_from(self):
-        state = ProtocolState([Process("p"), Process("q"), Process("r")])
-        state.send("p", "q", Message("m"))
-        state.send("p", "r", Message("m"))
-        state.send("q", "p", Message("m"))
-        assert len(state.channels_from("p")) == 2
-
 
 class TestScheduler:
     def test_runs_to_quiescence(self):

@@ -144,15 +144,15 @@ class TestWhitelist:
         """The §2.2 weakness: forged sender passes the list."""
         whitelist = Whitelist(forgeable=True)
         whitelist.add("friend@x.example")
-        target = whitelist.forge_target()
-        assert target == "friend@x.example"
-        whitelist.check(target, actually_spam=True)
+        decision = whitelist.check("friend@x.example", actually_spam=True)
+        assert decision is WhitelistDecision.ACCEPT
         assert whitelist.forged_accepts == 1
 
     def test_unforgeable_has_no_target(self):
         whitelist = Whitelist(forgeable=False)
         whitelist.add("a@x")
-        assert whitelist.forge_target() is None
+        whitelist.check("a@x", actually_spam=True)
+        assert whitelist.forged_accepts == 0
 
     def test_remove(self):
         whitelist = Whitelist()

@@ -1,12 +1,8 @@
 """Tests for the economic (anti-minting) audit."""
 
-import random
-
 import pytest
 
-from repro.core import ZmailConfig, ZmailNetwork
-from repro.core.audit import EconomicAuditor
-from repro.sim.workload import Address, TrafficKind
+from repro.core.audit import EconomicAuditor, minting_audit
 
 
 class TestAuditorUnit:
@@ -15,7 +11,7 @@ class TestAuditorUnit:
         auditor.register_isp(0, initial_endowment=1000)
         auditor.note_purchase(0, 500)
         auditor.note_sale(0, 1200)
-        assert auditor.all_clear()
+        assert auditor.check() == []
 
     def test_minting_flagged(self):
         auditor = EconomicAuditor()
@@ -31,7 +27,7 @@ class TestAuditorUnit:
         # Net receiver: credit array sums to -400 (received 400 more).
         auditor.ingest_credit_reports({0: {1: -400}})
         auditor.note_sale(0, 450)
-        assert auditor.all_clear()
+        assert auditor.check() == []
 
     def test_mail_outflow_lowers_ceiling(self):
         auditor = EconomicAuditor()
@@ -52,74 +48,23 @@ class TestAuditorUnit:
         auditor = EconomicAuditor()
         auditor.register_isp(0, initial_endowment=1)
         auditor.ingest_credit_reports({9: {0: 5}})  # not tracked: no crash
-        assert auditor.all_clear()
+        assert auditor.check() == []
 
 
 class TestAuditorIntegration:
     """Wire the auditor to a real deployment's observable flows."""
 
-    def drive(self, *, mint: int = 0, seed: int = 90):
-        config = ZmailConfig(
-            initial_pool=500, minavail=200, maxavail=900,
-            default_user_balance=50, auto_topup_amount=10,
-        )
-        net = ZmailNetwork(n_isps=3, users_per_isp=8, config=config, seed=seed)
-        auditor = EconomicAuditor()
-        endowment = config.initial_pool + 8 * config.default_user_balance
-        for isp_id in net.compliant_isps():
-            auditor.register_isp(isp_id, initial_endowment=endowment)
-
-        if mint:
-            # ISP 1 secretly creates e-pennies in its pool (off the books).
-            net.isps[1].ledger.pool += mint
-
-        rng = random.Random(seed)
-        for day in range(1, 15):
-            for _ in range(300):
-                net.send(
-                    Address(rng.randrange(3), rng.randrange(8)),
-                    Address(rng.randrange(3), rng.randrange(8)),
-                    TrafficKind.NORMAL,
-                )
-            # Snapshot + feed the auditor what the bank actually sees.
-            isps = net.compliant_isps()
-            for isp in isps.values():
-                isp.begin_snapshot(net.bank.next_seq)
-            reports = {}
-            for isp_id, isp in sorted(isps.items()):
-                reports[isp_id] = isp.snapshot_reply()
-                isp.resume_sending()
-            net.bank.reconcile(reports)
-            auditor.ingest_credit_reports(reports)
-
-            # Rebalance and record purchases/sales from account movements.
-            balances_before = {
-                i: net.bank.account_balance(i) for i in isps
-            }
-            net.advance_day_to(day)
-            for isp_id in isps:
-                delta = net.bank.account_balance(isp_id) - balances_before[isp_id]
-                if delta < 0:
-                    auditor.note_purchase(isp_id, -delta)
-                elif delta > 0:
-                    auditor.note_sale(isp_id, delta)
-        return net, auditor
-
     def test_honest_deployment_all_clear(self):
-        net, auditor = self.drive(mint=0)
-        assert auditor.all_clear()
+        assert minting_audit(0, seed=90) == []
 
     def test_minting_isp_detected_via_excess_sales(self):
         """ISP 1 mints 5000 e-pennies; users sell them back; the pool
         swells; the ISP sells to the bank beyond its solvency ceiling."""
-        net, auditor = self.drive(mint=5000)
-        alerts = auditor.check()
+        alerts = minting_audit(5000, seed=90)
         assert [a.isp_id for a in alerts] == [1]
         assert alerts[0].excess > 0
 
     def test_detection_threshold_scales_with_mint(self):
-        _, small = self.drive(mint=5000, seed=91)
-        _, large = self.drive(mint=9000, seed=91)
-        small_alerts = {a.isp_id: a for a in small.check()}
-        large_alerts = {a.isp_id: a for a in large.check()}
+        small_alerts = {a.isp_id: a for a in minting_audit(5000, seed=91)}
+        large_alerts = {a.isp_id: a for a in minting_audit(9000, seed=91)}
         assert large_alerts[1].excess > small_alerts[1].excess

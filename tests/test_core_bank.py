@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.bank import Bank
-from repro.core.misbehavior import infer_suspects, verify_credit_matrix
+from repro.core.misbehavior import (
+    InconsistentPair,
+    infer_suspects,
+    verify_credit_matrix,
+)
 from repro.errors import NotCompliant, ReplayDetected, UnknownISP
 
 
@@ -119,7 +123,7 @@ class TestReconciliation:
         report = bank.reconcile(reports)
         assert not report.consistent
         assert report.flagged_isps() == {0, 1}
-        assert report.inconsistent[0].discrepancy == 1
+        assert report.inconsistent == [InconsistentPair(0, 1, 5, -4)]
 
     def test_seq_advances(self):
         bank = make_bank()

@@ -189,9 +189,12 @@ class TestLedger:
         assert ledger.totals().total_value == before
 
     def test_external_transfers(self):
+        # One e-penny leaves user 0 with an email and arrives at user 1.
         ledger = self.make()
-        ledger.external_debit(0)
-        ledger.external_credit(1)
+        before = ledger.totals().total_value
+        ledger.user(0).debit_epennies(1)
+        ledger.user(1).credit_epennies(1)
+        assert ledger.totals().total_value == before
         assert ledger.user(0).balance == 49
         assert ledger.user(1).balance == 51
 

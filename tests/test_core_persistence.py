@@ -14,9 +14,7 @@ from repro.core.persistence import (
     config_from_state,
     config_state,
     isp_aggregate_state,
-    isp_state,
     load_isp_aggregate_state,
-    load_isp_state,
     load_user_state,
     user_state,
 )
@@ -30,6 +28,7 @@ from repro.store import (
     init_store,
     restore_network,
 )
+from repro.store.network import isp_puts, load_isps
 from repro.store.codec import encode_payload
 
 
@@ -180,7 +179,7 @@ class TestMalformedState:
         net, _, _ = busy_network(messages=10)
         state = isp_aggregate_state(net.isps[0])
         state["credit"] = 17
-        with pytest.raises(SimulationError, match="malformed ISP journal"):
+        with pytest.raises(SimulationError, match="malformed ISP aggregate"):
             load_isp_aggregate_state(net.isps[0], state)
 
     @pytest.mark.parametrize(
@@ -198,7 +197,7 @@ class TestMalformedState:
         state = {**before, field: value}
         with pytest.raises(
             SimulationError,
-            match=f"malformed ISP journal aggregate '0': field '{path}'",
+            match=f"malformed ISP aggregate '0': field '{path}'",
         ):
             load_isp_aggregate_state(isp, state)
         assert isp_aggregate_state(isp) == before
@@ -229,14 +228,16 @@ class TestRestoreResumeEquivalence:
 
 
 class TestPerNodeJournals:
-    """isp_state/Bank.state_dict: the crash/restart write-ahead journals."""
+    """The crash/restart records: a compliant ISP's rows (``isp_puts`` /
+    ``load_isps``) and the bank's ``Bank.state_dict``."""
 
     def test_isp_journal_round_trip(self):
-        net, _, _ = busy_network(seed=9)
+        net, store, _ = busy_network(seed=9)
         original = net.isps[1]
-        journal = json.loads(json.dumps(isp_state(original), sort_keys=True))
+        # The store also holds isp0's and isp2's rows: the loader skips them.
+        store.commit(isp_puts(original), barrier=store.barrier + 1)
         fresh = CompliantISP(1, net.users_per_isp, net.config)
-        load_isp_state(fresh, journal)
+        assert load_isps(store, net, {1: fresh}) == 1 + net.users_per_isp
         assert fresh.credit == original.credit
         assert fresh.ledger.pool == original.ledger.pool
         assert fresh.ledger.cash == original.ledger.cash
@@ -251,11 +252,21 @@ class TestPerNodeJournals:
 
     def test_isp_journal_malformed_raises_simulation_error(self):
         net, _, _ = busy_network(messages=10)
-        journal = isp_state(net.isps[0])
-        del journal["credit"]
+        puts = isp_puts(net.isps[0])
+        del puts[0][2]["credit"]
+        store = DurableStore.create(":memory:")
+        store.commit(puts, barrier=1)
         fresh = CompliantISP(0, net.users_per_isp, net.config)
-        with pytest.raises(SimulationError, match="malformed ISP journal"):
-            load_isp_state(fresh, journal)
+        with pytest.raises(SimulationError, match="malformed ISP aggregate"):
+            load_isps(store, net, {0: fresh})
+
+    def test_isp_without_aggregate_raises_simulation_error(self):
+        net, _, _ = busy_network(messages=10)
+        store = DurableStore.create(":memory:")
+        store.commit(isp_puts(net.isps[0])[1:], barrier=1)
+        fresh = CompliantISP(0, net.users_per_isp, net.config)
+        with pytest.raises(SimulationError, match="no aggregate for isp0"):
+            load_isps(store, net, {0: fresh})
 
     def test_bank_journal_round_trip_keeps_replay_protection(self):
         net, _, _ = busy_network(messages=10)

@@ -96,7 +96,8 @@ class TestDetection:
     def test_total_bounded_liability(self):
         net, monitor, _ = self.run_outbreak(limit=30)
         monitor.poll()
-        assert monitor.total_bounded_liability() <= 30 * len(monitor.detections)
+        assert monitor.detections
+        assert all(d.liability_epennies <= 30 for d in monitor.detections)
 
 
 class TestWarningMessage:

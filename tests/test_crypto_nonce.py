@@ -33,12 +33,6 @@ class TestNonceSource:
         for _ in range(100):
             assert 0 <= source.next() < 2**64
 
-    def test_issued_count(self):
-        source = NonceSource(seed=4)
-        for _ in range(7):
-            source.next()
-        assert source.issued_count == 7
-
 
 class TestNonceRegistry:
     def test_replay_detected(self):

@@ -62,10 +62,11 @@ class TestAdaptiveDynamics:
     def test_volume_reacts_to_profit_sign(self):
         spammer = make_spammer(compliant=False, conversion=0.002, volume=2000)
         outcome = spammer.run_period()
+        following = spammer.run_period()
         if outcome.profit > 0:
-            assert spammer.current_volume > outcome.attempted
+            assert following.attempted > outcome.attempted
         else:
-            assert spammer.current_volume < outcome.attempted
+            assert following.attempted < outcome.attempted
 
     def test_history_recorded_per_period(self):
         spammer = make_spammer(compliant=False)
@@ -120,12 +121,11 @@ class TestVolumeLearner:
         market must let the loop climb back out."""
         spammer = make_spammer(compliant=True, conversion=0.0, volume=4)
         spammer.run(periods=4)
-        assert spammer.current_volume == 1
         # Flip the market: free sending, guaranteed conversions.
         spammer.conversion_rate = 1.0
         spammer.epenny_dollars = 0.0
-        spammer.run_period()
-        assert spammer.current_volume == 2
+        assert spammer.run_period().attempted == 1
+        assert spammer.run_period().attempted == 2
 
     def test_spammer_max_volume_honored(self):
         spammer = AdaptiveSpammer(

@@ -105,7 +105,9 @@ class TestISPCosts:
         assert model.message_volume(0.6) == pytest.approx(2.5e6)
 
     def test_spam_attributable_cost_positive(self):
-        assert ISPCostModel().spam_attributable_cost(0.6) > 0
+        model = ISPCostModel()
+        spam_free = model.annual_cost(0.0, filtering_enabled=False).total
+        assert model.annual_cost(0.6).total > spam_free
 
     def test_invalid_share(self):
         with pytest.raises(ValueError):

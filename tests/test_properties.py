@@ -124,7 +124,7 @@ class TestLedgerProperties:
                 if op == "buy":
                     ledger.user_buys_epennies(user, amount)
                 else:
-                    ledger.external_debit(user, amount)
+                    ledger.user(user).debit_epennies(amount)
                     before -= amount  # e-pennies left with an email
             except (InsufficientBalance, InsufficientFunds):
                 pass  # refusals must leave state untouched
@@ -146,7 +146,7 @@ class TestLedgerProperties:
                 if op == "buy":
                     ledger.user_buys_epennies(0, amount)
                 else:
-                    ledger.external_debit(0, amount)
+                    ledger.user(0).debit_epennies(amount)
             except (InsufficientBalance, InsufficientFunds):
                 assert (
                     ledger.user(0).account,

@@ -113,27 +113,6 @@ class TestRunBounds:
         engine.run()
         assert fired == [1.0, 4.0, 9.0]
 
-    def test_max_events_guard(self):
-        engine = Engine()
-
-        def reschedule():
-            engine.schedule_after(1.0, reschedule)
-
-        engine.schedule_at(0.0, reschedule)
-        with pytest.raises(SimulationError, match="max_events"):
-            engine.run(max_events=100)
-
-    def test_stop_requests_early_return(self):
-        engine = Engine()
-        fired = []
-        engine.schedule_at(1.0, lambda: (fired.append(1), engine.stop()))
-        engine.schedule_at(2.0, lambda: fired.append(2))
-        engine.run()
-        assert fired == [1]
-
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
-
     def test_events_processed_counter(self):
         engine = Engine()
         for t in range(5):

@@ -140,11 +140,3 @@ class TestAccounting:
         net.send("a", "b", "x", size=100)
         net.send("a", "b", "y", size=200)
         assert net.bytes_sent == 300
-
-    def test_per_link_override(self):
-        engine, net = make_net(LinkSpec(base_latency=1.0))
-        net.register("a", Sink())
-        net.register("b", Sink())
-        net.set_link("a", "b", LinkSpec(base_latency=9.0))
-        assert net.link("a", "b").base_latency == 9.0
-        assert net.link("b", "a").base_latency == 1.0

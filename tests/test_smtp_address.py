@@ -48,9 +48,6 @@ class TestParseAddress:
     def test_str_round_trip(self):
         assert str(parse_address("a@b.example")) == "a@b.example"
 
-    def test_domain_lower(self):
-        assert parse_address("a@EXAMPLE.Com").domain_lower == "example.com"
-
 
 class TestSimConvention:
     def test_round_trip(self):

@@ -89,19 +89,14 @@ class TestGenerator:
         b = CorpusGenerator(seed=6).corpus(n_ham=10, n_spam=10)
         assert [m.tokens for m in a] == [m.tokens for m in b]
 
-    def test_to_mail(self):
-        message = CorpusGenerator(seed=7).spam()
-        mail = message.to_mail(sender="s@x.example", recipient="r@y.example")
-        assert mail.sender == "s@x.example"
-        assert mail.body == message.text
-
 
 class TestDatasets:
     def test_split_sizes_and_shares(self):
         dataset = make_dataset(n_train=100, n_test=50, spam_fraction=0.6, seed=1)
         assert len(dataset.train) == 100
         assert len(dataset.test) == 50
-        assert dataset.train_spam_fraction == pytest.approx(0.6, abs=0.01)
+        spam_share = sum(m.is_spam for m in dataset.train) / len(dataset.train)
+        assert spam_share == pytest.approx(0.6, abs=0.01)
 
     def test_train_test_independent(self):
         dataset = make_dataset(n_train=50, n_test=50, seed=2)

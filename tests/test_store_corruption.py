@@ -97,9 +97,9 @@ class TestSealedJournalFuzz:
     """Mutating a record the crash controller committed must refuse the
     node's restart, never rebuild wrong state."""
 
-    def _fuzz_record(self, node, kind, seed):
+    def _fuzz_record(self, node, kind, key, seed):
         controller = _crashed(node, seed)
-        original = _payload(controller.store, kind, node).encode("utf-8")
+        original = _payload(controller.store, kind, key).encode("utf-8")
         raised = 0
         for mutant in _mutations(random.Random(1234), original):
             try:
@@ -107,31 +107,34 @@ class TestSealedJournalFuzz:
             except UnicodeDecodeError:
                 raised += 1  # unreadable is as loud as it gets
                 continue
-            _payload(controller.store, kind, node, new=text)
+            _payload(controller.store, kind, key, new=text)
             with pytest.raises(SimulationError):
                 controller.restart(node)
             raised += 1
         assert raised == N_MUTATIONS
 
     def test_isp_journal(self):
-        self._fuzz_record("isp0", "journal", seed=77)
+        self._fuzz_record("isp0", "isp", "0", seed=77)
+
+    def test_user_record(self):
+        self._fuzz_record("isp0", "user", "0:1", seed=80)
 
     def test_bank_journal(self):
-        self._fuzz_record("bank", "journal", seed=78)
+        self._fuzz_record("bank", "bank", "bank", seed=78)
 
     def test_endpoint_record(self):
-        self._fuzz_record("isp1", "endpoint", seed=79)
+        self._fuzz_record("isp1", "endpoint", "isp1", seed=79)
 
     def test_payload_digit_flip_caught(self):
         # The classic checksumless failure: one digit changed in a value
         # that still parses as valid JSON. The record checksum must catch
         # what a parser cannot.
         controller = _crashed("bank", seed=5)
-        payload = _payload(controller.store, "journal", "bank")
+        payload = _payload(controller.store, "bank", "bank")
         digits = [i for i, ch in enumerate(payload) if ch.isdigit()]
         for index in digits:
             new_digit = "3" if payload[index] != "3" else "4"
-            _payload(controller.store, "journal", "bank",
+            _payload(controller.store, "bank", "bank",
                      new=payload[:index] + new_digit + payload[index + 1 :])
             with pytest.raises(SimulationError, match="checksum"):
                 controller.restart("bank")

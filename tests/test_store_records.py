@@ -68,9 +68,6 @@ TABLES = {
 
 def table_of(kind, key):
     """The record and payload shape a restart reads ``(kind, key)`` with."""
-    if kind == "journal":
-        record = BANK if key == "bank" else persistence.ISP_JOURNAL
-        return record, None
     if kind == "svc":
         return {"clock": (CLOCK, None), "overload": (OVERLOAD, None)}.get(
             key, (ADMISSION, PENDING)
@@ -285,12 +282,14 @@ def cases(tmp_path_factory):
             for keys, bad in sites(f.shape, soak.meta[f.name], [], f.low, None)
         )
     add("config", soak, "meta", "config", soak.config, persistence.CONFIG)
-    for source in (isp1, bank):
-        for kind in ("journal", "endpoint", "admission"):
-            state = source.store.get(kind, source.node)
-            if state is not None:
-                add(f"{kind}-{source.node}", source, kind, source.node, state,
-                    *table_of(kind, source.node))
+    # The rows each crash wrote that its restart reads (the bank's store
+    # also keeps the rows of isp1's earlier crash).
+    for source, kinds in ((isp1, ("isp", "user", "endpoint", "admission")),
+                          (bank, ("bank", "endpoint"))):
+        for kind in kinds:
+            for key, state in source.store.iter_kind(kind):
+                add(f"{kind}-{source.node}", source, kind, key, state,
+                    *table_of(kind, key))
 
     # Tags the crash instants hold no frame of, and a queued send.
     frames = {
@@ -321,7 +320,7 @@ def cases(tmp_path_factory):
 
 LABELS = [
     "user", "isp", "bank", "net", "meta", "config", "svc-clock", "svc-overload",
-    "svc-gateway", "journal-isp1", "journal-bank", "endpoint-isp1",
+    "svc-gateway", "isp-isp1", "user-isp1", "bank-bank", "endpoint-isp1",
     "endpoint-bank", "admission-isp1", "wire-letter", "wire-snap-req",
     "wire-snap-rep", "wire-snap-abort", "deferred-send",
 ]

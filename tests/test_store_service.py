@@ -13,7 +13,13 @@ from repro.sim.workload import Address
 from repro.smtp.client import SMTPClient
 from repro.smtp.message import MailMessage
 from repro.smtp.transport import Envelope
-from repro.store import DurableStore, durable_digest, init_store
+from repro.store import (
+    DurableStore,
+    attach_tracker,
+    commit_network,
+    durable_digest,
+    init_store,
+)
 from repro.store.codec import encode_payload
 from repro.store.service import ZmailService, run_selftest
 
@@ -362,6 +368,32 @@ class TestSelftest:
         store.close()
         report = run_selftest(path)
         assert report["passed"], report
+
+    def test_store_with_every_user_at_its_limit_passes(self, tmp_path):
+        # The probe would be refused on the store's own day; selftest
+        # sends it on the next, without writing that day to the store.
+        network = ZmailNetwork(n_isps=2, users_per_isp=2, seed=5,
+                               config=ZmailConfig(default_daily_limit=2))
+        path = str(tmp_path / "spent.db")
+        store = DurableStore.create(path)
+        init_store(store, network)
+        tracker = attach_tracker(network)
+        for isp in range(2):
+            for user in range(2):
+                for _ in range(2):
+                    network.send(Address(isp, user), Address(1 - isp, user))
+        assert all(
+            u.sent_today == u.daily_limit
+            for isp in network.compliant_isps().values()
+            for u in isp.ledger.users()
+        )
+        commit_network(store, network, tracker, barrier=1)
+        store.close()
+        report = run_selftest(path)
+        assert report["roundtrip"] and report["passed"], report
+        with DurableStore.open(path) as s:
+            assert s.barrier == 1
+            assert s.get("svc", "clock") is None
 
     def test_corrupted_store_fails_loudly(self, tmp_path):
         path, store = _make_store(tmp_path)

@@ -15,6 +15,7 @@ from conftest import example, load_plan
 from repro.chaos.crash import CrashController
 from repro.chaos.deployment import ChaosDeployment
 from repro.cli import main
+from repro.core.overload import OverloadConfig
 from repro.errors import SimulationError
 from repro.obs.schema import EVENT_TYPES
 from repro.store import DurableStore
@@ -164,22 +165,63 @@ class TestCrashControllerStore:
     def test_crash_persists_node_state(self, rig):
         _, store, controller = rig
         controller.crash("isp0")
-        assert store.get("journal", "isp0") is not None
+        assert store.get("isp", "0") is not None
+        assert [key for key, _ in store.iter_kind("user")] == ["0:0", "0:1", "0:2"]
         assert store.get("endpoint", "isp0") is not None
 
     def test_restart_consumes_node_state(self, rig):
+        # The crash-only rows go; the network rows stay.
         _, store, controller = rig
         controller.crash("isp0")
         controller.restart("isp0")
-        assert store.get("journal", "isp0") is None
         assert store.get("endpoint", "isp0") is None
+        assert store.get("isp", "0") is not None
 
     def test_restart_without_journal_raises(self, rig):
         _, store, controller = rig
         controller.crash("isp0")
-        store.commit([], barrier=store.barrier, deletes=[("journal", "isp0")])
-        with pytest.raises(SimulationError, match="no crash journal"):
+        store.commit([], barrier=store.barrier, deletes=[("isp", "0")])
+        with pytest.raises(SimulationError, match="no aggregate for isp0"):
             controller.restart("isp0")
+
+    def test_crash_writes_and_restart_reads_only_store_rows(self):
+        # One recovery format: a crash writes the network's own isp, user
+        # and bank rows beside the crash-only endpoint and admission rows,
+        # and each restart reads no other kind.
+        class LoggedStore(DurableStore):
+            def get(self, kind, key):
+                self.kinds_read.add(kind)
+                return super().get(kind, key)
+
+            def iter_kind(self, kind):
+                self.kinds_read.add(kind)
+                return super().iter_kind(kind)
+
+        deployment = ChaosDeployment(
+            n_isps=3, users_per_isp=3, seed=3, faults=None,
+            overload=OverloadConfig(),
+        )
+        store = LoggedStore.create(":memory:")
+        controller = CrashController(deployment, store)
+        deployment.crash_controller = controller
+        controller.crash("isp1")
+        controller.crash("bank")
+
+        def rows():
+            return sorted(store._conn.execute("SELECT kind, key FROM records"))
+
+        assert rows() == [
+            ("admission", "isp1"), ("bank", "bank"), ("endpoint", "bank"),
+            ("endpoint", "isp1"), ("isp", "1"),
+            ("user", "1:0"), ("user", "1:1"), ("user", "1:2"),
+        ]
+        store.kinds_read = set()
+        controller.restart("isp1")
+        assert store.kinds_read == {"endpoint", "admission", "isp", "user"}
+        store.kinds_read = set()
+        controller.restart("bank")
+        assert store.kinds_read == {"endpoint", "bank"}
+        assert {kind for kind, _ in rows()} == {"bank", "isp", "user"}
 
     def test_restart_with_missing_endpoint_raises(self, rig):
         _, store, controller = rig
@@ -195,7 +237,7 @@ class TestCrashControllerStore:
         # no longer matches the payload.
         store._conn.execute(
             "UPDATE records SET payload = replace(payload, '0', '9') "
-            "WHERE kind = 'journal' AND key = 'bank'"
+            "WHERE kind = 'bank' AND key = 'bank'"
         )
         with pytest.raises(SimulationError, match="checksum"):
             controller.restart("bank")

@@ -45,7 +45,8 @@
 #    mode twice, once with --store (isp1 and the bank each crash and
 #    restart from the durable SQLite store) and once without (the
 #    in-memory oracle); the two run manifests must be byte-identical
-#    (cmp) — the recovery-equivalence contract of repro.store.
+#    (cmp) — the recovery-equivalence contract of repro.store — and
+#    `repro selftest` must pass on the durable run's store.
 # 8. Runs the arena determinism smoke: the same seeded mini-tournament
 #    (three attacker strategies vs the static Zmail defender) twice,
 #    byte-comparing the two canonical reports (cmp) and requiring every
@@ -203,8 +204,9 @@ SOAK_DOC=examples/scenarios/soak.yaml
 echo "== store soak smoke (durable vs in-memory oracle) =="
 # Recovery-equivalence gate: the soak document run against the durable
 # store (every restart rebuilt from disk) and as an in-memory oracle
-# must produce byte-identical run manifests. The store file is removed
-# first: a store left by an aborted run is refused.
+# must produce byte-identical run manifests, and the read-only selftest
+# must pass on the durable run's store. The store file is removed first:
+# a store left by an aborted run is refused.
 rm -f /tmp/soak_store.db /tmp/soak_store.db-wal /tmp/soak_store.db-shm
 PYTHONPATH=src python -m repro run "${SOAK_DOC}" --mode soak \
     --store /tmp/soak_store.db \
@@ -213,8 +215,10 @@ PYTHONPATH=src python -m repro run "${SOAK_DOC}" --mode soak \
     --manifest /tmp/soak_manifest_oracle.json >/dev/null
 cmp /tmp/soak_manifest_durable.json /tmp/soak_manifest_oracle.json \
     || { echo "durable soak diverges from the in-memory oracle"; exit 1; }
-rm -f /tmp/soak_store.db
-echo "soak manifests byte-identical (recovery equivalence holds)"
+PYTHONPATH=src python -m repro selftest --store /tmp/soak_store.db \
+    || { echo "selftest failed on the soak store"; exit 1; }
+rm -f /tmp/soak_store.db /tmp/soak_store.db-wal /tmp/soak_store.db-shm
+echo "soak manifests byte-identical (recovery equivalence holds); selftest passes"
 
 ARENA_SEED="${CI_ARENA_SEED:-13}"
 echo "== arena determinism smoke (seed ${ARENA_SEED}, mini-tournament twice) =="
