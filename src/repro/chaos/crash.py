@@ -5,8 +5,9 @@ The crash model is fail-stop with durable storage:
 * **Crash** — the node's durable state is committed to a
   :class:`~repro.store.backend.DurableStore` at the crash instant as the
   rows :func:`~repro.store.network.commit_network` writes for it: a
-  compliant ISP's ``isp`` aggregate plus one ``user`` row per user
-  (:func:`~repro.store.network.isp_puts`), or the bank's ``bank`` row.
+  compliant ISP's ``isp`` aggregate plus one ``user`` row per
+  materialised user (:func:`~repro.store.network.isp_puts`; pristine
+  users stay lazy in the fresh ISP), or the bank's ``bank`` row.
   Beside them go the node's reliable-endpoint sequence state (the
   mail-queue journal) and any admission deferred queue, which only a
   crash writes. Everything volatile is lost: frames in flight, an open

@@ -153,7 +153,9 @@ class InvariantMonitor:
                 found.append(Violation(
                     now, "non-negativity", f"isp{isp_id} bank account {bank_account}"
                 ))
-            for user in isp.ledger.users():
+            # A pristine user holds the genesis template, which the
+            # config keeps non-negative; checking it would materialise it.
+            for user in isp.ledger.materialized_users():
                 if user.balance < 0 or user.account < 0:
                     found.append(Violation(
                         now,

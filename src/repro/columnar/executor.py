@@ -41,15 +41,20 @@ The cross-mode tests and the macro benchmark assert the resulting
 accounting digests are byte-identical to direct mode at every
 reconciliation cut.
 
-With a tracer enabled, a per-sub-batch emission pass replays the
-``topup``/``send``/``deliver`` events in original message order with the
+With a tracer enabled, a per-sub-batch emission pass records the
+``topup``/``send``/``deliver`` events; tracing changes no outcome. A
+line-sink tracer gets them replayed in original message order with the
 direct-mode clock, so even the *ordered* event stream matches direct
-mode byte for byte (asserted in tests); tracing changes no outcome.
+mode byte for byte (asserted in tests). A counting tracer (see
+:mod:`repro.obs.trace`) gets them as packed int64 keys in run-level
+arrays, one key per message and per top-up, compacted to distinct keys
+and their counts and handed over only when the tracer drains.
 """
 
 from __future__ import annotations
 
 from ..core.config import NonCompliantMailPolicy
+from ..core.protocol import deliver_event, send_event, topup_event
 from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
 from ..sim.rng import SeededStreams
@@ -80,6 +85,7 @@ _DELIVER_OK = {
     _SENT_UNPAID: True,
     _SENT_UNPAID_DISCARDED: False,
 }
+_N_OUTCOMES = len(_STATUS_VALUES)
 _KIND_VALUES = tuple(kind.value for kind in KIND_ORDER)
 _N_KINDS = len(_KIND_VALUES)
 
@@ -94,6 +100,10 @@ def run_columnar(scenario):
 
     state = ColumnarState(network)
     tracer = network.tracer
+    tally = None
+    if tracer.enabled and tracer.counts is not None:
+        tally = _LedgerTally(np, network)
+        tracer.add_tally(tally.fold)
     period = scenario.reconcile_every
     next_reconcile = period if period > 0 else None
     reconciliations = []
@@ -126,7 +136,12 @@ def run_columnar(scenario):
             end = pos + 1 + int(
                 np.searchsorted(times[pos + 1 :], limit_t, side="left")
             )
-            _execute_batch(np, network, state, tracer, chunk, pos, end)
+            traced = _execute_batch(np, network, state, tracer, chunk, pos, end)
+            if traced is not None:
+                _emit_batch(
+                    network, tracer, tally, chunk, pos, end, *traced,
+                    state.users_per_isp,
+                )
             attempted += end - pos
             pos = end
 
@@ -141,7 +156,11 @@ def run_columnar(scenario):
 
 
 def _execute_batch(np, network, state, tracer, chunk, pos, end):
-    """Apply one boundary-free sub-batch to the arrays."""
+    """Apply one boundary-free sub-batch to the arrays.
+
+    Returns the messages' outcome codes and top-up amounts when
+    ``tracer`` is enabled (for :func:`_emit_batch`), else ``None``.
+    """
     senders = chunk.senders[pos:end]
     recipients = chunk.recipients[pos:end]
     kinds = chunk.kinds[pos:end]
@@ -235,8 +254,7 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
             status, topups,
         )
 
-    if traced:
-        _emit_batch(network, tracer, chunk, pos, end, status, topups, upi)
+    return (status, topups) if traced else None
 
 
 def _apply_unpaid(
@@ -433,10 +451,21 @@ def _bump_kind_metrics(np, state, prefix, kind_codes):
         state.bump_metric(f"{prefix}{_KIND_VALUES[code]}", count)
 
 
-def _emit_batch(network, tracer, chunk, pos, end, status, topups, upi):
-    """Traced runs: replay the sub-batch's events in original order."""
-    emit = tracer.emit
-    addresses = _address_strings(network)
+def _emit_batch(network, tracer, tally, chunk, pos, end, status, topups, upi):
+    """Traced runs: record the sub-batch's ledger events.
+
+    With a ``tally`` (a counting tracer) the sub-batch becomes packed
+    keys in the run's arrays. Otherwise each event is emitted in original
+    order at its message's time, for the line sinks whose bytes are the
+    trace contract.
+    """
+    if tally is not None:
+        tally.add(
+            chunk.senders[pos:end], chunk.recipients[pos:end],
+            chunk.kinds[pos:end], status, topups,
+        )
+        return
+    record = tracer.record
     for t, s, r, k, outcome, amount in zip(
         chunk.times[pos:end].tolist(),
         chunk.senders[pos:end].tolist(),
@@ -447,33 +476,117 @@ def _emit_batch(network, tracer, chunk, pos, end, status, topups, upi):
     ):
         network._direct_now = t
         if amount > 0:
-            emit("topup", isp=s // upi, user=s % upi, amount=amount)
-        kind_value = _KIND_VALUES[k]
-        emit(
-            "send",
-            src=addresses[s],
-            dst=addresses[r],
-            kind=kind_value,
-            status=_STATUS_VALUES[outcome],
-        )
-        ok = _DELIVER_OK.get(outcome)
-        if ok is not None:
-            emit(
-                "deliver",
-                src=addresses[s],
-                dst=addresses[r],
-                kind=kind_value,
-                ok=ok,
+            record(topup_event, s // upi, s % upi, amount)
+        for key in _message_events(s, r, k, outcome, upi):
+            record(*key)
+
+
+def _message_events(s, r, k, outcome, upi):
+    """One message's ``send`` event and, if it delivers, its ``deliver``,
+    as :meth:`~repro.obs.trace.TraceRecorder.record` arguments."""
+    kind_value = _KIND_VALUES[k]
+    src_isp, src_user, dst_isp, dst_user = s // upi, s % upi, r // upi, r % upi
+    events = [(
+        send_event, src_isp, src_user, dst_isp, dst_user, kind_value,
+        _STATUS_VALUES[outcome],
+    )]
+    ok = _DELIVER_OK.get(outcome)
+    if ok is not None:
+        events.append((
+            deliver_event, src_isp, src_user, dst_isp, dst_user, kind_value,
+            ok,
+        ))
+    return events
+
+
+class _LedgerTally:
+    """A counting tracer's ledger events of one columnar run, packed.
+
+    A message is one key, ``((sender * n_users + recipient) * n_kinds +
+    kind) * n_outcomes + outcome`` (non-negative); its ``deliver`` event
+    follows from the outcome (``_DELIVER_OK``). A top-up is one negative
+    key, ``-1 - (sender * (top + 1) + amount)``, where ``top`` is the
+    auto top-up amount that bounds every ``amount``. Keys are appended
+    per sub-batch; past :attr:`HELD_CAP` held keys (or as many as there
+    are distinct keys) they are compacted to sorted distinct keys and
+    their counts, so memory stays O(distinct events), not O(events).
+    """
+
+    #: Raw keys held before a compaction.
+    HELD_CAP = 1 << 16
+
+    def __init__(self, np, network) -> None:
+        self._np = np
+        self._upi = network.users_per_isp
+        self._n_users = network.n_isps * self._upi
+        self._top = network.config.auto_topup_amount + 1
+        self._held: list = []  # raw key arrays since the last compaction
+        self._n_held = 0
+        self._keys = np.empty(0, dtype=np.int64)  # distinct, sorted
+        self._counts = np.empty(0, dtype=np.int64)
+
+    def add(self, senders, recipients, kinds, status, topups) -> None:
+        np = self._np
+        keys = senders.astype(np.int64) * self._n_users + recipients
+        keys *= _N_KINDS
+        keys += kinds
+        keys *= _N_OUTCOMES
+        keys += status
+        self._held.append(keys)
+        self._n_held += len(keys)
+        paid = np.flatnonzero(topups)
+        if len(paid):
+            payer = senders[paid].astype(np.int64)
+            self._held.append(-1 - (payer * self._top + topups[paid]))
+            self._n_held += len(paid)
+        if self._n_held >= max(self.HELD_CAP, len(self._keys)):
+            self._compact()
+
+    def _compact(self) -> None:
+        np = self._np
+        held = np.sort(np.concatenate(self._held))
+        keys, counts = _distinct(np, held, None)
+        if len(self._keys):
+            keys = np.concatenate((self._keys, keys))
+            order = np.argsort(keys, kind="stable")
+            keys, counts = _distinct(
+                np, keys[order], np.concatenate((self._counts, counts))[order]
             )
+        self._keys, self._counts = keys, counts
+        self._held = []
+        self._n_held = 0
+
+    def fold(self, counts: dict) -> None:
+        """Add every held event to a tracer's count table; hold none."""
+        if self._n_held:
+            self._compact()
+        keys, multiplicity = self._keys, self._counts
+        if not len(keys):
+            return
+        np, upi = self._np, self._upi
+        split = int(np.searchsorted(keys, 0))  # top-ups sort first
+        topup = -1 - keys[:split]
+        for code, n in zip(topup.tolist(), multiplicity[:split].tolist()):
+            sender, amount = divmod(code, self._top)
+            key = (topup_event, sender // upi, sender % upi, amount)
+            counts[key] = counts.get(key, 0) + n
+        rest, outcome = np.divmod(keys[split:], _N_OUTCOMES)
+        pair, kind = np.divmod(rest, _N_KINDS)
+        senders, recipients = np.divmod(pair, self._n_users)
+        for s, r, k, o, n in zip(
+            senders.tolist(), recipients.tolist(), kind.tolist(),
+            outcome.tolist(), multiplicity[split:].tolist(),
+        ):
+            for key in _message_events(s, r, k, o, upi):
+                counts[key] = counts.get(key, 0) + n
+        self._keys = keys[:0]
+        self._counts = multiplicity[:0]
 
 
-def _address_strings(network):
-    cache = getattr(network, "_columnar_addresses", None)
-    if cache is None:
-        upi = network.users_per_isp
-        cache = [
-            f"user{g % upi}@isp{g // upi}"
-            for g in range(network.n_isps * upi)
-        ]
-        network._columnar_addresses = cache
-    return cache
+def _distinct(np, keys, counts):
+    """Sorted ``keys`` with their ``counts`` (``None``: each once), deduplicated."""
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    if counts is None:
+        return keys[starts], np.diff(np.append(starts, len(keys)))
+    return keys[starts], np.add.reduceat(counts, starts)
+

@@ -106,6 +106,11 @@ class Ledger:
                     self._materialize(user_id)
         return [self._users[k] for k in sorted(self._users)]
 
+    def materialized_users(self) -> list[UserAccount]:
+        """The users that exist in memory, ordered by id; pristine
+        genesis users stay virtual (unlike :meth:`users`)."""
+        return [self._users[k] for k in sorted(self._users)]
+
     __getitem__ = user
 
     def materialized_count(self) -> int:

@@ -63,6 +63,41 @@ from .transfer import (
 __all__ = ["ZmailNetwork"]
 
 
+# The ledger events, built from raw values (``TraceRecorder.record``):
+# ints for addresses, never ``Address`` objects, whose frozen-dataclass
+# ``__hash__`` runs in Python. The emit sites below and the columnar
+# executor's packed keys both record through these, so every executor
+# maps its ledger to one event form.
+
+
+def send_event(src_isp, src_user, dst_isp, dst_user, kind, status) -> dict:
+    return {
+        "type": "send",
+        "src": f"user{src_user}@isp{src_isp}",
+        "dst": f"user{dst_user}@isp{dst_isp}",
+        "kind": kind,
+        "status": status,
+    }
+
+
+def deliver_event(src_isp, src_user, dst_isp, dst_user, kind, ok) -> dict:
+    return {
+        "type": "deliver",
+        "src": f"user{src_user}@isp{src_isp}",
+        "dst": f"user{dst_user}@isp{dst_isp}",
+        "kind": kind,
+        "ok": ok,
+    }
+
+
+def topup_event(isp, user, amount) -> dict:
+    return {"type": "topup", "isp": isp, "user": user, "amount": amount}
+
+
+def trade_event(isp, op, amount) -> dict:
+    return {"type": "bank.trade", "isp": isp, "op": op, "amount": amount}
+
+
 class _IspEndpoint:
     """Adapter giving an ISP a :class:`~repro.sim.network.Network` mailbox."""
 
@@ -408,12 +443,9 @@ class ZmailNetwork:
                 self._inc_send_kind[kind_name]()
                 tracer = self.tracer
                 if tracer.enabled:
-                    tracer.emit(
-                        "send",
-                        src=str(sender),
-                        dst=str(recipient),
-                        kind=kind_name,
-                        status=status,
+                    tracer.record(
+                        send_event, sender.isp, sender.user, recipient.isp,
+                        recipient.user, kind_name, status,
                     )
                 return receipt
         return self._send_admitted(sender, recipient, kind, content)
@@ -446,12 +478,9 @@ class ZmailNetwork:
         self._inc_send_kind[kind_name]()
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(
-                "send",
-                src=str(sender),
-                dst=str(recipient),
-                kind=kind_name,
-                status=status,
+            tracer.record(
+                send_event, sender.isp, sender.user, recipient.isp,
+                recipient.user, kind_name, status,
             )
         if receipt.letter is not None:
             self._route_letter(receipt.letter)
@@ -480,7 +509,7 @@ class ZmailNetwork:
         self._inc_topup_epennies(amount)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit("topup", isp=sender.isp, user=sender.user, amount=amount)
+            tracer.record(topup_event, sender.isp, sender.user, amount)
         return isp.submit(sender.user, recipient, kind, content)
 
     # -- overload admission -------------------------------------------------------------
@@ -636,12 +665,10 @@ class ZmailNetwork:
             self._inc_dropped()
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(
-                "deliver",
-                src=str(letter.sender),
-                dst=str(letter.recipient),
-                kind=kind_name,
-                ok=delivered,
+            sender, recipient = letter.sender, letter.recipient
+            tracer.record(
+                deliver_event, sender.isp, sender.user, recipient.isp,
+                recipient.user, kind_name, delivered,
             )
 
     def deliver_transported(self, letter: Letter) -> None:
@@ -823,9 +850,7 @@ class ZmailNetwork:
                     isp.ledger.pool_credit(deficit)
                     self.metrics.counter("bank.buys").increment()
                     if tracer.enabled:
-                        tracer.emit(
-                            "bank.trade", isp=isp_id, op="buy", amount=deficit
-                        )
+                        tracer.record(trade_event, isp_id, "buy", deficit)
                 continue
             surplus = isp.pool_surplus()
             if surplus > 0:
@@ -838,9 +863,7 @@ class ZmailNetwork:
                 isp.ledger.pool_debit(surplus)
                 self.metrics.counter("bank.sells").increment()
                 if tracer.enabled:
-                    tracer.emit(
-                        "bank.trade", isp=isp_id, op="sell", amount=surplus
-                    )
+                    tracer.record(trade_event, isp_id, "sell", surplus)
 
     # -- workload driving --------------------------------------------------------------------
 
@@ -893,3 +916,4 @@ class ZmailNetwork:
             n_compliant * (per_isp + self.config.initial_bank_account)
             + self._external_deposit
         )
+

@@ -11,18 +11,25 @@ without holding either trace in memory.
 A recorder whose sink is a :class:`DigestSink` is *digest-only*: its
 accumulators read the event dicts, nothing reads a line, so it builds
 no line and keeps no stream digest (:meth:`TraceRecorder.digest` raises).
+A digest-only recorder whose accumulators all drop ``t`` and ``seq`` is
+also *counting*: an event's time and order reach no reader, so the hot
+ledger emit sites (``send``, ``deliver``, ``topup``, ``bank.trade``)
+call :meth:`TraceRecorder.record`, which counts a key tuple of raw values
+instead of building the event, and each distinct key becomes its event
+once, when a reader of the accumulators drains the counts.
 
 Cost model (DESIGN.md §Observability): every emit site in the hot path
 is guarded with ``if tracer.enabled:`` so the disabled path is one
-attribute load and a branch — no argument packing, no allocation. The
-enabled path's cost is measured by ``perfbench/run.py --trace 1`` as
-the ``trace.emit_s`` and ``trace.sink_s`` layers.
-
-Each event is built once: the recorder hands every sink the event dict
-together with its canonical line (``sink.accept(event, line)``). Line
-sinks keep the line; :class:`DigestSink` feeds the dict to its
+attribute load and a branch — no argument packing, no allocation. An
+emitted event is built once: the recorder hands every sink the event
+dict together with its canonical line (``sink.accept(event, line)``).
+Line sinks keep the line; :class:`DigestSink` feeds the dict to its
 accumulators and is handed ``line=None``: no event is encoded when no
-sink reads the line, and none is ever parsed back from its own JSON.
+sink reads the line, and none is ever parsed back from its own JSON. A
+counted event is no dict at all until the counts are drained, and then
+one dict per distinct key. ``perfbench/run.py --trace 1`` measures
+emitted events as the ``trace.emit_s`` and ``trace.sink_s`` layers;
+counted ones cost their emit site's own layer.
 
 Timestamps are **virtual time only** — no wall clock reaches a trace,
 so traces stay byte-reproducible across machines.
@@ -58,6 +65,17 @@ TRACE_FORMAT_VERSION = 1
 #: One shared encoder: ``json.dumps`` with non-default options builds a
 #: new ``JSONEncoder`` per call; this is the same encoding without that.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+if json.encoder.c_make_encoder is not None:
+    # What that encoder's ``encode`` builds for every dict, built once
+    # here instead of per call (and with no circular-reference check:
+    # an event is a tree).
+    _iterencode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", True, False, True,
+    )
+
+    def _encode(event: dict) -> str:
+        return "".join(_iterencode(event, 0))
 
 
 def canonical_line(event: dict) -> str:
@@ -173,8 +191,9 @@ class TraceRecorder:
             must not mutate it). The sink type, read once here, decides
             what each event costs: with a :class:`DigestSink` the
             recorder is digest-only — no canonical line, no stream
-            digest — and with any other sink, or none, it encodes every
-            event and keeps the stream digest.
+            digest — and counting when every accumulator drops ``t`` and
+            ``seq`` (:attr:`counts`); with any other sink, or none, it
+            encodes every event and keeps the stream digest.
         clock: Zero-argument virtual-time source. Subsystems that own a
             clock (the engine, the direct-mode network driver) install
             one on attachment if none is set; events emitted with no
@@ -182,9 +201,18 @@ class TraceRecorder:
         enabled: When ``False`` every :meth:`emit` is a no-op. Emit
             sites additionally guard on :attr:`enabled` themselves so
             the disabled hot path never packs arguments.
+
+    Attributes:
+        counts: ``None`` unless the recorder is counting; then the table
+            of counted events, ``{(build, *values): n}`` (see
+            :meth:`record`), emptied whenever a fed accumulator or
+            :attr:`events_emitted` is read.
     """
 
-    __slots__ = ("enabled", "clock", "sink", "events_emitted", "_seq", "_hash")
+    __slots__ = (
+        "enabled", "clock", "sink", "counts", "_emitted", "_seq", "_hash",
+        "_tallies",
+    )
 
     def __init__(
         self,
@@ -196,10 +224,28 @@ class TraceRecorder:
         self.enabled = enabled
         self.clock = clock
         self.sink = sink
-        self.events_emitted = 0
+        self._emitted = 0
         self._seq = 0
+        self._tallies: list[Callable[[dict], None]] = []
+        digest_only = isinstance(sink, DigestSink)
         # None marks a digest-only recorder: nothing reads its lines.
-        self._hash = None if isinstance(sink, DigestSink) else hashlib.sha256()
+        self._hash = None if digest_only else hashlib.sha256()
+        counting = digest_only and all(
+            isinstance(acc, AdditiveMultisetDigest)
+            and _ORDER_FIELDS <= acc._exclude
+            for acc in sink._accumulators
+        )
+        self.counts: dict[tuple, int] | None = {} if counting else None
+        if counting:
+            for acc in sink._accumulators:
+                acc._feeds.append(self._drain)
+
+    @property
+    def events_emitted(self) -> int:
+        """Events recorded so far, emitted and counted."""
+        if self.counts is not None:
+            self._drain()
+        return self._emitted
 
     def emit(self, etype: str, **fields) -> None:
         """Record one event of type ``etype`` at the current virtual time."""
@@ -226,7 +272,7 @@ class TraceRecorder:
         event = {"t": t, "seq": self._seq, "type": etype}
         if fields:
             event.update(fields)
-        self.events_emitted += 1
+        self._emitted += 1
         stream = self._hash
         if stream is None:
             self.sink.accept(event, None)
@@ -236,6 +282,54 @@ class TraceRecorder:
         sink = self.sink
         if sink is not None:
             sink.accept(event, line)
+
+    def record(self, build: Callable[..., dict], *values) -> None:
+        """Record the event ``build(*values)``, counted when possible.
+
+        ``build`` returns the event dict with its ``type`` and no ``t``
+        or ``seq``. A counting recorder adds ``(build, *values)`` to
+        :attr:`counts` and builds nothing; any other recorder emits the
+        built event now. Each value position must hold one exact type:
+        the count table conflates ``1``, ``1.0`` and ``True``.
+        """
+        counts = self.counts
+        if counts is None:
+            fields = build(*values)
+            self.emit(fields.pop("type"), **fields)
+            return
+        key = (build, *values)
+        counts[key] = counts.get(key, 0) + 1
+
+    def add_tally(self, fold: Callable[[dict], None]) -> None:
+        """Register a holder of counted events kept in another form.
+
+        Each drain of the counts first calls ``fold(counts)``, which
+        must add what it holds to the :attr:`counts` table it is handed
+        and then hold nothing (the columnar executor's packed keys do
+        this).
+        """
+        self._tallies.append(fold)
+
+    def _drain(self) -> None:
+        """Hand every counted event to the accumulators.
+
+        Builds each distinct key's event once and adds it with its
+        multiplicity (:meth:`AdditiveMultisetDigest.add_counted`).
+        Every read of a fed accumulator, and of :attr:`events_emitted`,
+        drains first, so no reader sees a count table.
+        """
+        counts = self.counts
+        for fold in self._tallies:
+            fold(counts)
+        if not counts:
+            return
+        accumulators = self.sink._accumulators
+        for key, n in counts.items():
+            event = key[0](*key[1:])
+            for accumulator in accumulators:
+                accumulator.add_counted(event, n)
+            self._emitted += n
+        counts.clear()
 
     def digest(self) -> str:
         """SHA-256 over every canonical line emitted so far (hex).
@@ -270,6 +364,10 @@ _SUM_HEX = re.compile(r"[0-9a-fA-F]{1,64}")
 #: every emitted or parsed event, so they need no type.
 _COUNTABLE_TYPES = frozenset({str, int, bool, type(None)})
 
+#: The fields a counted event lacks: an accumulator that keeps either
+#: cannot be fed counts.
+_ORDER_FIELDS = frozenset({"t", "seq"})
+
 
 class AdditiveMultisetDigest:
     """Order-insensitive multiset hash that merges and survives restarts.
@@ -293,10 +391,14 @@ class AdditiveMultisetDigest:
     ``bool`` or ``None`` is counted in a bounded ``pending`` map keyed
     by its field names, values and the values' exact types, and any
     other event (a float or container value) is hashed on arrival.
-    Every read — :meth:`digest`, :meth:`state_dict` and both sides of
-    :meth:`merge` — first flushes ``pending`` into the sum, as does
-    reaching :attr:`PENDING_CAP` distinct entries; :meth:`load_state`
-    discards it. State is therefore the sum, the count and at most
+    :meth:`add_counted` takes the multiplicity from its caller, which
+    has done the counting: it is how a counting :class:`TraceRecorder`
+    feeds its events, one call per distinct event.
+    Every read — :attr:`count`, :meth:`digest`, :meth:`state_dict` and
+    both sides of :meth:`merge` — first drains the recorders that count
+    into this accumulator, then flushes ``pending`` into the sum, as
+    does reaching :attr:`PENDING_CAP` distinct entries; :meth:`load_state`
+    discards both. State is therefore the sum, the count and at most
     :attr:`PENDING_CAP` pending entries; a journaled state has none.
     """
 
@@ -307,7 +409,10 @@ class AdditiveMultisetDigest:
     #: hundred distinct events and the 14-day macro world's 16,855.
     PENDING_CAP = 16384
 
-    __slots__ = ("_sum", "count", "_pending", "_wanted", "_unwanted", "_exclude")
+    __slots__ = (
+        "_sum", "_count", "_pending", "_wanted", "_unwanted", "_exclude",
+        "_feeds",
+    )
 
     def __init__(
         self,
@@ -317,13 +422,22 @@ class AdditiveMultisetDigest:
         exclude_fields: tuple[str, ...] = ("t", "seq"),
     ) -> None:
         self._sum = 0
-        self.count = 0
+        self._count = 0
         self._pending: dict[tuple, int] = {}
         self._wanted = frozenset(include_types) if include_types is not None else None
         self._unwanted = (
             frozenset(exclude_types) if exclude_types is not None else frozenset()
         )
         self._exclude = frozenset(exclude_fields)
+        # Drains of the counting recorders that feed this accumulator.
+        self._feeds: list[Callable[[], None]] = []
+
+    @property
+    def count(self) -> int:
+        """Events absorbed so far, counted ones included."""
+        for feed in self._feeds:
+            feed()
+        return self._count
 
     def add(self, event: dict) -> None:
         """Absorb one event dict.
@@ -336,7 +450,7 @@ class AdditiveMultisetDigest:
             return
         if etype in self._unwanted:
             return
-        self.count += 1
+        self._count += 1
         reduced = event.copy()
         for name in self._exclude:
             reduced.pop(name, None)
@@ -353,6 +467,31 @@ class AdditiveMultisetDigest:
         if len(pending) >= self.PENDING_CAP:
             self._flush()
 
+    def add_counted(self, event: dict, n: int) -> None:
+        """Absorb ``n`` copies of ``event``: the same as ``n`` :meth:`add` calls.
+
+        For a caller that has already counted its events (a counting
+        :class:`TraceRecorder`): the reduced event is hashed at once and
+        added n times, n·H(e), with no ``pending`` entry. Never mutates
+        ``event``.
+        """
+        etype = event.get("type")
+        if self._wanted is not None and etype not in self._wanted:
+            return
+        if etype in self._unwanted:
+            return
+        self._count += n
+        exclude = self._exclude
+        if not exclude.isdisjoint(event):
+            event = {k: v for k, v in event.items() if k not in exclude}
+        self._sum = (self._sum + n * _event_hash(event)) % self._MOD
+
+    def _sync(self) -> None:
+        """Drain every feeding recorder, then flush ``pending``."""
+        for feed in self._feeds:
+            feed()
+        self._flush()
+
     def _flush(self) -> None:
         """Fold every pending reduced event into the sum, n·H(e) each."""
         pending = self._pending
@@ -368,20 +507,21 @@ class AdditiveMultisetDigest:
 
     def merge(self, other: "AdditiveMultisetDigest") -> None:
         """Absorb everything ``other`` absorbed (disjoint-union merge)."""
-        self._flush()
-        other._flush()
+        self._sync()
+        other._sync()
         self._sum = (self._sum + other._sum) % self._MOD
-        self.count += other.count
+        self._count += other._count
 
     def state_dict(self) -> dict:
         """JSON-compatible accumulator state (journal/restart support)."""
-        self._flush()
-        return {"sum": format(self._sum, "x"), "count": self.count}
+        self._sync()
+        return {"sum": format(self._sum, "x"), "count": self._count}
 
     def load_state(self, state: dict) -> None:
         """Restore accumulator state written by :meth:`state_dict`.
 
-        Replaces everything absorbed so far, pending events included.
+        Replaces everything absorbed so far, pending and counted events
+        included.
 
         Raises:
             SimulationError: naming the field, if ``state`` is not a
@@ -410,14 +550,18 @@ class AdditiveMultisetDigest:
                 f"multiset digest state: 'count' must be a non-negative "
                 f"integer, got {count!r}"
             )
+        # Drained first so that the feeding recorder's other accumulators
+        # keep their counted events; this one's are replaced below.
+        for feed in self._feeds:
+            feed()
         self._sum = int(total, 16)
-        self.count = count
+        self._count = count
         self._pending.clear()
 
     def digest(self) -> str:
         """SHA-256 over ``count:sum`` (hex)."""
-        self._flush()
-        payload = f"{self.count}:{self._sum:064x}".encode("ascii")
+        self._sync()
+        payload = f"{self._count}:{self._sum:064x}".encode("ascii")
         return hashlib.sha256(payload).hexdigest()
 
 

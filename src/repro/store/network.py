@@ -26,7 +26,7 @@ commit cuts) builds the genesis network and :func:`load_network`
 applies the deltas; a respawned cluster shard rebuilds its own slice and
 calls :func:`load_network` on it directly. A chaos crash
 (:mod:`repro.chaos.crash`) commits the crashed ISP's :func:`isp_puts`
-(its aggregate and every user) or the bank's row, and the restart
+(its aggregate and every materialised user) or the bank's row, and the restart
 rebuilds the fresh ISP with :func:`load_isps`, the loader
 :func:`load_network` applies every compliant ISP's rows with.
 """
@@ -147,15 +147,17 @@ def _aggregate_puts(network: ZmailNetwork) -> list[tuple[str, str, Any]]:
 
 
 def isp_puts(isp: CompliantISP) -> list[tuple[str, str, Any]]:
-    """One compliant ISP's rows: its aggregate and one row per user,
-    pristine users included (a chaos crash commits these)."""
+    """One compliant ISP's rows: its aggregate and one row per
+    materialised user (a chaos crash commits these). A pristine user
+    needs no row: the fresh ISP a restart loads them into holds it
+    through the same lazy genesis, so a crash is O(hot set)."""
     isp_id = isp.isp_id
     puts: list[tuple[str, str, Any]] = [
         (_ISP_KIND, str(isp_id), persistence.isp_aggregate_state(isp))
     ]
     puts.extend(
         (_USER_KIND, _user_key(isp_id, user.user_id), persistence.user_state(user))
-        for user in isp.ledger.users()
+        for user in isp.ledger.materialized_users()
     )
     return puts
 

@@ -17,14 +17,21 @@ from repro.core import ZmailConfig
 from repro.obs.manifest import RunManifest, config_digest
 from repro.obs.metrics_export import export_network
 from repro.obs.schema import EVENT_TYPES, validate_trace_lines
-from repro.obs.trace import JsonlSink, ListSink, TraceRecorder
+from repro.obs.trace import (
+    AdditiveMultisetDigest,
+    DigestSink,
+    JsonlSink,
+    ListSink,
+    TraceRecorder,
+)
+from repro.scenario import INVARIANT_EVENT_TYPES
 from repro.sim import SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
 
-def canonical_world(*, seed=None, tracer=None):
+def canonical_world(*, seed=None, tracer=None, mode="direct"):
     """The canonical document's world, optionally re-seeded and traced."""
-    scenario = load_plan("canonical-3isp.yaml", seed=seed).scenario()
+    scenario = load_plan("canonical-3isp.yaml", seed=seed).scenario(mode)
     scenario.tracer = tracer
     return scenario
 
@@ -90,6 +97,27 @@ class TestObserverEffect:
         traced = canonical_world(tracer=TraceRecorder()).run()
         untraced = canonical_world().run()
         assert traced.summary() == untraced.summary()
+
+    @pytest.mark.parametrize("mode", ["direct", "columnar"])
+    def test_counting_recorder_changes_no_outcome(self, mode):
+        # run_plan's recorder: counted ledger events, no event dicts. The
+        # run matches the untraced one, and its ledger digest the one a
+        # line sink's events give when read back one by one.
+        ledger = AdditiveMultisetDigest(include_types=INVARIANT_EVENT_TYPES)
+        recorder = TraceRecorder(sink=DigestSink(ledger))
+        assert recorder.counts is not None
+        counted = canonical_world(tracer=recorder, mode=mode).run()
+        untraced = canonical_world(mode=mode).run()
+        assert counted.summary() == untraced.summary()
+        assert counted.cut_digests == untraced.cut_digests
+        lines = ListSink()
+        canonical_world(tracer=TraceRecorder(sink=lines), mode=mode).run()
+        read_back = AdditiveMultisetDigest(include_types=INVARIANT_EVENT_TYPES)
+        for event in lines.events():
+            read_back.add(event)
+        assert ledger.count == read_back.count > 1000
+        assert ledger.digest() == read_back.digest()
+        assert recorder.events_emitted == len(lines)
 
     def test_manifest_identical_with_and_without_sink(self):
         # Retention is pure observation: streaming every line to a sink

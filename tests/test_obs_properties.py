@@ -11,7 +11,8 @@
 * the additive multiset accumulator, which counts repeated reduced
   events, equals the per-event definition (the sum of each reduced
   event's SHA-256 mod 2**256, plus a count) whatever reads, journal
-  round trips and merges interleave with the events.
+  round trips, merges and counted absorptions (``add_counted``)
+  interleave with the events.
 """
 
 import hashlib
@@ -197,6 +198,9 @@ MULTISET_OPS = st.lists(
             st.sampled_from(["a", "b", "c"]),
             st.sampled_from([True, False, 1, 0, 0.0, -0.0]),
         ),
+        # An event absorbed n times at once, as a counting recorder
+        # feeds it.
+        st.tuples(st.just("counted"), MULTISET_EVENTS, st.integers(0, 4)),
         st.just(("digest",)),
         st.just(("roundtrip",)),
         st.tuples(st.just("merge"), st.lists(MULTISET_EVENTS, max_size=6)),
@@ -264,6 +268,10 @@ def test_multiset_counting_equals_per_event_definition(
         if op[0] == "add":
             acc.add(op[1])
             absorbed.append(op[1])
+        elif op[0] == "counted":
+            _, event, n = op
+            acc.add_counted(event, n)
+            absorbed.extend([event] * n)
         elif op[0] == "twins":
             _, event, name = op
             twin = {**event, name: _conflated(event[name])}

@@ -16,8 +16,10 @@ from repro.chaos.crash import CrashController
 from repro.chaos.deployment import ChaosDeployment
 from repro.cli import main
 from repro.core.overload import OverloadConfig
+from repro.core.persistence import user_state
 from repro.errors import SimulationError
 from repro.obs.schema import EVENT_TYPES
+from repro.sim.workload import Address, SendRequest, TrafficKind
 from repro.store import DurableStore
 from repro.store.soak import STORE_EVENT_TYPES, run_soak
 
@@ -163,11 +165,47 @@ class TestCrashControllerStore:
         store.close()
 
     def test_crash_persists_node_state(self, rig):
-        _, store, controller = rig
+        deployment, store, controller = rig
+        ledger = deployment.network.isps[0].ledger
+        ledger.user(0)
+        ledger.user(2)
         controller.crash("isp0")
         assert store.get("isp", "0") is not None
-        assert [key for key, _ in store.iter_kind("user")] == ["0:0", "0:1", "0:2"]
+        # Materialised users only: user 1 is still pristine.
+        assert [key for key, _ in store.iter_kind("user")] == ["0:0", "0:2"]
         assert store.get("endpoint", "isp0") is not None
+
+    def test_crash_is_o_hot_set_and_restart_keeps_pristine_users_lazy(
+        self, tmp_path
+    ):
+        users = 20_000
+        deployment = ChaosDeployment(
+            n_isps=3, users_per_isp=users, seed=3, faults=None
+        )
+        store = DurableStore.create(str(tmp_path / "wide.db"))
+        controller = CrashController(deployment, store)
+        deployment.crash_controller = controller
+        requests = [
+            SendRequest(
+                0.5 * n, Address(1, 37 * n % users),
+                Address(n % 3, 101 * n % users), TrafficKind.NORMAL,
+            )
+            for n in range(120)
+        ]
+        assert deployment.run(requests, until=60.0, drain_window=1_000.0)
+        ledger = deployment.network.isps[1].ledger
+        hot = ledger.materialized_count()
+        assert 0 < hot < users
+        before = {u.user_id: user_state(u) for u in ledger.materialized_users()}
+        controller.crash("isp1")
+        written = [key for key, _ in store.iter_kind("user")]
+        assert len(written) + len(list(store.iter_kind("isp"))) == 1 + hot
+        controller.restart("isp1")
+        fresh = deployment.network.isps[1].ledger
+        assert fresh.materialized_count() == hot
+        after = {u.user_id: user_state(u) for u in fresh.materialized_users()}
+        assert after == before
+        store.close()
 
     def test_restart_consumes_node_state(self, rig):
         # The crash-only rows go; the network rows stay.
@@ -204,6 +242,8 @@ class TestCrashControllerStore:
         store = LoggedStore.create(":memory:")
         controller = CrashController(deployment, store)
         deployment.crash_controller = controller
+        for user in range(3):
+            deployment.network.isps[1].ledger.user(user)
         controller.crash("isp1")
         controller.crash("bank")
 

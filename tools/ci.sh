@@ -40,7 +40,13 @@
 #    mixed-4isp.yaml (a non-compliant ISP, so unpaid §5 mail) driven by
 #    the columnar batch executor and by the direct loop must produce
 #    byte-identical invariant manifests (cmp) — ledger event multiset,
-#    protocol metrics and accounting digest all agree.
+#    protocol metrics and accounting digest all agree. Then mixed-4isp
+#    (unpaid §5 mail) and cluster-8isp (the one example world whose
+#    users auto top-up) run on both executors with --trace as well: the
+#    manifest's ledger digest comes from counted events (run_plan's
+#    counting recorder), and rebuilding it event by event from the JSONL
+#    trace (AdditiveMultisetDigest.add over INVARIANT_EVENT_TYPES) must
+#    give the same event_digest and event_count.
 # 7. Runs the store soak smoke: examples/scenarios/soak.yaml in soak
 #    mode twice, once with --store (isp1 and the bank each crash and
 #    restart from the durable SQLite store) and once without (the
@@ -198,6 +204,31 @@ for doc in canonical-3isp.yaml mixed-4isp.yaml; do
     cmp /tmp/invariant_columnar.json /tmp/invariant_direct.json \
         || { echo "${doc}: columnar executor diverges from direct"; exit 1; }
     echo "${doc}: invariant manifests byte-identical across executors"
+done
+for doc in mixed-4isp.yaml cluster-8isp.yaml; do
+    for mode in direct columnar; do
+        PYTHONPATH=src python -m repro run "examples/scenarios/${doc}" \
+            --seed "${COLUMNAR_SEED}" --mode "${mode}" \
+            --trace /tmp/ledger.jsonl --manifest /tmp/ledger_manifest.json \
+            >/dev/null
+        PYTHONPATH=src python -c '
+import json, sys
+from repro.obs.trace import AdditiveMultisetDigest
+from repro.scenario import INVARIANT_EVENT_TYPES
+label = sys.argv[1]
+rebuilt = AdditiveMultisetDigest(include_types=INVARIANT_EVENT_TYPES)
+with open("/tmp/ledger.jsonl", encoding="utf-8") as trace:
+    for line in trace:
+        rebuilt.add(json.loads(line))
+manifest = json.load(open("/tmp/ledger_manifest.json"))
+counted = (manifest["event_count"], manifest["event_digest"])
+if counted != (rebuilt.count, rebuilt.digest()):
+    raise SystemExit(f"{label}: counted ledger digest {counted} "
+                     f"differs from the trace rebuild")
+print(f"{label}: counted ledger digest equals the trace rebuild "
+      f"({rebuilt.count} events)")
+' "${doc} ${mode}"
+    done
 done
 
 SOAK_DOC=examples/scenarios/soak.yaml
