@@ -214,6 +214,11 @@ class TraceRecorder:
         "_tallies",
     )
 
+    #: Distinct keys :attr:`counts` holds before :meth:`record` drains
+    #: it, so memory stays bounded for any event mix (as the
+    #: accumulator's ``PENDING_CAP`` bounds its pending map).
+    COUNTS_CAP = 16384
+
     def __init__(
         self,
         *,
@@ -298,7 +303,10 @@ class TraceRecorder:
             self.emit(fields.pop("type"), **fields)
             return
         key = (build, *values)
-        counts[key] = counts.get(key, 0) + 1
+        n = counts.get(key, 0)
+        if not n and len(counts) >= self.COUNTS_CAP:
+            self._drain()
+        counts[key] = n + 1
 
     def add_tally(self, fold: Callable[[dict], None]) -> None:
         """Register a holder of counted events kept in another form.

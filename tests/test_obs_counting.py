@@ -43,6 +43,13 @@ class _SmallTally(_LedgerTally):
     HELD_CAP = 3
 
 
+class _SmallCapRecorder(TraceRecorder):
+    """Drains its count table every few distinct keys."""
+
+    __slots__ = ()
+    COUNTS_CAP = 2
+
+
 class _PerEvent:
     """Passes each emitted event to a DigestSink. Not being one itself,
     it keeps its recorder on the per-event path (``counts is None``)."""
@@ -66,11 +73,12 @@ def _network():
 class _Side:
     """One way of recording: counted, or emitted into a DigestSink."""
 
-    def __init__(self, counted, tally_cls=_LedgerTally):
+    def __init__(self, counted, tally_cls=_LedgerTally, small=False):
         self.acc = AdditiveMultisetDigest(include_types=INVARIANT_EVENT_TYPES)
         sink = DigestSink(self.acc)
         self.network = _network()
-        self.recorder = TraceRecorder(sink=sink if counted else _PerEvent(sink))
+        recorder_cls = _SmallCapRecorder if small else TraceRecorder
+        self.recorder = recorder_cls(sink=sink if counted else _PerEvent(sink))
         assert (self.recorder.counts is not None) is counted
         self.tally = None
         if counted:
@@ -142,8 +150,8 @@ def _assert_same(counted, emitted):
     assert counted.acc.digest() == emitted.acc.digest()
 
 
-def _run(ops, tally_cls):
-    counted, emitted = _Side(True, tally_cls), _Side(False)
+def _run(ops, tally_cls, small=False):
+    counted, emitted = _Side(True, tally_cls, small), _Side(False)
     for op in ops:
         if op[0] in ("record", "batch", "noise"):
             counted.feed(op)
@@ -162,7 +170,8 @@ def _run(ops, tally_cls):
         elif op[0] == "merge":
             # Counted events on both sides of the merge: the absorbing
             # side's own, and the other side's.
-            other_counted, other_emitted = _Side(True, tally_cls), _Side(False)
+            other_counted = _Side(True, tally_cls, small)
+            other_emitted = _Side(False)
             for feed in op[1]:
                 other_counted.feed(feed)
                 other_emitted.feed(feed)
@@ -185,9 +194,13 @@ def _run(ops, tally_cls):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(ops=OPS, tally_cls=st.sampled_from([_LedgerTally, _SmallTally]))
-def test_counted_ledger_equals_emitted_ledger(ops, tally_cls):
-    _run(ops, tally_cls)
+@given(
+    ops=OPS,
+    tally_cls=st.sampled_from([_LedgerTally, _SmallTally]),
+    small=st.booleans(),
+)
+def test_counted_ledger_equals_emitted_ledger(ops, tally_cls, small):
+    _run(ops, tally_cls, small)
 
 
 def test_every_ledger_event_kind_counts_like_its_emit():
@@ -209,7 +222,7 @@ def test_every_ledger_event_kind_counts_like_its_emit():
         (trade_event, 0, "sell", 40),
     ]
     feeds = [("batch", messages)] + [("record", record) for record in records]
-    counted = _run(feeds * 2 + [("noise", 1)], _SmallTally)
+    counted = _run(feeds * 2 + [("noise", 1)], _SmallTally, small=True)
     reduced = {
         (event["type"], event.get("status"), event.get("ok"), event.get("op"))
         for event in (key[0](*key[1:]) for key in _counted_keys(feeds))
