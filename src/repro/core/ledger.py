@@ -111,6 +111,20 @@ class Ledger:
         genesis users stay virtual (unlike :meth:`users`)."""
         return [self._users[k] for k in sorted(self._users)]
 
+    def genesis_template(self) -> tuple[int, UserAccount] | None:
+        """``(n_users, template)`` of the lazy genesis, or ``None``.
+
+        Every id below ``n_users`` not yet materialised holds exactly the
+        template's purses; the template is a detached account (its
+        ``user_id`` is -1), so reading it materialises no one.
+        """
+        if self._genesis is None:
+            return None
+        n, account, balance, daily_limit = self._genesis
+        return n, UserAccount(
+            user_id=-1, account=account, balance=balance, daily_limit=daily_limit
+        )
+
     __getitem__ = user
 
     def materialized_count(self) -> int:

@@ -12,6 +12,16 @@ and error budgets (all answered with ``421``, the RFC 821 "service not
 available, closing transmission channel" reply), plus an optional
 admission gate consulted at MAIL time that temp-fails with ``451`` when
 the system is saturated — backpressure instead of unbounded buffering.
+
+Each connection is one :class:`asyncio.BufferedProtocol` (``_Session``):
+the transport reads into the server's receive buffer, the session appends
+what arrived to its line buffer, every complete line runs through the
+command/DATA state machine in place, and replies go straight to the
+transport, with no coroutine per line. A session stops consuming lines,
+and pauses reading, while an async delivery handler runs (so pipelined
+commands keep their order) and while its transport's write buffer is over
+the high-water mark (so a client that never reads its replies stops the
+server reading instead of growing its buffers).
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ __all__ = ["SMTPServer"]
 
 _MAX_LINE = 4096
 _MAX_MESSAGE = 1 << 20  # 1 MiB is plenty for simulation traffic
+_READ_SIZE = 1 << 16  # bytes one socket read may deliver
 
 HandlerFn = Callable[[Envelope], None] | Callable[[Envelope], Awaitable[None]]
 
@@ -89,7 +100,12 @@ class SMTPServer:
         self.max_session_commands = max_session_commands
         self.max_session_errors = max_session_errors
         self._admission = admission
-        self._active_sessions = 0
+        self._sessions: set[_Session] = set()  # open, each holding a slot
+        # Every session's transport reads into this one buffer, which the
+        # session copies from at once (``get_buffer``/``buffer_updated``
+        # run back to back on the loop). A plain ``Protocol`` would have
+        # the transport allocate a 256 KiB ``recv`` result per read.
+        self._read_buffer = memoryview(bytearray(_READ_SIZE))
         self.messages_accepted = 0
         self.sessions_served = 0
         self.connections_rejected = 0
@@ -98,237 +114,340 @@ class SMTPServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Start listening; returns the bound ``(host, port)``."""
-        self._server = await asyncio.start_server(self._serve_session, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Session(self), host, port)
         sock = self._server.sockets[0]
         bound_host, bound_port = sock.getsockname()[:2]
         return bound_host, bound_port
 
     async def stop(self) -> None:
-        """Stop listening and wait for the listener to close."""
+        """Stop listening, close every open session (traced ``aborted``)
+        and wait for the listener to close."""
         if self._server is not None:
             self._server.close()
+            for session in list(self._sessions):
+                session.close("aborted")
             await self._server.wait_closed()
             self._server = None
 
-    # -- session handling ------------------------------------------------------
 
-    async def _serve_session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._active_sessions >= self.max_connections:
-            self.connections_rejected += 1
-            if self.tracer.enabled:
-                self.tracer.emit("smtp.session", outcome="rejected")
-            try:
-                writer.write(
-                    f"421 {self.hostname} too many connections, "
-                    f"try again later\r\n".encode("ascii")
-                )
-                await writer.drain()
-            except ConnectionError:  # pragma: no cover - client raced away
-                pass
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except ConnectionError:  # pragma: no cover
-                    pass
-            return
-        self._active_sessions += 1
-        self.sessions_served += 1
-        session = _Session(self, reader, writer)
-        outcome = "served"
-        try:
-            await session.run()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            outcome = "aborted"
-        finally:
-            if self.tracer.enabled:
-                self.tracer.emit("smtp.session", outcome=outcome)
-            self._active_sessions -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - platform dependent
-                pass
+class _Session(asyncio.BufferedProtocol):
+    """State machine for one SMTP connection, driven by its transport.
 
-    async def _dispatch(self, envelope: Envelope) -> None:
-        result = self._handler(envelope)
-        if asyncio.iscoroutine(result):
-            await result
-        self.messages_accepted += 1
+    ``buffer_updated`` appends what the transport read into the server's
+    receive buffer to this session's line buffer and runs every complete
+    line through the command or DATA state; replies go straight to
+    ``transport.write``. Lines are consumed only while neither an async
+    handler (``_waiting``) nor a full write buffer (``_write_paused``)
+    holds the session, and reading pauses with it, so the unconsumed
+    input is at most one read plus a partial line of under ``_MAX_LINE``
+    bytes.
+    """
 
-
-class _Session:
-    """State machine for one SMTP connection."""
-
-    def __init__(
-        self,
-        server: SMTPServer,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def __init__(self, server: SMTPServer) -> None:
         self.server = server
-        self.reader = reader
-        self.writer = writer
+        self.transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        self._live = False  # in ``server._sessions``
+        self._waiting = False
+        self._write_paused = False
+        self._eof = False
+        self._task: asyncio.Task | None = None  # the loop holds tasks weakly
         self.greeted = False
         self.mail_from: str | None = None
         self.rcpt_to: list[str] = []
         self.commands = 0
         self.errors = 0
+        # Message lines while in DATA mode, ``None`` in command mode.
+        self._data: list[str] | None = None
+        self._size = 0
+        self._oversize = False
 
-    async def _reply(self, code: int, text: str) -> None:
+    # -- transport callbacks -----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        server = self.server
+        if len(server._sessions) >= server.max_connections:
+            server.connections_rejected += 1
+            if server.tracer.enabled:
+                server.tracer.emit("smtp.session", outcome="rejected")
+            transport.write(
+                f"421 {server.hostname} too many connections, "
+                f"try again later\r\n".encode("ascii")
+            )
+            transport.close()
+            return
+        server.sessions_served += 1
+        server._sessions.add(self)
+        self._live = True
+        self._reply(220, f"{server.hostname} Zmail-repro SMTP ready")
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._buffer += self.server._read_buffer[:nbytes]
+        self._run()
+
+    def eof_received(self) -> bool:
+        # An unterminated last line still counts as a line, as it did
+        # for a stream ``readline``; the session then ends ``aborted``.
+        self._eof = True
+        if self._buffer and not self._buffer.endswith(b"\n"):
+            self._buffer += b"\n"
+        self._run()
+        return True  # the session closes the transport itself
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.close("aborted")
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._resume()
+
+    # -- session plumbing --------------------------------------------------------
+
+    def close(self, outcome: str) -> None:
+        """End the session once: trace ``outcome``, free its slot, close."""
+        if not self._live:
+            return
+        self._live = False
+        server = self.server
+        server._sessions.discard(self)
+        if server.tracer.enabled:
+            server.tracer.emit("smtp.session", outcome=outcome)
+        self.transport.close()
+
+    def _held(self) -> bool:
+        return not self._live or self._waiting or self._write_paused
+
+    def _run(self) -> None:
+        """Consume every complete buffered line while the session runs."""
+        buffer = self._buffer
+        start = 0
+        while not self._held():
+            end = buffer.find(b"\n", start) + 1
+            if not end:
+                break
+            if end - start > _MAX_LINE:
+                self._line_too_long()
+                return
+            line = buffer[start:end].decode("ascii", errors="replace")
+            start = end
+            if self._data is None:
+                self._command(line.rstrip("\r\n"))
+            else:
+                self._data_line(line.rstrip("\r\n"))
+        del buffer[:start]
+        if self._held():
+            return
+        # Only a partial line is left: bound it, or end at EOF.
+        if len(buffer) >= _MAX_LINE:
+            self._line_too_long()
+        elif self._eof:
+            self.close("aborted")
+
+    def _resume(self) -> None:
+        if self._held():
+            return
+        if not self._eof:
+            self.transport.resume_reading()
+        self._run()
+
+    def _line_too_long(self) -> None:
+        self._reply(500, "line too long")
+        self.close("aborted")
+
+    def _reply(self, code: int, text: str) -> None:
         if code >= 400:
             self.errors += 1
-        self.writer.write(f"{code} {text}\r\n".encode("ascii"))
-        await self.writer.drain()
-
-    async def _read_line(self) -> str:
-        line = await self.reader.readline()
-        if not line:
-            raise ConnectionError("client closed connection")
-        if len(line) > _MAX_LINE:
-            raise SMTPProtocolError("line too long")
-        return line.decode("ascii", errors="replace").rstrip("\r\n")
+        self.transport.write(f"{code} {text}\r\n".encode("ascii", errors="replace"))
 
     def _reset(self) -> None:
         self.mail_from = None
         self.rcpt_to = []
 
-    async def _over_budget(self) -> bool:
+    def _over_budget(self) -> bool:
         """Check the per-session command and error budgets.
 
-        Returns True (after sending the 421 goodbye) when either budget
-        is exhausted, which terminates the session: a single client must
-        not be able to hog the listener with an endless command stream
-        or a torrent of garbage.
+        Returns True (after sending the 421 goodbye and closing) when
+        either budget is exhausted: a single client must not be able to
+        hog the listener with an endless command stream or a torrent of
+        garbage.
         """
         if self.commands > self.server.max_session_commands:
-            self.server.sessions_capped += 1
-            await self._reply(421, "too many commands, closing channel")
-            return True
-        if self.errors >= self.server.max_session_errors:
-            self.server.sessions_capped += 1
-            await self._reply(421, "too many errors, closing channel")
-            return True
-        return False
+            text = "too many commands, closing channel"
+        elif self.errors >= self.server.max_session_errors:
+            text = "too many errors, closing channel"
+        else:
+            return False
+        self.server.sessions_capped += 1
+        self._reply(421, text)
+        self.close("served")
+        return True
 
-    async def run(self) -> None:
-        await self._reply(220, f"{self.server.hostname} Zmail-repro SMTP ready")
-        while True:
-            line = await self._read_line()
-            self.commands += 1
-            if await self._over_budget():
-                return
-            verb, _, argument = line.partition(" ")
-            verb = verb.upper()
-            if verb in ("HELO", "EHLO"):
-                self.greeted = True
-                self._reset()
-                await self._reply(250, f"{self.server.hostname} greets you")
-            elif verb == "MAIL":
-                await self._do_mail(argument)
-            elif verb == "RCPT":
-                await self._do_rcpt(argument)
-            elif verb == "DATA":
-                await self._do_data()
-            elif verb == "RSET":
-                self._reset()
-                await self._reply(250, "OK")
-            elif verb == "NOOP":
-                await self._reply(250, "OK")
-            elif verb == "VRFY":
-                await self._reply(252, "cannot VRFY user, will attempt delivery")
-            elif verb == "QUIT":
-                await self._reply(221, f"{self.server.hostname} closing channel")
-                return
-            else:
-                await self._reply(500, f"unrecognized command {verb!r}")
+    # -- command state -----------------------------------------------------------
 
-    async def _do_mail(self, argument: str) -> None:
+    def _command(self, line: str) -> None:
+        self.commands += 1
+        if self._over_budget():
+            return
+        verb, _, argument = line.partition(" ")
+        verb = verb.upper()
+        if verb in ("HELO", "EHLO"):
+            self.greeted = True
+            self._reset()
+            self._reply(250, f"{self.server.hostname} greets you")
+        elif verb == "MAIL":
+            self._do_mail(argument)
+        elif verb == "RCPT":
+            self._do_rcpt(argument)
+        elif verb == "DATA":
+            self._do_data()
+        elif verb == "RSET":
+            self._reset()
+            self._reply(250, "OK")
+        elif verb == "NOOP":
+            self._reply(250, "OK")
+        elif verb == "VRFY":
+            self._reply(252, "cannot VRFY user, will attempt delivery")
+        elif verb == "QUIT":
+            self._reply(221, f"{self.server.hostname} closing channel")
+            self.close("served")
+        else:
+            self._reply(500, f"unrecognized command {verb!r}")
+
+    def _do_mail(self, argument: str) -> None:
         if not self.greeted:
-            await self._reply(503, "send HELO/EHLO first")
+            self._reply(503, "send HELO/EHLO first")
             return
         if self.mail_from is not None:
-            await self._reply(503, "nested MAIL command")
+            self._reply(503, "nested MAIL command")
             return
         gate = self.server._admission
         if gate is not None and not gate():
             self.server.mail_tempfailed += 1
-            await self._reply(451, "server overloaded, try again later")
+            self._reply(451, "server overloaded, try again later")
             return
         upper = argument.upper()
         if not upper.startswith("FROM:"):
-            await self._reply(501, "syntax: MAIL FROM:<address>")
+            self._reply(501, "syntax: MAIL FROM:<address>")
             return
         raw = argument[5:].strip()
         try:
             address = parse_address(raw)
         except SMTPProtocolError:
-            await self._reply(553, f"malformed reverse-path {raw!r}")
+            self._reply(553, f"malformed reverse-path {raw!r}")
             return
         self.mail_from = str(address)
-        await self._reply(250, "OK")
+        self._reply(250, "OK")
 
-    async def _do_rcpt(self, argument: str) -> None:
+    def _do_rcpt(self, argument: str) -> None:
         if self.mail_from is None:
-            await self._reply(503, "need MAIL before RCPT")
+            self._reply(503, "need MAIL before RCPT")
             return
         upper = argument.upper()
         if not upper.startswith("TO:"):
-            await self._reply(501, "syntax: RCPT TO:<address>")
+            self._reply(501, "syntax: RCPT TO:<address>")
             return
         raw = argument[3:].strip()
         try:
             address = parse_address(raw)
         except SMTPProtocolError:
-            await self._reply(553, f"malformed forward-path {raw!r}")
+            self._reply(553, f"malformed forward-path {raw!r}")
             return
         checker = self.server._rcpt_checker
         if checker is not None and not checker(str(address)):
-            await self._reply(550, f"recipient {address} rejected")
+            self._reply(550, f"recipient {address} rejected")
             return
         self.rcpt_to.append(str(address))
-        await self._reply(250, "OK")
+        self._reply(250, "OK")
 
-    async def _do_data(self) -> None:
+    def _do_data(self) -> None:
         if not self.rcpt_to:
-            await self._reply(503, "need RCPT before DATA")
+            self._reply(503, "need RCPT before DATA")
             return
-        await self._reply(354, "start mail input; end with <CRLF>.<CRLF>")
-        lines: list[str] = []
-        size = 0
-        oversize = False
-        while True:
-            line = await self._read_line()
-            if line == ".":
-                break
-            if line.startswith("."):
-                line = line[1:]  # dot-unstuffing (RFC 821 §4.5.2)
-            size += len(line) + 2
-            if size > _MAX_MESSAGE:
-                # Keep consuming to the end-of-data marker so the rest of
-                # the stream is not misread as commands; reject after.
-                oversize = True
-                lines.clear()
-                continue
-            if not oversize:
-                lines.append(line)
-        if oversize:
-            await self._reply(552, "message exceeds maximum size")
+        self._reply(354, "start mail input; end with <CRLF>.<CRLF>")
+        self._data = []
+        self._size = 0
+        self._oversize = False
+
+    # -- DATA state --------------------------------------------------------------
+
+    def _data_line(self, line: str) -> None:
+        if line == ".":
+            self._end_data()
+            return
+        if line.startswith("."):
+            line = line[1:]  # dot-unstuffing (RFC 821 §4.5.2)
+        self._size += len(line) + 2
+        if self._size > _MAX_MESSAGE:
+            # Keep consuming to the end-of-data marker so the rest of
+            # the stream is not misread as commands; reject after.
+            self._oversize = True
+            self._data.clear()
+        elif not self._oversize:
+            self._data.append(line)
+
+    def _end_data(self) -> None:
+        lines, self._data = self._data, None
+        if self._oversize:
+            self._reply(552, "message exceeds maximum size")
             self._reset()
             return
-        raw = "\r\n".join(lines)
         try:
-            message = MailMessage.parse(raw)
+            message = MailMessage.parse("\r\n".join(lines))
         except SMTPProtocolError as exc:
-            await self._reply(554, f"unparseable message: {exc}")
+            self._reply(554, f"unparseable message: {exc}")
             self._reset()
             return
-        assert self.mail_from is not None
-        for recipient in self.rcpt_to:
-            await self.server._dispatch(
-                Envelope(self.mail_from, recipient, message)
-            )
+        envelopes = [
+            Envelope(self.mail_from, recipient, message) for recipient in self.rcpt_to
+        ]
         self._reset()
-        await self._reply(250, "OK message accepted for delivery")
+        server = self.server
+        for k, envelope in enumerate(envelopes):
+            result = server._handler(envelope)
+            if asyncio.iscoroutine(result):
+                # Hold the session (and its reading) until the handler
+                # and the rest of the recipients are done.
+                self._waiting = True
+                self.transport.pause_reading()
+                self._task = asyncio.get_running_loop().create_task(
+                    self._deliver_async(result, envelopes[k + 1:])
+                )
+                return
+            server.messages_accepted += 1
+        self._reply(250, "OK message accepted for delivery")
+
+    async def _deliver_async(
+        self, pending: Awaitable[None], envelopes: list[Envelope]
+    ) -> None:
+        server = self.server
+        try:
+            await pending
+            server.messages_accepted += 1
+            for envelope in envelopes:
+                result = server._handler(envelope)
+                if asyncio.iscoroutine(result):
+                    await result
+                server.messages_accepted += 1
+        except Exception as exc:
+            asyncio.get_running_loop().call_exception_handler({
+                "message": "SMTP delivery handler failed",
+                "exception": exc,
+                "protocol": self,
+            })
+            self.close("aborted")
+            return
+        finally:
+            self._task = None
+        if self._live:
+            self._reply(250, "OK message accepted for delivery")
+            self._waiting = False
+            self._resume()

@@ -155,44 +155,42 @@ class DurableStore:
         """Atomically apply a batch of writes at one barrier point.
 
         ``puts`` yields ``(kind, key, value)`` triples; values are
-        stored as canonical JSON with their checksum and upserted. The
-        whole batch plus the ``barrier`` meta bump lands in a single WAL
-        transaction. Returns the number of records written.
+        stored as canonical JSON with their checksum and upserted by one
+        ``executemany``. The whole batch plus the ``barrier`` meta bump
+        lands in a single WAL transaction. Returns the number of records
+        written.
         """
-        written = 0
+        # Encode before the transaction opens: a value the codec refuses
+        # raises here with nothing written.
+        rows = []
+        for kind, key, value in puts:
+            payload = encode_payload(value)
+            rows.append(
+                (kind, key, payload, record_checksum(kind, key, payload), barrier)
+            )
+        meta_rows = [*(meta or {}).items(), ("barrier", str(barrier))]
         try:
             self._conn.execute("BEGIN IMMEDIATE")
-            for kind, key, value in puts:
-                payload = encode_payload(value)
-                self._conn.execute(
-                    "INSERT INTO records(kind, key, payload, checksum, barrier) "
-                    "VALUES(?, ?, ?, ?, ?) "
-                    "ON CONFLICT(kind, key) DO UPDATE SET "
-                    "payload=excluded.payload, checksum=excluded.checksum, "
-                    "barrier=excluded.barrier",
-                    (kind, key, payload, record_checksum(kind, key, payload), barrier),
-                )
-                written += 1
-            for kind, key in deletes:
-                self._conn.execute(
-                    "DELETE FROM records WHERE kind=? AND key=?", (kind, key)
-                )
-            for meta_key, meta_value in (meta or {}).items():
-                self._conn.execute(
-                    "INSERT INTO meta(key, value) VALUES(?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                    (meta_key, meta_value),
-                )
-            self._conn.execute(
-                "INSERT INTO meta(key, value) VALUES('barrier', ?) "
+            self._conn.executemany(
+                "INSERT INTO records(kind, key, payload, checksum, barrier) "
+                "VALUES(?, ?, ?, ?, ?) "
+                "ON CONFLICT(kind, key) DO UPDATE SET "
+                "payload=excluded.payload, checksum=excluded.checksum, "
+                "barrier=excluded.barrier",
+                rows,
+            )
+            self._conn.executemany(
+                "DELETE FROM records WHERE kind=? AND key=?", deletes
+            )
+            self._conn.executemany(
+                "INSERT INTO meta(key, value) VALUES(?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (str(barrier),),
+                meta_rows,
             )
             self._conn.execute("COMMIT")
         except BaseException as exc:
-            # Roll back on *any* failure — including a value json.dumps
-            # refuses to encode — so no partial batch is ever left in an
-            # open transaction.
+            # Roll back on *any* failure so no partial batch is ever left
+            # in an open transaction.
             try:
                 self._conn.execute("ROLLBACK")
             except sqlite3.Error:
@@ -200,7 +198,7 @@ class DurableStore:
             if isinstance(exc, sqlite3.Error):
                 raise SimulationError(f"store commit failed: {exc}") from exc
             raise
-        return written
+        return len(rows)
 
     # -- reads -------------------------------------------------------------------
 

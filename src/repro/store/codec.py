@@ -31,12 +31,16 @@ __all__ = [
 # (kept in the store's meta table and checked on open).
 STORE_FORMAT_VERSION = 1
 
-_SEP = b"\x1f"  # unit separator: unambiguous kind/key/payload framing
+_SEP = "\x1f"  # unit separator: unambiguous kind/key/payload framing
+
+# One encoder for every payload: ``json.dumps`` with options builds a
+# new ``JSONEncoder`` per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def encode_payload(value: Any) -> str:
     """Canonical compact JSON — the byte-stable wire form of a value."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(value)
 
 
 def decode_payload(payload: str) -> Any:
@@ -57,10 +61,5 @@ def record_checksum(kind: str, key: str, payload: str) -> str:
     Including kind and key means a row copied onto another row's slot
     (a plausible filesystem-level corruption) also fails verification.
     """
-    digest = hashlib.sha256()
-    digest.update(kind.encode("utf-8"))
-    digest.update(_SEP)
-    digest.update(key.encode("utf-8"))
-    digest.update(_SEP)
-    digest.update(payload.encode("utf-8"))
-    return digest.hexdigest()
+    framed = f"{kind}{_SEP}{key}{_SEP}{payload}"
+    return hashlib.sha256(framed.encode("utf-8")).hexdigest()

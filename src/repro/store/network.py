@@ -40,6 +40,7 @@ from typing import Any
 from .. import records
 from ..core import persistence
 from ..core.isp import CompliantISP
+from ..core.ledger import Ledger
 from ..core.protocol import ZmailNetwork
 from ..errors import SimulationError
 from ..records import Field, List, Map, Record
@@ -297,6 +298,23 @@ def load_isps(
     return applied
 
 
+def _user_states(ledger: Ledger) -> dict[str, Any]:
+    """Every user's record keyed by id, the pristine ones from the
+    genesis template: the same dict as over :meth:`Ledger.users`,
+    without materialising anyone."""
+    states = {
+        str(user.user_id): persistence.user_state(user)
+        for user in ledger.materialized_users()
+    }
+    genesis = ledger.genesis_template()
+    if genesis is not None:
+        n_users, template = genesis
+        pristine = persistence.user_state(template)
+        for user_id in range(n_users):
+            states.setdefault(str(user_id), pristine)
+    return states
+
+
 def durable_digest(network: ZmailNetwork) -> str:
     """SHA-256 over exactly the state the store persists.
 
@@ -305,7 +323,8 @@ def durable_digest(network: ZmailNetwork) -> str:
     network's digest at the same barrier. Unlike
     ``obs.manifest.accounting_digest`` this excludes volatile
     quantities (paid letters in flight) that a restart legitimately
-    zeroes.
+    zeroes. Pristine users are hashed from the genesis template, so the
+    call materialises no account.
     """
     state = {
         **records.dump(NET, network),
@@ -313,10 +332,7 @@ def durable_digest(network: ZmailNetwork) -> str:
         "isps": {
             str(isp_id): {
                 **persistence.isp_aggregate_state(isp),
-                "users": {
-                    str(user.user_id): persistence.user_state(user)
-                    for user in isp.ledger.users()
-                },
+                "users": _user_states(isp.ledger),
             }
             for isp_id, isp in sorted(network.compliant_isps().items())
         },

@@ -164,14 +164,21 @@ class ZmailService:
             stamp = read_stamp(envelope.message)
             if stamp is None:
                 # Unstamped mail is a submission from one of this
-                # gateway's own users; anything else is unroutable.
+                # gateway's own users to a user of the network;
+                # anything else is unroutable.
                 try:
                     sender = to_sim_address(envelope.mail_from)
                     recipient = to_sim_address(envelope.rcpt_to)
                 except SMTPProtocolError:
                     self.unroutable += 1
                     return
-                if sender.isp != gateway.isp_id:
+                network = self.network
+                in_network = (
+                    recipient.isp < network.n_isps
+                    and sender.user < network.users_per_isp
+                    and recipient.user < network.users_per_isp
+                )
+                if sender.isp != gateway.isp_id or not in_network:
                     self.unroutable += 1
                     return
                 gateway.submit_outbound(

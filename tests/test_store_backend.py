@@ -129,6 +129,33 @@ class TestCommitAndRead:
     def test_barrier_default_zero(self, store):
         assert store.barrier == 0
 
+    def test_commit_rows_are_the_codec_output(self, store):
+        # The batched write stores exactly what the codec produces, and
+        # the codec's bytes are pinned.
+        puts = [
+            ("user", "0:1", {"name": "\u00e9", "inbox": [1, 2], "balance": 7}),
+            ("bank", "bank", {"z": None, "a": 1.5}),
+            ("k", "k", 3),
+        ]
+        assert store.commit(puts, barrier=4) == 3
+        rows = store._conn.execute(
+            "SELECT kind, key, payload, checksum, barrier FROM records "
+            "ORDER BY kind, key"
+        ).fetchall()
+        expected = []
+        for kind, key, value in puts:
+            payload = encode_payload(value)
+            expected.append(
+                (kind, key, payload, record_checksum(kind, key, payload), 4)
+            )
+        assert rows == sorted(expected)
+        user = dict(((kind, key), (payload, checksum))
+                    for kind, key, payload, checksum, _ in rows)["user", "0:1"]
+        assert user == (
+            '{"balance":7,"inbox":[1,2],"name":"\\u00e9"}',
+            "4bfda38a49ed8154ac2c73c0452c66f2de92ea866db93ce32817c47ee29c901b",
+        )
+
     def test_commit_atomic_on_failure(self, store):
         # An unserialisable value fails mid-batch; nothing may land.
         with pytest.raises((SimulationError, TypeError)):

@@ -221,6 +221,21 @@ class TestDurableDigest:
         assert durable_digest(network) == before
 
 
+    def test_materialises_no_pristine_user(self):
+        network = _fresh()
+        network.send(Address(0, 1), Address(1, 2))
+        ledgers = [isp.ledger for isp in network.compliant_isps().values()]
+        hot = [ledger.materialized_count() for ledger in ledgers]
+        digest = durable_digest(network)
+        assert [ledger.materialized_count() for ledger in ledgers] == hot
+        assert hot != [5, 5, 5]
+        # The same bytes as hashing every materialised user.
+        for ledger in ledgers:
+            ledger.users()
+        assert [ledger.materialized_count() for ledger in ledgers] == [5, 5, 5]
+        assert durable_digest(network) == digest
+
+
 class TestRestartCost:
     """A restart replays O(dirty) state, not O(users) (DESIGN.md §13)."""
 

@@ -149,6 +149,35 @@ class TestServiceBasics:
         store.close()
         assert service.unroutable == 1
 
+    @pytest.mark.parametrize("sender, recipient", [
+        ("user0@isp0.example", "user1@isp9.example"),  # no such ISP
+        ("user0@isp0.example", "user4@isp1.example"),  # user >= users_per_isp
+        ("user4@isp0.example", "user1@isp1.example"),
+    ])
+    def test_submission_outside_the_network_unroutable(
+        self, tmp_path, sender, recipient
+    ):
+        _, store = _make_store(tmp_path)
+
+        async def run():
+            service = ZmailService(store)
+            await service.start()
+            host, port = service.addresses[0]
+            client = SMTPClient(host, port)
+            await client.connect()
+            message = MailMessage.compose(
+                sender=sender, recipient=recipient, body="x"
+            )
+            await client.send(Envelope(sender, recipient, message))
+            await client.quit()
+            await service.stop()
+            return service
+
+        service = asyncio.run(run())
+        store.close()
+        assert service.unroutable == 1
+        assert service.stats()["conserved"]
+
     def test_tick_rejects_negative(self, tmp_path):
         _, store = _make_store(tmp_path)
         service = ZmailService(store)
