@@ -52,7 +52,7 @@ from ..errors import SimulationError
 from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
 from ..sim.rng import SeededStreams, derive_seed
-from ..sim.workload import Address, TrafficKind, merge_workloads
+from ..sim.workload import Address, TrafficKind
 from .interface import (
     ROUTE_BULK,
     ROUTE_PAID,
@@ -232,8 +232,8 @@ class _Engine:
         self.tracer = self.network.tracer
         self.scenario.fund_spammers(self.network)
         self.monitor = ZombieMonitor(self.network)
-        self.requests = merge_workloads(
-            *self.scenario.workload_streams(SeededStreams(self.scenario.seed))
+        self.requests = self.scenario.request_rows(
+            SeededStreams(self.scenario.seed)
         )
         self.pending = None  # one-request lookahead into self.requests
 
@@ -346,15 +346,14 @@ class _Engine:
                 request = next(self.requests, None)
                 if request is None:
                     break
-            if request.time >= end:
+            when, sender, recipient, kind = request
+            if when >= end:
                 self.pending = request
                 break
-            network.note_time(request.time)
-            receipt = network.send(
-                request.sender, request.recipient, request.kind
-            )
+            network.note_time(when)
+            receipt = network.send(sender, recipient, kind)
             ok = receipt.status in _DELIVERED
-            if request.kind is TrafficKind.NORMAL:
+            if kind is TrafficKind.NORMAL:
                 attempted += 1
                 delivered += 1 if ok else 0
             elif ok:

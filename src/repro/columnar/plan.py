@@ -12,8 +12,13 @@ stable-sorts the concatenated prefix.
 
 Tie-breaking matches :func:`repro.sim.workload.merge_workloads` exactly:
 ``heapq.merge`` breaks equal keys by input order, and a stable argsort
-over a stream-ordered concatenation does the same, so the columnar
-executor sees the identical request sequence the object executors see.
+over a stream-ordered concatenation does the same. This merge is the
+request order of every executor: the columnar executor reads its
+plans, and :meth:`repro.core.scenario.Scenario.request_rows` expands
+them into the rows the direct loop, the cluster shards and the arena
+match replay. A tie-break change here therefore moves every
+direct-semantics run; ``tests/test_sim_traffic_pins.py`` holds the
+merge to ``heapq.merge`` over request objects.
 """
 
 from __future__ import annotations

@@ -432,7 +432,12 @@ class ZmailNetwork:
         ``SHED`` (refused outright, audited) or ``DEFERRED`` (queued for
         backoff retry) without touching any ledger.
         """
-        if not (0 <= sender.isp < self.n_isps and 0 <= recipient.isp < self.n_isps):
+        n_isps = self.n_isps
+        users = self.users_per_isp
+        if not (
+            0 <= sender.isp < n_isps and 0 <= sender.user < users
+            and 0 <= recipient.isp < n_isps and 0 <= recipient.user < users
+        ):
             raise SimulationError(f"address out of range: {sender} -> {recipient}")
         if self._admission is not None:
             receipt = self._admit_send(sender, recipient, kind, content)
@@ -817,7 +822,9 @@ class ZmailNetwork:
         """
         if t > self._direct_now:
             self._direct_now = t
-        self.advance_day_to(int(t // DAY))
+        day = int(t // DAY)
+        if day > self._last_day_seen:
+            self.advance_day_to(day)
 
     def rebalance_pools(self, isp_ids: Iterable[int] | None = None) -> None:
         """§4.3: compliant ISPs buy/sell pool e-pennies at the bank.

@@ -25,12 +25,20 @@ becomes its workload in one place, :meth:`Scenario._workloads`; the
 object view (:meth:`Scenario.workload_streams`) and the column view
 (:meth:`Scenario.workload_column_streams`) both derive from it.
 :attr:`Scenario.mode` names the executor that replays the traffic.
+
+Every direct-semantics drive loop — :meth:`Scenario.run`'s direct loop, the
+cluster shard and the arena match — reads its traffic from
+:meth:`Scenario.request_rows`: the column view merged by
+:func:`~repro.columnar.plan.merge_column_streams` and expanded into
+``(time, sender, recipient, kind)`` rows. Their request order is that
+merge's tie-break, which matches ``heapq.merge`` over the object view
+(``tests/test_sim_traffic_pins.py`` holds both to one pin).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -46,7 +54,8 @@ from ..sim.workload import (
     SpamCampaignWorkload,
     TrafficKind,
     ZombieBurstWorkload,
-    merge_workloads,
+    # Unused here; perfbench's workload.gen boundary patches this name.
+    merge_workloads,  # noqa: F401
 )
 from .config import ZmailConfig
 from .misbehavior import ReconciliationReport
@@ -54,6 +63,10 @@ from .protocol import ZmailNetwork
 from .zombie import ZombieDetection, ZombieMonitor
 
 __all__ = ["SpammerSpec", "ZombieSpec", "Scenario", "ScenarioResult"]
+
+#: Rows :meth:`Scenario.request_rows` expands per slice of a merged
+#: plan, so no plan-sized Python list is ever built.
+_ROW_SLICE = 4096
 
 
 def _columns_until(chunks, horizon: float):
@@ -195,11 +208,9 @@ class Scenario:
     def _workloads(self, streams: SeededStreams):
         """Build every traffic term's workload once, in stream order.
 
-        Yields ``(kind, sender_isp, workload, args, end)``:
-        ``sender_isp`` is the ISP all of the term's mail is sent from
-        (``None`` for normal traffic, whose senders span the
-        population), ``args`` what the workload's ``generate`` and
-        ``generate_columns`` take, and ``end`` where its window closes.
+        Yields ``(kind, workload, args, end)``: ``args`` is what the
+        workload's ``generate`` and ``generate_columns`` take, and
+        ``end`` where its window closes.
         Terms whose window opens at or past the ``duration`` horizon are
         left out. Every spec draws from its own spawned stream family, so
         building a term draws nothing and no term perturbs another.
@@ -210,7 +221,7 @@ class Scenario:
                 rate_per_day=self.normal_rate_per_day, streams=streams, **size
             )
             horizon = self.duration
-            yield TrafficKind.NORMAL, None, normal, (horizon,), horizon
+            yield TrafficKind.NORMAL, normal, (horizon,), horizon
         for index, spec in enumerate(self.spammers):
             if spec.start >= self.duration:
                 continue
@@ -223,7 +234,7 @@ class Scenario:
                 **size,
             )
             end = spec.start + spec.duration
-            yield TrafficKind.SPAM, spec.address.isp, spam, (), end
+            yield TrafficKind.SPAM, spam, (), end
         for index, spec in enumerate(self.zombies):
             if spec.start >= self.duration:
                 continue
@@ -235,7 +246,7 @@ class Scenario:
                 streams=streams.spawn(f"zombie{index}"),
                 **size,
             )
-            yield TrafficKind.ZOMBIE, spec.address.isp, zombie, (), spec.end
+            yield TrafficKind.ZOMBIE, zombie, (), spec.end
         for index, spec in enumerate(self.floods):
             if spec.start >= self.duration:
                 continue
@@ -246,37 +257,23 @@ class Scenario:
                 **size,
             )
             end = spec.start + spec.duration
-            yield TrafficKind(spec.kind), spec.attacker_isp, flood, (), end
+            yield TrafficKind(spec.kind), flood, (), end
 
-    def workload_streams(
-        self,
-        streams: SeededStreams,
-        *,
-        sender_isps: set[int] | frozenset[int] | None = None,
-    ):
-        """The scenario's request iterators, optionally filtered by sender.
+    def workload_streams(self, streams: SeededStreams):
+        """The scenario's request iterators, one per traffic term.
 
         Traffic stops at the ``duration`` horizon: a term whose window
         runs past it is cut there, so every executor sees the same
-        requests. ``sender_isps`` restricts the output to requests whose
-        *sender* is homed at one of the given ISPs — the cluster
-        runtime's shard filter. Filtering is replication-safe: every
-        shard builds the same workloads from the same seed, so per-name
-        RNG consumption is identical everywhere; the normal workload is
-        filtered per-request, while the other terms of foreign actors are
-        skipped entirely.
+        requests. The drive loops read :meth:`request_rows`; this object
+        view feeds the chaos and soak deployments and is the reference
+        the row view is tested against.
         """
-        keep = sender_isps
         horizon = self.duration
         iterators = []
-        for _kind, home, workload, args, end in self._workloads(streams):
-            if keep is not None and home is not None and home not in keep:
-                continue
+        for _kind, workload, args, end in self._workloads(streams):
             requests = workload.generate(*args)
             if end > horizon:
                 requests = takewhile(lambda r: r.time < horizon, requests)
-            if keep is not None and home is None:
-                requests = (r for r in requests if r.sender.isp in keep)
             iterators.append(requests)
         return iterators
 
@@ -287,12 +284,66 @@ class Scenario:
         same horizon, that :meth:`workload_streams` expands into requests.
         """
         column_streams = []
-        for kind, _home, workload, args, end in self._workloads(streams):
+        for kind, workload, args, end in self._workloads(streams):
             chunks = workload.generate_columns(*args)
             if end > self.duration:
                 chunks = _columns_until(chunks, self.duration)
             column_streams.append((kind, chunks))
         return column_streams
+
+    def request_rows(
+        self,
+        streams: SeededStreams,
+        *,
+        sender_isps: set[int] | frozenset[int] | None = None,
+    ):
+        """The merged traffic as ``(time, sender, recipient, kind)`` rows.
+
+        The column view, merged into one time order and expanded a
+        slice at a time through one gid -> :class:`Address` table and
+        :data:`~repro.columnar.plan.KIND_ORDER`. ``sender_isps`` keeps
+        only the rows whose *sender* is homed at one of the given ISPs —
+        the cluster shard's slice. It masks the globally merged order,
+        so a shard replays its rows in the order the whole run does.
+        """
+        # Imported here: a process that never drives traffic (perfbench's
+        # setup probes) does not load the columnar package.
+        from ..columnar.plan import KIND_ORDER, merge_column_streams
+
+        users = self.users_per_isp
+        addresses = [
+            Address(isp, user)
+            for isp in range(self.n_isps)
+            for user in range(users)
+        ]
+        address = addresses.__getitem__
+        kind = KIND_ORDER.__getitem__
+        local = None
+        if sender_isps is not None:
+            local = np.zeros(len(addresses), dtype=bool)
+            for isp in sender_isps:
+                local[isp * users:(isp + 1) * users] = True
+
+        def slices():
+            plans = merge_column_streams(self.workload_column_streams(streams))
+            for plan in plans:
+                times, senders = plan.times, plan.senders
+                recipients, kinds = plan.recipients, plan.kinds
+                if local is not None:
+                    keep = local[senders]
+                    times, senders = times[keep], senders[keep]
+                    recipients, kinds = recipients[keep], kinds[keep]
+                for start in range(0, len(times), _ROW_SLICE):
+                    stop = start + _ROW_SLICE
+                    yield zip(
+                        times[start:stop].tolist(),
+                        map(address, senders[start:stop].tolist()),
+                        map(address, recipients[start:stop].tolist()),
+                        map(kind, kinds[start:stop].tolist()),
+                    )
+
+        # Chained in C: no Python frame resumes per row, only per slice.
+        return chain.from_iterable(slices())
 
     def run(self) -> ScenarioResult:
         """Execute the scenario on :attr:`mode` and collect the result.
@@ -310,22 +361,23 @@ class Scenario:
                 "'direct' or 'columnar'"
             )
         network, monitor = self._deploy()
-        streams = SeededStreams(self.seed)
-        requests = merge_workloads(*self.workload_streams(streams))
+        rows = self.request_rows(SeededStreams(self.seed))
 
         reconciliations: list[ReconciliationReport] = []
         cut_digests: list[str] = []
         next_reconcile = (
             self.reconcile_every if self.reconcile_every > 0 else None
         )
+        note_time = network.note_time
+        send = network.send
         attempted = 0
-        for request in requests:
-            if next_reconcile is not None and request.time >= next_reconcile:
+        for when, sender, recipient, kind in rows:
+            if next_reconcile is not None and when >= next_reconcile:
                 reconciliations.append(network.reconcile("direct"))
                 cut_digests.append(accounting_digest(network))
                 next_reconcile += self.reconcile_every
-            network.note_time(request.time)
-            network.send(request.sender, request.recipient, request.kind)
+            note_time(when)
+            send(sender, recipient, kind)
             attempted += 1
         network.note_time(self.duration)
         reconciliations.append(network.reconcile("direct"))

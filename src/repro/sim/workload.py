@@ -15,10 +15,16 @@ column chunks ``(times, sender_gids, recipient_gids)`` of parallel numpy
 arrays, a few thousand arrivals per RNG call, where a *gid* is the flat
 user index ``isp * users_per_isp + user``. The chunks stay lazy
 (constant memory per stream) and are deterministic per seed. The
-columnar batch executor (:mod:`repro.columnar`) consumes them directly;
-``generate()`` expands the same chunks into :class:`SendRequest` records
-for the object executors, so every executor replays byte-identical
-traffic by construction.
+columnar batch executor (:mod:`repro.columnar`) consumes them directly,
+and the direct loop, cluster shards and arena matches read them merged
+and expanded into plain rows
+(:meth:`~repro.core.scenario.Scenario.request_rows`); ``generate()``
+expands the same chunks into :class:`SendRequest` records for the
+engine-driven chaos and soak deployments and the examples, so every
+executor replays byte-identical traffic by construction.
+:func:`merge_workloads` over those records is also the reference order
+the row view is tested against: the column merge's tie-break must match
+``heapq.merge``'s, or every direct-semantics drive loop reorders.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ def scripted(rows, **spec):
     scenario = Scenario(normal_rate_per_day=0.0, **spec)
     workload = ScriptedWorkload(rows, scenario.users_per_isp)
     scenario._workloads = lambda streams: iter(
-        [(TrafficKind.NORMAL, None, workload, (), scenario.duration)]
+        [(TrafficKind.NORMAL, workload, (), scenario.duration)]
     )
     return scenario
 

@@ -67,6 +67,24 @@ class TestDirectMode:
         with pytest.raises(SimulationError):
             net.send(Address(9, 0), Address(0, 0))
 
+    @pytest.mark.parametrize(
+        "sender, recipient, bad",
+        [
+            (Address(0, 0), Address(1, 7), "user7@isp1"),
+            (Address(0, 9), Address(1, 0), "user9@isp0"),
+            (Address(0, -1), Address(1, 0), "user-1@isp0"),
+            (Address(0, 0), Address(1, 4), "user4@isp1"),
+        ],
+    )
+    def test_out_of_range_user_ids_rejected(self, sender, recipient, bad):
+        """A user id past ``users_per_isp`` (or negative) is refused before
+        any ledger moves, so conservation holds."""
+        net = ZmailNetwork(n_isps=2, users_per_isp=4, seed=5)
+        with pytest.raises(SimulationError, match=bad):
+            net.send(sender, recipient)
+        assert net.total_value() == net.expected_total_value()
+        assert net.send(Address(0, 0), Address(1, 3)).status is SendStatus.SENT_PAID
+
     def test_make_compliant_updates_directory(self):
         net = make_net(compliant=[True, True, False])
         receipt = net.send(Address(0, 0), Address(2, 0))

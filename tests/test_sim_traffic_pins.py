@@ -2,18 +2,25 @@
 
 The sha256 of each document's merged request sequence — one ``repr(time)
 sender recipient kind`` line per message — must be the same through the
-object view (merged ``SendRequest`` objects) and the column view (merged
-column chunks) of the traffic.
+object view (merged ``SendRequest`` objects), the column view (merged
+column chunks) and the rows every direct-semantics drive loop reads
+(``Scenario.request_rows``). The object view is the reference: rows and
+columns share one merge, so only a comparison against ``heapq.merge``
+checks that merge's tie-break.
 """
 
 import glob
 import hashlib
+import itertools
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import EXAMPLES, load_plan
 from repro.columnar.plan import KIND_ORDER, merge_column_streams
+from repro.scenario import compile_scenario
+from repro.scenario.generate import generate_doc
 from repro.sim.rng import SeededStreams
 from repro.sim.workload import Address, merge_workloads
 
@@ -92,15 +99,47 @@ def test_column_traffic_is_pinned(stem):
     assert _digest(rows) == TRAFFIC_SHA256[stem]
 
 
+@pytest.mark.parametrize("stem", STEMS)
+def test_row_traffic_is_pinned(stem):
+    scenario = _scenario(stem)
+    rows = scenario.request_rows(SeededStreams(scenario.seed))
+    assert _digest(rows) == TRAFFIC_SHA256[stem]
+
+
+def _object_rows(scenario):
+    """The reference: ``heapq.merge`` over the ``SendRequest`` view."""
+    requests = merge_workloads(
+        *scenario.workload_streams(SeededStreams(scenario.seed))
+    )
+    return [(r.time, r.sender, r.recipient, r.kind) for r in requests]
+
+
+def _rows(scenario, **kwargs):
+    return list(
+        scenario.request_rows(SeededStreams(scenario.seed), **kwargs)
+    )
+
+
 def test_sender_isp_filter_is_a_filter_of_the_full_stream():
     """The cluster's shard filter keeps exactly the shard's own senders."""
     scenario = _scenario("cluster-8isp")
-    def merged(**kwargs):
-        streams = SeededStreams(scenario.seed)
-        return list(merge_workloads(*scenario.workload_streams(streams, **kwargs)))
-
-    full = merged()
+    full = _rows(scenario)
     for isp in range(scenario.n_isps):
-        shard = merged(sender_isps={isp})
+        shard = _rows(scenario, sender_isps={isp})
         assert shard, isp
-        assert shard == [r for r in full if r.sender.isp == isp], isp
+        assert shard == [row for row in full if row[1].isp == isp], isp
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_rows_match_the_object_view_on_generated_worlds(seed):
+    """Rows equal the merged ``SendRequest``s, and every ISP set's mask
+    equals the filtered full stream, in order."""
+    scenario = compile_scenario(generate_doc(seed)).scenario("direct")
+    full = _object_rows(scenario)
+    assert _rows(scenario) == full
+    isps = range(scenario.n_isps)
+    for size in range(scenario.n_isps + 1):
+        for chosen in itertools.combinations(isps, size):
+            expected = [row for row in full if row[1].isp in chosen]
+            assert _rows(scenario, sender_isps=set(chosen)) == expected
