@@ -385,7 +385,7 @@ class AdmissionController:
         self.audit = ShedAudit(config.shed_audit_cap)
         #: Optional hook fired for every terminal bounce — including
         #: evictions inside :meth:`admit`, whose victims the caller never
-        #: sees otherwise. The SMTP gateway uses it to file DSN notices.
+        #: sees otherwise. The SMTP gateway uses it to count and trace bounces.
         self.on_bounce: Callable[[float, DeferredItem, str], None] | None = None
         self.attempts = 0
         self.accepted = 0

@@ -73,7 +73,7 @@ CONFIG = Record(*records.dataclass_fields(ZmailConfig), cls=ZmailConfig)
 
 
 def user_state(user: UserAccount) -> dict[str, Any]:
-    """One user's durable state (purse, limits, counters, mailboxes)."""
+    """One user's durable state (purses, limits, counters)."""
     return records.dump(USER, user)
 
 

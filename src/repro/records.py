@@ -15,6 +15,10 @@ A shape is ``int``, ``float`` (a JSON int is accepted and kept),
 :class:`Map`, :class:`List`, :class:`Nullable`, a nested
 :class:`Record`, a :class:`Codec`, a :class:`Union` of tagged records,
 or :data:`PAYLOAD`, the queued payload whose shape the caller passes.
+
+Each :class:`Record` compiles its table once, on first use, into
+straight-line Python (a dumper, a loader and, for scalar fields on the
+object itself, a setter): a restart loads one record per dirty user.
 """
 
 from __future__ import annotations
@@ -50,14 +54,14 @@ class Field:
             a nested record grouping some of its owner's attributes.
     """
 
-    __slots__ = ("name", "shape", "low", "get", "owner", "leaf")
+    __slots__ = ("name", "shape", "low", "path", "get", "owner", "leaf")
 
     def __init__(
         self, name: str, shape: Any, low: int | None = None,
         attr: str | None = None,
     ) -> None:
         self.name, self.shape, self.low = name, shape, low
-        path = name if attr is None else attr
+        self.path = path = name if attr is None else attr
         self.get = attrgetter(path) if path else (lambda obj: obj)
         owner, _, self.leaf = path.rpartition(".")
         self.owner = attrgetter(owner) if owner else None
@@ -69,14 +73,26 @@ class Record:
     :func:`assign` assigns in place. A record is dumped from the
     attributes of an object, or from a tuple in table order."""
 
-    __slots__ = ("fields", "cls", "names", "specs", "flat")
+    __slots__ = ("fields", "cls", "names", "dumper", "loader", "setter")
 
     def __init__(self, *fields: Field, cls: Callable | None = None) -> None:
         self.fields, self.cls = fields, cls
         self.names = frozenset(f.name for f in fields)
-        self.specs = tuple((f.name, f.shape, f.low, f.leaf) for f in fields)
-        # Scalar fields on the object itself: dumped and assigned directly.
-        self.flat = all(f.shape in _SCALARS and not f.owner for f in fields)
+        # Compiled on first use, so a process pays only for the kinds it
+        # touches; ``setter`` is ``None`` unless every field is a scalar
+        # on the object itself.
+        self.dumper = lambda obj, payload: self._compile().dumper(obj, payload)
+        self.loader = lambda value, path, payload: (
+            self._compile().loader(value, path, payload)
+        )
+        flat = all(f.shape in _SCALARS and f.path and not f.owner for f in fields)
+        self.setter = (
+            (lambda obj, values: self._compile().setter(obj, values)) if flat else None
+        )
+
+    def _compile(self) -> "Record":
+        self.dumper, self.loader, self.setter = _compile(self)
+        return self
 
 
 class Map(NamedTuple):
@@ -128,20 +144,15 @@ def dataclass_fields(cls: type, low: int | None = None, skip=()) -> tuple:
 
 def dump(record: Record, obj: Any, payload: Any = None) -> dict[str, Any]:
     """The JSON-compatible dict of ``obj`` under ``record``."""
+    if type(obj) is not tuple and record.cls is not tuple:
+        return record.dumper(obj, payload)
     fields = record.fields
-    if type(obj) is tuple or record.cls is tuple:
-        if type(obj) is not tuple or len(obj) != len(fields):
-            raise SimulationError(
-                f"cannot persist {_show(obj)} as a {len(fields)}-tuple"
-            )
-        values = obj
-    elif record.flat:
-        return {f.name: f.get(obj) for f in fields}
-    else:
-        values = [f.get(obj) for f in fields]
+    if type(obj) is not tuple or len(obj) != len(fields):
+        raise SimulationError(
+            f"cannot persist {_show(obj)} as a {len(fields)}-tuple"
+        )
     return {
-        f.name: _encode(f.shape, value, payload)
-        for f, value in zip(fields, values)
+        f.name: _encode(f.shape, value, payload) for f, value in zip(fields, obj)
     }
 
 
@@ -164,7 +175,7 @@ def _encode(shape: Any, value: Any, payload: Any) -> Any:
     if isinstance(shape, Union):
         for tag, variant in shape.variants.items():
             if type(value) is variant.cls:
-                return {"t": tag, **dump(variant, value, payload)}
+                return {"t": tag, **variant.dumper(value, payload)}
         raise SimulationError(
             f"cannot persist a payload of type {type(value).__name__}"
         )
@@ -206,7 +217,7 @@ def load(
     """Check ``state`` against ``record`` and decode it; raises
     ``SimulationError`` naming ``kind``, ``key`` and the first bad field."""
     try:
-        return _record(record, state, "", payload)
+        return record.loader(state, "", payload)
     except _Invalid as bad:
         raise _malformed(kind, key, bad) from None
 
@@ -231,9 +242,8 @@ def assign(record: Record, obj: Any, values: dict, kind: str, key: str) -> None:
 
 
 def _assign(record: Record, obj: Any, values: dict, path: str) -> None:
-    if record.flat:
-        for name, _, _, leaf in record.specs:
-            setattr(obj, leaf, values[name])
+    if record.setter is not None:
+        record.setter(obj, values)
         return
     for f in record.fields:
         shape, value, where = f.shape, values[f.name], _join(path, f.name)
@@ -260,7 +270,7 @@ def _check(shape: Any, value: Any, path: str, low: Any, payload: Any) -> Any:
             raise _Invalid(path, f"must be >= {low}, got {value!r}")
         return value
     if isinstance(shape, Record):
-        return _record(shape, value, path, payload)
+        return shape.loader(value, path, payload)
     if isinstance(shape, Map):
         _need(value, dict, path)
         out = {}
@@ -290,7 +300,7 @@ def _check(shape: Any, value: Any, path: str, low: Any, payload: Any) -> Any:
         if variant is None:
             raise _Invalid(_join(path, "t"), f"unknown tag {tag!r}")
         rest = {k: v for k, v in value.items() if k != "t"}
-        return _record(variant, rest, path, payload)
+        return variant.loader(rest, path, payload)
     if shape is PAYLOAD:
         return value if payload is None else _check(payload, value, path, None, None)
     # An Enum class: the stored value must have its members' value type.
@@ -302,26 +312,66 @@ def _check(shape: Any, value: Any, path: str, low: Any, payload: Any) -> Any:
         raise _Invalid(path, f"not a {shape.__name__}: {value!r}") from None
 
 
-def _record(record: Record, value: Any, path: str, payload: Any) -> Any:
-    _need(value, dict, path)
-    if value.keys() != record.names:
-        for f in record.fields:
-            if f.name not in value:
-                raise _Invalid(_join(path, f.name), "missing")
-        extra = min(value.keys() - record.names)
-        raise _Invalid(_join(path, extra), "unexpected key")
-    out = {}
-    for name, shape, low, _ in record.specs:
-        item = value[name]
-        # An exactly typed scalar within its bound is taken as it is.
-        if type(item) is not shape or (low is not None and item < low):
-            item = _check(shape, item, _join(path, name), low, payload)
-        out[name] = item
-    cls = record.cls
-    if cls is None or cls is tuple:
-        return out if cls is None else tuple(out[spec[0]] for spec in record.specs)
-    try:
-        return cls(**out)
-    except _REFUSALS as exc:
-        raise _Invalid(path, str(exc)) from None
+def _key_error(record: Record, value: dict, path: str) -> _Invalid:
+    for f in record.fields:
+        if f.name not in value:
+            return _Invalid(_join(path, f.name), "missing")
+    return _Invalid(_join(path, min(value.keys() - record.names)), "unexpected key")
 
+
+# -- compiling -----------------------------------------------------------------------
+
+
+def _compile(record: Record) -> tuple[Callable, Callable, Callable | None]:
+    """The record's dumper (from an object's attributes), loader and
+    setter, as Python source built from its field table."""
+    fields, cls, n = record.fields, record.cls, len(record.fields)
+    env: dict[str, Any] = {
+        "R": record, "NAMES": record.names, "cls": cls, "_encode": _encode,
+        "_check": _check, "_join": _join, "_need": _need, "_Invalid": _Invalid,
+        "_REFUSALS": _REFUSALS, "_key_error": _key_error,
+        **{f"S{i}": f.shape for i, f in enumerate(fields)},
+        **{f"L{i}": f.low for i, f in enumerate(fields)},
+    }
+
+    def read(i: int, f: Field) -> str:
+        attr = ".".join(["obj", *filter(None, f.path.split("."))])
+        return attr if f.shape in _SCALARS else f"_encode(S{i}, {attr}, payload)"
+
+    src = ["dumper = None"]  # a tuple record is dumped by :func:`dump`
+    if cls is not tuple:
+        src = ["def dumper(obj, payload):", "    return {" + ", ".join(
+            f"{f.name!r}: {read(i, f)}" for i, f in enumerate(fields)) + "}"]
+    src += [
+        "def loader(value, path, payload):",
+        "    if type(value) is not dict: _need(value, dict, path)",
+        "    if value.keys() != NAMES: raise _key_error(R, value, path)",
+    ]
+    for i, f in enumerate(fields):
+        src.append(f"    v{i} = value[{f.name!r}]")
+        check = f"_check(S{i}, v{i}, _join(path, {f.name!r}), L{i}, payload)"
+        if f.shape in _SCALARS:
+            # An exactly typed scalar within its bound is taken as it is.
+            bound = "" if f.low is None else f" or v{i} < {f.low!r}"
+            src.append(f"    if type(v{i}) is not S{i}{bound}: v{i} = {check}")
+        else:
+            src.append(f"    v{i} = {check}")
+    if cls is None:
+        src.append("    return {" + ", ".join(
+            f"{f.name!r}: v{i}" for i, f in enumerate(fields)) + "}")
+    elif cls is tuple:
+        src.append("    return (" + "".join(f"v{i}, " for i in range(n)) + ")")
+    else:
+        kwargs = ", ".join(f"{f.name}=v{i}" for i, f in enumerate(fields))
+        src += ["    try:", f"        return cls({kwargs})", "    except _REFUSALS as exc:",
+                "        raise _Invalid(path, str(exc)) from None"]
+    src.append("setter = None")
+    if record.setter is not None:
+        src += ["def setter(obj, values):"]
+        src += [f"    obj.{f.leaf} = values[{f.name!r}]" for f in fields] or ["    pass"]
+    # Built inside a factory so every name the functions read is a
+    # closure cell, not a global lookup.
+    scope: dict[str, Any] = {}
+    exec("\n    ".join([f"def make({', '.join(env)}):", *src,
+                         "return dumper, loader, setter"]), scope)
+    return scope["make"](**env)

@@ -10,7 +10,7 @@ messages over real localhost TCP.
 
 from .address import EmailAddress, from_sim_address, parse_address, to_sim_address
 from .client import SMTPClient, send_message
-from .gateway import DeliveryRecord, Mailbox, ZmailGateway
+from .gateway import ZmailGateway
 from .message import Headers, MailMessage
 from .server import SMTPServer
 from .transport import Envelope, InMemoryTransport, MailTransport
@@ -38,8 +38,6 @@ __all__ = [
     "MailMessage",
     "SMTPServer",
     "ZmailGateway",
-    "Mailbox",
-    "DeliveryRecord",
     "SMTPClient",
     "send_message",
     "Envelope",

@@ -8,9 +8,11 @@ envisions: one :class:`ZmailGateway` per compliant ISP that
   (in-memory for tests, real SMTP via :mod:`repro.smtp.client`);
 * **inbound** — authenticates the stamp against the transport-level
   origin (a stamp naming a different ISP than the envelope's domain is
-  forged and the message is rejected), drives the Zmail accounting on a
-  shared :class:`~repro.core.protocol.ZmailNetwork`, and files the
-  message into the recipient's :class:`Mailbox`;
+  forged and the message is rejected) and accepts the rest: the Zmail
+  accounting on the shared :class:`~repro.core.protocol.ZmailNetwork`
+  already counted the delivery in the recipient's ledger counters
+  (``inbox``, ``junk_folder``, ``lifetime_received_paid``), so the
+  gateway keeps no delivered mail and serves in O(users) memory;
 * **acknowledgments** — mailing-list messages (``X-Zmail-List-Token``)
   are acknowledged automatically per §5: the ack email returns the
   e-penny to the distributor *without* reaching a human inbox.
@@ -19,15 +21,14 @@ With an :class:`~repro.core.overload.OverloadConfig` the gateway also
 applies admission control to outbound submissions: saturation defers
 (bounded queue, exponential-backoff retries via :meth:`ZmailGateway.pump`,
 timed by the gateway's ``clock``) or sheds, and a deferred message that
-exhausts its retries is terminally bounced with a DSN-style notice filed
-into the sender's own mailbox.
+exhausts its retries is terminally bounced (counted as
+``gateway.bounced`` and traced as ``gateway.bounce``).
 All gateway counters are exported through the shared network's
 :class:`~repro.sim.metrics.MetricsRegistry` under ``gateway.*`` names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.overload import AdmissionController, DeferredItem, OverloadConfig, shed_class_for
@@ -49,7 +50,7 @@ from .zmail_headers import (
     stamp_message,
 )
 
-__all__ = ["Mailbox", "DeliveryRecord", "ZmailGateway", "PENDING"]
+__all__ = ["ZmailGateway", "PENDING"]
 
 #: A deferred submission ``(sender_user, recipient, message, list_token)``
 #: in the gateway's pending journal.
@@ -62,31 +63,8 @@ PENDING = Record(
 )
 
 
-@dataclass
-class DeliveryRecord:
-    """One message filed into a mailbox."""
-
-    envelope: Envelope
-    paid: bool
-    folder: str  # "inbox" | "junk"
-
-
-@dataclass
-class Mailbox:
-    """A user's stored mail, split by folder."""
-
-    inbox: list[DeliveryRecord] = field(default_factory=list)
-    junk: list[DeliveryRecord] = field(default_factory=list)
-
-    def file(self, record: DeliveryRecord) -> None:
-        """Store a record in the folder it names."""
-        if record.folder == "junk":
-            self.junk.append(record)
-        else:
-            self.inbox.append(record)
-
-    def __len__(self) -> int:
-        return len(self.inbox) + len(self.junk)
+def _kind(list_token: str | None) -> TrafficKind:
+    return TrafficKind.NORMAL if list_token is None else TrafficKind.MAILING_LIST
 
 
 class ZmailGateway:
@@ -124,14 +102,6 @@ class ZmailGateway:
         self.network = network
         self.isp_id = isp_id
         self.transport = transport
-        self.mailboxes: dict[int, Mailbox] = {}
-        self.forged_rejected = 0
-        self.acks_sent = 0
-        self.acks_absorbed = 0
-        self.rejected_sends = 0
-        self.shed_sends = 0
-        self.deferred_sends = 0
-        self.bounced_sends = 0
         self.overload = overload
         self._clock = clock
         # Trace through the shared network's recorder so gateway events
@@ -141,9 +111,9 @@ class ZmailGateway:
         if overload is not None:
             self._admission = AdmissionController(f"gateway{isp_id}", overload)
             self._admission.on_bounce = self._bounce_deferred
-        # Satellite observability: every gateway decision is visible
-        # through the shared registry, summed across the network's
-        # gateways under one namespace.
+        # Every gateway decision is counted once, in the shared
+        # registry, summed across the network's gateways under one
+        # namespace.
         metrics = network.metrics
         self._m = {
             name: metrics.counter(f"gateway.{name}").increment
@@ -158,14 +128,6 @@ class ZmailGateway:
     def domain(self) -> str:
         """The gateway's mail domain under the simulator convention."""
         return f"isp{self.isp_id}.example"
-
-    def mailbox(self, user_id: int) -> Mailbox:
-        """The (created-on-demand) mailbox of a local user."""
-        box = self.mailboxes.get(user_id)
-        if box is None:
-            box = Mailbox()
-            self.mailboxes[user_id] = box
-        return box
 
     # -- outbound ------------------------------------------------------------------
 
@@ -187,57 +149,40 @@ class ZmailGateway:
         :meth:`pump`. Raises nothing for ordinary refusals — the status
         tells the caller what happened.
         """
-        kind = (
-            TrafficKind.MAILING_LIST if list_token is not None
-            else TrafficKind.NORMAL
-        )
         if self._admission is not None:
             now = self._clock()
             shed_class = shed_class_for(
-                kind, paid=self.network.bank.is_compliant(recipient.isp)
+                _kind(list_token),
+                paid=self.network.bank.is_compliant(recipient.isp),
             )
             verdict = self._admission.admit(now, shed_class)
-            tracer = self.tracer
-            if verdict == "shed":
-                self.shed_sends += 1
-                self._m["shed"]()
-                if tracer.enabled:
-                    tracer.emit(
+            if verdict != "accept":
+                if verdict == "defer":
+                    self._admission.defer(
+                        now, (sender_user, recipient, message, list_token),
+                        shed_class,
+                    )
+                status = SendStatus.DEFERRED if verdict == "defer" else SendStatus.SHED
+                self._m["deferred" if verdict == "defer" else "shed"]()
+                if self.tracer.enabled:
+                    self.tracer.emit(
                         "gateway.submit",
                         sender=str(Address(self.isp_id, sender_user)),
-                        status=SendStatus.SHED.value,
+                        status=status.value,
                     )
-                return SendStatus.SHED
-            if verdict == "defer":
-                self.deferred_sends += 1
-                self._m["deferred"]()
-                self._admission.defer(
-                    now, (sender_user, recipient, message, list_token),
-                    shed_class,
-                )
-                if tracer.enabled:
-                    tracer.emit(
-                        "gateway.submit",
-                        sender=str(Address(self.isp_id, sender_user)),
-                        status=SendStatus.DEFERRED.value,
-                    )
-                return SendStatus.DEFERRED
-        return self._submit_admitted(
-            sender_user, recipient, message, list_token=list_token, kind=kind
-        )
+                return status
+        return self._submit_admitted(sender_user, recipient, message, list_token)
 
     def _submit_admitted(
         self,
         sender_user: int,
         recipient: Address,
         message: MailMessage,
-        *,
         list_token: str | None,
-        kind: TrafficKind,
     ) -> SendStatus:
         """The pre-overload submission path: account, stamp, transport."""
         receipt = self.network.send(
-            Address(self.isp_id, sender_user), recipient, kind
+            Address(self.isp_id, sender_user), recipient, _kind(list_token)
         )
         tracer = self.tracer
         if tracer.enabled:
@@ -247,27 +192,24 @@ class ZmailGateway:
                 status=receipt.status.value,
             )
         if receipt.status.blocked or receipt.status is SendStatus.BUFFERED:
-            self.rejected_sends += 1
             self._m["rejected_sends"]()
             return receipt.status
-        stamped = stamp_message(
-            message,
-            ZmailStamp(
-                sender_isp=f"isp{self.isp_id}",
-                message_class=CLASS_NORMAL,
-                list_token=list_token,
-            ),
-        )
-        envelope = Envelope(
-            mail_from=str(from_sim_address(Address(self.isp_id, sender_user))),
-            rcpt_to=str(from_sim_address(recipient)),
-            message=stamped,
-        )
+        # Local mail never leaves the ISP: the send already counted it
+        # in the recipient's inbox, so there is nothing to stamp.
         if receipt.status is not SendStatus.DELIVERED_LOCAL:
-            self.transport.submit(envelope)
-        else:
-            # Local mail never leaves the ISP; file it directly.
-            self._file(recipient.user, envelope, paid=True, folder="inbox")
+            stamped = stamp_message(
+                message,
+                ZmailStamp(
+                    sender_isp=f"isp{self.isp_id}",
+                    message_class=CLASS_NORMAL,
+                    list_token=list_token,
+                ),
+            )
+            self.transport.submit(Envelope(
+                mail_from=str(from_sim_address(Address(self.isp_id, sender_user))),
+                rcpt_to=str(from_sim_address(recipient)),
+                message=stamped,
+            ))
         self._m["submitted"]()
         return receipt.status
 
@@ -277,8 +219,8 @@ class ZmailGateway:
         """Retry deferred submissions due by the clock; returns how many.
 
         Accepted retries run the normal submission path; exhausted ones
-        are terminally bounced (the DSN notice is filed by the bounce
-        hook). A no-op without overload protection.
+        are terminally bounced by the bounce hook. A no-op without
+        overload protection.
         """
         if self._admission is None:
             return 0
@@ -286,47 +228,17 @@ class ZmailGateway:
         for outcome, item in self._admission.pump(self._clock()):
             processed += 1
             if outcome == "accept":
-                sender_user, recipient, message, list_token = item.payload
-                kind = (
-                    TrafficKind.MAILING_LIST if list_token is not None
-                    else TrafficKind.NORMAL
-                )
-                self._submit_admitted(
-                    sender_user, recipient, message,
-                    list_token=list_token, kind=kind,
-                )
+                self._submit_admitted(*item.payload)
             # "bounce" outcomes were handled by the on_bounce hook.
         return processed
 
     def _bounce_deferred(self, now: float, item: DeferredItem, reason: str) -> None:
-        """Terminal bounce: file a DSN-style notice with the sender."""
-        self.bounced_sends += 1
+        """Terminal bounce: counted and traced; the mail goes no further."""
         self._m["bounced"]()
-        sender_user, recipient, original, _token = item.payload
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                "gateway.bounce", recipient=str(from_sim_address(recipient))
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "gateway.bounce", recipient=str(from_sim_address(item.payload[1]))
             )
-        sender_address = str(from_sim_address(Address(self.isp_id, sender_user)))
-        notice = MailMessage.compose(
-            sender=f"mailer-daemon@{self.domain}",
-            recipient=sender_address,
-            subject="Undeliverable: message bounced",
-            body=(
-                f"Your message could not be delivered: {reason}.\n"
-                f"Original subject: {original.subject or '(none)'}\n"
-            ),
-            extra_headers={
-                "X-Failed-Recipient": str(from_sim_address(recipient)),
-            },
-        )
-        envelope = Envelope(
-            mail_from=f"mailer-daemon@{self.domain}",
-            rcpt_to=sender_address,
-            message=notice,
-        )
-        self._file(sender_user, envelope, paid=True, folder="inbox")
 
     @property
     def pending_sends(self) -> int:
@@ -368,9 +280,11 @@ class ZmailGateway:
         """Transport delivery handler; returns ``True`` if accepted.
 
         The accounting (`network.send`) was already performed by the
-        *sending* gateway — this side only verifies, files, and (for list
-        messages) generates the §5 acknowledgment. Inbound acks are
-        absorbed without reaching any inbox.
+        *sending* gateway — this side only verifies, counts the delivery
+        (``gateway.delivered_inbound`` and the ``gateway.inbound`` trace
+        outcome, ``inbox`` or ``junk``) and, for list messages, generates
+        the §5 acknowledgment. Inbound acks are absorbed without reaching
+        any inbox.
 
         Raises:
             SMTPPermanentError: 550 for recipients we do not host.
@@ -384,7 +298,6 @@ class ZmailGateway:
         tracer = self.tracer
         # A stamp asserting a different origin than the envelope is forged.
         if stamp is not None and stamp.sender_isp != f"isp{sender.isp}":
-            self.forged_rejected += 1
             self._m["forged_rejected"]()
             if tracer.enabled:
                 tracer.emit("gateway.inbound", outcome="forged")
@@ -392,18 +305,15 @@ class ZmailGateway:
 
         if is_ack(envelope.message):
             # §5: acks are processed automatically, never delivered.
-            self.acks_absorbed += 1
             self._m["acks_absorbed"]()
             if tracer.enabled:
                 tracer.emit("gateway.inbound", outcome="ack")
             return True
 
-        paid = self.network.bank.is_compliant(sender.isp)
-        folder = "inbox" if paid else "junk"
-        self._file(recipient.user, envelope, paid=paid, folder=folder)
         self._m["delivered_inbound"]()
         if tracer.enabled:
-            tracer.emit("gateway.inbound", outcome=folder)
+            paid = self.network.bank.is_compliant(sender.isp)
+            tracer.emit("gateway.inbound", outcome="inbox" if paid else "junk")
 
         if stamp is not None and stamp.list_token is not None:
             self._auto_ack(recipient, envelope)
@@ -416,27 +326,19 @@ class ZmailGateway:
         )
         if receipt.status.blocked:
             return
-        ack = make_ack_message(
-            envelope.message,
-            ack_sender=envelope.rcpt_to,
-            distributor=envelope.mail_from,
-        )
-        ack = stamp_message(
-            ack,
-            ZmailStamp(
-                sender_isp=f"isp{self.isp_id}", message_class=CLASS_ACK
-            ),
-        )
-        self.acks_sent += 1
         self._m["acks_sent"]()
         if receipt.status is not SendStatus.DELIVERED_LOCAL:
+            ack = make_ack_message(
+                envelope.message,
+                ack_sender=envelope.rcpt_to,
+                distributor=envelope.mail_from,
+            )
+            ack = stamp_message(
+                ack,
+                ZmailStamp(
+                    sender_isp=f"isp{self.isp_id}", message_class=CLASS_ACK
+                ),
+            )
             self.transport.submit(
                 Envelope(envelope.rcpt_to, envelope.mail_from, ack)
             )
-
-    def _file(
-        self, user_id: int, envelope: Envelope, *, paid: bool, folder: str
-    ) -> None:
-        self.mailbox(user_id).file(
-            DeliveryRecord(envelope=envelope, paid=paid, folder=folder)
-        )

@@ -9,7 +9,7 @@ unfolds continuation lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Collection, Iterator
 
 from ..errors import SMTPProtocolError
 
@@ -17,10 +17,17 @@ __all__ = ["Headers", "MailMessage"]
 
 
 class Headers:
-    """An ordered, case-insensitive multimap of header fields."""
+    """An ordered, case-insensitive multimap of header fields.
+
+    Each field's lower-case name is computed once, when it is added, and
+    kept beside the field, so a lookup lowers only the name it is given.
+    """
+
+    __slots__ = ("_items", "_keys")
 
     def __init__(self) -> None:
         self._items: list[tuple[str, str]] = []
+        self._keys: list[str] = []  # each item's name, lower-cased
 
     def add(self, name: str, value: str) -> None:
         """Append a header field, preserving insertion order."""
@@ -29,14 +36,14 @@ class Headers:
         if "\n" in value or "\r" in value:
             raise SMTPProtocolError(f"header {name} value contains a newline")
         self._items.append((name, value))
+        self._keys.append(name.lower())
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """The first value for ``name`` (case-insensitive), or ``default``."""
-        lowered = name.lower()
-        for key, value in self._items:
-            if key.lower() == lowered:
-                return value
-        return default
+        try:
+            return self._items[self._keys.index(name.lower())][1]
+        except ValueError:
+            return default
 
     def replace(self, name: str, value: str) -> None:
         """Remove all fields called ``name`` and append one with ``value``."""
@@ -45,10 +52,20 @@ class Headers:
 
     def remove(self, name: str) -> int:
         """Remove all fields called ``name``; returns how many were removed."""
-        lowered = name.lower()
         before = len(self._items)
-        self._items = [(k, v) for k, v in self._items if k.lower() != lowered]
+        kept = self.without({name.lower()})
+        self._items, self._keys = kept._items, kept._keys
         return before - len(self._items)
+
+    def without(self, lowered: Collection[str]) -> "Headers":
+        """A copy, in one pass, lacking every field whose lower-case name
+        is in ``lowered``."""
+        clone = Headers()
+        for item, key in zip(self._items, self._keys):
+            if key not in lowered:
+                clone._items.append(item)
+                clone._keys.append(key)
+        return clone
 
     def __contains__(self, name: str) -> bool:
         return self.get(name) is not None
@@ -58,12 +75,6 @@ class Headers:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def copy(self) -> "Headers":
-        """A shallow copy preserving order."""
-        clone = Headers()
-        clone._items = list(self._items)
-        return clone
 
 
 @dataclass
@@ -146,18 +157,3 @@ class MailMessage:
     def subject(self) -> str:
         """The Subject header, or the empty string."""
         return self.headers.get("Subject", "") or ""
-
-    @property
-    def sender(self) -> str:
-        """The From header, or the empty string."""
-        return self.headers.get("From", "") or ""
-
-    @property
-    def recipient(self) -> str:
-        """The To header, or the empty string."""
-        return self.headers.get("To", "") or ""
-
-    def copy(self) -> "MailMessage":
-        """An independent copy (headers are duplicated)."""
-        clone = MailMessage(headers=self.headers.copy(), body=self.body)
-        return clone

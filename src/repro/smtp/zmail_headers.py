@@ -56,21 +56,27 @@ class ZmailStamp:
     list_token: str | None = None
 
 
+#: The lower-case names of every Zmail header, stripped before stamping.
+_STAMP_KEYS = frozenset(
+    name.lower() for name in (H_VERSION, H_SENDER_ISP, H_CLASS, H_LIST_TOKEN)
+)
+
+
 def stamp_message(message: MailMessage, stamp: ZmailStamp) -> MailMessage:
     """Return a copy of ``message`` carrying the Zmail headers.
 
-    Existing Zmail headers are replaced — a receiving ISP must never trust
-    sender-supplied stamps, and a sending ISP must not forward them.
+    Existing Zmail headers are dropped in the one pass that copies the
+    rest, and the stamp's headers are appended — a receiving ISP must
+    never trust sender-supplied stamps, and a sending ISP must not
+    forward them.
     """
-    stamped = message.copy()
-    stamped.headers.replace(H_VERSION, ZMAIL_VERSION)
-    stamped.headers.replace(H_SENDER_ISP, stamp.sender_isp)
-    stamped.headers.replace(H_CLASS, stamp.message_class)
+    headers = message.headers.without(_STAMP_KEYS)
+    headers.add(H_VERSION, ZMAIL_VERSION)
+    headers.add(H_SENDER_ISP, stamp.sender_isp)
+    headers.add(H_CLASS, stamp.message_class)
     if stamp.list_token is not None:
-        stamped.headers.replace(H_LIST_TOKEN, stamp.list_token)
-    else:
-        stamped.headers.remove(H_LIST_TOKEN)
-    return stamped
+        headers.add(H_LIST_TOKEN, stamp.list_token)
+    return MailMessage(headers=headers, body=message.body)
 
 
 def read_stamp(message: MailMessage) -> ZmailStamp | None:

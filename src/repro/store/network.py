@@ -50,6 +50,7 @@ __all__ = [
     "DirtyTracker",
     "init_store",
     "attach_tracker",
+    "aggregate_puts",
     "commit_network",
     "isp_puts",
     "restore_network",
@@ -125,7 +126,7 @@ def init_store(store: DurableStore, network: ZmailNetwork) -> None:
         META, (network.n_isps, network.users_per_isp, network.seed, compliant)
     )
     store.commit(
-        _aggregate_puts(network),
+        aggregate_puts(network),
         barrier=0,
         meta={
             "journal_format_version": str(persistence.FORMAT_VERSION),
@@ -137,7 +138,9 @@ def init_store(store: DurableStore, network: ZmailNetwork) -> None:
     )
 
 
-def _aggregate_puts(network: ZmailNetwork) -> list[tuple[str, str, Any]]:
+def aggregate_puts(network: ZmailNetwork) -> list[tuple[str, str, Any]]:
+    """The rows every barrier rewrites: each compliant ISP's aggregate,
+    the bank and the network counters."""
     puts: list[tuple[str, str, Any]] = [
         (_ISP_KIND, str(isp_id), persistence.isp_aggregate_state(isp))
         for isp_id, isp in sorted(network.compliant_isps().items())
@@ -170,18 +173,21 @@ def commit_network(
     *,
     barrier: int,
     extra: list[tuple[str, str, Any]] | None = None,
+    aggregates: list[tuple[str, str, Any]] | None = None,
 ) -> int:
     """Write-ahead commit at one barrier point; returns records written.
 
     One WAL transaction covering the O(n_isps) aggregates, the bank,
     the conservation counter, the drained dirty user set, and any
     ``extra`` caller records (e.g. the service layer's pending gateway
-    queues) that must land atomically with the same barrier. Read-only
+    queues) that must land atomically with the same barrier;
+    ``aggregates`` are the :func:`aggregate_puts` rows if the caller
+    built them already. Read-only
     with respect to the simulation: no engine state, RNG draw or event
     ordering is perturbed, so a run with periodic commits stays
     bit-identical to one without.
     """
-    puts = _aggregate_puts(network)
+    puts = list(aggregates) if aggregates is not None else aggregate_puts(network)
     if extra:
         puts.extend(extra)
     compliant = network.compliant_isps()

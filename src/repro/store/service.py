@@ -5,17 +5,20 @@ localhost TCP, one listener per compliant ISP, with the Zmail ledger,
 bank and ISP aggregates living in the SQLite write-ahead store. Mail
 from a local user arrives unstamped and is submitted outbound (admission
 control, accounting, stamping); stamped mail from a peer ISP is
-authenticated and delivered. Barrier commits persist the network, the
-service clock *and* each gateway's pending deferred queue in one
-transaction, so killing the process and starting a new one resumes with
-every in-flight retry intact and no midnight replayed or skipped — the
-service-level face of the soak harness's recovery-equivalence guarantee.
+authenticated and delivered. Delivered mail is not kept: the recipient's
+ledger counters record it, so the service holds O(users + hot set) state
+whatever the traffic. Barrier commits persist the network, the service
+clock *and* each gateway's pending deferred queue in one transaction, so
+killing the process and starting a new one resumes with every in-flight
+retry intact and no midnight replayed or skipped — the service-level
+face of the soak harness's recovery-equivalence guarantee.
 
 Also home to ``repro selftest``, the operator's one-command health
 check: open the store read-only, verify every checksum, rebuild the
 network, assert the credit matrix is anti-symmetric and value is
-conserved, then push one message through a live SMTP round trip
-(in-memory network copy only — the store is not written).
+conserved, then push one message through a live SMTP round trip and
+check the recipient's ledger counted it (in-memory network copy only —
+the store is not written).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from ..smtp.client import SMTPClient
 from ..sim.clock import DAY
 from ..sim.workload import Address
 from .backend import DurableStore
-from .network import attach_tracker, commit_network, restore_network
+from .network import aggregate_puts, attach_tracker, commit_network, restore_network
 
 __all__ = ["ZmailService", "run_selftest"]
 
@@ -60,9 +63,9 @@ class ZmailService:
             the setting of the service that wrote any persisted pending
             queues (a pending journal with no admission layer to load it
             into is a configuration error, surfaced loudly).
-        commit_interval: Wall seconds between automatic barrier commits
-            once :meth:`start` runs; ``None`` commits only on
-            :meth:`commit`/:meth:`stop`.
+        commit_interval: Wall seconds between automatic barriers once
+            :meth:`start` runs (each ticks the clock and commits what
+            changed); ``None`` commits only on :meth:`commit`/:meth:`stop`.
 
     Time: the service keeps a logical clock (`now`) advanced by
     :meth:`tick`. It is the network's clock too: each tick runs the
@@ -72,6 +75,8 @@ class ZmailService:
     schedule ticks off wall time in production. Every commit persists
     the clock, and a restarted service resumes at the largest of it and
     the persisted retry timestamps, so no day is replayed or skipped.
+    The automatic barriers commit only what changed: a tick that would
+    rewrite every row unchanged writes no transaction.
     """
 
     def __init__(
@@ -108,6 +113,10 @@ class ZmailService:
             self.transport.register_domain(gateway.domain, gateway.handle_inbound)
             self.gateways[isp_id] = gateway
         self._rehydrate_pending()
+        # The stored payloads of the rows every barrier rewrites.
+        self._committed = [
+            (kind, key, store.get(kind, key)) for kind, key, _ in self._rows()
+        ]
         self.servers: dict[int, SMTPServer] = {
             isp_id: SMTPServer(
                 self._handler_for(gateway), hostname=gateway.domain
@@ -201,8 +210,7 @@ class ZmailService:
         assert self.commit_interval is not None
         while True:
             await asyncio.sleep(self.commit_interval)
-            self.tick(self.commit_interval)
-            self.commit()
+            self._tick_barrier(self.commit_interval)
 
     async def stop(self, *, commit: bool = True) -> None:
         """Stop listeners and the commit loop; final commit by default.
@@ -236,17 +244,35 @@ class ZmailService:
             pumped += gateway.pump()
         return pumped
 
+    def _tick_barrier(self, seconds: float) -> bool:
+        """The commit loop's step: :meth:`tick`, then commit (returning
+        ``True``) unless no user is dirty and every other row equals its
+        last committed payload. The clock rides with the next commit."""
+        self.tick(seconds)
+        if not self.tracker.dirty and self._rows() == self._committed:
+            return False
+        self.commit()
+        return True
+
+    def _rows(self) -> list[tuple[str, str, Any]]:
+        """Every row a barrier writes but the dirty users and the clock."""
+        return aggregate_puts(self.network) + self._pending_puts()
+
     def commit(self) -> int:
         """Barrier commit: network deltas, clock, pending queues, one txn."""
         self.barrier += 1
-        return commit_network(
+        aggregates = aggregate_puts(self.network)
+        pending = self._pending_puts()
+        written = commit_network(
             self.store,
             self.network,
             self.tracker,
             barrier=self.barrier,
-            extra=[(_SERVICE_KIND, "clock", records.dump(CLOCK, self)),
-                   *self._pending_puts()],
+            aggregates=aggregates,
+            extra=[(_SERVICE_KIND, "clock", records.dump(CLOCK, self)), *pending],
         )
+        self._committed = aggregates + pending
+        return written
 
     def stats(self) -> dict[str, Any]:
         """Operational counters for the status line / tests."""
@@ -309,18 +335,23 @@ def _smtp_roundtrip(service: ZmailService) -> bool:
     """Send one real SMTP message between the first two compliant ISPs.
 
     With a single compliant ISP the round trip is local (user 0 to user
-    1 of the same domain); either way the message must land in the
-    recipient's inbox as paid mail. The probe goes out a day after the
-    store's clock, when every §4.1 daily counter is reset: a store whose
-    users all spent their limit is healthy. Read-only with respect to
-    the store: the service is stopped with ``commit=False``.
+    1 of the same domain); either way the recipient's ledger must count
+    it as one more paid message in the inbox. The probe goes out a day
+    after the store's clock, when every §4.1 daily counter is reset: a
+    store whose users all spent their limit is healthy. Read-only with
+    respect to the store: the service is stopped with ``commit=False``.
     """
     isp_ids = sorted(service.gateways)
     src = isp_ids[0]
     dst = isp_ids[1] if len(isp_ids) > 1 else isp_ids[0]
     sender = str(from_sim_address(Address(src, 0)))
     recipient = str(from_sim_address(Address(dst, 1)))
+    account = service.network.isps[dst].ledger.user(1)
+    expected = (account.inbox + 1, account.lifetime_received_paid + 1)
     service.tick(DAY)
+
+    def arrived() -> bool:
+        return (account.inbox, account.lifetime_received_paid) == expected
 
     async def _run() -> bool:
         await service.start()
@@ -340,15 +371,14 @@ def _smtp_roundtrip(service: ZmailService) -> bool:
                 await client.quit()
         finally:
             await service.stop(commit=False)
-        box = service.gateways[dst].mailbox(1)
         if service.overload is not None:
             # A rehydrated token bucket may be empty, deferring the probe
             # message; that is backpressure working, not a failure. Pump
             # logical time until the retry goes through (or gives up).
             for _ in range(service.overload.max_retries + 2):
-                if box.inbox:
+                if arrived():
                     break
                 service.tick(service.overload.retry_max_interval)
-        return len(box.inbox) == 1 and box.inbox[0].paid
+        return arrived()
 
     return asyncio.run(_run())

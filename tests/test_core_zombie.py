@@ -108,8 +108,8 @@ class TestWarningMessage:
             address=Address(2, 7), messages_before_block=40, daily_limit=40
         )
         message = warning_message(detection)
-        assert message.recipient == "user7@isp2.example"
-        assert message.sender == "postmaster@isp2.example"
+        assert message.headers.get("To") == "user7@isp2.example"
+        assert message.headers.get("From") == "postmaster@isp2.example"
         assert "daily limit of 40" in message.body
         assert "virus" in message.body
 

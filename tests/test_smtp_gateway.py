@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import SendStatus, ZmailConfig, ZmailNetwork
 from repro.errors import SMTPPermanentError
+from repro.obs.trace import ListSink, TraceRecorder
 from repro.sim.workload import Address
 from repro.smtp import (
     Envelope,
@@ -16,12 +17,12 @@ from repro.smtp import (
 from repro.smtp.gateway import ZmailGateway
 
 
-def build_deployment(n_isps=3, compliant=None, **config_kwargs):
+def build_deployment(n_isps=3, compliant=None, tracer=None, **config_kwargs):
     """A network of gateways over one in-memory transport."""
     config = ZmailConfig(**config_kwargs) if config_kwargs else None
     net = ZmailNetwork(
         n_isps=n_isps, users_per_isp=5, compliant=compliant,
-        config=config, seed=50,
+        config=config, seed=50, tracer=tracer,
     )
     transport = InMemoryTransport()
     gateways = {}
@@ -30,6 +31,18 @@ def build_deployment(n_isps=3, compliant=None, **config_kwargs):
         transport.register_domain(gateway.domain, gateway.handle_inbound)
         gateways[isp_id] = gateway
     return net, transport, gateways
+
+
+def counted(net, name):
+    return net.metrics.snapshot()["counters"].get(f"gateway.{name}", 0)
+
+
+def delivered(net):
+    return counted(net, "delivered_inbound")
+
+
+def inbound_outcomes(sink):
+    return [e["outcome"] for e in sink.events() if e["type"] == "gateway.inbound"]
 
 
 def plain_message(sender: Address, recipient: Address, subject="s"):
@@ -49,12 +62,10 @@ class TestOutboundInbound:
             1, recipient, plain_message(sender, recipient)
         )
         assert status is SendStatus.SENT_PAID
-        box = gateways[1].mailbox(2)
-        assert len(box.inbox) == 1
-        assert box.inbox[0].paid
-        assert net.isps[1].ledger.user(2).balance == (
-            net.config.default_user_balance + 1
-        )
+        assert delivered(net) == 1
+        user = net.isps[1].ledger.user(2)
+        assert user.inbox == user.lifetime_received_paid == 1
+        assert user.balance == net.config.default_user_balance + 1
 
     def test_local_mail_stays_local(self):
         net, transport, gateways = build_deployment()
@@ -64,7 +75,7 @@ class TestOutboundInbound:
         )
         assert status is SendStatus.DELIVERED_LOCAL
         assert transport.delivered == 0  # never hit the wire
-        assert len(gateways[0].mailbox(2).inbox) == 1
+        assert net.isps[0].ledger.user(2).inbox == 1
 
     def test_blocked_send_never_reaches_wire(self):
         net, transport, gateways = build_deployment(
@@ -76,17 +87,24 @@ class TestOutboundInbound:
         )
         assert status is SendStatus.BLOCKED_BALANCE
         assert transport.delivered == 0
-        assert gateways[0].rejected_sends == 1
+        assert counted(net, "rejected_sends") == 1
 
     def test_messages_carry_valid_stamp(self):
         from repro.smtp import read_stamp
 
-        net, _, gateways = build_deployment()
+        net, transport, gateways = build_deployment()
+        seen = []
+
+        def handler(envelope):
+            seen.append(envelope)
+            return gateways[1].handle_inbound(envelope)
+
+        transport.register_domain(gateways[1].domain, handler)
         gateways[0].submit_outbound(
             1, Address(1, 2), plain_message(Address(0, 1), Address(1, 2))
         )
-        record = gateways[1].mailbox(2).inbox[0]
-        stamp = read_stamp(record.envelope.message)
+        (envelope,) = seen
+        stamp = read_stamp(envelope.message)
         assert stamp is not None and stamp.sender_isp == "isp0"
 
     def test_wrong_domain_rejected(self):
@@ -98,8 +116,9 @@ class TestOutboundInbound:
             gateways[1].handle_inbound(envelope)
 
     def test_noncompliant_origin_goes_to_junk_unpaid(self):
+        sink = ListSink()
         net, transport, gateways = build_deployment(
-            compliant=[True, True, False]
+            compliant=[True, True, False], tracer=TraceRecorder(sink=sink)
         )
         message = plain_message(Address(2, 0), Address(0, 1))
         envelope = Envelope(
@@ -108,9 +127,12 @@ class TestOutboundInbound:
             message,
         )
         assert gateways[0].handle_inbound(envelope)
-        box = gateways[0].mailbox(1)
-        assert len(box.junk) == 1
-        assert not box.junk[0].paid
+        assert delivered(net) == 1
+        assert inbound_outcomes(sink) == ["junk"]
+        # Unpaid: no e-penny moved to the recipient.
+        user = net.isps[0].ledger.user(1)
+        assert user.lifetime_received_paid == 0
+        assert user.balance == net.config.default_user_balance
 
 
 class TestForgery:
@@ -127,8 +149,8 @@ class TestForgery:
             message,
         )
         assert not gateways[0].handle_inbound(envelope)
-        assert gateways[0].forged_rejected == 1
-        assert len(gateways[0].mailbox(1)) == 0
+        assert counted(net, "forged_rejected") == 1
+        assert delivered(net) == 0
 
 
 class TestMailingListAcks:
@@ -145,20 +167,20 @@ class TestMailingListAcks:
         )
         assert status is SendStatus.SENT_PAID
         # The subscriber's gateway auto-acked: e-penny returned.
-        assert gateways[1].acks_sent == 1
-        assert gateways[0].acks_absorbed == 1
+        assert counted(net, "acks_sent") == 1
+        assert counted(net, "acks_absorbed") == 1
         assert net.isps[0].ledger.user(0).balance == before
-        # The ack never reached a human inbox.
-        assert len(gateways[0].mailbox(0)) == 0
-        # The list message itself did reach the subscriber.
-        assert len(gateways[1].mailbox(3).inbox) == 1
+        # The list message reached the subscriber; the ack was absorbed
+        # and never delivered to a human inbox.
+        assert net.isps[1].ledger.user(3).inbox == 1
+        assert delivered(net) == 1
 
     def test_normal_mail_not_acked(self):
         net, _, gateways = build_deployment()
         gateways[0].submit_outbound(
             1, Address(1, 2), plain_message(Address(0, 1), Address(1, 2))
         )
-        assert gateways[1].acks_sent == 0
+        assert counted(net, "acks_sent") == 0
 
     def test_conservation_through_gateway_traffic(self):
         net, _, gateways = build_deployment()
@@ -180,7 +202,7 @@ class TestMailingListAcks:
 
 
 class TestGatewayBackpressure:
-    def _overloaded_deployment(self, **overrides):
+    def _overloaded_deployment(self, tracer=None, **overrides):
         from repro.core.overload import OverloadConfig
 
         defaults = dict(
@@ -190,7 +212,7 @@ class TestGatewayBackpressure:
         )
         defaults.update(overrides)
         config = OverloadConfig(**defaults)
-        net = ZmailNetwork(n_isps=2, users_per_isp=5, seed=50)
+        net = ZmailNetwork(n_isps=2, users_per_isp=5, seed=50, tracer=tracer)
         transport = InMemoryTransport()
         now = [0.0]
         gateways = {}
@@ -223,7 +245,7 @@ class TestGatewayBackpressure:
         assert statuses[2:5] == [SendStatus.DEFERRED] * 3
         assert statuses[5:] == [SendStatus.SHED] * 2
         assert gateways[0].pending_sends == 3
-        assert gateways[0].shed_sends == 2
+        assert counted(net, "shed") == 2
         # Shed and deferred submissions never touched the ledger.
         assert net.total_value() == net.expected_total_value()
 
@@ -237,14 +259,16 @@ class TestGatewayBackpressure:
             now[0] += 1.0
             gateways[0].pump()
         assert gateways[0].pending_sends == 0
-        assert gateways[0].bounced_sends == 0
+        assert counted(net, "bounced") == 0
         # All four eventually reached the recipient's inbox.
-        assert len(gateways[1].mailbox(2).inbox) == 4
+        assert net.isps[1].ledger.user(2).inbox == 4
         assert net.total_value() == net.expected_total_value()
 
-    def test_exhausted_retries_bounce_with_dsn(self):
+    def test_exhausted_retries_bounce_counted_and_traced(self):
+        sink = ListSink()
         net, now, gateways = self._overloaded_deployment(
-            admit_rate=0.001, admit_burst=1, max_retries=1,
+            TraceRecorder(sink=sink), admit_rate=0.001, admit_burst=1,
+            max_retries=1,
         )
         recipient = Address(1, 2)
         message = plain_message(Address(0, 1), recipient, subject="doomed")
@@ -259,15 +283,13 @@ class TestGatewayBackpressure:
         while gateways[0].pending_sends and now[0] < 200.0:
             now[0] += 1.0
             gateways[0].pump()
-        assert gateways[0].bounced_sends == 1
-        # The DSN notice lands in the *sender's* inbox.
-        notices = [
-            r for r in gateways[0].mailbox(1).inbox
-            if r.envelope.message.subject.startswith("Undeliverable")
-        ]
-        assert len(notices) == 1
-        body = notices[0].envelope.message.body
-        assert "doomed" in body
+        assert counted(net, "bounced") == 1
+        bounces = [e for e in sink.events() if e["type"] == "gateway.bounce"]
+        assert [e["recipient"] for e in bounces] == ["user2@isp1.example"]
+        # The bounced message never reached the recipient, and no notice
+        # reached the sender.
+        assert net.isps[1].ledger.user(2).inbox == 1
+        assert net.isps[0].ledger.user(1).inbox == 0
         assert net.total_value() == net.expected_total_value()
 
     def test_clock_callable_drives_admission_time(self):
@@ -308,7 +330,7 @@ class TestGatewayBackpressure:
         for _ in range(7):
             gateways[0].submit_outbound(1, recipient, message)
         counters = net.metrics.snapshot()["counters"]
-        assert counters["gateway.shed"] == gateways[0].shed_sends == 2
+        assert counters["gateway.shed"] == 2
         assert counters["gateway.deferred"] == 3
         assert counters["gateway.submitted"] == 2
         assert counters["gateway.delivered_inbound"] == 2

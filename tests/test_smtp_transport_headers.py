@@ -115,7 +115,7 @@ class TestAckMessages:
         )
         assert is_ack(ack)
         assert ack.headers.get(H_LIST_TOKEN) == "post-9"
-        assert ack.recipient == "list@isp0.example"
+        assert ack.headers.get("To") == "list@isp0.example"
         assert ack.subject.startswith("Ack:")
 
     def test_normal_message_is_not_ack(self):

@@ -2,6 +2,8 @@
 
 import asyncio
 import dataclasses
+import gc
+import tracemalloc
 
 import pytest
 
@@ -77,9 +79,8 @@ class TestServiceBasics:
         service = asyncio.run(run())
         store.close()
         assert service.messages_handled == 3
-        box = service.gateways[1].mailbox(1)
-        assert len(box.inbox) == 3
-        assert all(record.paid for record in box.inbox)
+        recipient = service.network.isps[1].ledger.user(1)
+        assert recipient.inbox == recipient.lifetime_received_paid == 3
         assert service.stats()["conserved"]
 
     def test_commit_persists_ledger(self, tmp_path):
@@ -191,13 +192,21 @@ class TestServiceBasics:
         async def run():
             service = ZmailService(store, commit_interval=0.05)
             await service.start()
+            await _send_n(service, 2)
             await asyncio.sleep(0.2)
+            periodic = store.barrier  # before the final commit
             await service.stop()
-            return service.barrier
+            return periodic, service.network
 
-        barrier = asyncio.run(run())
+        periodic, network = asyncio.run(run())
+        assert periodic >= 1
+        with DurableStore.open(store.path) as reopened:
+            from repro.store import restore_network
+
+            assert durable_digest(restore_network(reopened)) == durable_digest(
+                network
+            )
         store.close()
-        assert barrier >= 2  # at least one periodic + the final commit
 
 
 class TestServiceMidnight:
@@ -258,6 +267,136 @@ class TestServiceMidnight:
         store.close()
 
 
+
+class TestIdleBarriers:
+    """The commit loop writes a barrier only when a row changed."""
+
+    @pytest.mark.parametrize("overload", [None, OVERLOAD])
+    def test_idle_ticks_add_no_commit(self, tmp_path, overload):
+        _, store = _make_store(tmp_path)
+        service = ZmailService(store, overload=overload)
+        service.gateways[0].submit_outbound(1, Address(1, 2), _message())
+        service.commit()
+        barrier, records_before = store.barrier, store.count()
+        assert not any(service._tick_barrier(0.02) for _ in range(100))
+        assert (store.barrier, service.barrier) == (barrier, barrier)
+        assert store.count() == records_before
+        # A change is committed by the next tick, clock included.
+        service.gateways[0].submit_outbound(1, Address(1, 2), _message())
+        assert service._tick_barrier(0.02)
+        assert store.barrier == barrier + 1
+        assert store.get("svc", "clock") == {"now": service.now}
+        store.close()
+
+    def test_fresh_store_idles_without_committing(self, tmp_path):
+        _, store = _make_store(tmp_path)
+        service = ZmailService(store)
+        assert not any(service._tick_barrier(1.0) for _ in range(100))
+        assert store.barrier == 0 and store.get("svc", "clock") is None
+        store.close()
+
+    def test_restart_after_idle_stretch_neither_replays_nor_skips_a_day(
+        self, tmp_path
+    ):
+        limit = TestServiceMidnight.LIMIT
+        store = TestServiceMidnight()._store(tmp_path)
+        send = TestServiceMidnight._send
+        first = ZmailService(store)
+        assert [send(first) for _ in range(limit)] == [SendStatus.SENT_PAID] * limit
+        assert first._tick_barrier(60.0)
+        # Idle hours: only the tick that crosses midnight commits.
+        committed = [first._tick_barrier(3600.0) for _ in range(30)]
+        assert committed.index(True) == 23 and committed.count(True) == 1
+        assert first.network._last_day_seen == 1
+        assert send(first) is SendStatus.SENT_PAID
+        assert first._tick_barrier(60.0)
+        clock = first.now
+        assert not any(first._tick_barrier(3600.0) for _ in range(10))
+
+        second = ZmailService(store)
+        assert second.now == clock
+        assert second.network._last_day_seen == 1
+        # No midnight replayed: the day's one send still counts ...
+        assert [send(second) for _ in range(limit)] == [
+            SendStatus.SENT_PAID
+        ] * (limit - 1) + [SendStatus.BLOCKED_LIMIT]
+        # ... and none skipped: the next one is applied exactly once.
+        second.tick(DAY)
+        assert second.network._last_day_seen == 2
+        assert send(second) is SendStatus.SENT_PAID
+        assert second.stats()["conserved"]
+        store.close()
+
+
+class TestServiceMemory:
+    """Serving mail keeps no per-message state: live memory is O(users)."""
+
+    USERS = 4
+    MESSAGES = 2000
+    SESSION = 100  # the server closes a session after 200 commands
+
+    @staticmethod
+    def _envelope(i, users):
+        # A ring over both ISPs: every user sends as much as it
+        # receives, so no balance or daily limit refuses a message.
+        src, user = i % 2, (i // 2) % users
+        sender = f"user{user}@isp{src}.example"
+        recipient = f"user{user}@isp{1 - src}.example"
+        return Envelope(sender, recipient, MailMessage.compose(
+            sender=sender, recipient=recipient, subject=f"m{i}", body="hello",
+        ))
+
+    def test_live_memory_does_not_grow_per_message(self, tmp_path):
+        store = DurableStore.create(str(tmp_path / "mem.db"))
+        init_store(store, ZmailNetwork(
+            n_isps=2, users_per_isp=self.USERS, seed=5,
+            config=ZmailConfig(default_daily_limit=10**6),
+        ))
+        warm = 2 * self.USERS
+
+        async def serve():
+            service = ZmailService(store)
+            await service.start()
+            clients = {}
+
+            async def send(i):
+                isp = i % 2
+                if i // 2 % self.SESSION == 0:
+                    if isp in clients:
+                        await clients[isp].quit()
+                    clients[isp] = SMTPClient(*service.addresses[isp])
+                    await clients[isp].connect()
+                await clients[isp].send(self._envelope(i, self.USERS))
+
+            for i in range(warm):
+                await send(i)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(warm, warm + self.MESSAGES):
+                    await send(i)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            for client in clients.values():
+                await client.quit()
+            await service.stop()
+            return service, grown
+
+        service, grown = asyncio.run(serve())
+        store.close()
+        network = service.network
+        assert all(
+            isp.ledger.materialized_count() == self.USERS
+            for isp in network.compliant_isps().values()
+        )
+        counters = network.metrics.snapshot()["counters"]
+        assert counters["gateway.delivered_inbound"] == warm + self.MESSAGES
+        assert grown / self.MESSAGES < 256, f"{grown / self.MESSAGES:.0f} B/message"
+
+
 class TestOverloadRecord:
     def test_overload_record_matches_asdict_and_does_not_alias(self, tmp_path):
         _, store = _make_store(tmp_path)
@@ -301,8 +440,8 @@ class TestPendingRehydration:
         for _ in range(8):
             second.tick(120.0)
         assert second.stats()["pending_sends"] == 0
-        inbox = second.gateways[1].mailbox(1).inbox
-        assert len(inbox) + len(first.gateways[1].mailbox(1).inbox) == 6
+        # The restored ledger already counts what the first run delivered.
+        assert second.network.isps[1].ledger.user(1).inbox == 6
         assert second.stats()["conserved"]
         store.close()
 
@@ -355,11 +494,8 @@ class TestPendingRehydration:
         second = ZmailService(store, overload=OVERLOAD)
         for _ in range(8):
             second.tick(120.0)
-        total = (
-            len(first.gateways[1].mailbox(1).inbox)
-            + len(second.gateways[1].mailbox(1).inbox)
-        )
-        assert total == 6
+        assert first.network.isps[1].ledger.user(1).inbox < 6
+        assert second.network.isps[1].ledger.user(1).inbox == 6
         store.close()
 
 

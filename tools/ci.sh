@@ -18,12 +18,15 @@
 #    at least 90%, and apn, crypto, economics, baselines and spamcorpus
 #    at their measured figures rounded down (97, 96, 98, 98 and 95%).
 #    Set CI_COVERAGE=0 to skip the traced re-run on slow machines.
-# 3. Runs the benchmark (perfbench/run.py) for 5 s at seed 1 on two
-#    workloads: macro-columnar (the columnar executor) and fuzz-campaign
-#    (the direct executor, columnar and the inline cluster). Each run
-#    checks its outputs against the direct executor and must report
-#    correct=true, and its msgs_per_s must stay within CI_BENCH_TOLERANCE
-#    (default 45%) of the 10-seed median in perfbench/baseline.json.
+# 3. Runs the benchmark (perfbench/run.py) for 5 s at seed 1 on three
+#    workloads: macro-columnar (the columnar executor), fuzz-campaign
+#    (the direct executor, columnar and the inline cluster) and
+#    smtp-submit (the durable SMTP service under load: wire, gateway,
+#    admission, barrier commits and restore). Each run checks its
+#    outputs (against the direct executor, or the service's store and
+#    ledger) and must report correct=true, and its msgs_per_s must stay
+#    within CI_BENCH_TOLERANCE (default 45%) of the 10-seed median in
+#    perfbench/baseline.json.
 #    Cross-executor agreement on the macro world at smoke scale is a
 #    tier-1 test (tests/test_columnar.py).
 # 4. Runs every chaos and overload document under examples/scenarios/,
@@ -142,7 +145,7 @@ else
 fi
 
 echo "== perfbench throughput floors (tolerance ${TOLERANCE}) =="
-for workload in macro-columnar fuzz-campaign; do
+for workload in macro-columnar fuzz-campaign smtp-submit; do
     python perfbench/run.py --workload "${workload}" --seed 1 \
         --seconds 5 --trace 0 | tee /tmp/perfbench_result.txt
     tail -n 1 /tmp/perfbench_result.txt | python -c '
