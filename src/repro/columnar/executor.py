@@ -31,8 +31,11 @@ sub-batch is partitioned into four exact-equivalence classes:
   shared pool, and outcomes depend on interleaving), plus safe-sender
   messages whose *recipient* is contended (its incoming credits must
   land between its own sends in true order). Replayed one message at a
-  time, in original arrival order, on plain Python lists gathered from
-  the arrays for only the residual's users and scattered back once.
+  time, in original arrival order, as decisions only: the loop keeps
+  the order-dependent state (each residual user's balance, account and
+  room under the daily limit, each ISP's pool) on plain Python lists
+  and records one outcome code per message; every additive counter is
+  then booked from the outcome codes with ``bincount``.
 
 Correctness rests on the classes being exact, not heuristic: the safe
 class provably cannot interact with the residual's outcomes, so
@@ -59,7 +62,7 @@ from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
 from ..sim.rng import SeededStreams
 from .plan import KIND_ORDER, merge_column_streams
-from .state import USER_COLUMNS, ColumnarState
+from .state import ColumnarState
 
 __all__ = ["run_columnar"]
 
@@ -326,94 +329,138 @@ def _run_scalar(
     """Replay contended messages one at a time, in arrival order.
 
     Mirrors ``CompliantISP._submit_now`` + ``ZmailNetwork``'s auto top-up
-    retry exactly, including the ISP-stats double count: a transient
-    balance block books ``stats.blocked_balance`` *and* the retried
-    outcome, while network metrics only see the final status.
-
-    The loop touches only plain Python lists and ints. The columns of the
-    residual's own users are gathered into lists indexed by local id
-    (the user's rank among them) and scattered back once, so the cost is
+    retry exactly. Only the sender's balance, its room under the daily
+    limit (``daily_limit - sent_today``) and the top-up's account and ISP
+    pool depend on message order, so the loop keeps just those, on plain
+    Python lists indexed by local id (the user's rank among the
+    residual's users), and records one outcome code per message: its
+    status, with every delivery as ``_DELIVERED_LOCAL``. Top-ups are rare
+    and go in a ``slot -> amount`` dict. Every additive counter is then
+    booked from the outcome codes with ``bincount``, so the cost is
     O(residual), not O(population).
+
+    ``stats.blocked_balance`` books each refusal *and* each top-up: a
+    top-up follows a balance block, and direct books that block before
+    retrying (the ISP-stats double count), while network metrics only
+    see the final status.
     """
     _bump_kind_metrics(np, state, "send.kind.", kinds[mask])
-    kind_list = kinds[mask].tolist()
-    # The residual's users, sorted and deduplicated in place (np.unique
-    # would hold several residual-sized index arrays at once).
-    users = np.concatenate((senders[mask], recipients[mask]))
-    users.sort()
-    users = users[np.append(True, users[1:] != users[:-1])]
-    local_s = np.searchsorted(users, senders[mask]).tolist()
-    local_r = np.searchsorted(users, recipients[mask]).tolist()
-    isp_of = (users // state.users_per_isp).tolist()
-    # Unpacked in USER_COLUMNS order; scattered back by the same table.
-    columns = [getattr(state, name)[users].tolist() for name in USER_COLUMNS]
-    (account, balance, daily_limit, sent_today, lifetime_sent,
-     lifetime_received, lifetime_received_paid, limit_warnings, inbox,
-     limit_hits) = columns
-    n_isps = state.n_isps
+    users, local = _local_ids(
+        np, np.concatenate((senders[mask], recipients[mask]))
+    )
+    n = len(local) // 2
+    local_s, local_r = local[:n], local[n:]
+    n_local = len(users)
+    n_isps, upi = state.n_isps, state.users_per_isp
+    isp_of = users // upi
+    isp_list = isp_of.tolist()
+    balance = state.balance[users].tolist()
+    account = state.account[users].tolist()
+    room = (state.daily_limit[users] - state.sent_today[users]).tolist()
     pool = state.pool.tolist()
-    cash = state.cash.tolist()
-    blocked_balance = [0] * n_isps
-    blocked_limit = [0] * n_isps
-    delivered = [0] * (n_isps * n_isps * _N_KINDS)
     auto_topup = network.config.auto_topup_amount
-    refused = topup_count = topup_epennies = 0
-    # Traced runs only: per-message outcomes and top-up amounts, in order.
-    outcomes = [] if status is not None else None
-    amounts = [0] * len(kind_list) if status is not None else None
+    outcomes = bytearray()
+    record = outcomes.append
+    topped = {}  # residual slot -> top-up amount
 
-    for s, r, k in zip(local_s, local_r, kind_list):
-        isp_s = isp_of[s]
-        if sent_today[s] >= daily_limit[s]:
-            limit_warnings[s] += 1
-            limit_hits[s] += 1
-            blocked_limit[isp_s] += 1
-            outcome = _BLOCKED_LIMIT
-        else:
+    for s, r in zip(local_s.tolist(), local_r.tolist()):
+        if room[s] <= 0:
+            record(_BLOCKED_LIMIT)
+            continue
+        if balance[s] < 1:
+            isp = isp_list[s]
+            amount = min(auto_topup, account[s], pool[isp])
+            if amount > 0:
+                account[s] -= amount
+                pool[isp] -= amount
+                balance[s] += amount
+                topped[len(outcomes)] = amount
             if balance[s] < 1:
-                blocked_balance[isp_s] += 1
-                amount = min(auto_topup, account[s], pool[isp_s])
-                if amount > 0:
-                    account[s] -= amount
-                    cash[isp_s] += amount
-                    balance[s] += amount
-                    pool[isp_s] -= amount
-                    topup_count += 1
-                    topup_epennies += amount
-                    if outcomes is not None:
-                        # len(outcomes) is this message's residual slot.
-                        amounts[len(outcomes)] = amount
-            if balance[s] < 1:
-                refused += 1
-                outcome = _BLOCKED_BALANCE
-            else:
-                balance[s] -= 1
-                sent_today[s] += 1
-                lifetime_sent[s] += 1
-                balance[r] += 1
-                lifetime_received[r] += 1
-                lifetime_received_paid[r] += 1
-                inbox[r] += 1
-                isp_r = isp_of[r]
-                delivered[(isp_s * n_isps + isp_r) * _N_KINDS + k] += 1
-                outcome = _DELIVERED_LOCAL if isp_s == isp_r else _SENT_PAID
-        if outcomes is not None:
-            outcomes.append(outcome)
+                record(_BLOCKED_BALANCE)
+                continue
+        balance[s] -= 1
+        room[s] -= 1
+        balance[r] += 1
+        record(_DELIVERED_LOCAL)
 
-    for name, values in zip(USER_COLUMNS, columns):
-        getattr(state, name)[users] = values
+    state.balance[users] = balance
     state.pool[:] = pool
-    state.cash[:] = cash
-    state.stats_blocked_balance += blocked_balance
-    state.stats_blocked_limit += blocked_limit
-    _book_deliveries(np, state, np.array(delivered, dtype=np.int64))
-    if outcomes is not None:
-        status[mask] = outcomes
-        topups[mask] = amounts
-    state.bump_metric("send.blocked_limit", sum(blocked_limit))
-    state.bump_metric("send.blocked_balance", refused)
-    state.bump_metric("topup.count", topup_count)
-    state.bump_metric("topup.epennies", topup_epennies)
+    outcome = np.frombuffer(outcomes, dtype=np.uint8)
+    # Per user, then per ISP: deliveries, refusals and limit blocks.
+    rows = _BLOCKED_LIMIT + 1
+    code = outcome.astype(np.intp)
+    code *= n_local
+    code += local_s
+    by_user = np.bincount(code, minlength=rows * n_local).reshape(
+        rows, n_local
+    )
+    by_isp = np.zeros((rows, n_isps), dtype=np.int64)
+    np.add.at(by_isp, (slice(None), isp_of), by_user)
+    sent, limited = by_user[_DELIVERED_LOCAL], by_user[_BLOCKED_LIMIT]
+    ok = outcome == _DELIVERED_LOCAL
+    ok_s, ok_r = local_s[ok], local_r[ok]
+    received = np.bincount(ok_r, minlength=n_local)
+    state.sent_today[users] += sent
+    state.lifetime_sent[users] += sent
+    for column in (
+        state.lifetime_received, state.lifetime_received_paid, state.inbox
+    ):
+        column[users] += received
+    state.limit_warnings[users] += limited
+    state.limit_hits[users] += limited
+    state.stats_blocked_limit += by_isp[_BLOCKED_LIMIT]
+    state.stats_blocked_balance += by_isp[_BLOCKED_BALANCE]
+    if topped:
+        slots = np.fromiter(topped, dtype=np.intp, count=len(topped))
+        amounts = np.fromiter(
+            topped.values(), dtype=np.int64, count=len(topped)
+        )
+        payer_isp = isp_of[local_s[slots]]
+        state.account[users] = account
+        np.add.at(state.cash, payer_isp, amounts)
+        state.stats_blocked_balance += np.bincount(
+            payer_isp, minlength=n_isps
+        )
+    # Cell (src * n_isps + dst) * _N_KINDS + kind of each delivery.
+    cells = (isp_of * (n_isps * _N_KINDS))[ok_s]
+    cells += (isp_of * _N_KINDS)[ok_r]
+    cells += kinds[mask][ok]
+    _book_deliveries(
+        np, state, np.bincount(cells, minlength=n_isps * n_isps * _N_KINDS)
+    )
+    if status is not None:
+        remote = np.zeros_like(ok)
+        remote[ok] = isp_of[ok_s] != isp_of[ok_r]
+        status[mask] = np.where(remote, _SENT_PAID, outcome)
+        if topped:
+            topups[np.flatnonzero(mask)[slots]] = amounts
+    state.bump_metric("send.blocked_limit", int(limited.sum()))
+    state.bump_metric(
+        "send.blocked_balance", int(by_user[_BLOCKED_BALANCE].sum())
+    )
+    state.bump_metric("topup.count", len(topped))
+    state.bump_metric("topup.epennies", sum(topped.values()))
+
+
+def _local_ids(np, gids):
+    """``np.unique(gids, return_inverse=True)`` with an int32 inverse.
+
+    Frees its sorted copy before building the inverse, so it holds about
+    half the residual-sized memory ``np.unique`` does (a large residual
+    can set a run's peak resident set), and runs faster.
+    """
+    order = gids.argsort()
+    gids = gids[order]
+    first = np.empty(len(gids), dtype=bool)
+    first[0] = True
+    np.not_equal(gids[1:], gids[:-1], out=first[1:])
+    users = gids[first]
+    del gids
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    local = np.empty_like(rank)
+    local[order] = rank
+    return users, local
 
 
 def _book_deliveries(np, state, counts):

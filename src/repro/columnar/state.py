@@ -26,17 +26,13 @@ from operator import attrgetter
 
 __all__ = ["ColumnarState"]
 
-#: The per-user columns the contended residual gathers: the
-#: ``UserAccount`` fields a paid send moves plus ``CompliantISP.limit_hits``.
-USER_COLUMNS = (
+#: ``UserAccount`` attributes mirrored as gid-indexed int64 columns of the
+#: same name (``junk_folder`` only moves with unpaid mail).
+USER_FIELDS = (
     "account", "balance", "daily_limit", "sent_today", "lifetime_sent",
     "lifetime_received", "lifetime_received_paid", "limit_warnings", "inbox",
-    "limit_hits",
+    "junk_folder",
 )
-#: ``UserAccount`` attributes mirrored as gid-indexed int64 columns of the
-#: same name: the residual's ledger fields plus ``junk_folder``, which
-#: only unpaid mail moves.
-USER_FIELDS = USER_COLUMNS[:-1] + ("junk_folder",)
 #: ``DeliveryStats`` counters the executor moves, mirrored for every ISP
 #: as ``stats_<name>`` columns.
 STATS_FIELDS = (
@@ -48,9 +44,10 @@ STATS_FIELDS = (
 class ColumnarState:
     """Numpy mirror of users, ledgers, stats and credit for one network.
 
-    Per-user columns are the attributes named in :data:`USER_COLUMNS`
-    and :data:`USER_FIELDS`; per-ISP columns are ``pool``, ``cash`` and
-    ``stats_<name>`` for each name in :data:`STATS_FIELDS`.
+    Per-user columns are the attributes named in :data:`USER_FIELDS`
+    plus ``limit_hits`` (``CompliantISP.limit_hits``); per-ISP columns
+    are ``pool``, ``cash`` and ``stats_<name>`` for each name in
+    :data:`STATS_FIELDS`.
     ``unpaid_user`` marks the gids of non-compliant ISPs (``None`` when
     every ISP is compliant): a message from or to one is unpaid mail.
     """
@@ -64,7 +61,7 @@ class ColumnarState:
         self.users_per_isp = network.users_per_isp
         self.n_users = self.n_isps * self.users_per_isp
         n, k = self.n_users, self.n_isps
-        for name in (*USER_COLUMNS, "junk_folder"):
+        for name in (*USER_FIELDS, "limit_hits"):
             setattr(self, name, np.zeros(n, dtype=np.int64))
         for name in ("pool", "cash", *(f"stats_{f}" for f in STATS_FIELDS)):
             setattr(self, name, np.zeros(k, dtype=np.int64))

@@ -246,7 +246,9 @@ def observed(monkeypatch):
 
 
 def run_observed(scenario, observed):
-    """``run_both`` plus the credits and residuals each executor saw."""
+    """``run_both`` plus the credits and residuals each executor saw;
+    both executors must agree on every ISP's stats and credits, every
+    user's counters and every metric."""
     scenario.mode = "direct"
     direct = scenario.run()
     direct_credits = observed["credits"][:]
@@ -261,7 +263,22 @@ def run_observed(scenario, observed):
     assert observed["credits"] == direct_credits
     for isp_id, isp in direct.network.isps.items():
         assert columnar.network.isps[isp_id].stats == isp.stats
+    assert user_counters(columnar.network) == user_counters(direct.network)
+    assert columnar.network.metrics.snapshot() == (
+        direct.network.metrics.snapshot()
+    )
     return direct, observed["credits"], observed["residuals"]
+
+
+def user_counters(network):
+    """Every compliant user's ``UserAccount`` fields and limit hits."""
+    return {
+        (isp_id, user.user_id): (
+            dataclasses.astuple(user), isp.limit_hits.get(user.user_id, 0)
+        )
+        for isp_id, isp in network.compliant_isps().items()
+        for user in isp.ledger.users()
+    }
 
 
 class TestContendedResidual:
@@ -317,6 +334,56 @@ class TestContendedResidual:
             digests.add(scenario.tracer.digest())
         assert len(digests) == 1
 
+    def test_every_residual_outcome_in_one_sub_batch(self, observed):
+        # 2 ISPs x 4 users, one sub-batch; every user starts with 1
+        # e-penny and 1 real penny, the daily limit is 4 and a top-up buys
+        # 1 e-penny from a 50-e-penny pool.
+        # * gid 0 sends 4. The 2nd is blocked on balance and rescued by a
+        #   top-up that empties its account; safe gid 5 then mails it the
+        #   e-penny that pays for the 3rd; the 4th is refused on balance
+        #   with the pool far from dry.
+        # * gid 7, funded, sends 5: first to itself, then the 5th blocks
+        #   on the limit after four successes.
+        # * gid 1 -> gid 4 is a safe send beside the residual.
+        rows = [
+            (60.0, 0, 4), (120.0, 7, 7), (180.0, 0, 1), (240.0, 5, 0),
+            (300.0, 7, 2), (360.0, 0, 6), (420.0, 7, 3), (480.0, 0, 1),
+            (540.0, 7, 6), (600.0, 1, 4), (660.0, 7, 5),
+        ]
+        scenario = scripted(
+            rows,
+            n_isps=2,
+            users_per_isp=4,
+            duration=HOUR,
+            spammers=[SpammerSpec(Address(1, 3), volume=0, war_chest=10)],
+            config=ZmailConfig(
+                default_daily_limit=4,
+                default_user_balance=1,
+                default_user_account=1,
+                initial_pool=50,
+                minavail=0,
+                auto_topup_amount=1,
+            ),
+        )
+        direct, _credits, residuals = run_observed(scenario, observed)
+        assert residuals == [(10, 8)]  # every row but the safe one
+        counters = direct.network.metrics.snapshot()["counters"]
+        for name in ("send.blocked_balance", "topup.count", "topup.epennies"):
+            assert counters[name] == 1
+        isps = direct.network.isps
+        assert isps[0].stats.blocked_balance == 2  # the refusal + the top-up
+        assert isps[1].stats.blocked_limit == 1
+        assert isps[0].ledger.pool == 49
+        assert isps[0].ledger.user(0).account == 0
+        assert isps[1].ledger.user(3).sent_today == 4
+        digests = set()
+        for mode in ("direct", "columnar"):
+            scenario.mode = mode
+            scenario.tracer = TraceRecorder()
+            scenario.run()
+            digests.add(scenario.tracer.digest())
+        assert len(digests) == 1
+
     def test_residual_over_a_strict_subset_of_users(self, observed):
         # One underfunded spammer in a 4 x 256 world: only its mail and
         # mail to it are contended, so each residual gathers a strict
@@ -359,8 +426,8 @@ def mail_counters(network):
 
 def assert_executors_agree(scenario):
     """Direct and columnar agree on every observable of ``scenario``:
-    summary, cut and final accounting digests, mail counters, and the
-    traced ordered event stream."""
+    summary, cut and final accounting digests, mail and user counters, and
+    the traced ordered event stream."""
     direct, columnar = run_both(scenario)
     assert columnar.summary() == direct.summary()
     assert columnar.cut_digests == direct.cut_digests
@@ -368,6 +435,7 @@ def assert_executors_agree(scenario):
         direct.network
     )
     assert mail_counters(columnar.network) == mail_counters(direct.network)
+    assert user_counters(columnar.network) == user_counters(direct.network)
     recorders = []
     for mode in ("direct", "columnar"):
         scenario.mode = mode
@@ -451,6 +519,24 @@ _zombies = st.builds(
     rate=st.floats(min_value=0.5, max_value=40.0, allow_nan=False),
 )
 
+
+@st.composite
+def _configs(draw):
+    """Tight limits and small purses; a small pool (0 included) with
+    ``minavail`` at most the pool, so top-ups reach empty accounts and dry
+    pools, and a midnight rebalance need not refill them."""
+    pool = draw(st.integers(min_value=0, max_value=40))
+    return ZmailConfig(
+        default_daily_limit=draw(st.integers(min_value=1, max_value=40)),
+        default_user_balance=draw(st.integers(min_value=0, max_value=30)),
+        default_user_account=draw(st.integers(min_value=0, max_value=60)),
+        initial_pool=pool,
+        minavail=draw(st.integers(min_value=0, max_value=pool)),
+        auto_topup_amount=draw(st.integers(min_value=0, max_value=15)),
+        noncompliant_policy=draw(st.sampled_from(NonCompliantMailPolicy)),
+    )
+
+
 _scenarios = st.builds(
     Scenario,
     n_isps=st.just(N_ISPS),
@@ -459,13 +545,7 @@ _scenarios = st.builds(
     compliant=st.lists(
         st.booleans(), min_size=N_ISPS, max_size=N_ISPS
     ).filter(any),
-    config=st.builds(
-        ZmailConfig,
-        default_daily_limit=st.integers(min_value=1, max_value=40),
-        default_user_balance=st.integers(min_value=0, max_value=30),
-        auto_topup_amount=st.integers(min_value=0, max_value=15),
-        noncompliant_policy=st.sampled_from(NonCompliantMailPolicy),
-    ),
+    config=_configs(),
     seed=st.integers(min_value=0, max_value=2**16),
     duration=st.floats(min_value=HOUR, max_value=2 * DAY, allow_nan=False),
     normal_rate_per_day=st.one_of(

@@ -39,17 +39,19 @@
 #    cluster-8isp.yaml: the same seeded world at 1 and 4 shards (real
 #    spawn workers) must produce byte-identical invariant manifests
 #    (cmp), the sharding-invariance contract.
-# 6. Runs the columnar determinism smoke: canonical-3isp.yaml and
-#    mixed-4isp.yaml (a non-compliant ISP, so unpaid §5 mail) driven by
-#    the columnar batch executor and by the direct loop must produce
-#    byte-identical invariant manifests (cmp) — ledger event multiset,
-#    protocol metrics and accounting digest all agree. Then mixed-4isp
-#    (unpaid §5 mail) and cluster-8isp (the one example world whose
-#    users auto top-up) run on both executors with --trace as well: the
-#    manifest's ledger digest comes from counted events (run_plan's
-#    counting recorder), and rebuilding it event by event from the JSONL
-#    trace (AdditiveMultisetDigest.add over INVARIANT_EVENT_TYPES) must
-#    give the same event_digest and event_count.
+# 6. Runs the columnar determinism smoke: canonical-3isp.yaml,
+#    mixed-4isp.yaml (a non-compliant ISP, so unpaid §5 mail) and
+#    overload-flood-10x.yaml (the example world with the largest
+#    contended residual, top-ups included) driven by the columnar batch
+#    executor and by the direct loop must produce byte-identical
+#    invariant manifests (cmp) — ledger event multiset, protocol
+#    metrics and accounting digest all agree. Then mixed-4isp (unpaid
+#    §5 mail) and cluster-8isp (whose users auto top-up) run on both
+#    executors with --trace as well: the manifest's ledger digest comes
+#    from counted events (run_plan's counting recorder), and rebuilding
+#    it event by event from the JSONL trace (AdditiveMultisetDigest.add
+#    over INVARIANT_EVENT_TYPES) must give the same event_digest and
+#    event_count.
 # 7. Runs the store soak smoke: examples/scenarios/soak.yaml in soak
 #    mode twice, once with --store (isp1 and the bank each crash and
 #    restart from the durable SQLite store) and once without (the
@@ -198,7 +200,7 @@ echo "cluster manifests byte-identical across shard counts"
 
 COLUMNAR_SEED="${CI_COLUMNAR_SEED:-7}"
 echo "== columnar determinism smoke (seed ${COLUMNAR_SEED}, columnar vs direct) =="
-for doc in canonical-3isp.yaml mixed-4isp.yaml; do
+for doc in canonical-3isp.yaml mixed-4isp.yaml overload-flood-10x.yaml; do
     for mode in columnar direct; do
         PYTHONPATH=src python -m repro run "examples/scenarios/${doc}" \
             --seed "${COLUMNAR_SEED}" --mode "${mode}" \
